@@ -19,11 +19,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, experiments
-from .admissible import (AdmissibleSet, BoxBounds, StateConstraint, feasibility,
-                         slater)
+from .admissible import AdmissibleSet, BoxBounds, StateConstraint, feasibility
 from .errors import (ConfigError, InfeasibleProblem, InfeasibleSet,
                      LambdaExceedsSlaterCap, NoFeasiblePattern, NonConvergence,
-                     NoTransition, TiklavError)
+                     NoTransition)
 from .grid import DomainGrid, GridFunction, ObservationRegion
 from .manufacture import ManufacturedInstance, manufacture, optimal_alpha
 from .operators import KernelSpec, assemble_fredholm, assemble_poisson
@@ -186,25 +185,33 @@ class RunReport:
     def write(self, out_dir: Path) -> Path:
         path = out_dir / "report.json"
         self.manifest.append(str(path))
-        with open(path, "w") as fh:
-            json.dump({
-                "command": self.command, "config": self.config,
-                "version": self.version, "summaries": self.summaries,
-                "checks": self.checks, "manifest": self.manifest,
-                "runtime_seconds": self.runtime_seconds,
-            }, fh, indent=2, default=_json_default)
-            fh.write("\n")
+        _write_json(path, {
+            "command": self.command, "config": self.config,
+            "version": self.version, "summaries": self.summaries,
+            "checks": self.checks, "manifest": self.manifest,
+            "runtime_seconds": self.runtime_seconds,
+        })
         return path
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if obj == np.inf:
-        return "inf"
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _strict(obj):
+    """obj with arrays and NumPy scalars as Python values and the non-finite
+    floats as the strings "inf", "-inf" and "nan", so it is strict JSON."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _strict(obj.tolist())
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return "nan" if np.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(_strict(obj), fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def cmd_solve(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
@@ -231,16 +238,12 @@ def cmd_solve(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
         "iterations": sol.iterations,
     }
     sol_path = out_dir / "solution.json"
-    with open(sol_path, "w") as fh:
-        json.dump({
-            "u": sol.u.values.tolist(), "y": sol.y.values.tolist(),
-            "mu_lower": sol.mu_lower.tolist(),
-            "mu_upper": sol.mu_upper.tolist(), "eta": sol.eta.tolist(),
-            "active_lower": sol.active_lower.tolist(),
-            "active_upper": sol.active_upper.tolist(),
-            "active_state": sol.active_state.tolist(),
-        }, fh, indent=2)
-        fh.write("\n")
+    _write_json(sol_path, {
+        "u": sol.u.values, "y": sol.y.values,
+        "mu_lower": sol.mu_lower, "mu_upper": sol.mu_upper, "eta": sol.eta,
+        "active_lower": sol.active_lower, "active_upper": sol.active_upper,
+        "active_state": sol.active_state,
+    })
     report.manifest.append(str(sol_path))
     report.runtime_seconds = time.perf_counter() - t0
     return report
@@ -263,9 +266,7 @@ def cmd_manufacture(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunRepor
         "alpha_star": alpha_star,
     }
     inst_path = out_dir / "instance.json"
-    with open(inst_path, "w") as fh:
-        json.dump(inst.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(inst_path, inst.to_dict())
     report.manifest.append(str(inst_path))
     print(f"tau margins: lower={inst.margins.margin_lower:.6g} "
           f"upper={inst.margins.margin_upper:.6g} "

@@ -7,7 +7,7 @@ h^d per node, so the weighted adjoint of a matrix is its plain transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,7 +4,7 @@ source-element recovery and the a-priori parameter choice."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

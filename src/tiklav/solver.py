@@ -5,15 +5,14 @@ pseudo-inverse."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 
 from .admissible import (ACTIVE_TOL, AdmissibleSet, project_admissible)
-from .errors import (AlphaNonPositive, DimensionMismatch, GridTooLarge,
-                     InfeasibleProblem, NoFeasiblePattern, NonConvergence,
+from .errors import (AlphaNonPositive, DimensionMismatch, NoFeasiblePattern,
                      OracleTooLarge)
 from .grid import GridFunction, wnorm
 from .operators import AssembledOperator, apply
@@ -51,10 +50,12 @@ class Solution:
     active_lower: np.ndarray      # node indices with margin < ACTIVE_TOL
     active_upper: np.ndarray
     active_state: np.ndarray      # positions into the region index list
-    iterations: int
+    iterations: int               # QP active-set changes (adds plus drops), or
+                                  # inner iterations when `fallback` is set
     kkt_stationarity: float
     kkt_primal: float
     kkt_complementarity: float
+    fallback: bool = False        # the QP engine's augmented-Lagrangian fallback ran
 
 
 def _classify_active(u_values, aset: AdmissibleSet, eps: float = ACTIVE_TOL):
@@ -94,9 +95,7 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
     H, g = _build_quadratic(problem)
     T, psi = aset.constraint_matrix()
     wfac = np.sqrt(problem.op.grid.weight)
-    if u0 is None:
-        u0 = solve_unconstrained(problem.op, problem.y_d, problem.alpha)
-    start = np.clip(u0.values, 0.0, aset.box.upper)
+    start = None if u0 is None else np.clip(u0.values, 0.0, aset.box.upper)
     res = qp.solve_box_state_qp(H, g, np.zeros(H.shape[0]), aset.box.upper,
                                 T, psi, tol, wfac, u0=start, rho0=problem.alpha)
     u = GridFunction(problem.op.grid, res.u)
@@ -106,7 +105,8 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
         mu_lower=res.mu_lower, mu_upper=res.mu_upper, eta=res.eta,
         active_lower=lo, active_upper=up, active_state=st,
         iterations=res.iterations, kkt_stationarity=res.stationarity,
-        kkt_primal=res.primal, kkt_complementarity=res.complementarity)
+        kkt_primal=res.primal, kkt_complementarity=res.complementarity,
+        fallback=res.fallback)
 
 
 def projection_formula_residual(sol: Solution, problem: RegularizedProblem,

@@ -158,6 +158,19 @@ class TestVerify:
         assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("preset", ["interior-attainable-poisson-1d",
+                                    "clipped-fredholm-1d",
+                                    "binding-state-poisson-2d"])
+def test_preset_report_is_strict_json(preset, tmp_path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", preset, "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["checks"] and all(report["checks"].values())
+
+
 def test_config_round_trip_in_report(tmp_path):
     cfg = base_cfg()
     out = tmp_path / "out"

@@ -94,6 +94,31 @@ def test_degenerate_redundant_rows():
     assert np.allclose(res.u, [0.5, 0.5], atol=1e-7)
 
 
+def test_dependent_lower_bound_and_state_row():
+    # u_1 <= 0 (state row) and u_1 >= 0 (lower bound) are the same line: the
+    # engine activates one of them and ends at the projection of (1, 1)
+    H = 2 * np.eye(2)
+    g = -2 * np.ones(2)
+    T = np.array([[1.0, 0.0]])
+    psi = np.array([0.0])
+    res = solve_box_state_qp(H, g, np.zeros(2), np.full(2, np.inf), T, psi,
+                             1e-10, 1.0)
+    assert np.allclose(res.u, [0.0, 1.0], atol=1e-12)
+    assert res.eta[0] + res.mu_lower[0] == pytest.approx(2.0, abs=1e-9)
+    assert not res.fallback
+
+
+def test_semidefinite_hessian_uses_fallback():
+    # H has no Cholesky factor: the augmented-Lagrangian fallback solves it
+    H = np.array([[2.0, 0.0], [0.0, 0.0]])
+    g = np.array([-2.0, 1.0])
+    res = solve_box_state_qp(H, g, np.zeros(2), np.ones(2), None, None,
+                             1e-10, 1.0)
+    assert res.fallback
+    assert np.allclose(res.u, [1.0, 0.0], atol=1e-9)
+    assert max(res.stationarity, res.complementarity) <= 1e-10
+
+
 def test_infeasible_state_rows_raise():
     # sum(u) <= -1 impossible for u >= 0
     H = 2 * np.eye(3)
@@ -136,3 +161,14 @@ def test_warm_start_accepted():
                              1e-10, 1.0, u0=np.array([0.3, 0.6, 0.9]))
     assert np.allclose(res.u, [0.3, 0.6, 0.9], atol=1e-10)
     assert res.iterations <= 5
+    assert not res.fallback
+
+
+def test_iterations_count_active_set_changes():
+    # both lower bounds enter and nothing leaves: two changes
+    H = 2 * np.eye(2)
+    g = 2 * np.ones(2)
+    res = solve_box_state_qp(H, g, np.zeros(2), np.ones(2), None, None,
+                             1e-10, 1.0)
+    assert np.allclose(res.u, 0.0, atol=1e-15)
+    assert res.iterations == 2

@@ -1,9 +1,18 @@
 """Regularized solver against the enumeration oracle and closed forms."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tiklav
 from conftest import random_problem
+from tiklav import cli, qp
 from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
                                feasibility, project_admissible)
 from tiklav.errors import AlphaNonPositive, OracleTooLarge
@@ -98,6 +107,20 @@ class TestOracle:
             assert np.array_equal(s.active_upper, o.active_upper)
             assert np.array_equal(s.active_state, o.active_state)
 
+    def test_pinned_near_degenerate_instance(self):
+        # Fredholm, n=5, plus sign, lam ~ 0.091, alpha ~ 1.2e-3: an earlier
+        # engine certified a point 1.03e-8 away from the oracle here
+        rng = np.random.default_rng(0)
+        for _ in range(121):
+            prob = random_problem(rng)
+        assert prob.op.grid.num_nodes == 5 and prob.aset.sign == "plus"
+        s = solve(prob, tol=1e-10)
+        o = oracle_solve(prob, tol=1e-10)
+        assert wnorm(prob.op.grid, s.u.values - o.u.values) <= 1e-8
+        assert np.array_equal(s.active_lower, o.active_lower)
+        assert np.array_equal(s.active_upper, o.active_upper)
+        assert np.array_equal(s.active_state, o.active_state)
+
     def test_oracle_multipliers_dual_feasible(self):
         rng = np.random.default_rng(77)
         prob = random_problem(rng, n_choices=(5,), n_probs=(1.0,))
@@ -168,3 +191,43 @@ def test_solution_continuity_in_alpha():
     for a, b in [(1e-2, 2e-2), (1e-2, 5e-3), (2e-2, 5e-3)]:
         lhs = wnorm(g, sols[b].u.values - sols[a].u.values)
         assert lhs <= abs(a - b) / b * sols[a].u.norm() + 1e-7
+
+
+class TestNoFallback:
+    """The dual active-set engine certifies every solve on its own."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            sol = solve(random_problem(rng), tol=1e-10)
+            assert not sol.fallback
+
+    @pytest.mark.parametrize("preset", ["interior-attainable-poisson-1d",
+                                        "clipped-fredholm-1d",
+                                        "binding-state-poisson-2d"])
+    def test_preset_verify(self, preset, tmp_path, monkeypatch):
+        engine = qp.solve_box_state_qp
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(engine(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(qp, "solve_box_state_qp", recording)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["verify", "--config", preset, "--out", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        assert results and not any(r.fallback for r in results)
+
+
+def test_solve_does_not_import_scipy_optimize(tmp_path):
+    code = (
+        "import sys, tiklav.cli\n"
+        "rc = tiklav.cli.main(['solve', '--config', 'binding-state-poisson-2d',"
+        f" '--out', {str(tmp_path)!r}])\n"
+        "assert rc == 0, rc\n"
+        "print('scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(tiklav.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split()[-1] == "False"
