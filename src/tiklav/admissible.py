@@ -152,10 +152,9 @@ def project_admissible(v: GridFunction, aset: AdmissibleSet,
     H = 2.0 * np.eye(n)
     g = -2.0 * v.values
     wfac = np.sqrt(v.grid.weight)
-    u0 = np.clip(v.values, 0.0, aset.box.upper)
     try:
         res = qp.solve_box_state_qp(H, g, np.zeros(n), aset.box.upper, T, psi,
-                                    tol, wfac, u0=u0, rho0=1.0)
+                                    tol, wfac)
     except InfeasibleProblem as exc:
         raise InfeasibleSet(str(exc)) from exc
     return GridFunction(v.grid, res.u)

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import __version__, experiments
 from .admissible import AdmissibleSet, BoxBounds, StateConstraint, feasibility
-from .errors import (ConfigError, InfeasibleProblem, InfeasibleSet,
+from .errors import (AlphaNonPositive, ConfigError, GridTooLarge,
+                     InfeasibleProblem, InfeasibleSet, InvalidKernelParameter,
                      LambdaExceedsSlaterCap, NoFeasiblePattern, NonConvergence,
-                     NoTransition)
+                     NotASlaterPoint, NoTransition)
 from .grid import DomainGrid, GridFunction, ObservationRegion
 from .manufacture import ManufacturedInstance, manufacture, optimal_alpha
 from .operators import KernelSpec, assemble_fredholm, assemble_poisson
@@ -415,7 +416,8 @@ def main(argv: Optional[list] = None) -> int:
             report = cmd_verify(cfg, out_dir, args.tol, args.seed)
         else:
             report = cmd_manufacture(cfg, out_dir, args.tol, args.seed)
-    except ConfigError as exc:
+    except (ConfigError, AlphaNonPositive, InvalidKernelParameter,
+            GridTooLarge, NotASlaterPoint) as exc:  # raised by config values
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleProblem, InfeasibleSet, NoFeasiblePattern,

@@ -10,7 +10,7 @@ class DimensionMismatch(TiklavError):
 
 
 class GridTooLarge(TiklavError):
-    """Dense assembly or dense solve requested beyond the dense cap."""
+    """Dense assembly requested beyond the dense cap."""
 
 
 class InvalidKernelParameter(TiklavError):

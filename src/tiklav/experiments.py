@@ -4,7 +4,6 @@ and joint total-error studies."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,7 +36,6 @@ class SweepRecord:
     n_active_up: int
     n_active_state: int
     iters: int
-    seconds: float
 
 
 @dataclass
@@ -51,7 +49,7 @@ class RateFit:
 
 
 def _record(prob: RegularizedProblem, sol: Solution, inst: ManufacturedInstance,
-            delta: float, seconds: float) -> SweepRecord:
+            delta: float) -> SweepRecord:
     g = prob.op.grid
     rep = feasibility(sol.u, prob.aset)
     return SweepRecord(
@@ -62,7 +60,7 @@ def _record(prob: RegularizedProblem, sol: Solution, inst: ManufacturedInstance,
         margin_state=rep.margin_state,
         n_active_lo=len(sol.active_lower), n_active_up=len(sol.active_upper),
         n_active_state=len(sol.active_state),
-        iters=sol.iterations, seconds=seconds)
+        iters=sol.iterations)
 
 
 def fit_rate(alphas: Sequence[float], errors: Sequence[float],
@@ -93,14 +91,10 @@ def sweep_alpha(inst: ManufacturedInstance, alpha_list: Sequence[float],
     records: List[SweepRecord] = []
     checks = []
     sols: List[Tuple[float, Solution]] = []
-    warm = None
     for a in alphas:
         prob = RegularizedProblem(inst.aset.op, inst.y_d, aset, a)
-        t0 = time.perf_counter()
-        sol = solve(prob, tol=tol, u0=warm)
-        dt = time.perf_counter() - t0
-        warm = sol.u
-        rec = _record(prob, sol, inst, 0.0, dt)
+        sol = solve(prob, tol=tol)
+        rec = _record(prob, sol, inst, 0.0)
         records.append(rec)
         sols.append((a, sol))
         b1 = rec.err_u <= np.sqrt(a) * inst.w_norm \
@@ -151,16 +145,12 @@ def noise_study(inst: ManufacturedInstance, delta_list: Sequence[float],
     alpha_floor = c * min(positive) ** s if positive else 1e-6
     aset = inst.aset.with_lambda(0.0)
     records, checks = [], []
-    warm = None
     for i, d in enumerate(deltas):
         alpha = c * d**s if d > 0 else alpha_floor
         noisy = add_noise(inst.y_d, d, seed + i)
         prob = RegularizedProblem(inst.aset.op, noisy.y_delta, aset, alpha)
-        t0 = time.perf_counter()
-        sol = solve(prob, tol=tol, u0=warm)
-        dt = time.perf_counter() - t0
-        warm = sol.u
-        rec = _record(prob, sol, inst, d, dt)
+        sol = solve(prob, tol=tol)
+        rec = _record(prob, sol, inst, d)
         # err_Su in the record is measured against the noisy data; the bound
         # from the noisy-data theorem compares against the exact data
         err_su_exact = wnorm(inst.y_d.grid, sol.y.values - inst.y_d.values)
@@ -194,15 +184,11 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
     base = solve(RegularizedProblem(op, y_d, base_set, alpha), tol=tol)
     g = op.grid
     records, errors, plus_feasible, minus_violation = [], [], [], []
-    warm = base.u
     for lam in lams:
         aset = inst.aset.with_lambda(lam, sign)
         prob = RegularizedProblem(op, y_d, aset, alpha)
-        t0 = time.perf_counter()
-        sol = solve(prob, tol=tol, u0=warm)
-        dt = time.perf_counter() - t0
-        warm = sol.u
-        records.append(_record(prob, sol, inst, 0.0, dt))
+        sol = solve(prob, tol=tol)
+        records.append(_record(prob, sol, inst, 0.0))
         errors.append(wnorm(g, sol.u.values - base.u.values))
         rep0 = feasibility(sol.u, base_set)
         if sign == "plus":
@@ -235,17 +221,13 @@ def total_error_study(inst: ManufacturedInstance, alpha_list: Sequence[float],
     alphas = list(alpha_list)
     op, y_d = inst.aset.op, inst.y_d
     records, triangle = [], []
-    warm = warm0 = None
     for a in alphas:
         lam = min(lam_cap, a)
         prob = RegularizedProblem(op, y_d, inst.aset.with_lambda(lam, sign), a)
         prob0 = RegularizedProblem(op, y_d, inst.aset.with_lambda(0.0), a)
-        t0 = time.perf_counter()
-        sol = solve(prob, tol=tol, u0=warm)
-        dt = time.perf_counter() - t0
-        sol0 = solve(prob0, tol=tol, u0=warm0)
-        warm, warm0 = sol.u, sol0.u
-        records.append(_record(prob, sol, inst, 0.0, dt))
+        sol = solve(prob, tol=tol)
+        sol0 = solve(prob0, tol=tol)
+        records.append(_record(prob, sol, inst, 0.0))
         g = op.grid
         lhs = wnorm(g, inst.u_bar.values - sol.u.values)
         rhs = wnorm(g, inst.u_bar.values - sol0.u.values) \
@@ -268,19 +250,16 @@ def alpha_continuity_check(op, y_d: GridFunction, aset: AdmissibleSet,
     return out
 
 
-def records_to_csv(records: Sequence[SweepRecord],
-                   deterministic: bool = True) -> str:
+def records_to_csv(records: Sequence[SweepRecord]) -> str:
     """Fixed-column CSV with 17 significant digits and LF line endings.
 
-    deterministic=True zeroes the wall-time column so repeated runs are
-    byte-identical; measured timings live in the JSON report instead.
+    The `seconds` column is always 0 so repeated runs are byte-identical.
     """
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
-        seconds = 0.0 if deterministic else r.seconds
         vals = (r.alpha, r.lam, r.delta, r.err_u, r.err_Su, r.margin_lo,
                 r.margin_up, r.margin_state, float(r.n_active_lo),
                 float(r.n_active_up), float(r.n_active_state),
-                float(r.iters), seconds)
+                float(r.iters), 0.0)
         lines.append(",".join(f"{v:.17g}" for v in vals))
     return "\n".join(lines) + "\n"

@@ -9,11 +9,9 @@ the transposed kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, GridTooLarge, InvalidKernelParameter
 from .grid import DomainGrid, GridFunction, ObservationRegion
@@ -57,27 +55,13 @@ class AssembledOperator:
     Immutable after construction; safe for concurrent reads.
     """
 
-    def __init__(self, kind: str, grid: DomainGrid, matrix: Optional[np.ndarray],
-                 factor=None, self_adjoint: bool = False):
+    def __init__(self, kind: str, grid: DomainGrid, matrix: np.ndarray,
+                 self_adjoint: bool = False):
         self.kind = kind
         self.grid = grid
-        self._matrix = matrix
-        self._factor = factor  # sparse LU of the Laplacian (poisson, large grids)
+        self.matrix = matrix
         self.self_adjoint = self_adjoint
         self._gram = None
-
-    @property
-    def is_dense(self) -> bool:
-        return self._matrix is not None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            raise GridTooLarge(
-                f"no dense representation for {self.grid.num_nodes} nodes "
-                f"(cap {DENSE_CAP})"
-            )
-        return self._matrix
 
     @property
     def adjoint_matrix(self) -> np.ndarray:
@@ -94,9 +78,7 @@ class AssembledOperator:
         return self._gram
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix @ values
-        return self._factor.solve(values)
+        return self.matrix @ values
 
     def apply_adjoint_values(self, values: np.ndarray) -> np.ndarray:
         if self.self_adjoint:
@@ -110,29 +92,20 @@ def _laplacian_1d(n: int, h: float) -> sp.csc_matrix:
     return sp.diags([off, main, off], [-1, 0, 1], format="csc")
 
 
-def assemble_poisson(grid: DomainGrid, dense: Optional[bool] = None) -> AssembledOperator:
-    """Inverse of the 2nd-order central-difference Dirichlet Laplacian.
-
-    dense=None picks dense below DENSE_CAP and a sparse factorization above;
-    dense=True beyond the cap raises GridTooLarge.
-    """
+def assemble_poisson(grid: DomainGrid) -> AssembledOperator:
+    """Dense inverse of the 2nd-order central-difference Dirichlet Laplacian."""
     N = grid.num_nodes
+    if N > DENSE_CAP:
+        raise GridTooLarge(f"poisson assembly for {N} > {DENSE_CAP} nodes")
     A1 = _laplacian_1d(grid.n, grid.h)
     if grid.d == 1:
         A = A1
     else:
         eye = sp.identity(grid.n, format="csc")
         A = sp.kron(A1, eye, format="csc") + sp.kron(eye, A1, format="csc")
-    if dense is None:
-        dense = N <= DENSE_CAP
-    if dense:
-        if N > DENSE_CAP:
-            raise GridTooLarge(f"dense poisson assembly for {N} > {DENSE_CAP} nodes")
-        S = np.linalg.inv(A.toarray())
-        S = 0.5 * (S + S.T)  # enforce exact symmetry against inversion round-off
-        return AssembledOperator("poisson", grid, S, self_adjoint=True)
-    factor = spla.splu(A)
-    return AssembledOperator("poisson", grid, None, factor=factor, self_adjoint=True)
+    S = np.linalg.inv(A.toarray())
+    S = 0.5 * (S + S.T)  # enforce exact symmetry against inversion round-off
+    return AssembledOperator("poisson", grid, S, self_adjoint=True)
 
 
 def assemble_fredholm(grid: DomainGrid, kernel: KernelSpec) -> AssembledOperator:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -50,12 +49,11 @@ class Solution:
     active_lower: np.ndarray      # node indices with margin < ACTIVE_TOL
     active_upper: np.ndarray
     active_state: np.ndarray      # positions into the region index list
-    iterations: int               # QP active-set changes (adds plus drops), or
-                                  # inner iterations when `fallback` is set
+    iterations: int               # QP active-set changes (adds plus drops),
+                                  # summed over any proximal steps
     kkt_stationarity: float
     kkt_primal: float
     kkt_complementarity: float
-    fallback: bool = False        # the QP engine's augmented-Lagrangian fallback ran
 
 
 def _classify_active(u_values, aset: AdmissibleSet, eps: float = ACTIVE_TOL):
@@ -86,8 +84,7 @@ def solve_unconstrained(op: AssembledOperator, y_d: GridFunction,
     return GridFunction(op.grid, u)
 
 
-def solve(problem: RegularizedProblem, tol: float = 1e-8,
-          u0: Optional[GridFunction] = None) -> Solution:
+def solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
     """Minimize over the admissible set with certified KKT residuals <= tol."""
     if problem.alpha <= 0:
         raise AlphaNonPositive(f"alpha must be positive, got {problem.alpha}")
@@ -95,9 +92,8 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
     H, g = _build_quadratic(problem)
     T, psi = aset.constraint_matrix()
     wfac = np.sqrt(problem.op.grid.weight)
-    start = None if u0 is None else np.clip(u0.values, 0.0, aset.box.upper)
     res = qp.solve_box_state_qp(H, g, np.zeros(H.shape[0]), aset.box.upper,
-                                T, psi, tol, wfac, u0=start, rho0=problem.alpha)
+                                T, psi, tol, wfac)
     u = GridFunction(problem.op.grid, res.u)
     lo, up, st = _classify_active(res.u, aset)
     return Solution(
@@ -105,8 +101,7 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
         mu_lower=res.mu_lower, mu_upper=res.mu_upper, eta=res.eta,
         active_lower=lo, active_upper=up, active_state=st,
         iterations=res.iterations, kkt_stationarity=res.stationarity,
-        kkt_primal=res.primal, kkt_complementarity=res.complementarity,
-        fallback=res.fallback)
+        kkt_primal=res.primal, kkt_complementarity=res.complementarity)
 
 
 def projection_formula_residual(sol: Solution, problem: RegularizedProblem,
@@ -141,17 +136,16 @@ def pseudo_inverse(op: AssembledOperator, y_d: GridFunction,
     wfac = np.sqrt(op.grid.weight)
     n = op.grid.num_nodes
     res = qp.solve_box_state_qp(H, g, np.zeros(n), aset.box.upper, T, psi,
-                                tol, wfac, u0=np.zeros(n), rho0=1.0)
+                                tol, wfac)
     w = op.grid.weight
     r = op.apply_values(res.u) - y_d.values
     m_star = float(w * (r @ r))
 
-    u = GridFunction(op.grid, res.u)
     prev = None
     alpha = 1e-2
     while alpha >= 1e-12:
         prob = RegularizedProblem(op, y_d, aset, alpha)
-        u = solve(prob, tol=tol, u0=u).u
+        u = solve(prob, tol=tol).u
         rr = op.apply_values(u.values) - y_d.values
         res2 = float(w * (rr @ rr))
         if res2 <= m_star + 0.5 * tol:

@@ -195,11 +195,9 @@ def test_criterion_10_projection_formula(report, interior_preset, clipped_preset
 def test_criterion_11_converse_recovery(report, interior_preset):
     _, op, _, inst = interior_preset
     aset = inst.aset
-    path, warm = [], None
+    path = []
     for a in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        sol = solve(RegularizedProblem(op, inst.y_d, aset, a), tol=1e-9,
-                    u0=warm)
-        warm = sol.u
+        sol = solve(RegularizedProblem(op, inst.y_d, aset, a), tol=1e-9)
         path.append((a, sol))
     out = recover_source(path, inst.y_d, aset, tol=1e-9)
     report(11, "source-element recovery certificate", out["certificate"] <= 1e-4)

@@ -178,3 +178,36 @@ def test_config_round_trip_in_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"] == cfg
     assert report["version"]
+
+
+def _with(cfg, path, value):
+    """cfg with the entry at the key path set to value."""
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def _lavrentiev_cfg(uhat):
+    cfg = base_cfg()
+    cfg["experiment"] = {"kind": "lavrentiev", "alpha": 0.01,
+                         "lambda_list": [1e-2, 1e-3], "uhat": uhat}
+    return cfg
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("solve", _with(base_cfg(), ["alpha"], 0)),
+    ("solve", _with(base_cfg(), ["operator"], {
+        "kind": "fredholm", "d": 1, "n": 8,
+        "kernel": {"kind": "gaussian", "width": -1}})),
+    ("verify", _with(cli.load_config("binding-state-poisson-2d"),
+                     ["operator", "n"], 70)),
+    ("verify", _lavrentiev_cfg({"kind": "constant", "value": -1.0})),
+], ids=["alpha-zero", "negative-width", "grid-too-large", "uhat-not-slater"])
+def test_library_errors_from_config_values_exit_2(command, cfg, tmp_path,
+                                                  capsys):
+    rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")

@@ -122,11 +122,9 @@ class TestRecoverSource:
         w = constant(aset.op.grid, 0.5)
         inst = manufacture(w, aset)
         path = []
-        warm = None
         for a in (1e-2, 1e-3, 1e-4, 1e-5):
             sol = solve(RegularizedProblem(aset.op, inst.y_d, aset, a),
-                        tol=1e-10, u0=warm)
-            warm = sol.u
+                        tol=1e-10)
             path.append((a, sol))
         out = recover_source(path, inst.y_d, aset, tol=1e-10)
         assert out["certificate"] <= 1e-4

@@ -41,22 +41,11 @@ class TestPoissonAnalytic:
         lam = 2 * 4 / g.h ** 2 * np.sin(np.pi * g.h / 2) ** 2
         assert np.allclose(u.values, f.values / lam, atol=1e-12)
 
-    def test_sparse_path_matches_dense(self):
-        g = DomainGrid(1, 40)
-        dense = assemble_poisson(g, dense=True)
-        sparse = assemble_poisson(g, dense=False)
-        f = from_callable(g, lambda x: np.cos(3 * x))
-        assert np.allclose(apply(dense, f).values, apply(sparse, f).values,
-                           atol=1e-12)
-        assert not sparse.is_dense
-        with pytest.raises(GridTooLarge):
-            sparse.matrix
-
     def test_dense_beyond_cap_rejected(self):
         g = DomainGrid(2, 70)  # 4900 > DENSE_CAP
         assert g.num_nodes > DENSE_CAP
         with pytest.raises(GridTooLarge):
-            assemble_poisson(g, dense=True)
+            assemble_poisson(g)
 
 
 class TestFredholm:

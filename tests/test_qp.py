@@ -4,22 +4,7 @@ import numpy as np
 import pytest
 
 from tiklav.errors import InfeasibleProblem
-from tiklav.qp import (QPResult, solve_box_state_qp, spectral_norm,
-                       sym_spectral_bound)
-
-
-def test_spectral_norm_matches_svd():
-    rng = np.random.default_rng(0)
-    M = rng.standard_normal((7, 5))
-    assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-9)
-
-
-def test_sym_spectral_bound_matches_eig():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((6, 6))
-    H = A @ A.T
-    assert sym_spectral_bound(H) == pytest.approx(
-        np.max(np.linalg.eigvalsh(H)), rel=1e-9)
+from tiklav.qp import QPResult, solve_box_state_qp
 
 
 def test_unconstrained_interior_minimizer():
@@ -105,18 +90,34 @@ def test_dependent_lower_bound_and_state_row():
                              1e-10, 1.0)
     assert np.allclose(res.u, [0.0, 1.0], atol=1e-12)
     assert res.eta[0] + res.mu_lower[0] == pytest.approx(2.0, abs=1e-9)
-    assert not res.fallback
 
 
-def test_semidefinite_hessian_uses_fallback():
-    # H has no Cholesky factor: the augmented-Lagrangian fallback solves it
+def test_semidefinite_hessian_uses_proximal_steps():
+    # H has no Cholesky factor: proximal steps through H + delta I solve it
     H = np.array([[2.0, 0.0], [0.0, 0.0]])
     g = np.array([-2.0, 1.0])
     res = solve_box_state_qp(H, g, np.zeros(2), np.ones(2), None, None,
                              1e-10, 1.0)
-    assert res.fallback
     assert np.allclose(res.u, [1.0, 0.0], atol=1e-9)
     assert max(res.stationarity, res.complementarity) <= 1e-10
+
+
+def test_rank_deficient_batch_certified():
+    # H = 2 A^T A with rank(A) < n, g = -2 A^T y in the range of H, some
+    # infinite upper bounds and 0-3 state rows: every solve is certified
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        n = int(rng.integers(3, 9))
+        A = rng.standard_normal((int(rng.integers(1, n)), n))
+        H, g = 2 * A.T @ A, -2 * A.T @ rng.standard_normal(A.shape[0])
+        upper = rng.uniform(0.2, 2.0, n)
+        upper[rng.random(n) < 0.3] = np.inf
+        m = int(rng.integers(0, 4))
+        T = rng.standard_normal((m, n)) if m else None
+        psi = rng.uniform(0.05, 1.0, m) if m else None
+        res = solve_box_state_qp(H, g, np.zeros(n), upper, T, psi, 1e-10, 1.0)
+        assert max(res.stationarity, res.primal, res.complementarity) <= 1e-10
+        assert np.all(res.u >= -1e-11) and np.all(res.u <= upper + 1e-11)
 
 
 def test_infeasible_state_rows_raise():
@@ -158,10 +159,9 @@ def test_warm_start_accepted():
     H = 2 * np.eye(3)
     g = -2 * np.array([0.3, 0.6, 0.9])
     res = solve_box_state_qp(H, g, np.zeros(3), np.ones(3), None, None,
-                             1e-10, 1.0, u0=np.array([0.3, 0.6, 0.9]))
+                             1e-10, 1.0)
     assert np.allclose(res.u, [0.3, 0.6, 0.9], atol=1e-10)
     assert res.iterations <= 5
-    assert not res.fallback
 
 
 def test_iterations_count_active_set_changes():
