@@ -153,8 +153,7 @@ def project_admissible(v: GridFunction, aset: AdmissibleSet,
     g = -2.0 * v.values
     wfac = np.sqrt(v.grid.weight)
     try:
-        res = qp.solve_box_state_qp(H, g, np.zeros(n), aset.box.upper, T, psi,
-                                    tol, wfac)
+        res = qp.solve_box_state_qp(H, g, aset.box.upper, T, psi, tol, wfac)
     except InfeasibleProblem as exc:
         raise InfeasibleSet(str(exc)) from exc
     return GridFunction(v.grid, res.u)

@@ -3,6 +3,11 @@
 Commands: solve, verify, manufacture. Each takes --config (path or bundled
 preset name), --out, --tol, --seed. Exit codes: 0 ok, 2 config error,
 3 infeasible, 4 nonconvergence, 5 verification check failed.
+
+`verify` looks up `experiment.kind` in `VERIFY`. Each entry takes (cfg,
+experiment block, operator, admissible set, tol, seed), runs one function of
+`experiments` and returns (records, checks, summaries); records, if any, are
+written to sweep.csv.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -22,8 +27,9 @@ from . import __version__, experiments
 from .admissible import AdmissibleSet, BoxBounds, StateConstraint, feasibility
 from .errors import (AlphaNonPositive, ConfigError, GridTooLarge,
                      InfeasibleProblem, InfeasibleSet, InvalidKernelParameter,
-                     LambdaExceedsSlaterCap, NoFeasiblePattern, NonConvergence,
-                     NotASlaterPoint, NoTransition)
+                     InvalidRule, InvalidSweep, LambdaExceedsSlaterCap,
+                     NoFeasiblePattern, NonConvergence, NotASlaterPoint,
+                     NoTransition)
 from .grid import DomainGrid, GridFunction, ObservationRegion
 from .manufacture import ManufacturedInstance, manufacture, optimal_alpha
 from .operators import KernelSpec, assemble_fredholm, assemble_poisson
@@ -34,9 +40,6 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_CHECK_FAILED = 5
-
-VERIFY_KINDS = ("sweep-alpha", "activity", "noise", "lavrentiev",
-                "total-error", "continuity")
 
 
 def preset_path(name: str) -> Path:
@@ -147,7 +150,11 @@ def build_admissible(cfg: dict, op) -> AdmissibleSet:
     if sign not in ("plus", "minus"):
         raise ConfigError("admissible.sign must be 'plus' or 'minus'")
     state = StateConstraint(region, psi_full[region.indices], lam, sign)
-    return AdmissibleSet(BoxBounds(grid, b), state, op)
+    try:
+        box = BoxBounds(grid, b)
+    except ValueError as exc:
+        raise ConfigError(f"admissible.b: {exc}")
+    return AdmissibleSet(box, state, op)
 
 
 def build_instance(cfg: dict, op, aset: AdmissibleSet,
@@ -216,7 +223,6 @@ def _write_json(path: Path, obj) -> None:
 
 
 def cmd_solve(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
-    t0 = time.perf_counter()
     op = build_operator(cfg)
     aset = build_admissible(cfg, op)
     y_d, _ = build_data(cfg, op, aset, seed)
@@ -246,12 +252,10 @@ def cmd_solve(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
         "active_state": sol.active_state,
     })
     report.manifest.append(str(sol_path))
-    report.runtime_seconds = time.perf_counter() - t0
     return report
 
 
 def cmd_manufacture(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
-    t0 = time.perf_counter()
     op = build_operator(cfg)
     aset = build_admissible(cfg, op)
     inst = build_instance(cfg, op, aset, seed)
@@ -274,121 +278,125 @@ def cmd_manufacture(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunRepor
           f"state={inst.margins.margin_state:.6g}")
     print(f"||w|| = {inst.w_norm:.6g}, residual = {inst.residual_norm:.6g}, "
           f"alpha* = {alpha_star['alpha_star']}")
-    report.runtime_seconds = time.perf_counter() - t0
     return report
 
 
-def _slope_check(fit, rng) -> bool:
-    return fit is not None and rng[0] <= fit.slope <= rng[1]
+def _floats(e_cfg: dict, key: str) -> list:
+    return [float(x) for x in _require(e_cfg, key, "experiment")]
+
+
+def _rate_fit(fit, e_cfg: dict):
+    """(rate_slope check, fit summary) of a RateFit, or of None."""
+    if fit is None:
+        return False, None
+    rng = tuple(e_cfg.get("slope_range", (0.45, 0.55)))
+    return rng[0] <= fit.slope <= rng[1], asdict(fit)
+
+
+def _verify_sweep_alpha(cfg, e_cfg, op, aset, tol, seed):
+    inst = build_instance(cfg, op, aset, seed)
+    out = experiments.sweep_alpha(inst, _floats(e_cfg, "alpha_list"), tol=tol)
+    slope_ok, fit = _rate_fit(out["fit"], e_cfg)
+    checks = {"error_bounds": all(map(all, out["bound_checks"])),
+              "rate_slope": slope_ok}
+    return out["records"], checks, {"fit": fit}
+
+
+def _verify_activity(cfg, e_cfg, op, aset, tol, seed):
+    inst = build_instance(cfg, op, aset, seed)
+    expect = e_cfg.get("expect", "transition")
+    if expect not in ("transition", "none"):
+        raise ConfigError("experiment.expect must be 'transition' or 'none'")
+    try:
+        out = experiments.activity_transition(
+            inst, _floats(e_cfg, "alpha_list"), tau=inst.tau, tol=tol)
+    except NoTransition as exc:
+        return ([], {"activity_as_expected": expect == "none"},
+                {"no_transition": str(exc), "tau": inst.tau})
+    return (out["records"], {"activity_as_expected": expect == "transition"},
+            {"alpha0": out["alpha0"], "tau": inst.tau})
+
+
+def _verify_noise(cfg, e_cfg, op, aset, tol, seed):
+    inst = build_instance(cfg, op, aset, seed)
+    rule = e_cfg.get("rule", {})
+    out = experiments.noise_study(
+        inst, _floats(e_cfg, "delta_list"), s=float(rule.get("s", 2.0 / 3.0)),
+        c=float(rule.get("c", 1.0)), tol=tol, seed=seed)
+    checks = {"error_bounds": all(map(all, out["bound_checks"]))}
+    if inst.interior:
+        checks["inactive_at_smallest_delta"] = out["delta0"] is not None
+    return out["records"], checks, {"delta0": out["delta0"]}
+
+
+def _verify_lavrentiev(cfg, e_cfg, op, aset, tol, seed):
+    inst = build_instance(cfg, op, aset, seed)
+    uhat = e_cfg.get("uhat", {"kind": "constant", "value": 0.0})
+    u_hat = _build_w(op.grid, uhat)
+    sign = e_cfg.get("sign", "plus")
+    out = experiments.lavrentiev_sweep(
+        inst, float(_require(e_cfg, "alpha", "experiment")),
+        _floats(e_cfg, "lambda_list"), sign, u_hat, tol=tol)
+    scaled = [s for s in out["c_scaled"] if s > 0]
+    checks = {"c_fit_finite": bool(np.isfinite(out["c_fit"])),
+              "c_fit_stable": bool(scaled) and max(scaled) <= 10 * min(scaled)}
+    if sign == "plus":
+        checks["plus_solutions_feasible"] = all(out["plus_feasible"])
+    else:
+        checks["minus_violation_bounded"] = all(out["minus_violation"])
+    return out["records"], checks, {"c_fit": out["c_fit"],
+                                    "lam_coincide": out["lam_coincide"],
+                                    "slater": out["slater"]}
+
+
+def _verify_total_error(cfg, e_cfg, op, aset, tol, seed):
+    inst = build_instance(cfg, op, aset, seed)
+    out = experiments.total_error_study(
+        inst, _floats(e_cfg, "alpha_list"),
+        lam_cap=float(e_cfg.get("lambda_cap", 1e-2)),
+        sign=e_cfg.get("sign", "plus"), tol=tol)
+    slope_ok, fit = _rate_fit(out["fit"], e_cfg)
+    checks = {"rate_slope": slope_ok,
+              "triangle_split": all(out["triangle_checks"])}
+    return out["records"], checks, {"fit": fit}
+
+
+def _verify_continuity(cfg, e_cfg, op, aset, tol, seed):
+    y_d, _ = build_data(cfg, op, aset, seed)
+    pairs = [(float(a), float(b))
+             for a, b in _require(e_cfg, "pairs", "experiment")]
+    flags = experiments.alpha_continuity_check(op, y_d, aset, pairs, tol=tol)
+    return [], {"continuity_bounds": all(flags)}, {"pair_flags": flags}
+
+
+VERIFY = {
+    "sweep-alpha": _verify_sweep_alpha,
+    "activity": _verify_activity,
+    "noise": _verify_noise,
+    "lavrentiev": _verify_lavrentiev,
+    "total-error": _verify_total_error,
+    "continuity": _verify_continuity,
+}
 
 
 def cmd_verify(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
-    t0 = time.perf_counter()
     e_cfg = _require(cfg, "experiment", "config")
     kind = _require(e_cfg, "kind", "experiment")
-    if kind not in VERIFY_KINDS:
-        raise ConfigError(f"experiment.kind must be one of {VERIFY_KINDS}")
+    if not isinstance(kind, str) or kind not in VERIFY:
+        raise ConfigError(f"experiment.kind must be one of {tuple(VERIFY)}")
     op = build_operator(cfg)
     aset = build_admissible(cfg, op)
-    report = RunReport("verify", cfg)
-    slope_rng = tuple(e_cfg.get("slope_range", (0.45, 0.55)))
-    records = []
-
-    if kind == "continuity":
-        y_d, _ = build_data(cfg, op, aset, seed)
-        pairs = [(float(a), float(b))
-                 for a, b in _require(e_cfg, "pairs", "experiment")]
-        flags = experiments.alpha_continuity_check(op, y_d, aset, pairs, tol=tol)
-        report.checks = {"continuity_bounds": all(flags)}
-        report.summaries = {"pair_flags": flags}
-    else:
-        inst = build_instance(cfg, op, aset, seed)
-        if kind == "sweep-alpha":
-            out = experiments.sweep_alpha(
-                inst, [float(a) for a in _require(e_cfg, "alpha_list", "experiment")],
-                tol=tol)
-            records = out["records"]
-            report.checks = {
-                "error_bounds": all(b1 and b2 for b1, b2 in out["bound_checks"]),
-                "rate_slope": _slope_check(out["fit"], slope_rng),
-            }
-            report.summaries = {"fit": _fit_dict(out["fit"])}
-        elif kind == "activity":
-            expect = e_cfg.get("expect", "transition")
-            if expect not in ("transition", "none"):
-                raise ConfigError("experiment.expect must be 'transition' or 'none'")
-            try:
-                out = experiments.activity_transition(
-                    inst,
-                    [float(a) for a in _require(e_cfg, "alpha_list", "experiment")],
-                    tau=inst.tau, tol=tol)
-                records = out["records"]
-                report.checks = {"activity_as_expected": expect == "transition"}
-                report.summaries = {"alpha0": out["alpha0"], "tau": inst.tau}
-            except NoTransition as exc:
-                report.checks = {"activity_as_expected": expect == "none"}
-                report.summaries = {"no_transition": str(exc), "tau": inst.tau}
-        elif kind == "noise":
-            rule = e_cfg.get("rule", {})
-            out = experiments.noise_study(
-                inst, [float(d) for d in _require(e_cfg, "delta_list", "experiment")],
-                s=float(rule.get("s", 2.0 / 3.0)), c=float(rule.get("c", 1.0)),
-                tol=tol, seed=seed)
-            records = out["records"]
-            checks = {"error_bounds": all(b1 and b2
-                                          for b1, b2 in out["bound_checks"])}
-            if inst.interior:
-                checks["inactive_at_smallest_delta"] = out["delta0"] is not None
-            report.checks = checks
-            report.summaries = {"delta0": out["delta0"]}
-        elif kind == "lavrentiev":
-            uhat_spec = e_cfg.get("uhat", {"kind": "constant", "value": 0.0})
-            u_hat = _build_w(op.grid, uhat_spec)
-            out = experiments.lavrentiev_sweep(
-                inst, float(_require(e_cfg, "alpha", "experiment")),
-                [float(x) for x in _require(e_cfg, "lambda_list", "experiment")],
-                e_cfg.get("sign", "plus"), u_hat, tol=tol)
-            records = out["records"]
-            scaled = [s for s in out["c_scaled"] if s > 0]
-            stable = bool(scaled) and max(scaled) <= 10 * min(scaled)
-            checks = {"c_fit_finite": bool(np.isfinite(out["c_fit"])),
-                      "c_fit_stable": stable}
-            if e_cfg.get("sign", "plus") == "plus":
-                checks["plus_solutions_feasible"] = all(out["plus_feasible"])
-            else:
-                checks["minus_violation_bounded"] = all(out["minus_violation"])
-            report.checks = checks
-            report.summaries = {"c_fit": out["c_fit"],
-                                "lam_coincide": out["lam_coincide"],
-                                "slater": out["slater"]}
-        elif kind == "total-error":
-            out = experiments.total_error_study(
-                inst, [float(a) for a in _require(e_cfg, "alpha_list", "experiment")],
-                lam_cap=float(e_cfg.get("lambda_cap", 1e-2)),
-                sign=e_cfg.get("sign", "plus"), tol=tol)
-            records = out["records"]
-            report.checks = {
-                "rate_slope": _slope_check(out["fit"], slope_rng),
-                "triangle_split": all(out["triangle_checks"]),
-            }
-            report.summaries = {"fit": _fit_dict(out["fit"])}
-
+    records, checks, summaries = VERIFY[kind](cfg, e_cfg, op, aset, tol, seed)
+    report = RunReport("verify", cfg, summaries=summaries, checks=checks)
     if records:
         csv_path = out_dir / "sweep.csv"
         csv_path.write_text(experiments.records_to_csv(records))
         report.manifest.append(str(csv_path))
-    if not report.checks:
-        report.checks = {"ran": True}
-    report.runtime_seconds = time.perf_counter() - t0
     return report
 
 
-def _fit_dict(fit):
-    if fit is None:
-        return None
-    return {"slope": fit.slope, "intercept": fit.intercept,
-            "alpha_min": fit.alpha_min, "alpha_max": fit.alpha_max,
-            "fit_residual": fit.fit_residual, "n_points": fit.n_points}
+COMMANDS = {"solve": cmd_solve, "verify": cmd_verify,
+            "manufacture": cmd_manufacture}
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -397,7 +405,7 @@ def main(argv: Optional[list] = None) -> int:
         description="Tikhonov-Lavrentiev regularization of constrained "
                     "linear inverse problems")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "verify", "manufacture"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True,
                        help="config JSON path or bundled preset name")
@@ -410,14 +418,11 @@ def main(argv: Optional[list] = None) -> int:
         cfg = load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "solve":
-            report = cmd_solve(cfg, out_dir, args.tol, args.seed)
-        elif args.command == "verify":
-            report = cmd_verify(cfg, out_dir, args.tol, args.seed)
-        else:
-            report = cmd_manufacture(cfg, out_dir, args.tol, args.seed)
-    except (ConfigError, AlphaNonPositive, InvalidKernelParameter,
-            GridTooLarge, NotASlaterPoint) as exc:  # raised by config values
+        t0 = time.perf_counter()
+        report = COMMANDS[args.command](cfg, out_dir, args.tol, args.seed)
+        report.runtime_seconds = time.perf_counter() - t0
+    except (ConfigError, AlphaNonPositive, InvalidKernelParameter, GridTooLarge,
+            NotASlaterPoint, InvalidRule, InvalidSweep) as exc:  # config values
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleProblem, InfeasibleSet, NoFeasiblePattern,

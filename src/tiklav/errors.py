@@ -61,6 +61,10 @@ class InvalidRule(TiklavError):
     """Parameter choice rule violates alpha(delta)->0, delta/alpha(delta)->0."""
 
 
+class InvalidSweep(TiklavError, ValueError):
+    """Sweep parameter list too short, unsorted or not positive."""
+
+
 class LambdaExceedsSlaterCap(TiklavError):
     """Plus-sign Lavrentiev parameter above the Slater-point cap."""
 

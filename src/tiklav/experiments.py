@@ -10,7 +10,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .admissible import AdmissibleSet, feasibility, slater
-from .errors import (InvalidRule, LambdaExceedsSlaterCap, NoTransition)
+from .errors import (InvalidRule, InvalidSweep, LambdaExceedsSlaterCap,
+                     NoTransition)
 from .grid import GridFunction, wnorm
 from .manufacture import ManufacturedInstance, add_noise
 from .solver import RegularizedProblem, Solution, solve
@@ -48,12 +49,18 @@ class RateFit:
     n_points: int
 
 
-def _record(prob: RegularizedProblem, sol: Solution, inst: ManufacturedInstance,
-            delta: float) -> SweepRecord:
-    g = prob.op.grid
-    rep = feasibility(sol.u, prob.aset)
-    return SweepRecord(
-        alpha=prob.alpha, lam=prob.aset.lam, delta=delta,
+def _solve(inst: ManufacturedInstance, aset: AdmissibleSet, alpha: float,
+           tol: float, y_d: Optional[GridFunction] = None,
+           delta: float = 0.0) -> Tuple[SweepRecord, Solution]:
+    """Solve over aset at alpha with data y_d (default: the exact data) and
+    record the errors against the instance's exact solution and data."""
+    g = aset.op.grid
+    prob = RegularizedProblem(aset.op, inst.y_d if y_d is None else y_d,
+                              aset, alpha)
+    sol = solve(prob, tol=tol)
+    rep = feasibility(sol.u, aset)
+    rec = SweepRecord(
+        alpha=alpha, lam=aset.lam, delta=delta,
         err_u=wnorm(g, sol.u.values - inst.u_bar.values),
         err_Su=wnorm(g, sol.y.values - inst.y_d.values),
         margin_lo=rep.margin_lower, margin_up=rep.margin_upper,
@@ -61,6 +68,17 @@ def _record(prob: RegularizedProblem, sol: Solution, inst: ManufacturedInstance,
         n_active_lo=len(sol.active_lower), n_active_up=len(sol.active_upper),
         n_active_state=len(sol.active_state),
         iters=sol.iterations)
+    return rec, sol
+
+
+def _apriori_bounds(rec: SweepRecord, w_norm: float, e: float,
+                    tol: float) -> Tuple[bool, bool]:
+    """||u - u_bar|| <= sqrt(a) ||w|| + e / sqrt(a) and
+    ||S u - y_d|| <= 2 a ||w|| + e, each up to 10 tol; e bounds the data
+    error (the residual norm, or the noise level delta)."""
+    a = rec.alpha
+    return (bool(rec.err_u <= np.sqrt(a) * w_norm + e / np.sqrt(a) + 10 * tol),
+            bool(rec.err_Su <= 2 * a * w_norm + e + 10 * tol))
 
 
 def fit_rate(alphas: Sequence[float], errors: Sequence[float],
@@ -86,24 +104,13 @@ def sweep_alpha(inst: ManufacturedInstance, alpha_list: Sequence[float],
     alphas = list(alpha_list)
     if len(alphas) < 4 or any(a <= 0 for a in alphas) or \
             any(alphas[i] <= alphas[i + 1] for i in range(len(alphas) - 1)):
-        raise ValueError("alpha_list must be >= 4 positive values, descending")
+        raise InvalidSweep("alpha_list must be >= 4 positive values, descending")
     aset = inst.aset.with_lambda(0.0)
-    records: List[SweepRecord] = []
-    checks = []
-    sols: List[Tuple[float, Solution]] = []
-    for a in alphas:
-        prob = RegularizedProblem(inst.aset.op, inst.y_d, aset, a)
-        sol = solve(prob, tol=tol)
-        rec = _record(prob, sol, inst, 0.0)
-        records.append(rec)
-        sols.append((a, sol))
-        b1 = rec.err_u <= np.sqrt(a) * inst.w_norm \
-            + inst.residual_norm / np.sqrt(a) + 10 * tol
-        b2 = rec.err_Su <= 2 * a * inst.w_norm + inst.residual_norm + 10 * tol
-        checks.append((bool(b1), bool(b2)))
+    records = [_solve(inst, aset, a, tol)[0] for a in alphas]
+    checks = [_apriori_bounds(r, inst.w_norm, inst.residual_norm, tol)
+              for r in records]
     fit = fit_rate([r.alpha for r in records], [r.err_u for r in records], tol)
-    return {"records": records, "fit": fit, "bound_checks": checks,
-            "solutions": sols}
+    return {"records": records, "fit": fit, "bound_checks": checks}
 
 
 def _clean(rec: SweepRecord, tau: float) -> bool:
@@ -144,22 +151,12 @@ def noise_study(inst: ManufacturedInstance, delta_list: Sequence[float],
     positive = [d for d in deltas if d > 0]
     alpha_floor = c * min(positive) ** s if positive else 1e-6
     aset = inst.aset.with_lambda(0.0)
-    records, checks = [], []
+    records = []
     for i, d in enumerate(deltas):
         alpha = c * d**s if d > 0 else alpha_floor
-        noisy = add_noise(inst.y_d, d, seed + i)
-        prob = RegularizedProblem(inst.aset.op, noisy.y_delta, aset, alpha)
-        sol = solve(prob, tol=tol)
-        rec = _record(prob, sol, inst, d)
-        # err_Su in the record is measured against the noisy data; the bound
-        # from the noisy-data theorem compares against the exact data
-        err_su_exact = wnorm(inst.y_d.grid, sol.y.values - inst.y_d.values)
-        rec.err_Su = err_su_exact
-        records.append(rec)
-        b1 = rec.err_u <= np.sqrt(alpha) * inst.w_norm + d / np.sqrt(alpha) \
-            + 10 * tol
-        b2 = err_su_exact <= 2 * alpha * inst.w_norm + d + 10 * tol
-        checks.append((bool(b1), bool(b2)))
+        noisy = add_noise(inst.y_d, d, seed + i).y_delta
+        records.append(_solve(inst, aset, alpha, tol, y_d=noisy, delta=d)[0])
+    checks = [_apriori_bounds(r, inst.w_norm, r.delta, tol) for r in records]
     inactive = [r.n_active_lo == 0 and r.n_active_up == 0
                 and r.n_active_state == 0 for r in records]
     delta0 = None
@@ -179,16 +176,13 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
     if sign == "plus" and lams and lams[0] > sl["lam_max"]:
         raise LambdaExceedsSlaterCap(
             f"lam = {lams[0]:g} exceeds tau/||u_hat||_inf = {sl['lam_max']:g}")
-    op, y_d = inst.aset.op, inst.y_d
     base_set = inst.aset.with_lambda(0.0)
-    base = solve(RegularizedProblem(op, y_d, base_set, alpha), tol=tol)
-    g = op.grid
+    base = _solve(inst, base_set, alpha, tol)[1]
+    g = base_set.op.grid
     records, errors, plus_feasible, minus_violation = [], [], [], []
     for lam in lams:
-        aset = inst.aset.with_lambda(lam, sign)
-        prob = RegularizedProblem(op, y_d, aset, alpha)
-        sol = solve(prob, tol=tol)
-        records.append(_record(prob, sol, inst, 0.0))
+        rec, sol = _solve(inst, inst.aset.with_lambda(lam, sign), alpha, tol)
+        records.append(rec)
         errors.append(wnorm(g, sol.u.values - base.u.values))
         rep0 = feasibility(sol.u, base_set)
         if sign == "plus":
@@ -208,8 +202,7 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
             dirty = [i for i, f in enumerate(flags) if not f]
             lam_coincide = lams[max(dirty) + 1] if dirty else lams[0]
     return {"records": records, "errors": errors, "c_fit": c_fit,
-            "c_scaled": scaled, "lam_coincide": lam_coincide,
-            "slater": sl, "base": base,
+            "c_scaled": scaled, "lam_coincide": lam_coincide, "slater": sl,
             "plus_feasible": plus_feasible, "minus_violation": minus_violation}
 
 
@@ -218,21 +211,16 @@ def total_error_study(inst: ManufacturedInstance, alpha_list: Sequence[float],
                       tol: float = 1e-8) -> dict:
     """Joint sweep with lam = min(lam_cap, alpha) per alpha; fits the total
     error order and checks the triangle split against the lam = 0 solve."""
-    alphas = list(alpha_list)
-    op, y_d = inst.aset.op, inst.y_d
+    g = inst.aset.op.grid
     records, triangle = [], []
-    for a in alphas:
-        lam = min(lam_cap, a)
-        prob = RegularizedProblem(op, y_d, inst.aset.with_lambda(lam, sign), a)
-        prob0 = RegularizedProblem(op, y_d, inst.aset.with_lambda(0.0), a)
-        sol = solve(prob, tol=tol)
-        sol0 = solve(prob0, tol=tol)
-        records.append(_record(prob, sol, inst, 0.0))
-        g = op.grid
-        lhs = wnorm(g, inst.u_bar.values - sol.u.values)
+    for a in alpha_list:
+        rec, sol = _solve(inst, inst.aset.with_lambda(min(lam_cap, a), sign),
+                          a, tol)
+        sol0 = _solve(inst, inst.aset.with_lambda(0.0), a, tol)[1]
+        records.append(rec)
         rhs = wnorm(g, inst.u_bar.values - sol0.u.values) \
             + wnorm(g, sol0.u.values - sol.u.values)
-        triangle.append(bool(lhs <= rhs + 10 * tol))
+        triangle.append(bool(rec.err_u <= rhs + 10 * tol))
     fit = fit_rate([r.alpha for r in records], [r.err_u for r in records], tol)
     return {"records": records, "fit": fit, "triangle_checks": triangle}
 

@@ -1,6 +1,6 @@
 """Box- and inequality-constrained convex QP engine.
 
-Solves  min 0.5 u^T H u + g^T u  s.t.  lower <= u <= upper,  T u <= psi
+Solves  min 0.5 u^T H u + g^T u  s.t.  0 <= u <= upper,  T u <= psi
 by the dual active-set method of Goldfarb and Idnani (Math. Programming 27
 (1983) 1-33). The lower bounds, the finite upper bounds and the rows of T
 form one set of rows a_i^T u <= c_i. Starting at the unconstrained
@@ -54,7 +54,7 @@ class QPResult:
     complementarity: float
 
 
-def _kkt_residuals(H, g, lower, upper, T, psi, u, eta, wfac):
+def _kkt_residuals(H, g, upper, T, psi, u, eta, wfac):
     """Multiplier split and residual norms for the original problem."""
     r = H @ u + g
     if T is not None and T.shape[0]:
@@ -76,10 +76,10 @@ def _kkt_residuals(H, g, lower, upper, T, psi, u, eta, wfac):
     return mu_lower, mu_upper, stationarity, primal, comp
 
 
-def _dual_active_set(H, g, lower, upper, T, psi, feas_tol):
+def _dual_active_set(H, g, upper, T, psi, feas_tol):
     """Goldfarb-Idnani iteration; returns (u, eta, active-set changes).
 
-    Rows 0..n-1 are the lower bounds (-u_i <= -lower_i), the next ones the
+    Rows 0..n-1 are the lower bounds (-u_i <= 0), the next ones the
     finite upper bounds (u_i <= upper_i), the rest the rows of T. A row with
     violation a_i^T u - c_i <= feas_tol counts as satisfied. Raises
     LinAlgError when H has no Cholesky factor and InfeasibleProblem when the
@@ -91,7 +91,7 @@ def _dual_active_set(H, g, lower, upper, T, psi, feas_tol):
     nb = n + up.size
     if T is None:
         T, psi = np.zeros((0, n)), np.zeros(0)
-    c = np.concatenate([-lower, upper[up], psi])
+    c = np.concatenate([np.zeros(n), upper[up], psi])
 
     def normal(i):
         if i >= nb:
@@ -171,20 +171,19 @@ def _dual_active_set(H, g, lower, upper, T, psi, feas_tol):
     return u, eta, changes
 
 
-def _certified(H, g, lower, upper, T, psi, tol, wfac, u, eta, changes):
+def _certified(H, g, upper, T, psi, tol, wfac, u, eta, changes):
     """QPResult for (u, eta) when its KKT residuals on the original problem
     are all <= tol, else None."""
     mu_lo, mu_up, stat, primal, comp = _kkt_residuals(
-        H, g, lower, upper, T, psi, u, eta, wfac)
+        H, g, upper, T, psi, u, eta, wfac)
     if max(stat, primal, comp) <= tol:
         return QPResult(u, mu_lo, mu_up, eta, changes, stat, primal, comp)
     return None
 
 
-def solve_box_state_qp(H: np.ndarray, g: np.ndarray, lower: np.ndarray,
-                       upper: np.ndarray, T: Optional[np.ndarray],
-                       psi: Optional[np.ndarray], tol: float,
-                       wfac: float) -> QPResult:
+def solve_box_state_qp(H: np.ndarray, g: np.ndarray, upper: np.ndarray,
+                       T: Optional[np.ndarray], psi: Optional[np.ndarray],
+                       tol: float, wfac: float) -> QPResult:
     """Solve the QP with certified KKT residuals <= tol.
 
     Raises InfeasibleProblem when no box point satisfies Tu <= psi and
@@ -193,20 +192,20 @@ def solve_box_state_qp(H: np.ndarray, g: np.ndarray, lower: np.ndarray,
     feas_tol = 0.1 * tol
     u, changes = np.zeros(H.shape[0]), 0   # first proximal center
     try:
-        u, eta, changes = _dual_active_set(H, g, lower, upper, T, psi, feas_tol)
+        u, eta, changes = _dual_active_set(H, g, upper, T, psi, feas_tol)
     except np.linalg.LinAlgError:  # H is not positive definite
         pass
     else:
-        res = _certified(H, g, lower, upper, T, psi, tol, wfac, u, eta, changes)
+        res = _certified(H, g, upper, T, psi, tol, wfac, u, eta, changes)
         if res is not None:
             return res
     delta = PROX_SCALE * (float(np.max(np.diag(H), initial=0.0)) or 1.0)
     H_prox = H + delta * np.eye(H.shape[0])
     for _ in range(MAX_PROX_STEPS):
-        u, eta, k = _dual_active_set(H_prox, g - delta * u, lower, upper, T, psi,
+        u, eta, k = _dual_active_set(H_prox, g - delta * u, upper, T, psi,
                                      feas_tol)
         changes += k
-        res = _certified(H, g, lower, upper, T, psi, tol, wfac, u, eta, changes)
+        res = _certified(H, g, upper, T, psi, tol, wfac, u, eta, changes)
         if res is not None:
             return res
     raise NonConvergence(f"no KKT certificate after {MAX_PROX_STEPS} proximal "

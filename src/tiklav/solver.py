@@ -92,8 +92,7 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
     H, g = _build_quadratic(problem)
     T, psi = aset.constraint_matrix()
     wfac = np.sqrt(problem.op.grid.weight)
-    res = qp.solve_box_state_qp(H, g, np.zeros(H.shape[0]), aset.box.upper,
-                                T, psi, tol, wfac)
+    res = qp.solve_box_state_qp(H, g, aset.box.upper, T, psi, tol, wfac)
     u = GridFunction(problem.op.grid, res.u)
     lo, up, st = _classify_active(res.u, aset)
     return Solution(
@@ -134,9 +133,7 @@ def pseudo_inverse(op: AssembledOperator, y_d: GridFunction,
     g = -2.0 * (op.adjoint_matrix @ y_d.values)
     T, psi = aset.constraint_matrix()
     wfac = np.sqrt(op.grid.weight)
-    n = op.grid.num_nodes
-    res = qp.solve_box_state_qp(H, g, np.zeros(n), aset.box.upper, T, psi,
-                                tol, wfac)
+    res = qp.solve_box_state_qp(H, g, aset.box.upper, T, psi, tol, wfac)
     w = op.grid.weight
     r = op.apply_values(res.u) - y_d.values
     m_star = float(w * (r @ r))

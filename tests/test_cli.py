@@ -99,6 +99,51 @@ class TestManufacture:
         assert "alpha*" in capsys.readouterr().out
 
 
+def _experiment(cfg, **experiment):
+    cfg["experiment"] = experiment
+    return cfg
+
+
+def _interior(**experiment):
+    return _experiment(cli.load_config("interior-attainable-poisson-1d"),
+                       **experiment)
+
+
+def _binding_2d(sign):
+    cfg = cli.load_config("binding-state-poisson-2d")
+    cfg["operator"]["n"] = 8
+    cfg["experiment"]["sign"] = sign
+    return cfg
+
+
+ALPHAS = [1e-1, 3.16e-2, 1e-2, 3.16e-3, 1e-3, 3.16e-4, 1e-4]
+
+# id -> (config, names of the checks its report carries); every run passes
+VERIFY_CASES = {
+    "sweep-alpha": (_interior(kind="sweep-alpha", alpha_list=ALPHAS),
+                    {"error_bounds", "rate_slope"}),
+    "activity": (_interior(kind="activity",
+                           alpha_list=[1e-1, 1e-2, 1e-3, 1e-4, 1e-5]),
+                 {"activity_as_expected"}),
+    "noise": (_experiment(base_cfg(), kind="noise",
+                          delta_list=[1e-2, 1e-3, 1e-4]),
+              {"error_bounds", "inactive_at_smallest_delta"}),
+    "lavrentiev-plus": (_binding_2d("plus"), {"c_fit_finite", "c_fit_stable",
+                                              "plus_solutions_feasible"}),
+    "lavrentiev-minus": (_binding_2d("minus"), {"c_fit_finite", "c_fit_stable",
+                                                "minus_violation_bounded"}),
+    "total-error-plus": (_interior(kind="total-error", alpha_list=ALPHAS,
+                                   lambda_cap=1e-4, sign="plus"),
+                         {"rate_slope", "triangle_split"}),
+    "total-error-minus": (_interior(kind="total-error", alpha_list=ALPHAS,
+                                    lambda_cap=1e-4, sign="minus"),
+                          {"rate_slope", "triangle_split"}),
+    "continuity": (_experiment(base_cfg(), kind="continuity",
+                               pairs=[[1e-2, 2e-2], [1e-2, 5e-3]]),
+                   {"continuity_bounds"}),
+}
+
+
 class TestVerify:
     def test_unknown_kind_exits_2(self, tmp_path):
         cfg = base_cfg()
@@ -131,20 +176,19 @@ class TestVerify:
                        "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CHECK_FAILED
 
-    def test_continuity_experiment(self, tmp_path):
-        cfg = base_cfg()
-        cfg["experiment"] = {"kind": "continuity",
-                             "pairs": [[1e-2, 2e-2], [1e-2, 5e-3]]}
+    @pytest.mark.parametrize("case", VERIFY_CASES, ids=list(VERIFY_CASES))
+    def test_verify_kind(self, case, tmp_path):
+        cfg, checks = VERIFY_CASES[case]
+        out = tmp_path / "o"
         rc = cli.main(["verify", "--config", write_cfg(tmp_path, cfg),
-                       "--out", str(tmp_path / "o")])
+                       "--out", str(out)])
         assert rc == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["checks"]) == checks
 
-    def test_noise_experiment(self, tmp_path):
-        cfg = base_cfg()
-        cfg["experiment"] = {"kind": "noise", "delta_list": [1e-2, 1e-3, 1e-4]}
-        rc = cli.main(["verify", "--config", write_cfg(tmp_path, cfg),
-                       "--out", str(tmp_path / "o")])
-        assert rc == cli.EXIT_OK
+    def test_every_kind_has_a_case(self):
+        kinds = {cfg["experiment"]["kind"] for cfg, _ in VERIFY_CASES.values()}
+        assert kinds == set(cli.VERIFY)
 
     def test_repeat_runs_byte_identical_csv(self, tmp_path):
         outs = []
@@ -198,13 +242,22 @@ def _lavrentiev_cfg(uhat):
 
 @pytest.mark.parametrize("command, cfg", [
     ("solve", _with(base_cfg(), ["alpha"], 0)),
+    ("solve", _with(base_cfg(), ["admissible", "b"], -1)),
     ("solve", _with(base_cfg(), ["operator"], {
         "kind": "fredholm", "d": 1, "n": 8,
         "kernel": {"kind": "gaussian", "width": -1}})),
     ("verify", _with(cli.load_config("binding-state-poisson-2d"),
                      ["operator", "n"], 70)),
     ("verify", _lavrentiev_cfg({"kind": "constant", "value": -1.0})),
-], ids=["alpha-zero", "negative-width", "grid-too-large", "uhat-not-slater"])
+    ("verify", _experiment(base_cfg(), kind="noise", delta_list=[1e-2],
+                           rule={"s": 1.5})),
+    ("verify", _experiment(base_cfg(), kind="sweep-alpha",
+                           alpha_list=[1e-1, 1e-2, 1e-3])),
+    ("verify", _experiment(base_cfg(), kind="activity",
+                           alpha_list=[1e-3, 1e-2, 1e-1, 1e-4])),
+], ids=["alpha-zero", "negative-b", "negative-width", "grid-too-large",
+        "uhat-not-slater", "noise-rule-exponent", "short-alpha-list",
+        "unsorted-alpha-list"])
 def test_library_errors_from_config_values_exit_2(command, cfg, tmp_path,
                                                   capsys):
     rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),

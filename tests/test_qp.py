@@ -11,7 +11,7 @@ def test_unconstrained_interior_minimizer():
     # minimizer of 0.5 u'Hu + g'u strictly inside the box is the linear solve
     H = np.diag([2.0, 4.0])
     g = np.array([-1.0, -2.0])
-    res = solve_box_state_qp(H, g, np.zeros(2), np.ones(2), None, None,
+    res = solve_box_state_qp(H, g, np.ones(2), None, None,
                              1e-10, 1.0)
     assert np.allclose(res.u, [0.5, 0.5], atol=1e-9)
     assert res.stationarity <= 1e-10
@@ -21,7 +21,7 @@ def test_box_clipping_with_multipliers():
     # minimizer would be u = 2 but b = 1: upper bound active with mu = H(2-1)
     H = np.array([[2.0]])
     g = np.array([-4.0])
-    res = solve_box_state_qp(H, g, np.zeros(1), np.ones(1), None, None,
+    res = solve_box_state_qp(H, g, np.ones(1), None, None,
                              1e-10, 1.0)
     assert res.u[0] == pytest.approx(1.0, abs=1e-9)
     assert res.mu_upper[0] == pytest.approx(2.0, abs=1e-7)
@@ -31,7 +31,7 @@ def test_box_clipping_with_multipliers():
 def test_lower_bound_active():
     H = np.array([[2.0]])
     g = np.array([3.0])  # unconstrained minimizer -1.5 < 0
-    res = solve_box_state_qp(H, g, np.zeros(1), np.ones(1), None, None,
+    res = solve_box_state_qp(H, g, np.ones(1), None, None,
                              1e-10, 1.0)
     assert res.u[0] == pytest.approx(0.0, abs=1e-9)
     assert res.mu_lower[0] == pytest.approx(3.0, abs=1e-7)
@@ -41,7 +41,7 @@ def test_infinite_upper_bound():
     H = np.diag([2.0, 2.0])
     g = np.array([-6.0, 2.0])
     upper = np.array([np.inf, np.inf])
-    res = solve_box_state_qp(H, g, np.zeros(2), upper, None, None, 1e-10, 1.0)
+    res = solve_box_state_qp(H, g, upper, None, None, 1e-10, 1.0)
     assert np.allclose(res.u, [3.0, 0.0], atol=1e-8)
     assert np.all(res.mu_upper == 0.0)
 
@@ -52,7 +52,7 @@ def test_single_state_constraint_projects_onto_plane():
     g = -2 * np.ones(2)
     T = np.ones((1, 2))
     psi = np.array([1.0])
-    res = solve_box_state_qp(H, g, np.zeros(2), np.full(2, np.inf), T, psi,
+    res = solve_box_state_qp(H, g, np.full(2, np.inf), T, psi,
                              1e-10, 1.0)
     assert np.allclose(res.u, [0.5, 0.5], atol=1e-8)
     assert res.eta[0] == pytest.approx(1.0, abs=1e-6)
@@ -64,7 +64,7 @@ def test_inactive_state_constraint_leaves_solution_alone():
     g = -2 * np.array([0.2, 0.1])
     T = np.ones((1, 2))
     psi = np.array([5.0])
-    res = solve_box_state_qp(H, g, np.zeros(2), np.ones(2), T, psi, 1e-10, 1.0)
+    res = solve_box_state_qp(H, g, np.ones(2), T, psi, 1e-10, 1.0)
     assert np.allclose(res.u, [0.2, 0.1], atol=1e-9)
     assert np.allclose(res.eta, 0.0, atol=1e-9)
 
@@ -75,7 +75,7 @@ def test_degenerate_redundant_rows():
     g = -2 * np.ones(2)
     T = np.ones((2, 2))
     psi = np.array([1.0, 1.0])
-    res = solve_box_state_qp(H, g, np.zeros(2), np.ones(2), T, psi, 1e-9, 1.0)
+    res = solve_box_state_qp(H, g, np.ones(2), T, psi, 1e-9, 1.0)
     assert np.allclose(res.u, [0.5, 0.5], atol=1e-7)
 
 
@@ -86,7 +86,7 @@ def test_dependent_lower_bound_and_state_row():
     g = -2 * np.ones(2)
     T = np.array([[1.0, 0.0]])
     psi = np.array([0.0])
-    res = solve_box_state_qp(H, g, np.zeros(2), np.full(2, np.inf), T, psi,
+    res = solve_box_state_qp(H, g, np.full(2, np.inf), T, psi,
                              1e-10, 1.0)
     assert np.allclose(res.u, [0.0, 1.0], atol=1e-12)
     assert res.eta[0] + res.mu_lower[0] == pytest.approx(2.0, abs=1e-9)
@@ -96,7 +96,7 @@ def test_semidefinite_hessian_uses_proximal_steps():
     # H has no Cholesky factor: proximal steps through H + delta I solve it
     H = np.array([[2.0, 0.0], [0.0, 0.0]])
     g = np.array([-2.0, 1.0])
-    res = solve_box_state_qp(H, g, np.zeros(2), np.ones(2), None, None,
+    res = solve_box_state_qp(H, g, np.ones(2), None, None,
                              1e-10, 1.0)
     assert np.allclose(res.u, [1.0, 0.0], atol=1e-9)
     assert max(res.stationarity, res.complementarity) <= 1e-10
@@ -115,7 +115,7 @@ def test_rank_deficient_batch_certified():
         m = int(rng.integers(0, 4))
         T = rng.standard_normal((m, n)) if m else None
         psi = rng.uniform(0.05, 1.0, m) if m else None
-        res = solve_box_state_qp(H, g, np.zeros(n), upper, T, psi, 1e-10, 1.0)
+        res = solve_box_state_qp(H, g, upper, T, psi, 1e-10, 1.0)
         assert max(res.stationarity, res.primal, res.complementarity) <= 1e-10
         assert np.all(res.u >= -1e-11) and np.all(res.u <= upper + 1e-11)
 
@@ -127,7 +127,7 @@ def test_infeasible_state_rows_raise():
     T = np.ones((1, 3))
     psi = np.array([-1.0])
     with pytest.raises(InfeasibleProblem):
-        solve_box_state_qp(H, g, np.zeros(3), np.ones(3), T, psi, 1e-8, 1.0)
+        solve_box_state_qp(H, g, np.ones(3), T, psi, 1e-8, 1.0)
 
 
 def test_kkt_certificates_reported():
@@ -137,7 +137,7 @@ def test_kkt_certificates_reported():
     g = rng.standard_normal(6)
     T = rng.standard_normal((2, 6))
     psi = np.abs(rng.standard_normal(2)) + 0.1
-    res = solve_box_state_qp(H, g, np.zeros(6), np.ones(6), T, psi, 1e-9, 1.0)
+    res = solve_box_state_qp(H, g, np.ones(6), T, psi, 1e-9, 1.0)
     assert isinstance(res, QPResult)
     assert res.stationarity <= 1e-9
     assert res.primal <= 1e-9
@@ -150,7 +150,7 @@ def test_kkt_certificates_reported():
 def test_wfac_scales_stationarity_norm():
     H = 2 * np.eye(2)
     g = -2 * np.ones(2)
-    res = solve_box_state_qp(H, g, np.zeros(2), np.full(2, 2.0), None, None,
+    res = solve_box_state_qp(H, g, np.full(2, 2.0), None, None,
                              1e-12, 0.1)
     assert np.allclose(res.u, 1.0, atol=1e-10)
 
@@ -158,7 +158,7 @@ def test_wfac_scales_stationarity_norm():
 def test_warm_start_accepted():
     H = 2 * np.eye(3)
     g = -2 * np.array([0.3, 0.6, 0.9])
-    res = solve_box_state_qp(H, g, np.zeros(3), np.ones(3), None, None,
+    res = solve_box_state_qp(H, g, np.ones(3), None, None,
                              1e-10, 1.0)
     assert np.allclose(res.u, [0.3, 0.6, 0.9], atol=1e-10)
     assert res.iterations <= 5
@@ -168,7 +168,7 @@ def test_iterations_count_active_set_changes():
     # both lower bounds enter and nothing leaves: two changes
     H = 2 * np.eye(2)
     g = 2 * np.ones(2)
-    res = solve_box_state_qp(H, g, np.zeros(2), np.ones(2), None, None,
+    res = solve_box_state_qp(H, g, np.ones(2), None, None,
                              1e-10, 1.0)
     assert np.allclose(res.u, 0.0, atol=1e-15)
     assert res.iterations == 2
