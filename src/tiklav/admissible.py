@@ -103,11 +103,11 @@ class AdmissibleSet:
         if not finite.any():
             return None, None
         idx = self.state.region.indices[finite]
-        T = self.op.matrix[idx, :].copy()
+        T = self.op.matrix[idx, :]  # fancy indexing: a copy, safe to shift
         if self.lam != 0.0:
             shift = self.lam if self.sign == PLUS else -self.lam
             T[np.arange(idx.size), idx] += shift
-        return T, self.state.psi[finite].copy()
+        return T, self.state.psi[finite]
 
     def state_values(self, u_values: np.ndarray) -> np.ndarray:
         """lam*u + Su (or Su - lam*u) on the region nodes."""
@@ -149,7 +149,7 @@ def project_admissible(v: GridFunction, aset: AdmissibleSet,
         raise DimensionMismatch("grids differ")
     T, psi = aset.constraint_matrix()
     n = v.grid.num_nodes
-    H = 2.0 * np.eye(n)
+    H = (np.eye(n), np.full(n, 2.0))  # 2I as its eigenpairs
     g = -2.0 * v.values
     wfac = np.sqrt(v.grid.weight)
     try:

@@ -4,6 +4,11 @@ Both operators map GridFunctions to GridFunctions on the same grid. With
 uniform quadrature weights the weighted adjoint is the plain transpose, so
 the Poisson operator is exactly self-adjoint and the Fredholm adjoint is
 the transposed kernel.
+
+The Poisson operator is assembled from the closed-form eigenbasis of the
+Dirichlet Laplacian, the sine modes of the fast Poisson solver (Buzbee,
+Golub and Nielson, SIAM J. Numer. Anal. 7 (1970) 627): no inverse is formed,
+and the same basis diagonalizes S^T S and every QP Hessian 2(S^T S + alpha I).
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, GridTooLarge, InvalidKernelParameter
 from .grid import DomainGrid, GridFunction, ObservationRegion
@@ -56,12 +60,13 @@ class AssembledOperator:
     """
 
     def __init__(self, kind: str, grid: DomainGrid, matrix: np.ndarray,
-                 self_adjoint: bool = False):
+                 self_adjoint: bool = False, gram_eig=None):
         self.kind = kind
         self.grid = grid
         self.matrix = matrix
         self.self_adjoint = self_adjoint
         self._gram = None
+        self._gram_eig = gram_eig
 
     @property
     def adjoint_matrix(self) -> np.ndarray:
@@ -70,12 +75,22 @@ class AssembledOperator:
 
     @property
     def gram(self) -> np.ndarray:
-        """S^T S, cached (used by the QP solver)."""
+        """S^T S, cached (the oracle's Hessian; `gram_eig` decomposes it
+        unless the operator knows its eigenbasis)."""
         if self._gram is None:
             m = self.matrix
             g = m.T @ m
             self._gram = 0.5 * (g + g.T)
         return self._gram
+
+    @property
+    def gram_eig(self):
+        """(V, s2): orthonormal eigenvectors V of S^T S (columns) and its
+        eigenvalues s2, so S^T S = V diag(s2) V^T; cached."""
+        if self._gram_eig is None:
+            s2, V = np.linalg.eigh(self.gram)
+            self._gram_eig = (V, s2)
+        return self._gram_eig
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ values
@@ -86,26 +101,33 @@ class AssembledOperator:
         return self.adjoint_matrix @ values
 
 
-def _laplacian_1d(n: int, h: float) -> sp.csc_matrix:
-    main = np.full(n, 2.0 / h**2)
-    off = np.full(n - 1, -1.0 / h**2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csc")
+def _sine_modes(n: int):
+    """Orthonormal eigenvectors V[j-1, k-1] = sqrt(2/(n+1)) sin(pi j k/(n+1))
+    of the 3-point Dirichlet Laplacian on n nodes and its eigenvalues
+    4/h^2 sin^2(k pi h/2), j, k = 1..n."""
+    # sin(pi j k/(n+1)) takes 2(n+1) values: one table indexed by the exact
+    # integer angle j k mod 2(n+1)
+    k = np.arange(1, n + 1)
+    jk = np.outer(k, k)
+    jk %= 2 * (n + 1)
+    h = 1.0 / (n + 1)
+    table = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.arange(2 * (n + 1)))
+    return table[jk], 4.0 / h**2 * np.sin(0.5 * np.pi * h * k) ** 2
 
 
 def assemble_poisson(grid: DomainGrid) -> AssembledOperator:
-    """Dense inverse of the 2nd-order central-difference Dirichlet Laplacian."""
+    """Inverse S of the 2nd-order central-difference Dirichlet Laplacian,
+    S = V diag(1/lam) V^T in the sine basis (a Kronecker product in 2D)."""
     N = grid.num_nodes
     if N > DENSE_CAP:
         raise GridTooLarge(f"poisson assembly for {N} > {DENSE_CAP} nodes")
-    A1 = _laplacian_1d(grid.n, grid.h)
-    if grid.d == 1:
-        A = A1
-    else:
-        eye = sp.identity(grid.n, format="csc")
-        A = sp.kron(A1, eye, format="csc") + sp.kron(eye, A1, format="csc")
-    S = np.linalg.inv(A.toarray())
-    S = 0.5 * (S + S.T)  # enforce exact symmetry against inversion round-off
-    return AssembledOperator("poisson", grid, S, self_adjoint=True)
+    V, lam = _sine_modes(grid.n)
+    if grid.d == 2:
+        V, lam = np.kron(V, V), np.add.outer(lam, lam).ravel()
+    W = V / np.sqrt(lam)
+    S = W @ W.T  # a product with its own transpose is exactly symmetric
+    return AssembledOperator("poisson", grid, S, self_adjoint=True,
+                             gram_eig=(V, lam**-2.0))
 
 
 def assemble_fredholm(grid: DomainGrid, kernel: KernelSpec) -> AssembledOperator:

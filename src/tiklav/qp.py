@@ -11,11 +11,15 @@ finitely many active-set changes at the exact minimizer, or proves the
 problem infeasible when a violated row depends on the active rows and no
 active multiplier can shrink.
 
-The active rows enter through W = L^{-1} A_active, with H = L L^T, kept as a
-thin QR factorization W = Q R that is extended or downdated by one column per
-change; L^{-1} a_i is computed only for rows that enter.
+H is given by its eigendecomposition H = V diag(d) V^T, which the callers
+know in closed form or compute once per operator; the square-root factor
+L = V diag(sqrt d), H = L L^T, takes the place of a Cholesky factor, so
+L^{-1} a = d^{-1/2} * (V^T a) and L^{-T} z = V (d^{-1/2} * z). The active rows
+enter through W = L^{-1} A_active, kept as a thin QR factorization W = Q R
+that is extended or downdated by one column per change; L^{-1} a_i is
+computed only for rows that enter.
 
-An H without a Cholesky factor (positive semidefinite only), or a result
+An H with an eigenvalue <= 0 (positive semidefinite only), or a result
 that misses the KKT certificate, is handled by proximal-point steps
 (Rockafellar, SIAM J. Control Optim. 14 (1976) 877): each step
 u_{k+1} = argmin f(u) + delta/2 ||u - u_k||^2 over the same constraints is
@@ -54,9 +58,9 @@ class QPResult:
     complementarity: float
 
 
-def _kkt_residuals(H, g, upper, T, psi, u, eta, wfac):
+def _kkt_residuals(V, d, g, upper, T, psi, u, eta, wfac):
     """Multiplier split and residual norms for the original problem."""
-    r = H @ u + g
+    r = V @ (d * (V.T @ u)) + g
     if T is not None and T.shape[0]:
         r = r + T.T @ eta
     finite_up = np.isfinite(upper)
@@ -76,17 +80,18 @@ def _kkt_residuals(H, g, upper, T, psi, u, eta, wfac):
     return mu_lower, mu_upper, stationarity, primal, comp
 
 
-def _dual_active_set(H, g, upper, T, psi, feas_tol):
-    """Goldfarb-Idnani iteration; returns (u, eta, active-set changes).
+def _dual_active_set(V, d, g, upper, T, psi, feas_tol):
+    """Goldfarb-Idnani iteration on H = V diag(d) V^T with every d > 0;
+    returns (u, eta, active-set changes).
 
     Rows 0..n-1 are the lower bounds (-u_i <= 0), the next ones the
     finite upper bounds (u_i <= upper_i), the rest the rows of T. A row with
     violation a_i^T u - c_i <= feas_tol counts as satisfied. Raises
-    LinAlgError when H has no Cholesky factor and InfeasibleProblem when the
-    constraints admit no point. After 10 changes per row the current
-    (dual-feasible, possibly primal-infeasible) iterate is returned.
+    InfeasibleProblem when the constraints admit no point. After 10 changes
+    per row the current (dual-feasible, possibly primal-infeasible) iterate
+    is returned.
     """
-    n = H.shape[0]
+    n = d.size
     up = np.flatnonzero(np.isfinite(upper))
     nb = n + up.size
     if T is None:
@@ -103,9 +108,11 @@ def _dual_active_set(H, g, upper, T, psi, feas_tol):
             a[up[i - n]] = 1.0
         return a
 
-    L, _ = sla.cho_factor(H, lower=True, check_finite=False)  # upper part unused
-    u = sla.cho_solve((L, True), -g, check_finite=False)
-    trtrs = sla.get_lapack_funcs("trtrs", (L,))  # triangular solve, no checks
+    rsd = 1.0 / np.sqrt(d)      # L^{-1} = diag(rsd) V^T
+    u = -V @ ((V.T @ g) / d)
+    # raw LAPACK solve with the small triangular R: solve_triangular's
+    # argument checks cost more than the solve itself, once per change
+    trtrs = sla.get_lapack_funcs("trtrs", (V,))
     active = []                  # row ids in the column order of Q R
     mult = np.zeros(0)           # their multipliers, kept >= 0
     Q, R = np.zeros((n, 0)), np.zeros((0, 0))
@@ -118,16 +125,16 @@ def _dual_active_set(H, g, upper, T, psi, feas_tol):
             if slack[p] <= feas_tol:
                 break
             a = normal(p)
-            w = trtrs(L, a, lower=1)[0]
+            w = rsd * (V.T @ a)
             mult_p = 0.0
-        # split w = Q d + z with z orthogonal to the active columns; the
+        # split w = Q y + z with z orthogonal to the active columns; the
         # primal step is -L^{-T} z and the active multipliers move by -r
-        d = Q.T @ w
-        z = w - Q @ d
-        d2 = Q.T @ z              # second Gram-Schmidt pass
-        z -= Q @ d2
-        d += d2
-        r = trtrs(R, d)[0] if d.size else d
+        y = Q.T @ w
+        z = w - Q @ y
+        y2 = Q.T @ z              # second Gram-Schmidt pass
+        z -= Q @ y2
+        y += y2
+        r = trtrs(R, y)[0] if y.size else y
         zz = z @ z
         full = np.inf             # step length that makes row p active
         if np.sqrt(zz) > DEPENDENT_TOL * np.linalg.norm(w):
@@ -144,16 +151,16 @@ def _dual_active_set(H, g, upper, T, psi, feas_tol):
                 f"constraints infeasible: a row violated by {a @ u - c[p]:.3e} "
                 "depends on the active rows")
         if full < np.inf:
-            u = u - step * trtrs(L, z, lower=1, trans=1)[0]
+            u = u - step * (V @ (rsd * z))
         mult = np.maximum(mult - step * r, 0.0)
         mult_p += step
         changes += 1
         if full <= partial:  # row p becomes active
-            q = d.size
+            q = y.size
             Q = np.column_stack([Q, z / np.sqrt(zz)])
             R_new = np.zeros((q + 1, q + 1))
             R_new[:q, :q] = R
-            R_new[:q, q] = d
+            R_new[:q, q] = y
             R_new[q, q] = np.sqrt(zz)
             R = R_new
             active.append(p)
@@ -171,41 +178,40 @@ def _dual_active_set(H, g, upper, T, psi, feas_tol):
     return u, eta, changes
 
 
-def _certified(H, g, upper, T, psi, tol, wfac, u, eta, changes):
+def _certified(V, d, g, upper, T, psi, tol, wfac, u, eta, changes):
     """QPResult for (u, eta) when its KKT residuals on the original problem
     are all <= tol, else None."""
     mu_lo, mu_up, stat, primal, comp = _kkt_residuals(
-        H, g, upper, T, psi, u, eta, wfac)
+        V, d, g, upper, T, psi, u, eta, wfac)
     if max(stat, primal, comp) <= tol:
         return QPResult(u, mu_lo, mu_up, eta, changes, stat, primal, comp)
     return None
 
 
-def solve_box_state_qp(H: np.ndarray, g: np.ndarray, upper: np.ndarray,
+def solve_box_state_qp(H, g: np.ndarray, upper: np.ndarray,
                        T: Optional[np.ndarray], psi: Optional[np.ndarray],
                        tol: float, wfac: float) -> QPResult:
     """Solve the QP with certified KKT residuals <= tol.
 
+    H is the pair (V, d) with H = V diag(d) V^T and V orthonormal, or a
+    dense symmetric matrix, which is split by one eigendecomposition here.
     Raises InfeasibleProblem when no box point satisfies Tu <= psi and
     NonConvergence when MAX_PROX_STEPS proximal steps miss the certificate.
     """
+    V, d = H if isinstance(H, tuple) else np.linalg.eigh(H)[::-1]
     feas_tol = 0.1 * tol
-    u, changes = np.zeros(H.shape[0]), 0   # first proximal center
-    try:
-        u, eta, changes = _dual_active_set(H, g, upper, T, psi, feas_tol)
-    except np.linalg.LinAlgError:  # H is not positive definite
-        pass
-    else:
-        res = _certified(H, g, upper, T, psi, tol, wfac, u, eta, changes)
+    u, changes = np.zeros(d.size), 0   # first proximal center
+    if np.min(d) > 0.0:
+        u, eta, changes = _dual_active_set(V, d, g, upper, T, psi, feas_tol)
+        res = _certified(V, d, g, upper, T, psi, tol, wfac, u, eta, changes)
         if res is not None:
             return res
-    delta = PROX_SCALE * (float(np.max(np.diag(H), initial=0.0)) or 1.0)
-    H_prox = H + delta * np.eye(H.shape[0])
+    delta = PROX_SCALE * (float(np.max((V**2) @ d, initial=0.0)) or 1.0)
     for _ in range(MAX_PROX_STEPS):
-        u, eta, k = _dual_active_set(H_prox, g - delta * u, upper, T, psi,
-                                     feas_tol)
+        u, eta, k = _dual_active_set(V, d + delta, g - delta * u, upper, T,
+                                     psi, feas_tol)
         changes += k
-        res = _certified(H, g, upper, T, psi, tol, wfac, u, eta, changes)
+        res = _certified(V, d, g, upper, T, psi, tol, wfac, u, eta, changes)
         if res is not None:
             return res
     raise NonConvergence(f"no KKT certificate after {MAX_PROX_STEPS} proximal "

@@ -8,7 +8,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .admissible import (ACTIVE_TOL, AdmissibleSet, project_admissible)
 from .errors import (AlphaNonPositive, DimensionMismatch, NoFeasiblePattern,
@@ -65,23 +64,20 @@ def _classify_active(u_values, aset: AdmissibleSet, eps: float = ACTIVE_TOL):
     return lo, up, st
 
 
-def _build_quadratic(problem: RegularizedProblem):
-    S = problem.op.matrix
-    H = 2.0 * problem.op.gram + 2.0 * problem.alpha * np.eye(S.shape[0])
-    g = -2.0 * (problem.op.adjoint_matrix @ problem.y_d.values)
-    return H, g
+def _build_quadratic(op: AssembledOperator, y_d: GridFunction, alpha: float):
+    """Hessian 2(S*S + alpha I) as its eigenpairs (V, d), and the gradient at 0."""
+    V, s2 = op.gram_eig
+    return (V, 2.0 * (s2 + alpha)), -2.0 * (op.adjoint_matrix @ y_d.values)
 
 
 def solve_unconstrained(op: AssembledOperator, y_d: GridFunction,
                         alpha: float) -> GridFunction:
-    """Dense symmetric solve of (S*S + alpha I) u = S* y_d."""
+    """Solve (S*S + alpha I) u = S* y_d in the eigenbasis of S*S."""
     if alpha <= 0:
         raise AlphaNonPositive(f"alpha must be positive, got {alpha}")
-    A = op.gram + alpha * np.eye(op.grid.num_nodes)
+    V, s2 = op.gram_eig
     rhs = op.adjoint_matrix @ y_d.values
-    c, low = sla.cho_factor(A)
-    u = sla.cho_solve((c, low), rhs)
-    return GridFunction(op.grid, u)
+    return GridFunction(op.grid, V @ ((V.T @ rhs) / (s2 + alpha)))
 
 
 def solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
@@ -89,7 +85,7 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
     if problem.alpha <= 0:
         raise AlphaNonPositive(f"alpha must be positive, got {problem.alpha}")
     aset = problem.aset
-    H, g = _build_quadratic(problem)
+    H, g = _build_quadratic(problem.op, problem.y_d, problem.alpha)
     T, psi = aset.constraint_matrix()
     wfac = np.sqrt(problem.op.grid.weight)
     res = qp.solve_box_state_qp(H, g, aset.box.upper, T, psi, tol, wfac)
@@ -129,8 +125,7 @@ def pseudo_inverse(op: AssembledOperator, y_d: GridFunction,
     constraint ||Su - y_d||^2 <= m* + tol while never exceeding the norm of
     the true minimal-norm minimizer.
     """
-    H = 2.0 * op.gram
-    g = -2.0 * (op.adjoint_matrix @ y_d.values)
+    H, g = _build_quadratic(op, y_d, 0.0)
     T, psi = aset.constraint_matrix()
     wfac = np.sqrt(op.grid.weight)
     res = qp.solve_box_state_qp(H, g, aset.box.upper, T, psi, tol, wfac)
@@ -167,7 +162,9 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
     if problem.alpha <= 0:
         raise AlphaNonPositive(f"alpha must be positive, got {problem.alpha}")
     aset = problem.aset
-    H, g = _build_quadratic(problem)
+    # a dense H of its own: the oracle shares no factorization with `solve`
+    H = 2.0 * problem.op.gram + 2.0 * problem.alpha * np.eye(n)
+    g = -2.0 * (problem.op.adjoint_matrix @ problem.y_d.values)
     T, psi = aset.constraint_matrix()
     m = 0 if T is None else T.shape[0]
     b = aset.box.upper

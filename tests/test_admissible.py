@@ -59,6 +59,17 @@ class TestConstruction:
         T_minus, _ = aset.with_lambda(0.2, "minus").constraint_matrix()
         assert np.allclose(T_minus, T0 - 0.2 * np.eye(5))
 
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_constraint_matrix_is_a_copy(self, lam):
+        aset = small_set(n=5, lam=lam, sign="plus")
+        before = aset.op.matrix.copy()
+        psi_before = aset.state.psi.copy()
+        T, psi = aset.constraint_matrix()
+        T[:] = -7.0
+        psi[:] = -7.0
+        assert np.array_equal(aset.op.matrix, before)
+        assert np.array_equal(aset.state.psi, psi_before)
+
     def test_infinite_psi_rows_dropped(self):
         g = DomainGrid(1, 5)
         op = assemble_poisson(g)

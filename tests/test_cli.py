@@ -186,6 +186,23 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         assert set(report["checks"]) == checks
 
+    def test_lavrentiev_coincidence_passes(self, tmp_path):
+        # every shifted solution equals the lambda = 0 one: the lambda/alpha
+        # bound holds with constant 0, so c_fit_stable holds vacuously
+        cfg = base_cfg()
+        cfg["operator"]["n"] = 24
+        cfg["admissible"].update(b=10.0, psi=0.05)
+        cfg["experiment"] = {"kind": "lavrentiev", "sign": "minus",
+                             "alpha": 1e-3,
+                             "lambda_list": [1e-2, 1e-3, 1e-4]}
+        out = tmp_path / "o"
+        rc = cli.main(["verify", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert report["summaries"]["c_fit"] == 0.0
+        assert report["checks"]["c_fit_stable"] is True
+        assert rc == cli.EXIT_OK
+
     def test_every_kind_has_a_case(self):
         kinds = {cfg["experiment"]["kind"] for cfg, _ in VERIFY_CASES.values()}
         assert kinds == set(cli.VERIFY)

@@ -48,6 +48,47 @@ class TestPoissonAnalytic:
             assemble_poisson(g)
 
 
+def _laplacian(grid):
+    """The 3-point (1D) or 5-point (2D) Dirichlet Laplacian, dense."""
+    n = grid.n
+    A1 = (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / grid.h**2
+    if grid.d == 1:
+        return A1
+    return np.kron(A1, np.eye(n)) + np.kron(np.eye(n), A1)
+
+
+class TestSineBasis:
+    """The closed-form eigenbasis behind assemble_poisson."""
+
+    @pytest.mark.parametrize("grid", [DomainGrid(1, 64), DomainGrid(2, 12)],
+                             ids=["1d", "2d"])
+    def test_basis_is_orthonormal(self, grid):
+        V, _ = assemble_poisson(grid).gram_eig
+        assert np.max(np.abs(V.T @ V - np.eye(grid.num_nodes))) <= 1e-13
+
+    @pytest.mark.parametrize("grid", [DomainGrid(1, 64), DomainGrid(2, 12)],
+                             ids=["1d", "2d"])
+    def test_operator_inverts_laplacian(self, grid):
+        A = _laplacian(grid)
+        S = assemble_poisson(grid).matrix
+        rel = np.linalg.norm(A @ S - np.eye(grid.num_nodes)) \
+            / np.sqrt(grid.num_nodes)
+        assert rel <= 1e-10
+
+    @pytest.mark.parametrize("make", [
+        lambda: assemble_poisson(DomainGrid(1, 40)),
+        lambda: assemble_poisson(DomainGrid(2, 7)),
+        lambda: assemble_fredholm(DomainGrid(1, 30),
+                                  KernelSpec("gaussian", width=0.3)),
+    ], ids=["poisson-1d", "poisson-2d", "fredholm"])
+    def test_gram_eig_reconstructs_gram(self, make):
+        op = make()
+        V, s2 = op.gram_eig
+        G = op.gram
+        assert np.linalg.norm((V * s2) @ V.T - G) <= 1e-12 * np.linalg.norm(G)
+        assert op.gram_eig is op.gram_eig  # cached
+
+
 class TestFredholm:
     def test_constant_kernel_integrates(self):
         # k = 1: (Su)(x) = quadrature sum of u; for u = 1 that is n*h
@@ -102,9 +143,10 @@ class TestAdjoint:
             assert abs(lhs - rhs) <= 1e-12 * u.norm() * v.norm()
 
     def test_poisson_exactly_self_adjoint(self):
-        op = assemble_poisson(DomainGrid(1, 25))
-        assert np.array_equal(op.matrix, op.matrix.T)
-        assert op.self_adjoint
+        for grid in (DomainGrid(1, 25), DomainGrid(2, 9)):
+            op = assemble_poisson(grid)
+            assert np.array_equal(op.matrix, op.matrix.T)
+            assert op.self_adjoint
 
     def test_gram_is_symmetric_psd(self):
         op = assemble_fredholm(DomainGrid(1, 12), KernelSpec("gaussian", width=0.4))

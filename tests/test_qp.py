@@ -102,22 +102,49 @@ def test_semidefinite_hessian_uses_proximal_steps():
     assert max(res.stationarity, res.complementarity) <= 1e-10
 
 
-def test_rank_deficient_batch_certified():
-    # H = 2 A^T A with rank(A) < n, g = -2 A^T y in the range of H, some
-    # infinite upper bounds and 0-3 state rows: every solve is certified
-    rng = np.random.default_rng(5)
-    for _ in range(100):
+def _least_squares_batch(seed, count=100):
+    """Seeded QPs min ||Au - y||^2 as (A, y, upper, T, psi) with rank(A) < n,
+    ~30% infinite upper bounds and 0-3 state rows."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         n = int(rng.integers(3, 9))
         A = rng.standard_normal((int(rng.integers(1, n)), n))
-        H, g = 2 * A.T @ A, -2 * A.T @ rng.standard_normal(A.shape[0])
+        y = rng.standard_normal(A.shape[0])
         upper = rng.uniform(0.2, 2.0, n)
         upper[rng.random(n) < 0.3] = np.inf
         m = int(rng.integers(0, 4))
         T = rng.standard_normal((m, n)) if m else None
         psi = rng.uniform(0.05, 1.0, m) if m else None
+        yield A, y, upper, T, psi
+
+
+def test_rank_deficient_batch_certified():
+    # H = 2 A^T A with rank(A) < n, g = -2 A^T y in the range of H, some
+    # infinite upper bounds and 0-3 state rows: every solve is certified
+    for A, y, upper, T, psi in _least_squares_batch(5):
+        H, g = 2 * A.T @ A, -2 * A.T @ y
         res = solve_box_state_qp(H, g, upper, T, psi, 1e-10, 1.0)
         assert max(res.stationarity, res.primal, res.complementarity) <= 1e-10
         assert np.all(res.u >= -1e-11) and np.all(res.u <= upper + 1e-11)
+
+
+def test_eigenpair_and_dense_hessian_agree():
+    # H = 2(A^T A + alpha I) given dense, or as (V, d) from the SVD of A
+    # (an eigendecomposition the engine did not compute): same certified u
+    alpha = 1e-2
+    for A, y, upper, T, psi in _least_squares_batch(5):
+        n = A.shape[1]
+        _, sigma, Wt = np.linalg.svd(A)
+        s2 = np.zeros(n)
+        s2[:sigma.size] = sigma**2
+        g = -2 * A.T @ y
+        dense = solve_box_state_qp(2 * (A.T @ A + alpha * np.eye(n)), g,
+                                   upper, T, psi, 1e-10, 1.0)
+        pair = solve_box_state_qp((Wt.T, 2 * (s2 + alpha)), g, upper, T, psi,
+                                  1e-10, 1.0)
+        assert np.max(np.abs(pair.u - dense.u)) <= 1e-8
+        assert max(pair.stationarity, pair.primal,
+                   pair.complementarity) <= 1e-10
 
 
 def test_infeasible_state_rows_raise():

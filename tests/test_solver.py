@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import tiklav
 from conftest import random_problem
@@ -17,7 +18,8 @@ from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
                                feasibility, project_admissible)
 from tiklav.errors import AlphaNonPositive, OracleTooLarge
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, constant, wnorm
-from tiklav.operators import KernelSpec, apply, assemble_fredholm, assemble_poisson
+from tiklav.operators import (AssembledOperator, KernelSpec, apply,
+                              assemble_fredholm, assemble_poisson)
 from tiklav.solver import (RegularizedProblem, oracle_solve, pseudo_inverse,
                            projection_formula_residual, solve,
                            solve_unconstrained)
@@ -224,14 +226,35 @@ class TestNoFallback:
         assert solve_counts and set(solve_counts) == {1}
 
 
+def test_poisson_solve_uses_no_gram_and_no_cholesky(monkeypatch):
+    # the closed-form eigenbasis stands in for S^T S and every factorization
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(AssembledOperator, "gram", property(forbidden))
+    for mod, name in [(np.linalg, "cholesky"), (sla, "cholesky"),
+                      (sla, "cho_factor"), (sla, "cho_solve")]:
+        monkeypatch.setattr(mod, name, forbidden)
+    prob = loose_problem(psi=0.002, b=0.5, alpha=0.05)
+    sol = solve(prob, tol=1e-10)
+    assert len(sol.active_state) > 0
+    assert projection_formula_residual(sol, prob, tol=1e-8) <= 1e-7
+    solve_unconstrained(prob.op, prob.y_d, prob.alpha)
+    pseudo_inverse(prob.op, prob.y_d, prob.aset, tol=1e-9)
+
+
 def test_solve_does_not_import_scipy_optimize(tmp_path):
+    # nor scipy.sparse or scipy.fft: each costs a cold import in set-up
     code = (
         "import sys, tiklav.cli\n"
-        "rc = tiklav.cli.main(['solve', '--config', 'binding-state-poisson-2d',"
+        "for preset in ('binding-state-poisson-2d',"
+        " 'interior-attainable-poisson-1d'):\n"
+        "    rc = tiklav.cli.main(['solve', '--config', preset,"
         f" '--out', {str(tmp_path)!r}])\n"
-        "assert rc == 0, rc\n"
-        "print('scipy.optimize' in sys.modules)\n")
+        "    assert rc == 0, rc\n"
+        "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.fft')"
+        " if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=str(Path(tiklav.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split()[-1] == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
