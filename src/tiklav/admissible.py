@@ -97,17 +97,20 @@ class AdmissibleSet:
         st = replace(self.state, lam=lam, sign=sign or self.state.sign)
         return AdmissibleSet(self.box, st, self.op)
 
+    @property
+    def shift(self) -> float:
+        """The signed Lavrentiev shift: the state rows are S + shift I."""
+        return self.lam if self.sign == PLUS else -self.lam
+
     def constraint_matrix(self):
-        """(T, psi) with rows for region nodes with finite psi, or (None, None)."""
+        """(B, psi) for the region nodes with finite psi, or (None, None).
+        B holds the state rows in the operator's eigenbasis: the rows of
+        S + shift I are B V^T (`AssembledOperator.eigen_rows`)."""
         finite = np.isfinite(self.state.psi)
         if not finite.any():
             return None, None
         idx = self.state.region.indices[finite]
-        T = self.op.matrix[idx, :]  # fancy indexing: a copy, safe to shift
-        if self.lam != 0.0:
-            shift = self.lam if self.sign == PLUS else -self.lam
-            T[np.arange(idx.size), idx] += shift
-        return T, self.state.psi[finite]
+        return self.op.eigen_rows(idx, self.shift), self.state.psi[finite]
 
     def state_values(self, u_values: np.ndarray) -> np.ndarray:
         """lam*u + Su (or Su - lam*u) on the region nodes."""
@@ -115,8 +118,7 @@ class AdmissibleSet:
         su = self.op.apply_values(u_values)[idx]
         if self.lam == 0.0:
             return su
-        shift = self.lam if self.sign == PLUS else -self.lam
-        return su + shift * u_values[idx]
+        return su + self.shift * u_values[idx]
 
 
 def project_box(v: GridFunction, b: BoxBounds) -> GridFunction:
@@ -147,13 +149,12 @@ def project_admissible(v: GridFunction, aset: AdmissibleSet,
     """L2-nearest point of the admissible set (identity-Hessian QP)."""
     if v.grid != aset.op.grid:
         raise DimensionMismatch("grids differ")
-    T, psi = aset.constraint_matrix()
-    n = v.grid.num_nodes
-    H = (np.eye(n), np.full(n, 2.0))  # 2I as its eigenpairs
-    g = -2.0 * v.values
+    B, psi = aset.constraint_matrix()
+    V = aset.op.V  # 2I in the rows' basis
+    H, gx = (V, np.full(v.grid.num_nodes, 2.0)), -2.0 * (V.T @ v.values)
     wfac = np.sqrt(v.grid.weight)
     try:
-        res = qp.solve_box_state_qp(H, g, aset.box.upper, T, psi, tol, wfac)
+        res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac)
     except InfeasibleProblem as exc:
         raise InfeasibleSet(str(exc)) from exc
     return GridFunction(v.grid, res.u)

@@ -1,14 +1,16 @@
 """Discrete forward operators: Dirichlet Poisson solver and Fredholm kernels.
 
 Both operators map GridFunctions to GridFunctions on the same grid. With
-uniform quadrature weights the weighted adjoint is the plain transpose, so
-the Poisson operator is exactly self-adjoint and the Fredholm adjoint is
-the transposed kernel.
+uniform quadrature weights the weighted adjoint is the plain transpose, and
+both are symmetric, so each is held as one spectral operator
+S = V diag(s) V^T with V orthonormal: S and S* apply as V (s * V^T u),
+S^T S = V diag(s^2) V^T, and a row of S + shift I is V[i] diag(s + shift) V^T.
 
-The Poisson operator is assembled from the closed-form eigenbasis of the
-Dirichlet Laplacian, the sine modes of the fast Poisson solver (Buzbee,
-Golub and Nielson, SIAM J. Numer. Anal. 7 (1970) 627): no inverse is formed,
-and the same basis diagonalizes S^T S and every QP Hessian 2(S^T S + alpha I).
+The Poisson operator uses the closed-form eigenbasis of the Dirichlet
+Laplacian, the sine modes of the fast Poisson solver (Buzbee, Golub and
+Nielson, SIAM J. Numer. Anal. 7 (1970) 627), with s = 1/eigenvalue: no
+inverse and no dense S is formed. A Fredholm operator takes one eigh of its
+quadrature matrix, which it keeps as its dense S.
 """
 
 from __future__ import annotations
@@ -54,51 +56,51 @@ class KernelSpec:
 
 
 class AssembledOperator:
-    """A discrete forward map S with cached adjoint and dense matrix.
+    """A symmetric discrete forward map S = V diag(s) V^T with V orthonormal
+    and s real; S u and S* u are both V (s * V^T u).
 
-    Immutable after construction; safe for concurrent reads.
+    The dense matrix S is built or kept only for the readers that need it
+    (`gram`, the enumeration oracle and the tests). Immutable after
+    construction apart from its caches; safe for concurrent reads.
     """
 
-    def __init__(self, kind: str, grid: DomainGrid, matrix: np.ndarray,
-                 self_adjoint: bool = False, gram_eig=None):
-        self.kind = kind
+    def __init__(self, grid: DomainGrid, V: np.ndarray, s: np.ndarray,
+                 matrix: np.ndarray | None = None):
         self.grid = grid
-        self.matrix = matrix
-        self.self_adjoint = self_adjoint
+        self.V = V
+        self.s = s
+        self._matrix = matrix  # None: s > 0, and S = W W^T is built on read
         self._gram = None
-        self._gram_eig = gram_eig
+        self.gram_eig = (V, s**2)  # S^T S = V diag(s^2) V^T, s^2 >= 0
 
     @property
-    def adjoint_matrix(self) -> np.ndarray:
-        # uniform weights: weighted adjoint = transpose
-        return self.matrix if self.self_adjoint else self.matrix.T
+    def matrix(self) -> np.ndarray:
+        """Dense S, cached; with s > 0 it is W W^T, W = V s^(1/2), which as a
+        product with its own transpose is exactly symmetric."""
+        if self._matrix is None:
+            W = self.V * np.sqrt(self.s)
+            self._matrix = W @ W.T
+        return self._matrix
 
     @property
     def gram(self) -> np.ndarray:
-        """S^T S, cached (the oracle's Hessian; `gram_eig` decomposes it
-        unless the operator knows its eigenbasis)."""
+        """Dense S^T S, cached (the oracle's Hessian)."""
         if self._gram is None:
             m = self.matrix
-            g = m.T @ m
-            self._gram = 0.5 * (g + g.T)
+            self._gram = m.T @ m
         return self._gram
 
-    @property
-    def gram_eig(self):
-        """(V, s2): orthonormal eigenvectors V of S^T S (columns) and its
-        eigenvalues s2, so S^T S = V diag(s2) V^T; cached."""
-        if self._gram_eig is None:
-            s2, V = np.linalg.eigh(self.gram)
-            self._gram_eig = (V, s2)
-        return self._gram_eig
+    def eigen_rows(self, idx: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """Rows idx of S + shift I in the eigenbasis: a new array B with
+        (S + shift I)[idx] = B V^T, B = V[idx] diag(s + shift)."""
+        B = self.V[idx]  # fancy indexing: a copy, safe to scale in place
+        B *= self.s + shift
+        return B
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ values
+        return self.V @ (self.s * (self.V.T @ values))
 
-    def apply_adjoint_values(self, values: np.ndarray) -> np.ndarray:
-        if self.self_adjoint:
-            return self.apply_values(values)
-        return self.adjoint_matrix @ values
+    apply_adjoint_values = apply_values  # S* = S under uniform weights
 
 
 def _sine_modes(n: int):
@@ -124,21 +126,19 @@ def assemble_poisson(grid: DomainGrid) -> AssembledOperator:
     V, lam = _sine_modes(grid.n)
     if grid.d == 2:
         V, lam = np.kron(V, V), np.add.outer(lam, lam).ravel()
-    W = V / np.sqrt(lam)
-    S = W @ W.T  # a product with its own transpose is exactly symmetric
-    return AssembledOperator("poisson", grid, S, self_adjoint=True,
-                             gram_eig=(V, lam**-2.0))
+    return AssembledOperator(grid, V, 1.0 / lam)
 
 
 def assemble_fredholm(grid: DomainGrid, kernel: KernelSpec) -> AssembledOperator:
-    """Quadrature discretization S_ij = w_j k(x_i, x_j)."""
+    """Quadrature discretization S_ij = w_j k(x_i, x_j), symmetric for the
+    built-in kernels and uniform weights, split by one eigh."""
     N = grid.num_nodes
     if N > DENSE_CAP:
         raise GridTooLarge(f"fredholm assembly for {N} > {DENSE_CAP} nodes")
     c = grid.coords
     S = kernel.evaluate(c, c) * grid.weight
-    symmetric = bool(np.allclose(S, S.T, rtol=0, atol=1e-15))
-    return AssembledOperator("fredholm", grid, S, self_adjoint=symmetric)
+    s, V = np.linalg.eigh(S)
+    return AssembledOperator(grid, V, s, matrix=S)
 
 
 def apply(op: AssembledOperator, u: GridFunction) -> GridFunction:

@@ -11,17 +11,20 @@ finitely many active-set changes at the exact minimizer, or proves the
 problem infeasible when a violated row depends on the active rows and no
 active multiplier can shrink.
 
-H is given by its eigendecomposition H = V diag(d) V^T, which the callers
-know in closed form or compute once per operator; the square-root factor
-L = V diag(sqrt d), H = L L^T, takes the place of a Cholesky factor, so
-L^{-1} a = d^{-1/2} * (V^T a) and L^{-T} z = V (d^{-1/2} * z). The active rows
-enter through W = L^{-1} A_active, kept as a thin QR factorization W = Q R
-that is extended or downdated by one column per change; L^{-1} a_i is
-computed only for rows that enter.
+H is given by its eigendecomposition H = V diag(d) V^T with V square
+orthonormal, which the callers know in closed form, and g and the state
+rows by their coefficients in that basis: g = V gx and T = B V^T. The
+iterate is kept as x = V^T u. L = V diag(sqrt d), H = L L^T, takes the
+place of a Cholesky factor, so a row a with b = V^T a has
+L^{-1} a = d^{-1/2} * b, where b is -V[i] or V[i] for a bound and a row of
+B for a state row: an entering row costs O(n). The active rows enter
+through W = L^{-1} A_active, kept as a thin QR factorization W = Q R that
+is extended or downdated by one column per change.
 
-An H with an eigenvalue <= 0 (positive semidefinite only), or a result
-that misses the KKT certificate, is handled by proximal-point steps
-(Rockafellar, SIAM J. Control Optim. 14 (1976) 877): each step
+An H whose smallest eigenvalue is <= eps * its largest (positive
+semidefinite only, to round-off), or a result that misses the KKT
+certificate, is handled by proximal-point steps (Rockafellar, SIAM J.
+Control Optim. 14 (1976) 877): each step
 u_{k+1} = argmin f(u) + delta/2 ||u - u_k||^2 over the same constraints is
 one dual active-set solve with H + delta I, i.e. iterated Tikhonov
 regularization, and a step is accepted only through the certificate on H.
@@ -58,11 +61,10 @@ class QPResult:
     complementarity: float
 
 
-def _kkt_residuals(V, d, g, upper, T, psi, u, eta, wfac):
+def _kkt_residuals(V, d, gx, upper, B, psi, u, eta, wfac):
     """Multiplier split and residual norms for the original problem."""
-    r = V @ (d * (V.T @ u)) + g
-    if T is not None and T.shape[0]:
-        r = r + T.T @ eta
+    x = V.T @ u
+    r = V @ (d * x + gx + B.T @ eta)
     finite_up = np.isfinite(upper)
     mu_lower = np.maximum(r, 0.0)
     mu_upper = np.where(finite_up, np.maximum(-r, 0.0), 0.0)
@@ -72,44 +74,35 @@ def _kkt_residuals(V, d, g, upper, T, psi, u, eta, wfac):
     if finite_up.any():
         comp = max(comp, float(np.max(np.abs(
             mu_upper[finite_up] * (upper[finite_up] - u[finite_up])))))
-    primal = 0.0
-    if T is not None and T.shape[0]:
-        gap = T @ u - psi
-        primal = float(np.max(np.maximum(gap, 0.0), initial=0.0))
-        comp = max(comp, float(np.max(np.abs(eta * gap), initial=0.0)))
+    gap = B @ x - psi
+    primal = float(np.max(gap, initial=0.0))
+    comp = max(comp, float(np.max(np.abs(eta * gap), initial=0.0)))
     return mu_lower, mu_upper, stationarity, primal, comp
 
 
-def _dual_active_set(V, d, g, upper, T, psi, feas_tol):
+def _dual_active_set(V, d, gx, upper, B, psi, feas_tol):
     """Goldfarb-Idnani iteration on H = V diag(d) V^T with every d > 0;
-    returns (u, eta, active-set changes).
+    returns (x, eta, active-set changes) with u = V x.
 
     Rows 0..n-1 are the lower bounds (-u_i <= 0), the next ones the
-    finite upper bounds (u_i <= upper_i), the rest the rows of T. A row with
-    violation a_i^T u - c_i <= feas_tol counts as satisfied. Raises
-    InfeasibleProblem when the constraints admit no point. After 10 changes
-    per row the current (dual-feasible, possibly primal-infeasible) iterate
-    is returned.
+    finite upper bounds (u_i <= upper_i), the rest the state rows B V^T;
+    `normal` gives b_i = V^T a_i. A row with violation a_i^T u - c_i <=
+    feas_tol counts as satisfied. Raises InfeasibleProblem when the
+    constraints admit no point. After 10 changes per row the current
+    (dual-feasible, possibly primal-infeasible) iterate is returned.
     """
     n = d.size
     up = np.flatnonzero(np.isfinite(upper))
     nb = n + up.size
-    if T is None:
-        T, psi = np.zeros((0, n)), np.zeros(0)
     c = np.concatenate([np.zeros(n), upper[up], psi])
 
     def normal(i):
         if i >= nb:
-            return T[i - nb]
-        a = np.zeros(n)
-        if i < n:
-            a[i] = -1.0
-        else:
-            a[up[i - n]] = 1.0
-        return a
+            return B[i - nb]
+        return -V[i] if i < n else V[up[i - n]]
 
-    rsd = 1.0 / np.sqrt(d)      # L^{-1} = diag(rsd) V^T
-    u = -V @ ((V.T @ g) / d)
+    rsd = 1.0 / np.sqrt(d)      # L^{-1} a = rsd * (V^T a)
+    x = -gx / d
     # raw LAPACK solve with the small triangular R: solve_triangular's
     # argument checks cost more than the solve itself, once per change
     trtrs = sla.get_lapack_funcs("trtrs", (V,))
@@ -119,16 +112,18 @@ def _dual_active_set(V, d, g, upper, T, psi, feas_tol):
     changes, p = 0, -1
     while changes < 10 * (c.size + 1):
         if p < 0:  # pick the most violated row
-            slack = np.concatenate([-u, u[up], T @ u]) - c
+            u = V @ x
+            slack = np.concatenate([-u, u[up], B @ x]) - c
             slack[active] = -np.inf
             p = int(np.argmax(slack))
             if slack[p] <= feas_tol:
                 break
-            a = normal(p)
-            w = rsd * (V.T @ a)
+            b = normal(p)
+            w = rsd * b
             mult_p = 0.0
         # split w = Q y + z with z orthogonal to the active columns; the
-        # primal step is -L^{-T} z and the active multipliers move by -r
+        # primal step is -L^{-T} z, i.e. -rsd * z in x, and the active
+        # multipliers move by -r
         y = Q.T @ w
         z = w - Q @ y
         y2 = Q.T @ z              # second Gram-Schmidt pass
@@ -138,7 +133,7 @@ def _dual_active_set(V, d, g, upper, T, psi, feas_tol):
         zz = z @ z
         full = np.inf             # step length that makes row p active
         if np.sqrt(zz) > DEPENDENT_TOL * np.linalg.norm(w):
-            full = (a @ u - c[p]) / zz
+            full = (b @ x - c[p]) / zz
         shrink = np.flatnonzero(r > 0.0)  # step length that zeroes mult[k]
         partial, k = np.inf, -1
         if shrink.size:
@@ -148,10 +143,10 @@ def _dual_active_set(V, d, g, upper, T, psi, feas_tol):
         step = min(full, partial)
         if step == np.inf:
             raise InfeasibleProblem(
-                f"constraints infeasible: a row violated by {a @ u - c[p]:.3e} "
+                f"constraints infeasible: a row violated by {b @ x - c[p]:.3e} "
                 "depends on the active rows")
         if full < np.inf:
-            u = u - step * (V @ (rsd * z))
+            x = x - step * (rsd * z)
         mult = np.maximum(mult - step * r, 0.0)
         mult_p += step
         changes += 1
@@ -171,47 +166,51 @@ def _dual_active_set(V, d, g, upper, T, psi, feas_tol):
             Q, R = Q[:, :len(active) - 1], R[:len(active) - 1]  # thin factors
             del active[k]
             mult = np.delete(mult, k)
-    eta = np.zeros(T.shape[0])
+    eta = np.zeros(B.shape[0])
     for i, m in zip(active, mult):
         if i >= nb:
             eta[i - nb] = m
-    return u, eta, changes
+    return x, eta, changes
 
 
-def _certified(V, d, g, upper, T, psi, tol, wfac, u, eta, changes):
-    """QPResult for (u, eta) when its KKT residuals on the original problem
-    are all <= tol, else None."""
+def _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes):
+    """QPResult for u = V x and eta when their KKT residuals on the original
+    problem are all <= tol, else None."""
+    u = V @ x
     mu_lo, mu_up, stat, primal, comp = _kkt_residuals(
-        V, d, g, upper, T, psi, u, eta, wfac)
+        V, d, gx, upper, B, psi, u, eta, wfac)
     if max(stat, primal, comp) <= tol:
         return QPResult(u, mu_lo, mu_up, eta, changes, stat, primal, comp)
     return None
 
 
-def solve_box_state_qp(H, g: np.ndarray, upper: np.ndarray,
-                       T: Optional[np.ndarray], psi: Optional[np.ndarray],
+def solve_box_state_qp(H, gx: np.ndarray, upper: np.ndarray,
+                       B: Optional[np.ndarray], psi: Optional[np.ndarray],
                        tol: float, wfac: float) -> QPResult:
     """Solve the QP with certified KKT residuals <= tol.
 
-    H is the pair (V, d) with H = V diag(d) V^T and V orthonormal, or a
-    dense symmetric matrix, which is split by one eigendecomposition here.
-    Raises InfeasibleProblem when no box point satisfies Tu <= psi and
-    NonConvergence when MAX_PROX_STEPS proximal steps miss the certificate.
+    H is the pair (V, d) with H = V diag(d) V^T and V square orthonormal.
+    The gradient at 0 and the state rows are given in that basis: g = V gx
+    and T = B V^T. Raises InfeasibleProblem when no box point satisfies
+    T u <= psi and NonConvergence when MAX_PROX_STEPS proximal steps miss
+    the certificate.
     """
-    V, d = H if isinstance(H, tuple) else np.linalg.eigh(H)[::-1]
+    V, d = H
+    if B is None:
+        B, psi = np.zeros((0, d.size)), np.zeros(0)
     feas_tol = 0.1 * tol
-    u, changes = np.zeros(d.size), 0   # first proximal center
-    if np.min(d) > 0.0:
-        u, eta, changes = _dual_active_set(V, d, g, upper, T, psi, feas_tol)
-        res = _certified(V, d, g, upper, T, psi, tol, wfac, u, eta, changes)
+    x, changes = np.zeros(d.size), 0   # first proximal center
+    if np.min(d) > np.finfo(float).eps * np.max(d):  # definite to round-off
+        x, eta, changes = _dual_active_set(V, d, gx, upper, B, psi, feas_tol)
+        res = _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes)
         if res is not None:
             return res
     delta = PROX_SCALE * (float(np.max((V**2) @ d, initial=0.0)) or 1.0)
     for _ in range(MAX_PROX_STEPS):
-        u, eta, k = _dual_active_set(V, d + delta, g - delta * u, upper, T,
+        x, eta, k = _dual_active_set(V, d + delta, gx - delta * x, upper, B,
                                      psi, feas_tol)
         changes += k
-        res = _certified(V, d, g, upper, T, psi, tol, wfac, u, eta, changes)
+        res = _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes)
         if res is not None:
             return res
     raise NonConvergence(f"no KKT certificate after {MAX_PROX_STEPS} proximal "

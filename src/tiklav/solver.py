@@ -65,19 +65,19 @@ def _classify_active(u_values, aset: AdmissibleSet, eps: float = ACTIVE_TOL):
 
 
 def _build_quadratic(op: AssembledOperator, y_d: GridFunction, alpha: float):
-    """Hessian 2(S*S + alpha I) as its eigenpairs (V, d), and the gradient at 0."""
+    """Hessian 2(S*S + alpha I) as its eigenpairs (V, d), and the gradient
+    at 0 in that basis, -2 V^T S* y_d = -2 s * V^T y_d."""
     V, s2 = op.gram_eig
-    return (V, 2.0 * (s2 + alpha)), -2.0 * (op.adjoint_matrix @ y_d.values)
+    return (V, 2.0 * (s2 + alpha)), -2.0 * op.s * (V.T @ y_d.values)
 
 
 def solve_unconstrained(op: AssembledOperator, y_d: GridFunction,
                         alpha: float) -> GridFunction:
-    """Solve (S*S + alpha I) u = S* y_d in the eigenbasis of S*S."""
+    """Solve (S*S + alpha I) u = S* y_d in the eigenbasis of S."""
     if alpha <= 0:
         raise AlphaNonPositive(f"alpha must be positive, got {alpha}")
-    V, s2 = op.gram_eig
-    rhs = op.adjoint_matrix @ y_d.values
-    return GridFunction(op.grid, V @ ((V.T @ rhs) / (s2 + alpha)))
+    (V, d), gx = _build_quadratic(op, y_d, alpha)
+    return GridFunction(op.grid, V @ (-gx / d))
 
 
 def solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
@@ -85,10 +85,10 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
     if problem.alpha <= 0:
         raise AlphaNonPositive(f"alpha must be positive, got {problem.alpha}")
     aset = problem.aset
-    H, g = _build_quadratic(problem.op, problem.y_d, problem.alpha)
-    T, psi = aset.constraint_matrix()
+    H, gx = _build_quadratic(problem.op, problem.y_d, problem.alpha)
+    B, psi = aset.constraint_matrix()
     wfac = np.sqrt(problem.op.grid.weight)
-    res = qp.solve_box_state_qp(H, g, aset.box.upper, T, psi, tol, wfac)
+    res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac)
     u = GridFunction(problem.op.grid, res.u)
     lo, up, st = _classify_active(res.u, aset)
     return Solution(
@@ -125,10 +125,10 @@ def pseudo_inverse(op: AssembledOperator, y_d: GridFunction,
     constraint ||Su - y_d||^2 <= m* + tol while never exceeding the norm of
     the true minimal-norm minimizer.
     """
-    H, g = _build_quadratic(op, y_d, 0.0)
-    T, psi = aset.constraint_matrix()
+    H, gx = _build_quadratic(op, y_d, 0.0)
+    B, psi = aset.constraint_matrix()
     wfac = np.sqrt(op.grid.weight)
-    res = qp.solve_box_state_qp(H, g, aset.box.upper, T, psi, tol, wfac)
+    res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac)
     w = op.grid.weight
     r = op.apply_values(res.u) - y_d.values
     m_star = float(w * (r @ r))
@@ -153,8 +153,10 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
     """Ground-truth solve by exhaustive enumeration of activity patterns.
 
     Each node is lower-active, upper-active (finite b only) or free; each
-    finite-psi region row is active or inactive. The unique pattern whose
-    equality-constrained KKT system gives a primal/dual feasible point wins.
+    finite-psi region row is active or inactive. The first pattern whose
+    equality-constrained KKT system gives a primal/dual feasible point with
+    recomputed stationarity <= max(tol, 1e-9) wins. Its dense H and state
+    rows come from `op.matrix`, independent of the eigenbasis `solve` uses.
     """
     n = problem.op.grid.num_nodes
     if n > ORACLE_CAP:
@@ -162,44 +164,34 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
     if problem.alpha <= 0:
         raise AlphaNonPositive(f"alpha must be positive, got {problem.alpha}")
     aset = problem.aset
-    # a dense H of its own: the oracle shares no factorization with `solve`
+    # a dense H and T of its own: the oracle shares no basis with `solve`
+    S = problem.op.matrix
     H = 2.0 * problem.op.gram + 2.0 * problem.alpha * np.eye(n)
-    g = -2.0 * (problem.op.adjoint_matrix @ problem.y_d.values)
-    T, psi = aset.constraint_matrix()
-    m = 0 if T is None else T.shape[0]
+    g = -2.0 * (S.T @ problem.y_d.values)
+    finite = np.isfinite(aset.state.psi)
+    idx = aset.state.region.indices[finite]
+    T = S[idx]  # fancy indexing: a copy, safe to shift
+    T[np.arange(idx.size), idx] += aset.shift
     b = aset.box.upper
+    # every row a_i^T u <= c_i: lower bounds, upper bounds, state rows
+    A_all = np.vstack([-np.eye(n), np.eye(n), T])
+    c_all = np.concatenate([np.zeros(n), b, aset.state.psi[finite]])
     node_states = [(0, 1, 2) if np.isfinite(b[i]) else (0, 1) for i in range(n)]
 
     patterns = itertools.product(
         itertools.product(*node_states),
-        itertools.product((0, 1), repeat=m),
+        itertools.product((0, 1), repeat=idx.size),
     )
     feas_tol = max(tol, 1e-9)
     for box_pat, st_pat in patterns:
-        Lidx = [i for i, s in enumerate(box_pat) if s == 1]
-        Uidx = [i for i, s in enumerate(box_pat) if s == 2]
-        Aidx = [j for j, s in enumerate(st_pat) if s == 1]
-        k = len(Lidx) + len(Uidx) + len(Aidx)
-        K = np.zeros((n + k, n + k))
-        rhs = np.zeros(n + k)
+        rows = ([i for i, s in enumerate(box_pat) if s == 1]
+                + [n + i for i, s in enumerate(box_pat) if s == 2]
+                + [2 * n + j for j, s in enumerate(st_pat) if s == 1])
+        K = np.zeros((n + len(rows), n + len(rows)))
         K[:n, :n] = H
-        rhs[:n] = -g
-        col = n
-        for i in Lidx:
-            K[i, col] = -1.0
-            K[n + (col - n), i] = 1.0
-            rhs[n + (col - n)] = 0.0
-            col += 1
-        for i in Uidx:
-            K[i, col] = 1.0
-            K[n + (col - n), i] = 1.0
-            rhs[n + (col - n)] = b[i]
-            col += 1
-        for j in Aidx:
-            K[:n, col] += T[j]
-            K[n + (col - n), :n] = T[j]
-            rhs[n + (col - n)] = psi[j]
-            col += 1
+        K[n:, :n] = A_all[rows]
+        K[:n, n:] = K[n:, :n].T
+        rhs = np.concatenate([-g, c_all[rows]])
         try:
             sol = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
@@ -207,34 +199,19 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
             if np.linalg.norm(K @ sol - rhs) > 1e-8 * (1 + np.linalg.norm(rhs)):
                 continue
         u = sol[:n]
-        mults = sol[n:]
-        if mults.size and np.min(mults) < -feas_tol:
+        if sol[n:].min(initial=0.0) < -feas_tol \
+                or (A_all @ u - c_all).max() > feas_tol:
             continue
-        if np.min(u) < -feas_tol:
-            continue
-        finite = np.isfinite(b)
-        if finite.any() and np.min(b[finite] - u[finite]) < -feas_tol:
-            continue
-        if m and np.max(T @ u - psi) > feas_tol:
-            continue
-        mu_lower = np.zeros(n)
-        mu_upper = np.zeros(n)
-        eta = np.zeros(m)
-        pos = 0
-        for i in Lidx:
-            mu_lower[i] = mults[pos]
-            pos += 1
-        for i in Uidx:
-            mu_upper[i] = mults[pos]
-            pos += 1
-        for j in Aidx:
-            eta[j] = mults[pos]
-            pos += 1
-        uf = GridFunction(problem.op.grid, u)
-        lo, up, st = _classify_active(u, aset)
-        r = H @ u + g + (T.T @ eta if m else 0.0)
+        mults = np.zeros(c_all.size)
+        mults[rows] = sol[n:]
+        mu_lower, mu_upper, eta = np.split(mults, [n, 2 * n])
+        r = H @ u + g + T.T @ eta
         wfac = np.sqrt(problem.op.grid.weight)
         stat = wfac * np.linalg.norm(r - mu_lower + mu_upper)
+        if stat > feas_tol:  # a near-singular pattern's inexact solve
+            continue
+        uf = GridFunction(problem.op.grid, u)
+        lo, up, st = _classify_active(u, aset)
         return Solution(
             u=uf, y=apply(problem.op, uf), objective=problem.objective(u),
             mu_lower=mu_lower, mu_upper=mu_upper, eta=eta,

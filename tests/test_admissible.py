@@ -52,22 +52,33 @@ class TestConstruction:
         assert shifted.box is aset.box and shifted.op is aset.op
 
     def test_constraint_matrix_shift_sign(self):
-        aset = small_set(n=5, lam=0.2, sign="plus")
-        T_plus, _ = aset.constraint_matrix()
-        T0, _ = aset.with_lambda(0.0).constraint_matrix()
-        assert np.allclose(T_plus, T0 + 0.2 * np.eye(5))
-        T_minus, _ = aset.with_lambda(0.2, "minus").constraint_matrix()
-        assert np.allclose(T_minus, T0 - 0.2 * np.eye(5))
+        # the eigen rows B give the dense rows S[idx] +- lam e_idx as B V^T
+        for op in (assemble_poisson(DomainGrid(1, 8)),
+                   assemble_poisson(DomainGrid(2, 4)),
+                   assemble_fredholm(DomainGrid(1, 8),
+                                     KernelSpec("gaussian", width=0.3))):
+            grid = op.grid
+            idx = np.arange(1, grid.num_nodes, 2)
+            for sign, shift in (("plus", 0.2), ("minus", -0.2)):
+                state = StateConstraint(ObservationRegion(grid, idx), 0.05,
+                                        0.2, sign)
+                aset = AdmissibleSet(BoxBounds.constant(grid, 1.0), state, op)
+                B, _ = aset.constraint_matrix()
+                S = op.matrix
+                T = S[idx]
+                T[np.arange(idx.size), idx] += shift
+                assert np.max(np.abs(B @ op.V.T - T)) \
+                    <= 1e-12 * np.linalg.norm(S)
 
     @pytest.mark.parametrize("lam", [0.0, 0.2])
     def test_constraint_matrix_is_a_copy(self, lam):
         aset = small_set(n=5, lam=lam, sign="plus")
-        before = aset.op.matrix.copy()
+        V_before = aset.op.V.copy()
         psi_before = aset.state.psi.copy()
-        T, psi = aset.constraint_matrix()
-        T[:] = -7.0
+        B, psi = aset.constraint_matrix()
+        B[:] = -7.0
         psi[:] = -7.0
-        assert np.array_equal(aset.op.matrix, before)
+        assert np.array_equal(aset.op.V, V_before)
         assert np.array_equal(aset.state.psi, psi_before)
 
     def test_infinite_psi_rows_dropped(self):

@@ -25,14 +25,15 @@ from tiklav.solver import (RegularizedProblem, oracle_solve, pseudo_inverse,
                            solve_unconstrained)
 
 
-def loose_problem(n=8, alpha=0.1, b=np.inf, psi=100.0):
+def loose_problem(n=8, alpha=0.1, b=np.inf, psi=100.0, grid=None):
     """A problem whose constraints are all inactive at the optimum."""
-    grid = DomainGrid(1, n)
+    grid = grid or DomainGrid(1, n)
     op = assemble_poisson(grid)
+    n = grid.num_nodes
     state = StateConstraint(ObservationRegion.all_nodes(grid), np.full(n, psi))
     aset = AdmissibleSet(BoxBounds.constant(grid, b), state, op)
-    x = grid.coords[:, 0]
-    y_d = GridFunction(grid, x * (1 - x))
+    x = grid.coords
+    y_d = GridFunction(grid, np.prod(x * (1 - x), axis=1))
     return RegularizedProblem(op, y_d, aset, alpha)
 
 
@@ -111,6 +112,23 @@ class TestOracle:
         assert prob.op.grid.num_nodes == 5 and prob.aset.sign == "plus"
         s = solve(prob, tol=1e-10)
         o = oracle_solve(prob, tol=1e-10)
+        assert wnorm(prob.op.grid, s.u.values - o.u.values) <= 1e-8
+        assert np.array_equal(s.active_lower, o.active_lower)
+        assert np.array_equal(s.active_upper, o.active_upper)
+        assert np.array_equal(s.active_state, o.active_state)
+
+    @pytest.mark.parametrize("seed, draw", [(8, 83), (10, 70)])
+    def test_oracle_skips_inexact_patterns(self, seed, draw):
+        # 1D Poisson, n=4: the block system of a near-singular pattern once
+        # solved without error, and the oracle returned that point with
+        # stationarity 10.7 (seed 8) or 0.147 (seed 10)
+        rng = np.random.default_rng(seed)
+        for _ in range(draw + 1):
+            prob = random_problem(rng)
+        assert prob.op.grid.num_nodes == 4
+        s = solve(prob, tol=1e-10)
+        o = oracle_solve(prob, tol=1e-10)
+        assert o.kkt_stationarity <= 1e-9
         assert wnorm(prob.op.grid, s.u.values - o.u.values) <= 1e-8
         assert np.array_equal(s.active_lower, o.active_lower)
         assert np.array_equal(s.active_upper, o.active_upper)
@@ -227,20 +245,23 @@ class TestNoFallback:
 
 
 def test_poisson_solve_uses_no_gram_and_no_cholesky(monkeypatch):
-    # the closed-form eigenbasis stands in for S^T S and every factorization
+    # the closed-form eigenbasis stands in for S, S^T S and every
+    # factorization: no dense S is read on the solve path, in 1D or 2D
     def forbidden(*args, **kwargs):
         raise AssertionError("called")
 
-    monkeypatch.setattr(AssembledOperator, "gram", property(forbidden))
+    for name in ("gram", "matrix"):
+        monkeypatch.setattr(AssembledOperator, name, property(forbidden))
     for mod, name in [(np.linalg, "cholesky"), (sla, "cholesky"),
                       (sla, "cho_factor"), (sla, "cho_solve")]:
         monkeypatch.setattr(mod, name, forbidden)
-    prob = loose_problem(psi=0.002, b=0.5, alpha=0.05)
-    sol = solve(prob, tol=1e-10)
-    assert len(sol.active_state) > 0
-    assert projection_formula_residual(sol, prob, tol=1e-8) <= 1e-7
-    solve_unconstrained(prob.op, prob.y_d, prob.alpha)
-    pseudo_inverse(prob.op, prob.y_d, prob.aset, tol=1e-9)
+    for grid in (DomainGrid(1, 8), DomainGrid(2, 5)):
+        prob = loose_problem(grid=grid, psi=0.002, b=0.5, alpha=0.05)
+        sol = solve(prob, tol=1e-10)
+        assert len(sol.active_state) > 0
+        assert projection_formula_residual(sol, prob, tol=1e-8) <= 1e-7
+        solve_unconstrained(prob.op, prob.y_d, prob.alpha)
+        pseudo_inverse(prob.op, prob.y_d, prob.aset, tol=1e-9)
 
 
 def test_solve_does_not_import_scipy_optimize(tmp_path):
