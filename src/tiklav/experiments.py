@@ -14,6 +14,7 @@ from .errors import (InvalidRule, InvalidSweep, LambdaExceedsSlaterCap,
                      NoTransition)
 from .grid import GridFunction, wnorm
 from .manufacture import ManufacturedInstance, add_noise
+from .qp import ActiveSet
 from .solver import RegularizedProblem, Solution, solve
 
 CSV_COLUMNS = ("alpha", "lambda", "delta", "err_u", "err_Su", "margin_lo",
@@ -51,13 +52,15 @@ class RateFit:
 
 def _solve(inst: ManufacturedInstance, aset: AdmissibleSet, alpha: float,
            tol: float, y_d: Optional[GridFunction] = None,
-           delta: float = 0.0) -> Tuple[SweepRecord, Solution]:
-    """Solve over aset at alpha with data y_d (default: the exact data) and
-    record the errors against the instance's exact solution and data."""
+           delta: float = 0.0,
+           start: Optional[ActiveSet] = None) -> Tuple[SweepRecord, Solution]:
+    """Solve over aset at alpha with data y_d (default: the exact data),
+    warm-started from `start` (the previous solve of a path), and record
+    the errors against the instance's exact solution and data."""
     g = aset.op.grid
     prob = RegularizedProblem(aset.op, inst.y_d if y_d is None else y_d,
                               aset, alpha)
-    sol = solve(prob, tol=tol)
+    sol = solve(prob, tol=tol, start=start)
     rep = feasibility(sol.u, aset)
     rec = SweepRecord(
         alpha=alpha, lam=aset.lam, delta=delta,
@@ -106,7 +109,11 @@ def sweep_alpha(inst: ManufacturedInstance, alpha_list: Sequence[float],
             any(alphas[i] <= alphas[i + 1] for i in range(len(alphas) - 1)):
         raise InvalidSweep("alpha_list must be >= 4 positive values, descending")
     aset = inst.aset.with_lambda(0.0)
-    records = [_solve(inst, aset, a, tol)[0] for a in alphas]
+    records, active = [], None
+    for a in alphas:
+        rec, sol = _solve(inst, aset, a, tol, start=active)
+        records.append(rec)
+        active = sol.active_set
     checks = [_apriori_bounds(r, inst.w_norm, inst.residual_norm, tol)
               for r in records]
     fit = fit_rate([r.alpha for r in records], [r.err_u for r in records], tol)
@@ -151,11 +158,14 @@ def noise_study(inst: ManufacturedInstance, delta_list: Sequence[float],
     positive = [d for d in deltas if d > 0]
     alpha_floor = c * min(positive) ** s if positive else 1e-6
     aset = inst.aset.with_lambda(0.0)
-    records = []
+    records, active = [], None
     for i, d in enumerate(deltas):
         alpha = c * d**s if d > 0 else alpha_floor
         noisy = add_noise(inst.y_d, d, seed + i).y_delta
-        records.append(_solve(inst, aset, alpha, tol, y_d=noisy, delta=d)[0])
+        rec, sol = _solve(inst, aset, alpha, tol, y_d=noisy, delta=d,
+                          start=active)
+        records.append(rec)
+        active = sol.active_set
     checks = [_apriori_bounds(r, inst.w_norm, r.delta, tol) for r in records]
     inactive = [r.n_active_lo == 0 and r.n_active_up == 0
                 and r.n_active_state == 0 for r in records]
@@ -180,8 +190,11 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
     base = _solve(inst, base_set, alpha, tol)[1]
     g = base_set.op.grid
     records, errors, plus_feasible, minus_violation = [], [], [], []
+    active = base.active_set  # descending lam: each solve starts nearby
     for lam in lams:
-        rec, sol = _solve(inst, inst.aset.with_lambda(lam, sign), alpha, tol)
+        rec, sol = _solve(inst, inst.aset.with_lambda(lam, sign), alpha, tol,
+                          start=active)
+        active = sol.active_set
         records.append(rec)
         errors.append(wnorm(g, sol.u.values - base.u.values))
         rep0 = feasibility(sol.u, base_set)
@@ -213,10 +226,13 @@ def total_error_study(inst: ManufacturedInstance, alpha_list: Sequence[float],
     error order and checks the triangle split against the lam = 0 solve."""
     g = inst.aset.op.grid
     records, triangle = [], []
+    active, active0 = None, None  # two paths: shifted sets and lam = 0
     for a in alpha_list:
         rec, sol = _solve(inst, inst.aset.with_lambda(min(lam_cap, a), sign),
-                          a, tol)
-        sol0 = _solve(inst, inst.aset.with_lambda(0.0), a, tol)[1]
+                          a, tol, start=active)
+        sol0 = _solve(inst, inst.aset.with_lambda(0.0), a, tol,
+                      start=active0)[1]
+        active, active0 = sol.active_set, sol0.active_set
         records.append(rec)
         rhs = wnorm(g, inst.u_bar.values - sol0.u.values) \
             + wnorm(g, sol0.u.values - sol.u.values)
@@ -231,8 +247,10 @@ def alpha_continuity_check(op, y_d: GridFunction, aset: AdmissibleSet,
     """Check ||u_beta - u_alpha|| <= (|alpha-beta|/beta) ||u_alpha|| + 20 tol."""
     out = []
     for a, b in pairs:
-        ua = solve(RegularizedProblem(op, y_d, aset, a), tol=tol).u
-        ub = solve(RegularizedProblem(op, y_d, aset, b), tol=tol).u
+        sol_a = solve(RegularizedProblem(op, y_d, aset, a), tol=tol)
+        ua = sol_a.u
+        ub = solve(RegularizedProblem(op, y_d, aset, b), tol=tol,
+                   start=sol_a.active_set).u
         lhs = wnorm(op.grid, ub.values - ua.values)
         out.append(bool(lhs <= abs(a - b) / b * ua.norm() + 20 * tol))
     return out

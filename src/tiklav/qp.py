@@ -29,6 +29,18 @@ u_{k+1} = argmin f(u) + delta/2 ||u - u_k||^2 over the same constraints is
 one dual active-set solve with H + delta I, i.e. iterated Tikhonov
 regularization, and a step is accepted only through the certificate on H.
 
+A solve can start from the active set of a nearby one (`start`, e.g. the
+previous point of a lambda or alpha path, or the previous proximal step):
+the dual method needs only a dual-feasible start (Goldfarb and Idnani;
+Ferreau, Bock and Diehl, Int. J. Robust Nonlinear Control 18 (2008) 816).
+The start rows that exist in the problem and are independent are factored,
+x is the minimizer with them as equalities, and the row with the most
+negative multiplier is dropped until every multiplier is >= 0; the usual
+iteration then runs from there. Any start, however stale, is valid: the
+result is certified as a cold one is, and the start changes only the
+number of active-set changes (and, within the certificate, which rows
+violated by at most 0.1 tol are left inactive).
+
 The weighted L2 structure of the grid cancels out of the optimality
 system for uniform quadrature weights; norms reported to callers are
 rescaled by sqrt(h^d) via the `wfac` argument.
@@ -37,7 +49,7 @@ rescaled by sqrt(h^d) via the `wfac` argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -49,16 +61,26 @@ PROX_SCALE = 1e-6       # proximal weight delta = PROX_SCALE * max(diag H)
 MAX_PROX_STEPS = 200
 
 
+class ActiveSet(NamedTuple):
+    """Active rows by kind: lower-bound nodes, upper-bound nodes and state
+    rows (positions into the rows of B), each a sorted int array."""
+    lower: np.ndarray
+    upper: np.ndarray
+    state: np.ndarray
+
+
 @dataclass
 class QPResult:
     u: np.ndarray
     mu_lower: np.ndarray
     mu_upper: np.ndarray
     eta: np.ndarray
-    iterations: int          # active-set changes, summed over proximal steps
+    iterations: int          # active-set changes after the warm start,
+                             # summed over proximal steps
     stationarity: float
     primal: float
     complementarity: float
+    active: ActiveSet        # the engine's final active rows
 
 
 def _kkt_residuals(V, d, gx, upper, B, psi, u, eta, wfac):
@@ -80,16 +102,62 @@ def _kkt_residuals(V, d, gx, upper, B, psi, u, eta, wfac):
     return mu_lower, mu_upper, stationarity, primal, comp
 
 
-def _dual_active_set(V, d, gx, upper, B, psi, feas_tol):
+def _split(Q, w):
+    """w = Q y + z with z orthogonal to the columns of Q; two Gram-Schmidt
+    passes."""
+    y = Q.T @ w
+    z = w - Q @ y
+    y2 = Q.T @ z
+    z -= Q @ y2
+    return y + y2, z
+
+
+def _extend(Q, R, y, z, zn):
+    """Thin QR factors of [Q R, Q y + z], where zn = |z| > 0."""
+    q = y.size
+    R_new = np.zeros((q + 1, q + 1))
+    R_new[:q, :q] = R
+    R_new[:q, q] = y
+    R_new[q, q] = zn
+    return np.column_stack([Q, z / zn]), R_new
+
+
+def _delete(Q, R, k):
+    """Thin QR factors of Q R without column k."""
+    Q, R = sla.qr_delete(Q, R, k, which="col", check_finite=False)
+    q = R.shape[1]
+    return Q[:, :q], R[:q]
+
+
+def _start_rows(start, V, up, B):
+    """Engine row ids of the start's rows that exist in this problem (lower
+    nodes in [0, n), upper nodes with a finite bound, rows of B), and their
+    b_i = V^T a_i as the rows of a matrix. Nothing for an empty start."""
+    n = V.shape[0]
+    if start is None:
+        return np.zeros(0, dtype=np.intp), np.zeros((0, n))
+    lo, hi, st = (np.asarray(a, dtype=np.intp) for a in start)
+    lo = lo[(lo >= 0) & (lo < n)]
+    pos = np.searchsorted(up, hi)
+    hit = pos < up.size
+    hit[hit] = up[pos[hit]] == hi[hit]
+    st = st[(st >= 0) & (st < B.shape[0])]
+    return (np.concatenate([lo, n + pos[hit], n + up.size + st]),
+            np.vstack([-V[lo], V[hi[hit]], B[st]]))
+
+
+def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     """Goldfarb-Idnani iteration on H = V diag(d) V^T with every d > 0;
-    returns (x, eta, active-set changes) with u = V x.
+    returns (x, eta, active-set changes, ActiveSet) with u = V x.
 
     Rows 0..n-1 are the lower bounds (-u_i <= 0), the next ones the
     finite upper bounds (u_i <= upper_i), the rest the state rows B V^T;
     `normal` gives b_i = V^T a_i. A row with violation a_i^T u - c_i <=
-    feas_tol counts as satisfied. Raises InfeasibleProblem when the
-    constraints admit no point. After 10 changes per row the current
-    (dual-feasible, possibly primal-infeasible) iterate is returned.
+    feas_tol counts as satisfied. The iteration starts from the rows of
+    `start` made dual feasible (see the module docstring); changes made
+    there are not counted. Raises InfeasibleProblem when the constraints
+    admit no point. After 10 changes per row the current (dual-feasible,
+    possibly primal-infeasible) iterate is returned.
     """
     n = d.size
     up = np.flatnonzero(np.isfinite(upper))
@@ -106,9 +174,40 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol):
     # raw LAPACK solve with the small triangular R: solve_triangular's
     # argument checks cost more than the solve itself, once per change
     trtrs = sla.get_lapack_funcs("trtrs", (V,))
-    active = []                  # row ids in the column order of Q R
-    mult = np.zeros(0)           # their multipliers, kept >= 0
-    Q, R = np.zeros((n, 0)), np.zeros((0, 0))
+
+    # warm start: factor the independent start rows as W = L^{-1} A = Q R;
+    # in s = L^T u the equality-constrained minimizer is s = s0 - W mult
+    # with R^T R mult = W^T s0 - c, the rows' violations at u0 = V x
+    rows, normals = _start_rows(start, V, up, B)
+    W = rsd * normals            # row j is L^{-1} a for row rows[j]
+    wn = np.linalg.norm(W, axis=1)
+    Q, R = np.empty((n, rows.size), order="F"), np.zeros((rows.size,) * 2)
+    kept = []
+    for j in range(rows.size):
+        q = len(kept)
+        y, z = _split(Q[:, :q], W[j])
+        zn = np.sqrt(z @ z)
+        if zn > DEPENDENT_TOL * wn[j]:
+            R[:q, q], R[q, q], Q[:, q] = y, zn, z / zn
+            kept.append(j)
+    q = len(kept)
+    Q, R = Q[:, :q], R[:q, :q]
+    active = rows[kept].tolist()  # row ids in the column order of Q R
+    viol = normals[kept] @ x - c[rows[kept]]
+
+    def multipliers():
+        return trtrs(R, trtrs(R, viol, trans=1)[0])[0] if viol.size else viol
+
+    mult = multipliers()
+    while mult.size and mult.min() < 0.0:  # drop until dual feasible
+        k = int(np.argmin(mult))
+        Q, R = _delete(Q, R, k)
+        del active[k]
+        viol = np.delete(viol, k)
+        mult = multipliers()
+    if active:
+        x = x - rsd * (Q @ (R @ mult))
+
     changes, p = 0, -1
     while changes < 10 * (c.size + 1):
         if p < 0:  # pick the most violated row
@@ -124,15 +223,12 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol):
         # split w = Q y + z with z orthogonal to the active columns; the
         # primal step is -L^{-T} z, i.e. -rsd * z in x, and the active
         # multipliers move by -r
-        y = Q.T @ w
-        z = w - Q @ y
-        y2 = Q.T @ z              # second Gram-Schmidt pass
-        z -= Q @ y2
-        y += y2
+        y, z = _split(Q, w)
         r = trtrs(R, y)[0] if y.size else y
         zz = z @ z
+        zn = np.sqrt(zz)
         full = np.inf             # step length that makes row p active
-        if np.sqrt(zz) > DEPENDENT_TOL * np.linalg.norm(w):
+        if zn > DEPENDENT_TOL * np.linalg.norm(w):
             full = (b @ x - c[p]) / zz
         shrink = np.flatnonzero(r > 0.0)  # step length that zeroes mult[k]
         partial, k = np.inf, -1
@@ -151,66 +247,70 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol):
         mult_p += step
         changes += 1
         if full <= partial:  # row p becomes active
-            q = y.size
-            Q = np.column_stack([Q, z / np.sqrt(zz)])
-            R_new = np.zeros((q + 1, q + 1))
-            R_new[:q, :q] = R
-            R_new[:q, q] = y
-            R_new[q, q] = np.sqrt(zz)
-            R = R_new
+            Q, R = _extend(Q, R, y, z, zn)
             active.append(p)
             mult = np.append(mult, mult_p)
             p = -1
         else:                # row k leaves; p is tried again
-            Q, R = sla.qr_delete(Q, R, k, which="col", check_finite=False)
-            Q, R = Q[:, :len(active) - 1], R[:len(active) - 1]  # thin factors
+            Q, R = _delete(Q, R, k)
             del active[k]
             mult = np.delete(mult, k)
+    ids = np.array(active, dtype=np.intp)
     eta = np.zeros(B.shape[0])
-    for i, m in zip(active, mult):
-        if i >= nb:
-            eta[i - nb] = m
-    return x, eta, changes
+    eta[ids[ids >= nb] - nb] = mult[ids >= nb]
+    ids.sort()
+    return x, eta, changes, ActiveSet(
+        ids[ids < n], up[ids[(ids >= n) & (ids < nb)] - n], ids[ids >= nb] - nb)
 
 
-def _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes):
+def _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes, active):
     """QPResult for u = V x and eta when their KKT residuals on the original
-    problem are all <= tol, else None."""
+    problem are all <= tol, else None. u is exactly 0 or upper on the
+    active bound rows, where V x holds them only to round-off."""
     u = V @ x
+    u[active.lower] = 0.0
+    u[active.upper] = upper[active.upper]
     mu_lo, mu_up, stat, primal, comp = _kkt_residuals(
         V, d, gx, upper, B, psi, u, eta, wfac)
     if max(stat, primal, comp) <= tol:
-        return QPResult(u, mu_lo, mu_up, eta, changes, stat, primal, comp)
+        return QPResult(u, mu_lo, mu_up, eta, changes, stat, primal, comp,
+                        active)
     return None
 
 
 def solve_box_state_qp(H, gx: np.ndarray, upper: np.ndarray,
                        B: Optional[np.ndarray], psi: Optional[np.ndarray],
-                       tol: float, wfac: float) -> QPResult:
+                       tol: float, wfac: float,
+                       start: Optional[ActiveSet] = None) -> QPResult:
     """Solve the QP with certified KKT residuals <= tol.
 
     H is the pair (V, d) with H = V diag(d) V^T and V square orthonormal.
     The gradient at 0 and the state rows are given in that basis: g = V gx
-    and T = B V^T. Raises InfeasibleProblem when no box point satisfies
-    T u <= psi and NonConvergence when MAX_PROX_STEPS proximal steps miss
-    the certificate.
+    and T = B V^T. `start` is the active set of a nearby solve (e.g. a
+    previous `QPResult.active`); rows it names that do not exist here, or
+    depend on others, are skipped. Raises InfeasibleProblem when no box
+    point satisfies T u <= psi and NonConvergence when MAX_PROX_STEPS
+    proximal steps miss the certificate.
     """
     V, d = H
     if B is None:
         B, psi = np.zeros((0, d.size)), np.zeros(0)
     feas_tol = 0.1 * tol
-    x, changes = np.zeros(d.size), 0   # first proximal center
+    x, changes, active = np.zeros(d.size), 0, start  # first proximal center
     if np.min(d) > np.finfo(float).eps * np.max(d):  # definite to round-off
-        x, eta, changes = _dual_active_set(V, d, gx, upper, B, psi, feas_tol)
-        res = _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes)
+        x, eta, changes, active = _dual_active_set(V, d, gx, upper, B, psi,
+                                                   feas_tol, active)
+        res = _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes,
+                         active)
         if res is not None:
             return res
     delta = PROX_SCALE * (float(np.max((V**2) @ d, initial=0.0)) or 1.0)
-    for _ in range(MAX_PROX_STEPS):
-        x, eta, k = _dual_active_set(V, d + delta, gx - delta * x, upper, B,
-                                     psi, feas_tol)
+    for _ in range(MAX_PROX_STEPS):  # each step starts from the last one's set
+        x, eta, k, active = _dual_active_set(V, d + delta, gx - delta * x,
+                                             upper, B, psi, feas_tol, active)
         changes += k
-        res = _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes)
+        res = _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes,
+                         active)
         if res is not None:
             return res
     raise NonConvergence(f"no KKT certificate after {MAX_PROX_STEPS} proximal "

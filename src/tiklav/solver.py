@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -48,11 +49,14 @@ class Solution:
     active_lower: np.ndarray      # node indices with margin < ACTIVE_TOL
     active_upper: np.ndarray
     active_state: np.ndarray      # positions into the region index list
-    iterations: int               # QP active-set changes (adds plus drops),
-                                  # summed over any proximal steps
+    iterations: int               # QP active-set changes (adds plus drops)
+                                  # after the warm start, summed over any
+                                  # proximal steps
     kkt_stationarity: float
     kkt_primal: float
     kkt_complementarity: float
+    active_set: qp.ActiveSet      # the QP's final active rows: a `start`
+                                  # for a nearby solve
 
 
 def _classify_active(u_values, aset: AdmissibleSet, eps: float = ACTIVE_TOL):
@@ -80,15 +84,19 @@ def solve_unconstrained(op: AssembledOperator, y_d: GridFunction,
     return GridFunction(op.grid, V @ (-gx / d))
 
 
-def solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
-    """Minimize over the admissible set with certified KKT residuals <= tol."""
+def solve(problem: RegularizedProblem, tol: float = 1e-8,
+          start: Optional[qp.ActiveSet] = None) -> Solution:
+    """Minimize over the admissible set with certified KKT residuals <= tol,
+    warm-started from `start`, the `active_set` of a nearby solve (same
+    admissible region; any lambda, alpha or data)."""
     if problem.alpha <= 0:
         raise AlphaNonPositive(f"alpha must be positive, got {problem.alpha}")
     aset = problem.aset
     H, gx = _build_quadratic(problem.op, problem.y_d, problem.alpha)
     B, psi = aset.constraint_matrix()
     wfac = np.sqrt(problem.op.grid.weight)
-    res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac)
+    res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac,
+                                start)
     u = GridFunction(problem.op.grid, res.u)
     lo, up, st = _classify_active(res.u, aset)
     return Solution(
@@ -96,7 +104,8 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
         mu_lower=res.mu_lower, mu_upper=res.mu_upper, eta=res.eta,
         active_lower=lo, active_upper=up, active_state=st,
         iterations=res.iterations, kkt_stationarity=res.stationarity,
-        kkt_primal=res.primal, kkt_complementarity=res.complementarity)
+        kkt_primal=res.primal, kkt_complementarity=res.complementarity,
+        active_set=res.active)
 
 
 def projection_formula_residual(sol: Solution, problem: RegularizedProblem,
@@ -133,11 +142,12 @@ def pseudo_inverse(op: AssembledOperator, y_d: GridFunction,
     r = op.apply_values(res.u) - y_d.values
     m_star = float(w * (r @ r))
 
-    prev = None
+    prev, active = None, res.active
     alpha = 1e-2
     while alpha >= 1e-12:
         prob = RegularizedProblem(op, y_d, aset, alpha)
-        u = solve(prob, tol=tol).u
+        sol = solve(prob, tol=tol, start=active)
+        u, active = sol.u, sol.active_set
         rr = op.apply_values(u.values) - y_d.values
         res2 = float(w * (rr @ rr))
         if res2 <= m_star + 0.5 * tol:
@@ -212,10 +222,14 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
             continue
         uf = GridFunction(problem.op.grid, u)
         lo, up, st = _classify_active(u, aset)
+        pat = np.array(box_pat)
+        pattern = qp.ActiveSet(np.flatnonzero(pat == 1),
+                               np.flatnonzero(pat == 2),
+                               np.flatnonzero(np.array(st_pat, dtype=int)))
         return Solution(
             u=uf, y=apply(problem.op, uf), objective=problem.objective(u),
             mu_lower=mu_lower, mu_upper=mu_upper, eta=eta,
             active_lower=lo, active_upper=up, active_state=st,
             iterations=0, kkt_stationarity=stat, kkt_primal=0.0,
-            kkt_complementarity=0.0)
+            kkt_complementarity=0.0, active_set=pattern)
     raise NoFeasiblePattern("no activity pattern is primal/dual feasible")

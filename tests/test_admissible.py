@@ -188,6 +188,27 @@ class TestProjection:
             p = project_admissible(v, aset_lam, tol=1e-10)
             assert feasibility(p, aset0).margin_state >= -1e-7
 
+    @pytest.mark.parametrize("kernel", [None, "gaussian"])
+    def test_clipped_nodes_are_exact(self, kernel):
+        # an active bound is returned as exactly 0 or b, not as the round-off
+        # of a change of basis
+        g = DomainGrid(1, 16)
+        op = assemble_poisson(g) if kernel is None else \
+            assemble_fredholm(g, KernelSpec(kernel, width=0.3))
+        state = StateConstraint(ObservationRegion.all_nodes(g), np.full(16, 100.0))
+        aset = AdmissibleSet(BoxBounds.constant(g, 0.7), state, op)
+        v = np.random.default_rng(3).uniform(-1.0, 2.0, 16)
+        p = project_admissible(GridFunction(g, v), aset, tol=1e-10).values
+        assert (v < 0).any() and (v > 0.7).any()
+        assert np.all(p[v < 0] == 0.0) and np.all(p[v > 0.7] == 0.7)
+        free = (v > 0) & (v < 0.7)
+        assert np.allclose(p[free], v[free], atol=1e-12)
+
+    def test_clipped_preset_exact_solution_touches_the_bound(self, clipped_preset):
+        # u_bar = P_set(S* w) sits exactly on b = 1 where it is clipped
+        inst = clipped_preset[3]
+        assert inst.tau == 0.0
+
     def test_infeasible_set_detected(self):
         # psi < 0 with u >= 0 and S order-preserving: no feasible point
         g = DomainGrid(1, 5)

@@ -208,15 +208,18 @@ class TestVerify:
         assert kinds == set(cli.VERIFY)
 
     def test_repeat_runs_byte_identical_csv(self, tmp_path):
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            rc = cli.main(["verify", "--config",
-                           "interior-attainable-poisson-1d",
-                           "--out", str(out), "--seed", "0"])
-            assert rc == cli.EXIT_OK
-            outs.append((out / "sweep.csv").read_bytes())
-        assert outs[0] == outs[1]
+        # the 2D preset's lambda path is warm-started: a second run in the
+        # same process shows no state carried over from the first
+        for preset in ("interior-attainable-poisson-1d",
+                       "binding-state-poisson-2d"):
+            outs = []
+            for name in ("a", "b"):
+                out = tmp_path / preset / name
+                rc = cli.main(["verify", "--config", preset,
+                               "--out", str(out), "--seed", "0"])
+                assert rc == cli.EXIT_OK
+                outs.append((out / "sweep.csv").read_bytes())
+            assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("preset", ["interior-attainable-poisson-1d",

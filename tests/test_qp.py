@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from tiklav.errors import InfeasibleProblem
-from tiklav.qp import QPResult, solve_box_state_qp
+from tiklav.qp import ActiveSet, QPResult, solve_box_state_qp
 
 
-def solve_dense(H, g, upper, T, psi, tol, wfac):
+def solve_dense(H, g, upper, T, psi, tol, wfac, start=None):
     """solve_box_state_qp on a dense H, g and T, turned into ((V, d), V^T g,
     T V) with one eigh."""
     d, V = np.linalg.eigh(H)
     B = None if T is None else T @ V
-    return solve_box_state_qp((V, d), V.T @ g, upper, B, psi, tol, wfac)
+    return solve_box_state_qp((V, d), V.T @ g, upper, B, psi, tol, wfac,
+                              start)
 
 
 def test_unconstrained_interior_minimizer():
@@ -222,3 +223,40 @@ def test_iterations_count_active_set_changes():
                       1e-10, 1.0)
     assert np.allclose(res.u, 0.0, atol=1e-15)
     assert res.iterations == 2
+
+
+def _stale_starts(n, upper, m):
+    """Starts naming rows that do not exist or depend on each other."""
+    finite = np.flatnonzero(np.isfinite(upper))
+    return {
+        # node 0 has upper = 0: its lower and upper rows are +-e_0
+        "dependent": ActiveSet(np.array([0, 1]), np.array([0]), np.zeros(0, int)),
+        "out_of_range": ActiveSet(np.array([-1, n, 2]),
+                                  np.array([-2, n + 3]),
+                                  np.array([-1, m, m + 4])),
+        "every_row": ActiveSet(np.arange(n), finite, np.arange(m)),
+        "duplicates": ActiveSet(np.array([1, 1]), finite[:1].repeat(2),
+                                np.zeros(2, int)),
+    }
+
+
+def test_stale_starts_certify_and_match_cold():
+    # any start gives the cold minimizer; the cold solve's own final set
+    # restarts with no active-set change
+    alpha = 1e-2
+    for A, y, upper, T, psi in _least_squares_batch(9, count=40):
+        n = A.shape[1]
+        upper = upper.copy()
+        upper[0] = 0.0
+        H, g = 2 * (A.T @ A + alpha * np.eye(n)), -2 * A.T @ y
+        cold = solve_dense(H, g, upper, T, psi, 1e-10, 1.0)
+        m = 0 if T is None else T.shape[0]
+        starts = _stale_starts(n, upper, m)
+        starts["own"] = cold.active
+        for name, start in starts.items():
+            warm = solve_dense(H, g, upper, T, psi, 1e-10, 1.0, start)
+            assert max(warm.stationarity, warm.primal,
+                       warm.complementarity) <= 1e-10, name
+            assert np.max(np.abs(warm.u - cold.u)) <= 1e-8, name
+        assert warm.iterations == 0
+        assert all(np.array_equal(a, b) for a, b in zip(warm.active, cold.active))
