@@ -4,6 +4,7 @@ feasibility margins, Slater quantities and L2 projections."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -105,12 +106,19 @@ class AdmissibleSet:
     def constraint_matrix(self):
         """(B, psi) for the region nodes with finite psi, or (None, None).
         B holds the state rows in the operator's eigenbasis: the rows of
-        S + shift I are B V^T (`AssembledOperator.eigen_rows`)."""
+        S + shift I are B V^T (`AssembledOperator.eigen_rows`). Built once
+        per set; both arrays are read-only."""
+        return self._state_rows
+
+    @cached_property
+    def _state_rows(self):
         finite = np.isfinite(self.state.psi)
         if not finite.any():
             return None, None
         idx = self.state.region.indices[finite]
-        return self.op.eigen_rows(idx, self.shift), self.state.psi[finite]
+        B, psi = self.op.eigen_rows(idx, self.shift), self.state.psi[finite]
+        B.flags.writeable = psi.flags.writeable = False
+        return B, psi
 
     def state_values(self, u_values: np.ndarray) -> np.ndarray:
         """lam*u + Su (or Su - lam*u) on the region nodes."""

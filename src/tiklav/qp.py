@@ -18,8 +18,11 @@ iterate is kept as x = V^T u. L = V diag(sqrt d), H = L L^T, takes the
 place of a Cholesky factor, so a row a with b = V^T a has
 L^{-1} a = d^{-1/2} * b, where b is -V[i] or V[i] for a bound and a row of
 B for a state row: an entering row costs O(n). The active rows enter
-through W = L^{-1} A_active, kept as a thin QR factorization W = Q R that
-is extended or downdated by one column per change.
+through W = L^{-1} A_active, kept as a thin QR factorization W = Q R in
+buffers that double when full: an add writes one column, a drop is
+scipy's in-place column downdate. scipy.linalg (that downdate and LAPACK's
+triangular solve) is imported when the first row becomes active, so a
+solve whose every row stays inactive runs on numpy alone.
 
 An H whose smallest eigenvalue is <= eps * its largest (positive
 semidefinite only, to round-off), or a result that misses the KKT
@@ -48,11 +51,11 @@ rescaled by sqrt(h^d) via the `wfac` argument.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InfeasibleProblem, NonConvergence
 
@@ -112,21 +115,59 @@ def _split(Q, w):
     return y + y2, z
 
 
-def _extend(Q, R, y, z, zn):
-    """Thin QR factors of [Q R, Q y + z], where zn = |z| > 0."""
-    q = y.size
-    R_new = np.zeros((q + 1, q + 1))
-    R_new[:q, :q] = R
-    R_new[:q, q] = y
-    R_new[q, q] = zn
-    return np.column_stack([Q, z / zn]), R_new
+@functools.cache
+def _lapack():
+    """LAPACK's raw triangular solve and scipy's QR downdate, looked up once
+    per process on the first active row. The raw trtrs, because
+    solve_triangular's argument checks cost more than the solve itself."""
+    import scipy.linalg as sla
+    return sla.get_lapack_funcs("trtrs", dtype=np.float64), sla.qr_delete
 
 
-def _delete(Q, R, k):
-    """Thin QR factors of Q R without column k."""
-    Q, R = sla.qr_delete(Q, R, k, which="col", check_finite=False)
-    q = R.shape[1]
-    return Q[:, :q], R[:q]
+def _rsolve(R, v, trans=0):
+    """R^{-1} v, or R^{-T} v with trans=1, for upper triangular R; an empty
+    v (no active row) is returned as it is."""
+    return _lapack()[0](R, v, trans=trans)[0] if v.size else v
+
+
+class _ThinQR:
+    """Thin QR factors Q R of the active columns W, in F-order buffers of
+    `cap` columns that double (up to n) when full."""
+
+    def __init__(self, n, cap):
+        self._Q = np.empty((n, cap), order="F")
+        self._R = np.zeros((cap, cap), order="F")
+        self.q = 0
+
+    @property
+    def Q(self):
+        return self._Q[:, :self.q]
+
+    @property
+    def R(self):
+        return self._R[:self.q, :self.q]
+
+    def add(self, y, z, zn):
+        """Append the column Q y + z, where zn = |z| > 0."""
+        q = self.q
+        if q == self._R.shape[0]:  # full: double, up to n columns
+            n, cap = self._Q.shape[0], min(2 * q, self._Q.shape[0])
+            Q = np.empty((n, cap), order="F")
+            R = np.zeros((cap, cap), order="F")
+            Q[:, :q], R[:q, :q] = self._Q, self._R
+            self._Q, self._R = Q, R
+        np.divide(z, zn, out=self._Q[:, q])
+        self._R[:q, q] = y
+        self._R[q, :q] = 0.0  # below the block a drop left: not its result
+        self._R[q, q] = zn
+        self.q = q + 1
+
+    def drop(self, k):
+        """Remove column k. qr_delete with overwrite_qr leaves the downdated
+        factors in the leading blocks of the buffers."""
+        _lapack()[1](self.Q, self.R, k, which="col", overwrite_qr=True,
+                     check_finite=False)
+        self.q -= 1
 
 
 def _start_rows(start, V, up, B):
@@ -171,9 +212,6 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
 
     rsd = 1.0 / np.sqrt(d)      # L^{-1} a = rsd * (V^T a)
     x = -gx / d
-    # raw LAPACK solve with the small triangular R: solve_triangular's
-    # argument checks cost more than the solve itself, once per change
-    trtrs = sla.get_lapack_funcs("trtrs", (V,))
 
     # warm start: factor the independent start rows as W = L^{-1} A = Q R;
     # in s = L^T u the equality-constrained minimizer is s = s0 - W mult
@@ -181,32 +219,29 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     rows, normals = _start_rows(start, V, up, B)
     W = rsd * normals            # row j is L^{-1} a for row rows[j]
     wn = np.linalg.norm(W, axis=1)
-    Q, R = np.empty((n, rows.size), order="F"), np.zeros((rows.size,) * 2)
+    qr = _ThinQR(n, min(n, max(8, rows.size)))  # a few columns; adds double it
     kept = []
     for j in range(rows.size):
-        q = len(kept)
-        y, z = _split(Q[:, :q], W[j])
+        y, z = _split(qr.Q, W[j])
         zn = np.sqrt(z @ z)
         if zn > DEPENDENT_TOL * wn[j]:
-            R[:q, q], R[q, q], Q[:, q] = y, zn, z / zn
+            qr.add(y, z, zn)
             kept.append(j)
-    q = len(kept)
-    Q, R = Q[:, :q], R[:q, :q]
     active = rows[kept].tolist()  # row ids in the column order of Q R
     viol = normals[kept] @ x - c[rows[kept]]
 
     def multipliers():
-        return trtrs(R, trtrs(R, viol, trans=1)[0])[0] if viol.size else viol
+        return _rsolve(qr.R, _rsolve(qr.R, viol, trans=1))
 
     mult = multipliers()
     while mult.size and mult.min() < 0.0:  # drop until dual feasible
         k = int(np.argmin(mult))
-        Q, R = _delete(Q, R, k)
+        qr.drop(k)
         del active[k]
         viol = np.delete(viol, k)
         mult = multipliers()
     if active:
-        x = x - rsd * (Q @ (R @ mult))
+        x = x - rsd * (qr.Q @ (qr.R @ mult))
 
     changes, p = 0, -1
     while changes < 10 * (c.size + 1):
@@ -223,8 +258,8 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
         # split w = Q y + z with z orthogonal to the active columns; the
         # primal step is -L^{-T} z, i.e. -rsd * z in x, and the active
         # multipliers move by -r
-        y, z = _split(Q, w)
-        r = trtrs(R, y)[0] if y.size else y
+        y, z = _split(qr.Q, w)
+        r = _rsolve(qr.R, y)
         zz = z @ z
         zn = np.sqrt(zz)
         full = np.inf             # step length that makes row p active
@@ -247,12 +282,12 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
         mult_p += step
         changes += 1
         if full <= partial:  # row p becomes active
-            Q, R = _extend(Q, R, y, z, zn)
+            qr.add(y, z, zn)
             active.append(p)
             mult = np.append(mult, mult_p)
             p = -1
         else:                # row k leaves; p is tried again
-            Q, R = _delete(Q, R, k)
+            qr.drop(k)
             del active[k]
             mult = np.delete(mult, k)
     ids = np.array(active, dtype=np.intp)

@@ -76,8 +76,10 @@ class TestConstruction:
         V_before = aset.op.V.copy()
         psi_before = aset.state.psi.copy()
         B, psi = aset.constraint_matrix()
-        B[:] = -7.0
-        psi[:] = -7.0
+        for arr in (B, psi):  # built once per set and shared: read-only
+            with pytest.raises(ValueError):
+                arr[:] = -7.0
+        assert aset.constraint_matrix()[0] is B
         assert np.array_equal(aset.op.V, V_before)
         assert np.array_equal(aset.state.psi, psi_before)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tiklav import qp
 from tiklav.errors import InfeasibleProblem
 from tiklav.qp import ActiveSet, QPResult, solve_box_state_qp
 
@@ -260,3 +261,34 @@ def test_stale_starts_certify_and_match_cold():
             assert np.max(np.abs(warm.u - cold.u)) <= 1e-8, name
         assert warm.iterations == 0
         assert all(np.array_equal(a, b) for a, b in zip(warm.active, cold.active))
+
+
+def test_thin_qr_grows_and_drops_in_place():
+    # Q R stays the thin QR factorization of the kept columns, held in the
+    # buffers' leading blocks, through growth, drops and adds after drops
+    rng = np.random.default_rng(5)
+    n = 12
+    W = rng.standard_normal((n, 11))
+    f, cols = qp._ThinQR(n, 2), []
+
+    def add(j):
+        y, z = qp._split(f.Q, W[:, j])
+        f.add(y, z, np.linalg.norm(z))
+        cols.append(j)
+
+    def check():
+        Q, R = f.Q, f.R
+        assert Q.base is f._Q and R.base is f._R
+        assert np.allclose(Q.T @ Q, np.eye(len(cols)), atol=1e-12)
+        assert np.array_equal(np.tril(R, -1), np.zeros_like(R))
+        assert np.allclose(Q @ R, W[:, cols], atol=1e-12)
+
+    for j in range(7):  # capacity 2 -> 4 -> 8
+        add(j)
+    check()
+    for k, j in ((0, 7), (4, 8), (6, 9), (2, 10)):
+        f.drop(k)
+        del cols[k]
+        check()
+        add(j)
+        check()

@@ -279,3 +279,29 @@ def test_solve_does_not_import_scipy_optimize(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules a fresh interpreter has loaded after `code`."""
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(tiklav.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("import tiklav.cli") == "[]"
+
+
+def test_interior_verify_loads_no_scipy(tmp_path):
+    # no row of the interior preset's solves ever becomes active, so the
+    # engine never reaches scipy.linalg
+    code = ("import contextlib, io, tiklav.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = tiklav.cli.main(['verify', '--config',"
+            " 'interior-attainable-poisson-1d', '--seed', '0', '--out',"
+            f" {str(tmp_path)!r}])\n"
+            "assert rc == 0, rc\n")
+    assert _scipy_modules_after(code) == "[]"
