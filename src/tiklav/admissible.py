@@ -34,7 +34,7 @@ class BoxBounds:
         object.__setattr__(self, "upper", up)
         if up.shape != (self.grid.num_nodes,):
             raise DimensionMismatch("upper bound length does not match grid")
-        if np.any(up < 0):
+        if not np.all(up >= 0):  # also rejects NaN
             raise ValueError("upper bound must be nonnegative")
 
     @classmethod
@@ -58,6 +58,8 @@ class StateConstraint:
         object.__setattr__(self, "psi", p)
         if p.shape != (self.region.size,):
             raise DimensionMismatch("psi length does not match region")
+        if not np.all(p > -np.inf):  # +inf marks an absent row
+            raise ValueError("psi must be a number or +inf")
         if self.lam < 0:
             raise ValueError("lavrentiev parameter must be >= 0")
         if self.sign not in (PLUS, MINUS):
@@ -71,6 +73,13 @@ class FeasibilityReport:
     margin_state: float
     feasible: bool
     tol: float = FEAS_TOL
+
+    @classmethod
+    def from_slack(cls, slack, tol: float) -> "FeasibilityReport":
+        """The minima of the three slack arrays of `AdmissibleSet.slack`."""
+        m_lo, m_up, m_st = (float(np.min(x, initial=np.inf)) for x in slack)
+        return cls(m_lo, m_up, m_st,
+                   m_lo >= -tol and m_up >= -tol and m_st >= -tol, tol)
 
 
 @dataclass(frozen=True)
@@ -120,36 +129,23 @@ class AdmissibleSet:
         B.flags.writeable = psi.flags.writeable = False
         return B, psi
 
-    def state_values(self, u_values: np.ndarray) -> np.ndarray:
-        """lam*u + Su (or Su - lam*u) on the region nodes."""
+    def slack(self, u_values: np.ndarray, su: np.ndarray):
+        """The slacks of the lower, upper and state constraints at u, given
+        su = S u: (u, b - u, psi - (S u + shift u) on the region), inf where
+        a bound is absent."""
         idx = self.state.region.indices
-        su = self.op.apply_values(u_values)[idx]
-        if self.lam == 0.0:
-            return su
-        return su + self.shift * u_values[idx]
-
-
-def project_box(v: GridFunction, b: BoxBounds) -> GridFunction:
-    if v.grid != b.grid:
-        raise DimensionMismatch("grids differ")
-    return GridFunction(v.grid, np.clip(v.values, 0.0, b.upper))
+        state = su[idx]
+        if self.lam != 0.0:
+            state = state + self.shift * u_values[idx]
+        return u_values, self.box.upper - u_values, self.state.psi - state
 
 
 def feasibility(u: GridFunction, aset: AdmissibleSet,
                 tol: float = FEAS_TOL) -> FeasibilityReport:
     if u.grid != aset.op.grid:
         raise DimensionMismatch("grids differ")
-    m_lo = float(np.min(u.values))
-    finite = np.isfinite(aset.box.upper)
-    m_up = float(np.min(aset.box.upper[finite] - u.values[finite])) if finite.any() \
-        else np.inf
-    finite_psi = np.isfinite(aset.state.psi)
-    if finite_psi.any():
-        m_st = float(np.min((aset.state.psi - aset.state_values(u.values))[finite_psi]))
-    else:
-        m_st = np.inf
-    ok = m_lo >= -tol and m_up >= -tol and m_st >= -tol
-    return FeasibilityReport(m_lo, m_up, m_st, ok, tol)
+    su = aset.op.apply_values(u.values)
+    return FeasibilityReport.from_slack(aset.slack(u.values, su), tol)
 
 
 def project_admissible(v: GridFunction, aset: AdmissibleSet,
@@ -171,14 +167,12 @@ def project_admissible(v: GridFunction, aset: AdmissibleSet,
 def slater(aset: AdmissibleSet, u_hat: GridFunction):
     """Slack tau = min(psi - S u_hat) on the region and the plus-sign cap
     lam_max = tau / ||u_hat||_inf(region) (inf when u_hat vanishes there)."""
-    rep_box = feasibility(u_hat, aset.with_lambda(0.0))
-    if min(rep_box.margin_lower, rep_box.margin_upper) < -FEAS_TOL:
+    rep = feasibility(u_hat, aset.with_lambda(0.0))
+    if min(rep.margin_lower, rep.margin_upper) < -FEAS_TOL:
         raise NotASlaterPoint("candidate violates the box constraints")
-    idx = aset.state.region.indices
-    su = aset.op.apply_values(u_hat.values)[idx]
-    tau = float(np.min(aset.state.psi - su))
+    tau = rep.margin_state
     if not tau > 0:
         raise NotASlaterPoint(f"state slack tau = {tau:.3e} is not positive")
-    sup = float(np.max(np.abs(u_hat.values[idx])))
+    sup = float(np.max(np.abs(u_hat.values[aset.state.region.indices])))
     lam_max = np.inf if sup == 0.0 else tau / sup
     return {"tau": tau, "lam_max": lam_max}

@@ -24,12 +24,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, experiments
-from .admissible import AdmissibleSet, BoxBounds, StateConstraint, feasibility
+from .admissible import AdmissibleSet, BoxBounds, StateConstraint
 from .errors import (AlphaNonPositive, ConfigError, GridTooLarge,
                      InfeasibleProblem, InfeasibleSet, InvalidKernelParameter,
                      InvalidRule, InvalidSweep, LambdaExceedsSlaterCap,
-                     NoFeasiblePattern, NonConvergence, NotASlaterPoint,
-                     NoTransition)
+                     NonConvergence, NotASlaterPoint, NoTransition)
 from .grid import DomainGrid, GridFunction, ObservationRegion
 from .manufacture import ManufacturedInstance, manufacture, optimal_alpha
 from .operators import KernelSpec, assemble_fredholm, assemble_poisson
@@ -149,7 +148,10 @@ def build_admissible(cfg: dict, op) -> AdmissibleSet:
     sign = a_cfg.get("sign", "plus")
     if sign not in ("plus", "minus"):
         raise ConfigError("admissible.sign must be 'plus' or 'minus'")
-    state = StateConstraint(region, psi_full[region.indices], lam, sign)
+    try:
+        state = StateConstraint(region, psi_full[region.indices], lam, sign)
+    except ValueError as exc:
+        raise ConfigError(f"admissible.psi: {exc}")
     try:
         box = BoxBounds(grid, b)
     except ValueError as exc:
@@ -229,7 +231,7 @@ def cmd_solve(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
     alpha = float(_require(cfg, "alpha", "config"))
     prob = RegularizedProblem(op, y_d, aset, alpha)
     sol = solve(prob, tol=tol)
-    rep = feasibility(sol.u, aset)
+    rep = sol.margins
     proj_res = projection_formula_residual(sol, prob, tol=tol)
     report = RunReport("solve", cfg)
     report.summaries = {
@@ -427,8 +429,7 @@ def main(argv: Optional[list] = None) -> int:
             NotASlaterPoint, InvalidRule, InvalidSweep) as exc:  # config values
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleProblem, InfeasibleSet, NoFeasiblePattern,
-            LambdaExceedsSlaterCap) as exc:
+    except (InfeasibleProblem, InfeasibleSet, LambdaExceedsSlaterCap) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except NonConvergence as exc:

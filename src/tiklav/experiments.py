@@ -9,7 +9,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .admissible import AdmissibleSet, feasibility, slater
+from .admissible import FEAS_TOL, AdmissibleSet, FeasibilityReport, slater
 from .errors import (InvalidRule, InvalidSweep, LambdaExceedsSlaterCap,
                      NoTransition)
 from .grid import GridFunction, wnorm
@@ -61,7 +61,7 @@ def _solve(inst: ManufacturedInstance, aset: AdmissibleSet, alpha: float,
     prob = RegularizedProblem(aset.op, inst.y_d if y_d is None else y_d,
                               aset, alpha)
     sol = solve(prob, tol=tol, start=start)
-    rep = feasibility(sol.u, aset)
+    rep = sol.margins
     rec = SweepRecord(
         alpha=alpha, lam=aset.lam, delta=delta,
         err_u=wnorm(g, sol.u.values - inst.u_bar.values),
@@ -197,7 +197,8 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
         active = sol.active_set
         records.append(rec)
         errors.append(wnorm(g, sol.u.values - base.u.values))
-        rep0 = feasibility(sol.u, base_set)
+        rep0 = FeasibilityReport.from_slack(
+            base_set.slack(sol.u.values, sol.y.values), FEAS_TOL)
         if sign == "plus":
             plus_feasible.append(bool(rep0.feasible))
         else:

@@ -8,7 +8,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .admissible import AdmissibleSet, FeasibilityReport, feasibility, project_admissible
+from .admissible import (FEAS_TOL, AdmissibleSet, FeasibilityReport,
+                         project_admissible)
 from .errors import EmptyPath, ZeroSourceNorm
 from .grid import GridFunction, wnorm
 from .operators import apply, apply_adjoint
@@ -87,6 +88,8 @@ def manufacture(w: GridFunction, aset: AdmissibleSet, attainable: bool = True,
     sw = apply_adjoint(aset.op, w)
     u_bar = project_admissible(sw, aset, tol=tol)
     y_d = apply(aset.op, u_bar)
+    margins = FeasibilityReport.from_slack(
+        aset.slack(u_bar.values, y_d.values), FEAS_TOL)
     res_norm = 0.0
     if not attainable:
         if residual <= 0:
@@ -99,7 +102,6 @@ def manufacture(w: GridFunction, aset: AdmissibleSet, attainable: bool = True,
         e /= wnorm(y_d.grid, e)
         y_d = GridFunction(y_d.grid, y_d.values + residual * e)
         res_norm = residual
-    margins = feasibility(u_bar, aset)
     return ManufacturedInstance(
         w=w, u_bar=u_bar, y_d=y_d, aset=aset, attainable=attainable,
         margins=margins, w_norm=w.norm(), residual_norm=res_norm)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GridTooLarge, InvalidKernelParameter
-from .grid import DomainGrid, GridFunction, ObservationRegion
+from .grid import DomainGrid, GridFunction
 
 DENSE_CAP = 4096
 
@@ -151,9 +151,3 @@ def apply_adjoint(op: AssembledOperator, y: GridFunction) -> GridFunction:
     if y.grid != op.grid:
         raise DimensionMismatch("operator and function grids differ")
     return GridFunction(op.grid, op.apply_adjoint_values(y.values))
-
-
-def restrict(y: GridFunction, region: ObservationRegion) -> np.ndarray:
-    if y.grid != region.grid:
-        raise DimensionMismatch("function and region grids differ")
-    return y.values[region.indices]

@@ -10,11 +10,12 @@ from typing import Optional
 
 import numpy as np
 
-from .admissible import (ACTIVE_TOL, AdmissibleSet, project_admissible)
+from .admissible import (ACTIVE_TOL, FEAS_TOL, AdmissibleSet,
+                         FeasibilityReport, project_admissible)
 from .errors import (AlphaNonPositive, DimensionMismatch, NoFeasiblePattern,
                      OracleTooLarge)
 from .grid import GridFunction, wnorm
-from .operators import AssembledOperator, apply
+from .operators import AssembledOperator
 from . import qp
 
 ORACLE_CAP = 10
@@ -30,10 +31,15 @@ class RegularizedProblem:
     def __post_init__(self):
         if self.y_d.grid != self.op.grid or self.aset.op.grid != self.op.grid:
             raise DimensionMismatch("problem grids differ")
+        if self.alpha <= 0:
+            raise AlphaNonPositive(f"alpha must be positive, got {self.alpha}")
 
     def objective(self, u_values: np.ndarray) -> float:
         """Weighted objective ||Su - y_d||^2 + alpha ||u||^2."""
-        r = self.op.apply_values(u_values) - self.y_d.values
+        return self._objective(u_values, self.op.apply_values(u_values))
+
+    def _objective(self, u_values: np.ndarray, su: np.ndarray) -> float:
+        r = su - self.y_d.values
         w = self.op.grid.weight
         return float(w * (r @ r) + self.alpha * w * (u_values @ u_values))
 
@@ -43,6 +49,7 @@ class Solution:
     u: GridFunction
     y: GridFunction
     objective: float
+    margins: FeasibilityReport    # minima of the constraint slacks at u
     mu_lower: np.ndarray
     mu_upper: np.ndarray
     eta: np.ndarray               # one entry per finite-psi region row
@@ -59,13 +66,23 @@ class Solution:
                                   # for a nearby solve
 
 
-def _classify_active(u_values, aset: AdmissibleSet, eps: float = ACTIVE_TOL):
-    lo = np.nonzero(u_values < eps)[0]
-    finite = np.isfinite(aset.box.upper)
-    up = np.nonzero(finite & (aset.box.upper - u_values < eps))[0]
-    margins = aset.state.psi - aset.state_values(u_values)
-    st = np.nonzero(np.isfinite(aset.state.psi) & (margins < eps))[0]
-    return lo, up, st
+def _solution(problem: RegularizedProblem, res: qp.QPResult) -> Solution:
+    """The Solution at a solved point res.u. S is applied to u once; y, the
+    objective, the margins and the rows with slack < ACTIVE_TOL all derive
+    from that S u."""
+    su = problem.op.apply_values(res.u)
+    slack = problem.aset.slack(res.u, su)
+    lo, up, st = (np.flatnonzero(x < ACTIVE_TOL) for x in slack)
+    grid = problem.op.grid
+    return Solution(
+        u=GridFunction(grid, res.u), y=GridFunction(grid, su),
+        objective=problem._objective(res.u, su),
+        margins=FeasibilityReport.from_slack(slack, FEAS_TOL),
+        mu_lower=res.mu_lower, mu_upper=res.mu_upper, eta=res.eta,
+        active_lower=lo, active_upper=up, active_state=st,
+        iterations=res.iterations, kkt_stationarity=res.stationarity,
+        kkt_primal=res.primal, kkt_complementarity=res.complementarity,
+        active_set=res.active)
 
 
 def _build_quadratic(op: AssembledOperator, y_d: GridFunction, alpha: float):
@@ -89,23 +106,13 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
     """Minimize over the admissible set with certified KKT residuals <= tol,
     warm-started from `start`, the `active_set` of a nearby solve (same
     admissible region; any lambda, alpha or data)."""
-    if problem.alpha <= 0:
-        raise AlphaNonPositive(f"alpha must be positive, got {problem.alpha}")
     aset = problem.aset
     H, gx = _build_quadratic(problem.op, problem.y_d, problem.alpha)
     B, psi = aset.constraint_matrix()
     wfac = np.sqrt(problem.op.grid.weight)
     res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac,
                                 start)
-    u = GridFunction(problem.op.grid, res.u)
-    lo, up, st = _classify_active(res.u, aset)
-    return Solution(
-        u=u, y=apply(problem.op, u), objective=problem.objective(res.u),
-        mu_lower=res.mu_lower, mu_upper=res.mu_upper, eta=res.eta,
-        active_lower=lo, active_upper=up, active_state=st,
-        iterations=res.iterations, kkt_stationarity=res.stationarity,
-        kkt_primal=res.primal, kkt_complementarity=res.complementarity,
-        active_set=res.active)
+    return _solution(problem, res)
 
 
 def projection_formula_residual(sol: Solution, problem: RegularizedProblem,
@@ -148,14 +155,14 @@ def pseudo_inverse(op: AssembledOperator, y_d: GridFunction,
         prob = RegularizedProblem(op, y_d, aset, alpha)
         sol = solve(prob, tol=tol, start=active)
         u, active = sol.u, sol.active_set
-        rr = op.apply_values(u.values) - y_d.values
+        rr = sol.y.values - y_d.values
         res2 = float(w * (rr @ rr))
         if res2 <= m_star + 0.5 * tol:
             if prev is not None and wnorm(op.grid, u.values - prev.values) <= tol:
                 break
             prev = u
         alpha *= 0.1
-    rr = op.apply_values(u.values) - y_d.values
+    rr = sol.y.values - y_d.values
     return PseudoInverseResult(u, wnorm(op.grid, rr), u.norm())
 
 
@@ -166,13 +173,12 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
     finite-psi region row is active or inactive. The first pattern whose
     equality-constrained KKT system gives a primal/dual feasible point with
     recomputed stationarity <= max(tol, 1e-9) wins. Its dense H and state
-    rows come from `op.matrix`, independent of the eigenbasis `solve` uses.
+    rows come from `op.matrix`, independent of the eigenbasis `solve` uses;
+    the winning u only goes through the builder `solve` shares.
     """
     n = problem.op.grid.num_nodes
     if n > ORACLE_CAP:
         raise OracleTooLarge(f"{n} nodes exceeds the oracle cap {ORACLE_CAP}")
-    if problem.alpha <= 0:
-        raise AlphaNonPositive(f"alpha must be positive, got {problem.alpha}")
     aset = problem.aset
     # a dense H and T of its own: the oracle shares no basis with `solve`
     S = problem.op.matrix
@@ -220,16 +226,10 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
         stat = wfac * np.linalg.norm(r - mu_lower + mu_upper)
         if stat > feas_tol:  # a near-singular pattern's inexact solve
             continue
-        uf = GridFunction(problem.op.grid, u)
-        lo, up, st = _classify_active(u, aset)
         pat = np.array(box_pat)
         pattern = qp.ActiveSet(np.flatnonzero(pat == 1),
                                np.flatnonzero(pat == 2),
                                np.flatnonzero(np.array(st_pat, dtype=int)))
-        return Solution(
-            u=uf, y=apply(problem.op, uf), objective=problem.objective(u),
-            mu_lower=mu_lower, mu_upper=mu_upper, eta=eta,
-            active_lower=lo, active_upper=up, active_state=st,
-            iterations=0, kkt_stationarity=stat, kkt_primal=0.0,
-            kkt_complementarity=0.0, active_set=pattern)
+        return _solution(problem, qp.QPResult(
+            u, mu_lower, mu_upper, eta, 0, stat, 0.0, 0.0, pattern))
     raise NoFeasiblePattern("no activity pattern is primal/dual feasible")

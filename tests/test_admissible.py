@@ -2,12 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
-                               feasibility, project_admissible, project_box,
-                               slater)
+                               feasibility, project_admissible, slater)
 from tiklav.errors import InfeasibleSet, NotASlaterPoint
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, constant
 from tiklav.operators import KernelSpec, assemble_fredholm, assemble_poisson
@@ -26,6 +23,17 @@ class TestConstruction:
         g = DomainGrid(1, 5)
         with pytest.raises(ValueError):
             BoxBounds(g, np.full(5, -1.0))
+
+    def test_nan_bound_rejected(self):
+        g = DomainGrid(1, 5)
+        with pytest.raises(ValueError):
+            BoxBounds(g, np.array([1.0, np.nan, 1.0, np.inf, 1.0]))
+
+    @pytest.mark.parametrize("psi", [-np.inf, np.nan])
+    def test_psi_below_every_number_rejected(self, psi):
+        r = ObservationRegion.all_nodes(DomainGrid(1, 5))
+        with pytest.raises(ValueError):
+            StateConstraint(r, np.array([0.1, psi, 0.1, np.inf, 0.1]))
 
     def test_negative_lambda_rejected(self):
         g = DomainGrid(1, 5)
@@ -120,6 +128,23 @@ class TestFeasibility:
         rep = feasibility(constant(aset.op.grid, 3.0), aset)
         assert rep.margin_upper == np.inf
 
+    def test_absent_bounds_have_infinite_slack(self):
+        g = DomainGrid(1, 5)
+        psi = np.array([np.inf, 0.1, np.inf, 0.2, np.inf])
+        state = StateConstraint(ObservationRegion.all_nodes(g), psi, 0.1)
+        b = np.array([1.0, np.inf, 1.0, np.inf, 1.0])
+        aset = AdmissibleSet(BoxBounds(g, b), state, assemble_poisson(g))
+        u = np.full(5, 0.5)
+        su = aset.op.apply_values(u)
+        lo, up, st = aset.slack(u, su)
+        rows = [1, 3]
+        assert np.array_equal(lo, u)
+        assert np.array_equal(np.isinf(up), np.isinf(b))
+        assert np.array_equal(np.isinf(st), np.isinf(psi))
+        assert np.allclose(st[rows], psi[rows] - su[rows] - 0.1 * u[rows])
+        rep = feasibility(GridFunction(g, u), aset)
+        assert (rep.margin_upper, rep.margin_state) == (0.5, st[rows].min())
+
     def test_lavrentiev_shift_changes_state_margin(self):
         aset0 = small_set(n=6, psi=0.5)
         u = constant(aset0.op.grid, 1.0)
@@ -132,11 +157,15 @@ class TestFeasibility:
 
 class TestProjection:
     def test_box_projection_is_clip(self):
+        # with every state row absent the L2 projection is the clip to [0, b]
         g = DomainGrid(1, 5)
-        b = BoxBounds.constant(g, 1.0)
+        state = StateConstraint(ObservationRegion.all_nodes(g),
+                                np.full(5, np.inf))
+        aset = AdmissibleSet(BoxBounds.constant(g, 1.0), state,
+                             assemble_poisson(g))
         v = GridFunction(g, np.array([-1.0, 0.5, 2.0, 1.0, 0.0]))
-        p = project_box(v, b)
-        assert np.array_equal(p.values, [0.0, 0.5, 1.0, 1.0, 0.0])
+        p = project_admissible(v, aset, tol=1e-12)
+        assert np.allclose(p.values, [0.0, 0.5, 1.0, 1.0, 0.0], atol=1e-12)
 
     def test_interior_point_is_fixed(self):
         aset = small_set(psi=1.0)
@@ -248,12 +277,3 @@ class TestSlater:
         aset = small_set(b=1.0, psi=10.0)
         with pytest.raises(NotASlaterPoint):
             slater(aset, constant(aset.op.grid, 2.0))
-
-
-@given(st.floats(0.0, 3.0), st.floats(0.1, 2.0))
-@settings(max_examples=25, deadline=None)
-def test_box_projection_within_bounds(value, b):
-    g = DomainGrid(1, 6)
-    p = project_box(constant(g, value), BoxBounds.constant(g, b))
-    assert np.all(p.values >= 0) and np.all(p.values <= b)
-    assert np.allclose(p.values, min(value, b))

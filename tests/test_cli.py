@@ -263,6 +263,7 @@ def _lavrentiev_cfg(uhat):
 @pytest.mark.parametrize("command, cfg", [
     ("solve", _with(base_cfg(), ["alpha"], 0)),
     ("solve", _with(base_cfg(), ["admissible", "b"], -1)),
+    ("solve", _with(base_cfg(), ["admissible", "psi"], float("-inf"))),
     ("solve", _with(base_cfg(), ["operator"], {
         "kind": "fredholm", "d": 1, "n": 8,
         "kernel": {"kind": "gaussian", "width": -1}})),
@@ -275,7 +276,7 @@ def _lavrentiev_cfg(uhat):
                            alpha_list=[1e-1, 1e-2, 1e-3])),
     ("verify", _experiment(base_cfg(), kind="activity",
                            alpha_list=[1e-3, 1e-2, 1e-1, 1e-4])),
-], ids=["alpha-zero", "negative-b", "negative-width", "grid-too-large",
+], ids=["alpha-zero", "negative-b", "psi-minus-inf", "negative-width", "grid-too-large",
         "uhat-not-slater", "noise-rule-exponent", "short-alpha-list",
         "unsorted-alpha-list"])
 def test_library_errors_from_config_values_exit_2(command, cfg, tmp_path,

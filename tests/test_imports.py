@@ -1,5 +1,7 @@
-"""Every name a module of tiklav imports is used in that module (a linter's
-unused-import rule, with the standard library's ast only)."""
+"""Lint rules with the standard library's ast only: every name a module of
+tiklav imports is used in that module (a linter's unused-import rule), and
+every private top-level name of tiklav is referenced somewhere in tiklav (a
+dead-code rule)."""
 
 import ast
 from pathlib import Path
@@ -8,8 +10,9 @@ import pytest
 
 import tiklav
 
-MODULES = sorted(p for p in Path(tiklav.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")  # __init__ imports to re-export
+SOURCES = sorted(Path(tiklav.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES
+           if p.name != "__init__.py"]  # __init__ imports to re-export
 
 
 def unused_imports(source: str) -> list:
@@ -34,3 +37,43 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_names(tree: ast.Module) -> list:
+    """Top-level functions, classes and constants whose name starts with a
+    single underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unreferenced_private(sources: list) -> list:
+    """Private top-level names of the sources that no expression in any of
+    them reads, by name or as an attribute."""
+    trees = [ast.parse(s) for s in sources]
+    read = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return [name for tree in trees for name in private_names(tree)
+            if name not in read]
+
+
+def test_checker_flags_an_unreferenced_private_name():
+    sources = ["_A = 1\n_B = 2\n\ndef _f():\n    return _A\n\n"
+               "class _C:\n    pass\n",
+               "import m\n\ndef g():\n    return m._C\n"]
+    assert unreferenced_private(sources) == ["_B", "_f"]
+
+
+def test_no_unreferenced_private_names():
+    assert unreferenced_private([p.read_text() for p in SOURCES]) == []

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tiklav.errors import GridTooLarge, InvalidKernelParameter
-from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, constant, from_callable
+from tiklav.grid import DomainGrid, GridFunction, constant, from_callable
 from tiklav.operators import (DENSE_CAP, KernelSpec, apply, apply_adjoint,
-                              assemble_fredholm, assemble_poisson, restrict)
+                              assemble_fredholm, assemble_poisson)
 
 
 class TestPoissonAnalytic:
@@ -168,10 +168,3 @@ class TestAdjoint:
         G = op.gram
         assert np.array_equal(G, G.T)
         assert np.min(np.linalg.eigvalsh(G)) >= -1e-14
-
-
-def test_restrict_picks_region_values():
-    g = DomainGrid(1, 9)
-    r = ObservationRegion.from_bounds(g, [[0.25, 0.45]])
-    f = GridFunction(g, np.arange(9, dtype=float))
-    assert np.array_equal(restrict(f, r), f.values[r.indices])

@@ -13,11 +13,12 @@ import scipy.linalg as sla
 
 import tiklav
 from conftest import random_problem
-from tiklav import cli, qp
+from tiklav import cli, experiments, qp
 from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
                                feasibility, project_admissible)
 from tiklav.errors import AlphaNonPositive, OracleTooLarge
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, constant, wnorm
+from tiklav.manufacture import manufacture
 from tiklav.operators import (AssembledOperator, KernelSpec, apply,
                               assemble_fredholm, assemble_poisson)
 from tiklav.solver import (RegularizedProblem, oracle_solve, pseudo_inverse,
@@ -242,6 +243,38 @@ class TestNoFallback:
             rc = cli.main(["verify", "--config", preset, "--out", str(tmp_path)])
         assert rc == cli.EXIT_OK
         assert solve_counts and set(solve_counts) == {1}
+
+
+class TestOneEvaluation:
+    """y, the objective, the margins and the active rows of a solved point
+    all come from one application of S."""
+
+    def test_one_apply_per_solve_record_and_instance(self, monkeypatch,
+                                                     interior_preset):
+        _, op, _, inst = interior_preset
+        calls = []
+        inner = AssembledOperator.apply_values
+
+        def counting(self, values):
+            calls.append(1)
+            return inner(self, values)
+
+        monkeypatch.setattr(AssembledOperator, "apply_values", counting)
+        manufacture(inst.w, inst.aset)
+        assert len(calls) == 1
+        calls.clear()
+        solve(RegularizedProblem(op, inst.y_d, inst.aset, 1e-2))
+        assert len(calls) == 1
+        calls.clear()
+        out = experiments.sweep_alpha(inst, [1e-1, 1e-2, 1e-3, 1e-4])
+        assert len(calls) == len(out["records"]) == 4
+
+    def test_margins_are_the_feasibility_report(self):
+        rng = np.random.default_rng(20240817)  # criterion 3's first instances
+        for _ in range(50):
+            prob = random_problem(rng)
+            for sol in (solve(prob, tol=1e-10), oracle_solve(prob, tol=1e-10)):
+                assert sol.margins == feasibility(sol.u, prob.aset)
 
 
 def test_poisson_solve_uses_no_gram_and_no_cholesky(monkeypatch):
