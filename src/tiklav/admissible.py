@@ -9,8 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InfeasibleProblem, InfeasibleSet,
-                     NotASlaterPoint)
+from .errors import InvalidInput
 from .grid import DomainGrid, GridFunction, ObservationRegion
 from .operators import AssembledOperator
 from . import qp
@@ -33,9 +32,9 @@ class BoxBounds:
         up = np.asarray(self.upper, dtype=float)
         object.__setattr__(self, "upper", up)
         if up.shape != (self.grid.num_nodes,):
-            raise DimensionMismatch("upper bound length does not match grid")
+            raise InvalidInput("upper bound length does not match grid")
         if not np.all(up >= 0):  # also rejects NaN
-            raise ValueError("upper bound must be nonnegative")
+            raise InvalidInput("upper bound must be nonnegative")
 
     @classmethod
     def constant(cls, grid: DomainGrid, b: float):
@@ -57,13 +56,13 @@ class StateConstraint:
             p = np.full(self.region.size, float(p))
         object.__setattr__(self, "psi", p)
         if p.shape != (self.region.size,):
-            raise DimensionMismatch("psi length does not match region")
+            raise InvalidInput("psi length does not match region")
         if not np.all(p > -np.inf):  # +inf marks an absent row
-            raise ValueError("psi must be a number or +inf")
+            raise InvalidInput("psi must be a number or +inf")
         if self.lam < 0:
-            raise ValueError("lavrentiev parameter must be >= 0")
+            raise InvalidInput("lavrentiev parameter must be >= 0")
         if self.sign not in (PLUS, MINUS):
-            raise ValueError(f"sign must be 'plus' or 'minus', got {self.sign!r}")
+            raise InvalidInput(f"sign must be 'plus' or 'minus', got {self.sign!r}")
 
 
 @dataclass
@@ -93,7 +92,7 @@ class AdmissibleSet:
 
     def __post_init__(self):
         if self.box.grid != self.op.grid or self.state.region.grid != self.op.grid:
-            raise DimensionMismatch("box/region/operator grids differ")
+            raise InvalidInput("box/region/operator grids differ")
 
     @property
     def lam(self) -> float:
@@ -143,7 +142,7 @@ class AdmissibleSet:
 def feasibility(u: GridFunction, aset: AdmissibleSet,
                 tol: float = FEAS_TOL) -> FeasibilityReport:
     if u.grid != aset.op.grid:
-        raise DimensionMismatch("grids differ")
+        raise InvalidInput("grids differ")
     su = aset.op.apply_values(u.values)
     return FeasibilityReport.from_slack(aset.slack(u.values, su), tol)
 
@@ -152,15 +151,12 @@ def project_admissible(v: GridFunction, aset: AdmissibleSet,
                        tol: float = 1e-9) -> GridFunction:
     """L2-nearest point of the admissible set (identity-Hessian QP)."""
     if v.grid != aset.op.grid:
-        raise DimensionMismatch("grids differ")
+        raise InvalidInput("grids differ")
     B, psi = aset.constraint_matrix()
     V = aset.op.V  # 2I in the rows' basis
     H, gx = (V, np.full(v.grid.num_nodes, 2.0)), -2.0 * (V.T @ v.values)
     wfac = np.sqrt(v.grid.weight)
-    try:
-        res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac)
-    except InfeasibleProblem as exc:
-        raise InfeasibleSet(str(exc)) from exc
+    res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac)
     return GridFunction(v.grid, res.u)
 
 
@@ -169,10 +165,10 @@ def slater(aset: AdmissibleSet, u_hat: GridFunction):
     lam_max = tau / ||u_hat||_inf(region) (inf when u_hat vanishes there)."""
     rep = feasibility(u_hat, aset.with_lambda(0.0))
     if min(rep.margin_lower, rep.margin_upper) < -FEAS_TOL:
-        raise NotASlaterPoint("candidate violates the box constraints")
+        raise InvalidInput("candidate violates the box constraints")
     tau = rep.margin_state
     if not tau > 0:
-        raise NotASlaterPoint(f"state slack tau = {tau:.3e} is not positive")
+        raise InvalidInput(f"state slack tau = {tau:.3e} is not positive")
     sup = float(np.max(np.abs(u_hat.values[aset.state.region.indices])))
     lam_max = np.inf if sup == 0.0 else tau / sup
     return {"tau": tau, "lam_max": lam_max}

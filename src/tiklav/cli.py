@@ -25,10 +25,7 @@ import numpy as np
 
 from . import __version__, experiments
 from .admissible import AdmissibleSet, BoxBounds, StateConstraint
-from .errors import (AlphaNonPositive, ConfigError, GridTooLarge,
-                     InfeasibleProblem, InfeasibleSet, InvalidKernelParameter,
-                     InvalidRule, InvalidSweep, LambdaExceedsSlaterCap,
-                     NonConvergence, NotASlaterPoint, NoTransition)
+from .errors import Infeasible, InvalidInput, NonConvergence, NoTransition
 from .grid import DomainGrid, GridFunction, ObservationRegion
 from .manufacture import ManufacturedInstance, manufacture, optimal_alpha
 from .operators import KernelSpec, assemble_fredholm, assemble_poisson
@@ -45,7 +42,7 @@ def preset_path(name: str) -> Path:
     """Filesystem path of a bundled preset config."""
     p = resources.files("tiklav") / "presets" / f"{name}.json"
     if not p.is_file():
-        raise ConfigError(f"unknown preset {name!r}")
+        raise InvalidInput(f"unknown preset {name!r}")
     return Path(str(p))
 
 
@@ -54,22 +51,38 @@ def load_config(spec: str) -> dict:
     if not path.is_file():
         try:
             path = preset_path(spec)
-        except ConfigError:
-            raise ConfigError(f"config file not found: {spec}")
+        except InvalidInput:
+            raise InvalidInput(f"config file not found: {spec}")
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}")
+        raise InvalidInput(f"invalid JSON in {path}: {exc}")
 
 
-def _require(cfg: dict, key: str, where: str):
+_REQUIRED = object()
+
+
+def _require(cfg: dict, key: str, where: str, cast=None, default=_REQUIRED):
+    """cfg[key] passed through cast, or default when the field is absent
+    and a default is given. A missing field, a non-object cfg, or a value
+    that cast rejects (ValueError, TypeError, wrong arity) is InvalidInput
+    naming the config path where.key."""
+    if not isinstance(cfg, dict):
+        raise InvalidInput(f"{where} must be an object")
     if key not in cfg:
-        raise ConfigError(f"missing field {where}.{key}")
-    return cfg[key]
+        if default is _REQUIRED:
+            raise InvalidInput(f"missing field {where}.{key}")
+        return default
+    if cast is None:
+        return cfg[key]
+    try:
+        return cast(cfg[key])
+    except (ValueError, TypeError) as exc:
+        raise InvalidInput(f"{where}.{key}: {exc}") from None
 
 
-def _grid_values(grid: DomainGrid, spec, name: str) -> np.ndarray:
+def _grid_values(grid: DomainGrid, spec) -> np.ndarray:
     """Scalar, array or 'inf' -> per-node values."""
     if spec == "inf":
         return np.full(grid.num_nodes, np.inf)
@@ -78,84 +91,70 @@ def _grid_values(grid: DomainGrid, spec, name: str) -> np.ndarray:
     if isinstance(spec, list):
         arr = np.asarray(spec, dtype=float)
         if arr.shape != (grid.num_nodes,):
-            raise ConfigError(
-                f"{name}: expected {grid.num_nodes} values, got {arr.shape}")
+            raise InvalidInput(
+                f"expected {grid.num_nodes} values, got {arr.shape}")
         return arr
-    raise ConfigError(f"{name}: expected scalar, array or 'inf'")
+    raise InvalidInput("expected scalar, array or 'inf'")
 
 
-def _build_w(grid: DomainGrid, spec: dict) -> GridFunction:
-    kind = _require(spec, "kind", "data.manufactured.w")
+def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
+    kind = _require(spec, "kind", where)
     if kind == "constant":
         return GridFunction(grid, np.full(grid.num_nodes,
-                                          float(_require(spec, "value", "w"))))
+                                          _require(spec, "value", where, float)))
     if kind == "values":
-        return GridFunction(grid, _grid_values(grid, _require(spec, "values", "w"),
-                                               "w.values"))
+        return GridFunction(grid, _require(
+            spec, "values", where, lambda v: _grid_values(grid, v)))
     if kind == "sine-mixture":
         if grid.d != 1:
-            raise ConfigError("sine-mixture source is 1D only")
-        amp = float(spec.get("amplitude", 1.0))
-        modes = int(spec.get("modes", grid.n))
-        decay = float(spec.get("decay", 0.5))
+            raise InvalidInput("sine-mixture source is 1D only")
+        amp = _require(spec, "amplitude", where, float, 1.0)
+        modes = _require(spec, "modes", where, int, grid.n)
+        decay = _require(spec, "decay", where, float, 0.5)
         x = grid.coords[:, 0]
         vals = np.zeros(grid.num_nodes)
         for k in range(1, modes + 1):
             vals += amp * k**(-decay) * np.sqrt(2.0) * np.sin(k * np.pi * x)
         return GridFunction(grid, vals)
-    raise ConfigError(f"unknown w kind {kind!r}")
+    raise InvalidInput(f"unknown w kind {kind!r}")
 
 
 def build_operator(cfg: dict):
     op_cfg = _require(cfg, "operator", "config")
     kind = _require(op_cfg, "kind", "operator")
-    d = int(_require(op_cfg, "d", "operator"))
-    n = int(_require(op_cfg, "n", "operator"))
-    try:
-        grid = DomainGrid(d, n)
-    except ValueError as exc:
-        raise ConfigError(f"operator grid: {exc}")
+    grid = DomainGrid(_require(op_cfg, "d", "operator", int),
+                      _require(op_cfg, "n", "operator", int))
     if kind == "poisson":
         return assemble_poisson(grid)
     if kind == "fredholm":
         k_cfg = _require(op_cfg, "kernel", "operator")
-        kspec = KernelSpec(kind=_require(k_cfg, "kind", "operator.kernel"),
-                           value=float(k_cfg.get("value", 1.0)),
-                           width=float(k_cfg.get("width", 1.0)))
+        where = "operator.kernel"
+        kspec = KernelSpec(kind=_require(k_cfg, "kind", where),
+                           value=_require(k_cfg, "value", where, float, 1.0),
+                           width=_require(k_cfg, "width", where, float, 1.0))
         return assemble_fredholm(grid, kspec)
-    raise ConfigError(f"unknown operator kind {kind!r}")
+    raise InvalidInput(f"unknown operator kind {kind!r}")
 
 
 def build_admissible(cfg: dict, op) -> AdmissibleSet:
     a_cfg = _require(cfg, "admissible", "config")
     grid = op.grid
-    b = _grid_values(grid, _require(a_cfg, "b", "admissible"), "admissible.b")
+    box = _require(a_cfg, "b", "admissible",
+                   lambda b: BoxBounds(grid, _grid_values(grid, b)))
     region_spec = a_cfg.get("region", "all")
     if region_spec == "all":
         region = ObservationRegion.all_nodes(grid)
     else:
-        bounds = _require(region_spec, "bounds", "admissible.region")
-        try:
-            region = ObservationRegion.from_bounds(
-                grid, bounds, inner=bool(region_spec.get("inner", False)))
-        except ValueError as exc:
-            raise ConfigError(f"admissible.region: {exc}")
-    psi_full = _grid_values(grid, _require(a_cfg, "psi", "admissible"),
-                            "admissible.psi")
-    lam = float(a_cfg.get("lambda", 0.0))
-    if lam < 0:
-        raise ConfigError("admissible.lambda must be >= 0")
-    sign = a_cfg.get("sign", "plus")
-    if sign not in ("plus", "minus"):
-        raise ConfigError("admissible.sign must be 'plus' or 'minus'")
-    try:
-        state = StateConstraint(region, psi_full[region.indices], lam, sign)
-    except ValueError as exc:
-        raise ConfigError(f"admissible.psi: {exc}")
-    try:
-        box = BoxBounds(grid, b)
-    except ValueError as exc:
-        raise ConfigError(f"admissible.b: {exc}")
+        inner = _require(region_spec, "inner", "admissible.region", bool,
+                         False)
+        region = _require(region_spec, "bounds", "admissible.region",
+                          lambda bounds: ObservationRegion.from_bounds(
+                              grid, bounds, inner=inner))
+    psi = _require(a_cfg, "psi", "admissible",
+                   lambda v: _grid_values(grid, v))
+    state = StateConstraint(region, psi[region.indices],
+                            _require(a_cfg, "lambda", "admissible", float, 0.0),
+                            a_cfg.get("sign", "plus"))
     return AdmissibleSet(box, state, op)
 
 
@@ -163,21 +162,23 @@ def build_instance(cfg: dict, op, aset: AdmissibleSet,
                    seed: int) -> ManufacturedInstance:
     d_cfg = _require(cfg, "data", "config")
     m_cfg = _require(d_cfg, "manufactured", "data")
-    w = _build_w(op.grid, _require(m_cfg, "w", "data.manufactured"))
+    where = "data.manufactured"
+    w = _build_w(op.grid, _require(m_cfg, "w", where), where + ".w")
     return manufacture(
         w, aset.with_lambda(0.0),
         attainable=bool(m_cfg.get("attainable", True)),
-        residual=float(m_cfg.get("residual", 0.0)),
+        residual=_require(m_cfg, "residual", where, float, 0.0),
         residual_direction=m_cfg.get("residual_direction", "random"),
-        seed=int(m_cfg.get("seed", seed)))
+        seed=_require(m_cfg, "seed", where, int, seed))
 
 
 def build_data(cfg: dict, op, aset, seed: int):
     """Returns (y_d, instance-or-None)."""
     d_cfg = _require(cfg, "data", "config")
-    if "values" in d_cfg:
-        return GridFunction(op.grid, _grid_values(op.grid, d_cfg["values"],
-                                                  "data.values")), None
+    values = _require(d_cfg, "values", "data",
+                      lambda v: _grid_values(op.grid, v), None)
+    if values is not None:
+        return GridFunction(op.grid, values), None
     inst = build_instance(cfg, op, aset, seed)
     return inst.y_d, inst
 
@@ -228,7 +229,7 @@ def cmd_solve(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
     op = build_operator(cfg)
     aset = build_admissible(cfg, op)
     y_d, _ = build_data(cfg, op, aset, seed)
-    alpha = float(_require(cfg, "alpha", "config"))
+    alpha = _require(cfg, "alpha", "config", float)
     prob = RegularizedProblem(op, y_d, aset, alpha)
     sol = solve(prob, tol=tol)
     rep = sol.margins
@@ -284,15 +285,20 @@ def cmd_manufacture(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunRepor
 
 
 def _floats(e_cfg: dict, key: str) -> list:
-    return [float(x) for x in _require(e_cfg, key, "experiment")]
+    return _require(e_cfg, key, "experiment", lambda v: [float(x) for x in v])
+
+
+def _pair(value) -> tuple:
+    lo, hi = value
+    return float(lo), float(hi)
 
 
 def _rate_fit(fit, e_cfg: dict):
     """(rate_slope check, fit summary) of a RateFit, or of None."""
     if fit is None:
         return False, None
-    rng = tuple(e_cfg.get("slope_range", (0.45, 0.55)))
-    return rng[0] <= fit.slope <= rng[1], asdict(fit)
+    lo, hi = _require(e_cfg, "slope_range", "experiment", _pair, (0.45, 0.55))
+    return lo <= fit.slope <= hi, asdict(fit)
 
 
 def _verify_sweep_alpha(cfg, e_cfg, op, aset, tol, seed):
@@ -308,7 +314,7 @@ def _verify_activity(cfg, e_cfg, op, aset, tol, seed):
     inst = build_instance(cfg, op, aset, seed)
     expect = e_cfg.get("expect", "transition")
     if expect not in ("transition", "none"):
-        raise ConfigError("experiment.expect must be 'transition' or 'none'")
+        raise InvalidInput("experiment.expect must be 'transition' or 'none'")
     try:
         out = experiments.activity_transition(
             inst, _floats(e_cfg, "alpha_list"), tau=inst.tau, tol=tol)
@@ -323,8 +329,10 @@ def _verify_noise(cfg, e_cfg, op, aset, tol, seed):
     inst = build_instance(cfg, op, aset, seed)
     rule = e_cfg.get("rule", {})
     out = experiments.noise_study(
-        inst, _floats(e_cfg, "delta_list"), s=float(rule.get("s", 2.0 / 3.0)),
-        c=float(rule.get("c", 1.0)), tol=tol, seed=seed)
+        inst, _floats(e_cfg, "delta_list"),
+        s=_require(rule, "s", "experiment.rule", float, 2.0 / 3.0),
+        c=_require(rule, "c", "experiment.rule", float, 1.0),
+        tol=tol, seed=seed)
     checks = {"error_bounds": all(map(all, out["bound_checks"]))}
     if inst.interior:
         checks["inactive_at_smallest_delta"] = out["delta0"] is not None
@@ -334,10 +342,10 @@ def _verify_noise(cfg, e_cfg, op, aset, tol, seed):
 def _verify_lavrentiev(cfg, e_cfg, op, aset, tol, seed):
     inst = build_instance(cfg, op, aset, seed)
     uhat = e_cfg.get("uhat", {"kind": "constant", "value": 0.0})
-    u_hat = _build_w(op.grid, uhat)
+    u_hat = _build_w(op.grid, uhat, "experiment.uhat")
     sign = e_cfg.get("sign", "plus")
     out = experiments.lavrentiev_sweep(
-        inst, float(_require(e_cfg, "alpha", "experiment")),
+        inst, _require(e_cfg, "alpha", "experiment", float),
         _floats(e_cfg, "lambda_list"), sign, u_hat, tol=tol)
     # every shifted solution equal to the lambda = 0 one (no positive scaled
     # error) meets the lambda/alpha bound with constant 0
@@ -357,7 +365,7 @@ def _verify_total_error(cfg, e_cfg, op, aset, tol, seed):
     inst = build_instance(cfg, op, aset, seed)
     out = experiments.total_error_study(
         inst, _floats(e_cfg, "alpha_list"),
-        lam_cap=float(e_cfg.get("lambda_cap", 1e-2)),
+        lam_cap=_require(e_cfg, "lambda_cap", "experiment", float, 1e-2),
         sign=e_cfg.get("sign", "plus"), tol=tol)
     slope_ok, fit = _rate_fit(out["fit"], e_cfg)
     checks = {"rate_slope": slope_ok,
@@ -367,8 +375,8 @@ def _verify_total_error(cfg, e_cfg, op, aset, tol, seed):
 
 def _verify_continuity(cfg, e_cfg, op, aset, tol, seed):
     y_d, _ = build_data(cfg, op, aset, seed)
-    pairs = [(float(a), float(b))
-             for a, b in _require(e_cfg, "pairs", "experiment")]
+    pairs = _require(e_cfg, "pairs", "experiment",
+                     lambda v: [_pair(p) for p in v])
     flags = experiments.alpha_continuity_check(op, y_d, aset, pairs, tol=tol)
     return [], {"continuity_bounds": all(flags)}, {"pair_flags": flags}
 
@@ -387,7 +395,7 @@ def cmd_verify(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
     e_cfg = _require(cfg, "experiment", "config")
     kind = _require(e_cfg, "kind", "experiment")
     if not isinstance(kind, str) or kind not in VERIFY:
-        raise ConfigError(f"experiment.kind must be one of {tuple(VERIFY)}")
+        raise InvalidInput(f"experiment.kind must be one of {tuple(VERIFY)}")
     op = build_operator(cfg)
     aset = build_admissible(cfg, op)
     records, checks, summaries = VERIFY[kind](cfg, e_cfg, op, aset, tol, seed)
@@ -425,11 +433,10 @@ def main(argv: Optional[list] = None) -> int:
         t0 = time.perf_counter()
         report = COMMANDS[args.command](cfg, out_dir, args.tol, args.seed)
         report.runtime_seconds = time.perf_counter() - t0
-    except (ConfigError, AlphaNonPositive, InvalidKernelParameter, GridTooLarge,
-            NotASlaterPoint, InvalidRule, InvalidSweep) as exc:  # config values
+    except InvalidInput as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleProblem, InfeasibleSet, LambdaExceedsSlaterCap) as exc:
+    except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except NonConvergence as exc:

@@ -10,8 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .admissible import FEAS_TOL, AdmissibleSet, FeasibilityReport, slater
-from .errors import (InvalidRule, InvalidSweep, LambdaExceedsSlaterCap,
-                     NoTransition)
+from .errors import Infeasible, InvalidInput, NoTransition
 from .grid import GridFunction, wnorm
 from .manufacture import ManufacturedInstance, add_noise
 from .qp import ActiveSet
@@ -107,7 +106,7 @@ def sweep_alpha(inst: ManufacturedInstance, alpha_list: Sequence[float],
     alphas = list(alpha_list)
     if len(alphas) < 4 or any(a <= 0 for a in alphas) or \
             any(alphas[i] <= alphas[i + 1] for i in range(len(alphas) - 1)):
-        raise InvalidSweep("alpha_list must be >= 4 positive values, descending")
+        raise InvalidInput("alpha_list must be >= 4 positive values, descending")
     aset = inst.aset.with_lambda(0.0)
     records, active = [], None
     for a in alphas:
@@ -153,8 +152,10 @@ def noise_study(inst: ManufacturedInstance, delta_list: Sequence[float],
     noisy-data error bounds; report the delta below which all constraints
     are inactive (None if never)."""
     if not 0.0 < s < 1.0:
-        raise InvalidRule(f"exponent s must be in (0, 1), got {s}")
+        raise InvalidInput(f"exponent s must be in (0, 1), got {s}")
     deltas = sorted(delta_list, reverse=True)
+    if not deltas:
+        raise InvalidInput("delta_list must be nonempty")
     positive = [d for d in deltas if d > 0]
     alpha_floor = c * min(positive) ** s if positive else 1e-6
     aset = inst.aset.with_lambda(0.0)
@@ -181,10 +182,12 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
                      u_hat: GridFunction, tol: float = 1e-8) -> dict:
     """Compare u_alpha^lam against u_alpha^0 across lam; fit the constant of
     the lam/alpha error bound and detect the coincidence threshold."""
-    sl = slater(inst.aset.with_lambda(0.0), u_hat)
     lams = sorted(lam_list, reverse=True)
-    if sign == "plus" and lams and lams[0] > sl["lam_max"]:
-        raise LambdaExceedsSlaterCap(
+    if not lams:
+        raise InvalidInput("lambda_list must be nonempty")
+    sl = slater(inst.aset.with_lambda(0.0), u_hat)
+    if sign == "plus" and lams[0] > sl["lam_max"]:
+        raise Infeasible(
             f"lam = {lams[0]:g} exceeds tau/||u_hat||_inf = {sl['lam_max']:g}")
     base_set = inst.aset.with_lambda(0.0)
     base = _solve(inst, base_set, alpha, tol)[1]
@@ -212,7 +215,7 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
     if inst.margins.margin_state > 0:
         # largest lam such that it and every smaller lam coincide with lam = 0
         flags = [e <= 10 * tol for e in errors]
-        if flags and flags[-1]:
+        if flags[-1]:
             dirty = [i for i, f in enumerate(flags) if not f]
             lam_coincide = lams[max(dirty) + 1] if dirty else lams[0]
     return {"records": records, "errors": errors, "c_fit": c_fit,
@@ -246,6 +249,8 @@ def alpha_continuity_check(op, y_d: GridFunction, aset: AdmissibleSet,
                            pairs: Sequence[Tuple[float, float]],
                            tol: float = 1e-8) -> List[bool]:
     """Check ||u_beta - u_alpha|| <= (|alpha-beta|/beta) ||u_alpha|| + 20 tol."""
+    if len(pairs) == 0:
+        raise InvalidInput("pairs must be nonempty")
     out = []
     for a, b in pairs:
         sol_a = solve(RegularizedProblem(op, y_d, aset, a), tol=tol)

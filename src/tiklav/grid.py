@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,9 @@ class DomainGrid:
 
     def __post_init__(self):
         if self.d not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.d}")
+            raise InvalidInput(f"dimension must be 1 or 2, got {self.d}")
         if self.n < 3:
-            raise ValueError(f"need at least 3 nodes per axis, got {self.n}")
+            raise InvalidInput(f"need at least 3 nodes per axis, got {self.n}")
 
     @property
     def h(self) -> float:
@@ -65,13 +65,13 @@ class GridFunction:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.num_nodes,):
-            raise DimensionMismatch(
+            raise InvalidInput(
                 f"expected {self.grid.num_nodes} values, got {self.values.shape}"
             )
 
     def inner(self, other: "GridFunction") -> float:
         if other.grid != self.grid:
-            raise DimensionMismatch("grids differ")
+            raise InvalidInput("grids differ")
         return self.grid.weight * float(self.values @ other.values)
 
     def norm(self) -> float:
@@ -112,16 +112,16 @@ class ObservationRegion:
         idx = np.asarray(self.indices, dtype=np.intp)
         object.__setattr__(self, "indices", idx)
         if idx.size == 0:
-            raise ValueError("observation region must be nonempty")
+            raise InvalidInput("observation region must be nonempty")
         if idx.min() < 0 or idx.max() >= self.grid.num_nodes:
-            raise ValueError("region indices out of range")
+            raise InvalidInput("region indices out of range")
         if self.inner:
             # no boundary-adjacent nodes: per-axis index in 2..n-1
             h = self.grid.h
             c = self.grid.coords[idx]
             lo, hi = 1.5 * h, 1.0 - 1.5 * h
             if np.any(c < lo) or np.any(c > hi):
-                raise ValueError("inner region contains boundary-adjacent nodes")
+                raise InvalidInput("inner region contains boundary-adjacent nodes")
 
     @property
     def size(self) -> int:
@@ -132,13 +132,13 @@ class ObservationRegion:
         """Axis-aligned box given per-axis coordinate bounds [(lo, hi), ...]."""
         bounds = np.asarray(bounds, dtype=float)
         if bounds.shape != (grid.d, 2):
-            raise ValueError(f"need {grid.d} (lo, hi) pairs, got {bounds.shape}")
+            raise InvalidInput(f"need {grid.d} (lo, hi) pairs, got {bounds.shape}")
         c = grid.coords
         mask = np.ones(grid.num_nodes, dtype=bool)
         for ax in range(grid.d):
             mask &= (c[:, ax] >= bounds[ax, 0]) & (c[:, ax] <= bounds[ax, 1])
         if not mask.any():
-            raise ValueError("region bounds contain no grid nodes")
+            raise InvalidInput("region bounds contain no grid nodes")
         return cls(grid, np.nonzero(mask)[0], inner=inner)
 
     @classmethod

@@ -10,7 +10,7 @@ import numpy as np
 
 from .admissible import (FEAS_TOL, AdmissibleSet, FeasibilityReport,
                          project_admissible)
-from .errors import EmptyPath, ZeroSourceNorm
+from .errors import InvalidInput
 from .grid import GridFunction, wnorm
 from .operators import apply, apply_adjoint
 
@@ -84,7 +84,7 @@ def manufacture(w: GridFunction, aset: AdmissibleSet, attainable: bool = True,
     the requested norm is added (random or constant direction).
     """
     if aset.lam != 0.0:
-        raise ValueError("manufacture requires the unregularized set (lam = 0)")
+        raise InvalidInput("manufacture requires the unregularized set (lam = 0)")
     sw = apply_adjoint(aset.op, w)
     u_bar = project_admissible(sw, aset, tol=tol)
     y_d = apply(aset.op, u_bar)
@@ -93,12 +93,15 @@ def manufacture(w: GridFunction, aset: AdmissibleSet, attainable: bool = True,
     res_norm = 0.0
     if not attainable:
         if residual <= 0:
-            raise ValueError("non-attainable instances need a positive residual")
+            raise InvalidInput("non-attainable instances need a positive residual")
         n = y_d.grid.num_nodes
         if residual_direction == "constant":
             e = np.ones(n)
-        else:
+        elif residual_direction == "random":
             e = _lcg_uniforms(seed, n)
+        else:
+            raise InvalidInput("residual_direction must be 'random' or "
+                               f"'constant', got {residual_direction!r}")
         e /= wnorm(y_d.grid, e)
         y_d = GridFunction(y_d.grid, y_d.values + residual * e)
         res_norm = residual
@@ -110,7 +113,7 @@ def manufacture(w: GridFunction, aset: AdmissibleSet, attainable: bool = True,
 def add_noise(y_d: GridFunction, delta: float, seed: int) -> NoisyData:
     """y_d + delta * e / ||e|| with e from the seeded generator; exact norm."""
     if delta < 0:
-        raise ValueError("noise level must be >= 0")
+        raise InvalidInput("noise level must be >= 0")
     if delta == 0.0:
         return NoisyData(y_d.copy(), 0.0, seed)
     e = _lcg_uniforms(seed, y_d.grid.num_nodes)
@@ -123,7 +126,7 @@ def recover_source(path: Sequence[Tuple[float, "Solution"]], y_d: GridFunction,
     """Extract w_est = -(S u_alpha - y_d)/alpha at the smallest alpha and
     certify it against the projection identity P_set(S* w_est) = u_alpha."""
     if not path:
-        raise EmptyPath("recover_source needs at least one (alpha, solution)")
+        raise InvalidInput("recover_source needs at least one (alpha, solution)")
     ratios = [wnorm(y_d.grid, sol.y.values - y_d.values) / a for a, sol in path]
     alpha, sol = path[-1]
     w_est = GridFunction(y_d.grid, -(sol.y.values - y_d.values) / alpha)
@@ -136,9 +139,9 @@ def recover_source(path: Sequence[Tuple[float, "Solution"]], y_d: GridFunction,
 def optimal_alpha(residual_norm: float, w_norm: float) -> dict:
     """A-priori choice alpha* = ||S u_bar - y_d|| / ||w||."""
     if not w_norm > 0:
-        raise ZeroSourceNorm(f"source norm must be positive, got {w_norm}")
+        raise InvalidInput(f"source norm must be positive, got {w_norm}")
     if residual_norm < 0:
-        raise ValueError("residual norm must be >= 0")
+        raise InvalidInput("residual norm must be >= 0")
     if residual_norm == 0.0:
         return {"alpha_star": 0.0, "attainable": True}
     return {"alpha_star": residual_norm / w_norm, "attainable": False}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridTooLarge, InvalidKernelParameter
+from .errors import InvalidInput
 from .grid import DomainGrid, GridFunction
 
 DENSE_CAP = 4096
@@ -39,11 +39,11 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind not in ("constant", "separable", "gaussian"):
-            raise InvalidKernelParameter(f"unknown kernel kind {self.kind!r}")
+            raise InvalidInput(f"unknown kernel kind {self.kind!r}")
         if self.kind == "gaussian" and not self.width > 0:
-            raise InvalidKernelParameter("gaussian width must be positive")
+            raise InvalidInput("gaussian width must be positive")
         if not np.isfinite(self.value) or not np.isfinite(self.width):
-            raise InvalidKernelParameter("kernel parameters must be finite")
+            raise InvalidInput("kernel parameters must be finite")
 
     def evaluate(self, x: np.ndarray, xp: np.ndarray) -> np.ndarray:
         """Kernel matrix k(x_i, xp_j) for coordinate arrays (N, d), (M, d)."""
@@ -122,7 +122,7 @@ def assemble_poisson(grid: DomainGrid) -> AssembledOperator:
     S = V diag(1/lam) V^T in the sine basis (a Kronecker product in 2D)."""
     N = grid.num_nodes
     if N > DENSE_CAP:
-        raise GridTooLarge(f"poisson assembly for {N} > {DENSE_CAP} nodes")
+        raise InvalidInput(f"poisson assembly for {N} > {DENSE_CAP} nodes")
     V, lam = _sine_modes(grid.n)
     if grid.d == 2:
         V, lam = np.kron(V, V), np.add.outer(lam, lam).ravel()
@@ -134,7 +134,7 @@ def assemble_fredholm(grid: DomainGrid, kernel: KernelSpec) -> AssembledOperator
     built-in kernels and uniform weights, split by one eigh."""
     N = grid.num_nodes
     if N > DENSE_CAP:
-        raise GridTooLarge(f"fredholm assembly for {N} > {DENSE_CAP} nodes")
+        raise InvalidInput(f"fredholm assembly for {N} > {DENSE_CAP} nodes")
     c = grid.coords
     S = kernel.evaluate(c, c) * grid.weight
     s, V = np.linalg.eigh(S)
@@ -143,11 +143,11 @@ def assemble_fredholm(grid: DomainGrid, kernel: KernelSpec) -> AssembledOperator
 
 def apply(op: AssembledOperator, u: GridFunction) -> GridFunction:
     if u.grid != op.grid:
-        raise DimensionMismatch("operator and function grids differ")
+        raise InvalidInput("operator and function grids differ")
     return GridFunction(op.grid, op.apply_values(u.values))
 
 
 def apply_adjoint(op: AssembledOperator, y: GridFunction) -> GridFunction:
     if y.grid != op.grid:
-        raise DimensionMismatch("operator and function grids differ")
+        raise InvalidInput("operator and function grids differ")
     return GridFunction(op.grid, op.apply_adjoint_values(y.values))

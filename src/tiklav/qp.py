@@ -57,7 +57,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InfeasibleProblem, NonConvergence
+from .errors import Infeasible, InvalidInput, NonConvergence
 
 DEPENDENT_TOL = 1e-10   # |projection of L^{-1} a off the active rows| / |L^{-1} a|
 PROX_SCALE = 1e-6       # proximal weight delta = PROX_SCALE * max(diag H)
@@ -196,7 +196,7 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     `normal` gives b_i = V^T a_i. A row with violation a_i^T u - c_i <=
     feas_tol counts as satisfied. The iteration starts from the rows of
     `start` made dual feasible (see the module docstring); changes made
-    there are not counted. Raises InfeasibleProblem when the constraints
+    there are not counted. Raises Infeasible when the constraints
     admit no point. After 10 changes per row the current (dual-feasible,
     possibly primal-infeasible) iterate is returned.
     """
@@ -273,7 +273,7 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
             partial = float(ratios.min())
         step = min(full, partial)
         if step == np.inf:
-            raise InfeasibleProblem(
+            raise Infeasible(
                 f"constraints infeasible: a row violated by {b @ x - c[p]:.3e} "
                 "depends on the active rows")
         if full < np.inf:
@@ -323,10 +323,12 @@ def solve_box_state_qp(H, gx: np.ndarray, upper: np.ndarray,
     The gradient at 0 and the state rows are given in that basis: g = V gx
     and T = B V^T. `start` is the active set of a nearby solve (e.g. a
     previous `QPResult.active`); rows it names that do not exist here, or
-    depend on others, are skipped. Raises InfeasibleProblem when no box
-    point satisfies T u <= psi and NonConvergence when MAX_PROX_STEPS
-    proximal steps miss the certificate.
+    depend on others, are skipped. Raises InvalidInput unless tol > 0,
+    Infeasible when no box point satisfies T u <= psi and NonConvergence
+    when MAX_PROX_STEPS proximal steps miss the certificate.
     """
+    if not tol > 0:
+        raise InvalidInput(f"tol must be positive, got {tol}")
     V, d = H
     if B is None:
         B, psi = np.zeros((0, d.size)), np.zeros(0)

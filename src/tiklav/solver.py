@@ -12,8 +12,7 @@ import numpy as np
 
 from .admissible import (ACTIVE_TOL, FEAS_TOL, AdmissibleSet,
                          FeasibilityReport, project_admissible)
-from .errors import (AlphaNonPositive, DimensionMismatch, NoFeasiblePattern,
-                     OracleTooLarge)
+from .errors import InvalidInput, NoFeasiblePattern
 from .grid import GridFunction, wnorm
 from .operators import AssembledOperator
 from . import qp
@@ -30,9 +29,9 @@ class RegularizedProblem:
 
     def __post_init__(self):
         if self.y_d.grid != self.op.grid or self.aset.op.grid != self.op.grid:
-            raise DimensionMismatch("problem grids differ")
+            raise InvalidInput("problem grids differ")
         if self.alpha <= 0:
-            raise AlphaNonPositive(f"alpha must be positive, got {self.alpha}")
+            raise InvalidInput(f"alpha must be positive, got {self.alpha}")
 
     def objective(self, u_values: np.ndarray) -> float:
         """Weighted objective ||Su - y_d||^2 + alpha ||u||^2."""
@@ -96,7 +95,7 @@ def solve_unconstrained(op: AssembledOperator, y_d: GridFunction,
                         alpha: float) -> GridFunction:
     """Solve (S*S + alpha I) u = S* y_d in the eigenbasis of S."""
     if alpha <= 0:
-        raise AlphaNonPositive(f"alpha must be positive, got {alpha}")
+        raise InvalidInput(f"alpha must be positive, got {alpha}")
     (V, d), gx = _build_quadratic(op, y_d, alpha)
     return GridFunction(op.grid, V @ (-gx / d))
 
@@ -178,7 +177,7 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
     """
     n = problem.op.grid.num_nodes
     if n > ORACLE_CAP:
-        raise OracleTooLarge(f"{n} nodes exceeds the oracle cap {ORACLE_CAP}")
+        raise InvalidInput(f"{n} nodes exceeds the oracle cap {ORACLE_CAP}")
     aset = problem.aset
     # a dense H and T of its own: the oracle shares no basis with `solve`
     S = problem.op.matrix

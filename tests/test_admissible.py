@@ -5,7 +5,7 @@ import pytest
 
 from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
                                feasibility, project_admissible, slater)
-from tiklav.errors import InfeasibleSet, NotASlaterPoint
+from tiklav.errors import Infeasible, InvalidInput
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, constant
 from tiklav.operators import KernelSpec, assemble_fredholm, assemble_poisson
 
@@ -246,7 +246,7 @@ class TestProjection:
         op = assemble_fredholm(g, KernelSpec("constant"))
         state = StateConstraint(ObservationRegion.all_nodes(g), np.full(5, -1.0))
         aset = AdmissibleSet(BoxBounds.constant(g, 1.0), state, op)
-        with pytest.raises(InfeasibleSet):
+        with pytest.raises(Infeasible, match="constraints infeasible"):
             project_admissible(constant(g, 0.5), aset, tol=1e-8)
 
 
@@ -270,10 +270,10 @@ class TestSlater:
 
     def test_no_slack_rejected(self):
         aset = small_set(psi=0.0)
-        with pytest.raises(NotASlaterPoint):
+        with pytest.raises(InvalidInput, match="state slack tau = .* is not positive"):
             slater(aset, constant(aset.op.grid, 0.0))
 
     def test_box_violating_candidate_rejected(self):
         aset = small_set(b=1.0, psi=10.0)
-        with pytest.raises(NotASlaterPoint):
+        with pytest.raises(InvalidInput, match="violates the box constraints"):
             slater(aset, constant(aset.op.grid, 2.0))

@@ -253,35 +253,74 @@ def _with(cfg, path, value):
     return cfg
 
 
-def _lavrentiev_cfg(uhat):
+def _lavrentiev_cfg(uhat=None, **experiment):
     cfg = base_cfg()
     cfg["experiment"] = {"kind": "lavrentiev", "alpha": 0.01,
-                         "lambda_list": [1e-2, 1e-3], "uhat": uhat}
+                         "lambda_list": [1e-2, 1e-3],
+                         "uhat": uhat or {"kind": "constant", "value": 0.0}}
+    cfg["experiment"].update(experiment)
     return cfg
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("solve", _with(base_cfg(), ["alpha"], 0)),
-    ("solve", _with(base_cfg(), ["admissible", "b"], -1)),
-    ("solve", _with(base_cfg(), ["admissible", "psi"], float("-inf"))),
+def _non_attainable(**manufactured):
+    cfg = base_cfg()
+    cfg["data"]["manufactured"].update(attainable=False, **manufactured)
+    return cfg
+
+
+# command (with any extra arguments), config, id; each is rejected with
+# exit code 2 and a "config error: " line
+REJECTED = [
+    ("solve", _with(base_cfg(), ["alpha"], 0), "alpha-zero"),
+    ("solve", _with(base_cfg(), ["admissible", "b"], -1), "negative-b"),
+    ("solve", _with(base_cfg(), ["admissible", "psi"], float("-inf")),
+     "psi-minus-inf"),
     ("solve", _with(base_cfg(), ["operator"], {
         "kind": "fredholm", "d": 1, "n": 8,
-        "kernel": {"kind": "gaussian", "width": -1}})),
+        "kernel": {"kind": "gaussian", "width": -1}}), "negative-width"),
     ("verify", _with(cli.load_config("binding-state-poisson-2d"),
-                     ["operator", "n"], 70)),
-    ("verify", _lavrentiev_cfg({"kind": "constant", "value": -1.0})),
+                     ["operator", "n"], 70), "grid-too-large"),
+    ("verify", _lavrentiev_cfg({"kind": "constant", "value": -1.0}),
+     "uhat-not-slater"),
     ("verify", _experiment(base_cfg(), kind="noise", delta_list=[1e-2],
-                           rule={"s": 1.5})),
+                           rule={"s": 1.5}), "noise-rule-exponent"),
     ("verify", _experiment(base_cfg(), kind="sweep-alpha",
-                           alpha_list=[1e-1, 1e-2, 1e-3])),
+                           alpha_list=[1e-1, 1e-2, 1e-3]), "short-alpha-list"),
     ("verify", _experiment(base_cfg(), kind="activity",
-                           alpha_list=[1e-3, 1e-2, 1e-1, 1e-4])),
-], ids=["alpha-zero", "negative-b", "psi-minus-inf", "negative-width", "grid-too-large",
-        "uhat-not-slater", "noise-rule-exponent", "short-alpha-list",
-        "unsorted-alpha-list"])
+                           alpha_list=[1e-3, 1e-2, 1e-1, 1e-4]),
+     "unsorted-alpha-list"),
+    ("solve", _non_attainable(), "non-attainable-without-residual"),
+    ("solve", _with(base_cfg(), ["operator", "n"], "abc"), "grid-n-not-a-number"),
+    ("verify", _experiment(base_cfg(), kind="sweep-alpha", alpha_list="abc"),
+     "alpha-list-not-numbers"),
+    ("verify", _experiment(base_cfg(), kind="noise", delta_list=[]),
+     "empty-delta-list"),
+    ("verify", _lavrentiev_cfg(sign="bogus"), "lavrentiev-bad-sign"),
+    ("verify", _lavrentiev_cfg(lambda_list=[1e-2, -1e-3]),
+     "lavrentiev-negative-lambda"),
+    ("verify", _experiment(base_cfg(), kind="total-error", alpha_list=ALPHAS,
+                           sign="bogus"), "total-error-bad-sign"),
+    ("verify", _experiment(base_cfg(), kind="continuity", pairs=[[0.1]]),
+     "continuity-pair-arity"),
+    ("verify", _experiment(base_cfg(), kind="sweep-alpha", alpha_list=ALPHAS,
+                           slope_range=[0.4]), "slope-range-arity"),
+    ("verify", _experiment(base_cfg(), kind="sweep-alpha", alpha_list=ALPHAS,
+                           slope_range="ab"), "slope-range-not-numbers"),
+    ("solve --tol -1", base_cfg(), "negative-tol"),
+    ("solve --tol 0", base_cfg(), "zero-tol"),
+    ("verify", _lavrentiev_cfg(lambda_list=[]), "empty-lambda-list"),
+    ("verify", _experiment(base_cfg(), kind="continuity", pairs=[]),
+     "empty-pairs"),
+    ("solve", _non_attainable(residual=0.1, residual_direction="uniform"),
+     "unknown-residual-direction"),
+]
+
+
+@pytest.mark.parametrize("command, cfg", [case[:2] for case in REJECTED],
+                         ids=[case[2] for case in REJECTED])
 def test_library_errors_from_config_values_exit_2(command, cfg, tmp_path,
                                                   capsys):
-    rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
-                   "--out", str(tmp_path / "o")])
+    rc = cli.main(command.split() + ["--config", write_cfg(tmp_path, cfg),
+                                     "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")

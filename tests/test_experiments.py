@@ -5,7 +5,7 @@ import pytest
 
 from tiklav import experiments
 from tiklav.admissible import AdmissibleSet, BoxBounds, StateConstraint
-from tiklav.errors import InvalidRule, LambdaExceedsSlaterCap, NoTransition
+from tiklav.errors import Infeasible, InvalidInput, NoTransition
 from tiklav.experiments import (CSV_COLUMNS, SweepRecord, fit_rate,
                                 records_to_csv)
 from tiklav.grid import DomainGrid, ObservationRegion, constant
@@ -99,7 +99,7 @@ class TestNoiseStudy:
     def test_invalid_exponent_rejected(self):
         inst = make_instance()
         for s in (0.0, 1.0, 1.5, -0.2):
-            with pytest.raises(InvalidRule):
+            with pytest.raises(InvalidInput, match=r"exponent s must be in \(0, 1\)"):
                 experiments.noise_study(inst, [1e-2], s=s)
 
     def test_zero_delta_entry_allowed(self):
@@ -112,7 +112,7 @@ class TestLavrentievSweep:
     def test_plus_cap_enforced(self):
         inst = make_instance(psi=0.05)
         u_hat = constant(inst.aset.op.grid, 0.4)  # S u_hat < psi, finite cap
-        with pytest.raises(LambdaExceedsSlaterCap):
+        with pytest.raises(Infeasible, match="exceeds tau/"):
             experiments.lavrentiev_sweep(inst, 1e-2, [1e3], "plus", u_hat)
 
     def test_coincidence_for_interior_instance(self):
@@ -148,6 +148,18 @@ class TestContinuityCheck:
         flags = experiments.alpha_continuity_check(
             inst.aset.op, inst.y_d, inst.aset, pairs, tol=1e-9)
         assert all(flags)
+
+
+def test_empty_sweep_inputs_rejected():
+    inst = make_instance()
+    u_hat = constant(inst.aset.op.grid, 0.0)
+    with pytest.raises(InvalidInput, match="delta_list must be nonempty"):
+        experiments.noise_study(inst, [])
+    with pytest.raises(InvalidInput, match="lambda_list must be nonempty"):
+        experiments.lavrentiev_sweep(inst, 1e-2, [], "plus", u_hat)
+    with pytest.raises(InvalidInput, match="pairs must be nonempty"):
+        experiments.alpha_continuity_check(inst.aset.op, inst.y_d, inst.aset,
+                                           [])
 
 
 class TestCsv:

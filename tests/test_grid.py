@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiklav.errors import DimensionMismatch
+from tiklav.errors import InvalidInput
 from tiklav.grid import (DomainGrid, GridFunction, ObservationRegion, constant,
                          from_callable, wnorm)
 
@@ -53,13 +53,13 @@ class TestGridFunction:
 
     def test_shape_mismatch_raises(self):
         g = DomainGrid(1, 5)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match=r"expected 5 values, got \(4,\)"):
             GridFunction(g, np.zeros(4))
 
     def test_inner_across_grids_raises(self):
         a = constant(DomainGrid(1, 5), 1.0)
         b = constant(DomainGrid(1, 6), 1.0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="grids differ"):
             a.inner(b)
 
     def test_copy_is_independent(self):

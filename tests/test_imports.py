@@ -1,7 +1,8 @@
 """Lint rules with the standard library's ast only: every name a module of
-tiklav imports is used in that module (a linter's unused-import rule), and
+tiklav imports is used in that module (a linter's unused-import rule),
 every private top-level name of tiklav is referenced somewhere in tiklav (a
-dead-code rule)."""
+dead-code rule), and tiklav raises no bare ValueError or TypeError (a
+rejected input is `InvalidInput`)."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,30 @@ def test_checker_flags_an_unreferenced_private_name():
 
 def test_no_unreferenced_private_names():
     assert unreferenced_private([p.read_text() for p in SOURCES]) == []
+
+
+def bare_raises(source: str) -> list:
+    """Line numbers of `raise ValueError(...)` and `raise TypeError(...)`,
+    or of the bare class without a call."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError",
+                                                        "TypeError"):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_checker_flags_a_bare_value_or_type_error():
+    source = ("def f(x):\n    if x < 0:\n        raise ValueError('x')\n"
+              "    if x is None:\n        raise TypeError\n"
+              "    raise InvalidInput('y')\n\n"
+              "def g():\n    try:\n        pass\n"
+              "    except ValueError as exc:\n        raise\n")
+    assert bare_raises(source) == [3, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_bare_value_or_type_errors(path):
+    assert bare_raises(path.read_text()) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tiklav.admissible import AdmissibleSet, BoxBounds, StateConstraint, feasibility
-from tiklav.errors import EmptyPath, ZeroSourceNorm
+from tiklav.errors import InvalidInput
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, constant, wnorm
 from tiklav.manufacture import (_lcg_uniforms, add_noise, manufacture,
                                 optimal_alpha, recover_source)
@@ -63,6 +63,12 @@ class TestManufacture:
                            residual_direction="constant")
         diff = inst.y_d.values - apply(aset.op, inst.u_bar).values
         assert np.ptp(diff) <= 1e-14
+
+    def test_unknown_residual_direction_rejected(self):
+        aset = make_set()
+        with pytest.raises(InvalidInput, match="residual_direction must be"):
+            manufacture(constant(aset.op.grid, 1.0), aset, attainable=False,
+                        residual=0.1, residual_direction="uniform")
 
     def test_nonattainable_needs_positive_residual(self):
         aset = make_set()
@@ -132,7 +138,7 @@ class TestRecoverSource:
 
     def test_empty_path_rejected(self):
         aset = make_set()
-        with pytest.raises(EmptyPath):
+        with pytest.raises(InvalidInput, match="needs at least one"):
             recover_source([], constant(aset.op.grid, 0.0), aset)
 
 
@@ -147,7 +153,7 @@ class TestOptimalAlpha:
         assert out["alpha_star"] == 0.0 and out["attainable"] is True
 
     def test_zero_source_norm_rejected(self):
-        with pytest.raises(ZeroSourceNorm):
+        with pytest.raises(InvalidInput, match="source norm must be positive"):
             optimal_alpha(0.1, 0.0)
 
     def test_negative_residual_rejected(self):

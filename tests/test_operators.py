@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tiklav.errors import GridTooLarge, InvalidKernelParameter
+from tiklav.errors import InvalidInput
 from tiklav.grid import DomainGrid, GridFunction, constant, from_callable
 from tiklav.operators import (DENSE_CAP, KernelSpec, apply, apply_adjoint,
                               assemble_fredholm, assemble_poisson)
@@ -44,7 +44,7 @@ class TestPoissonAnalytic:
     def test_dense_beyond_cap_rejected(self):
         g = DomainGrid(2, 70)  # 4900 > DENSE_CAP
         assert g.num_nodes > DENSE_CAP
-        with pytest.raises(GridTooLarge):
+        with pytest.raises(InvalidInput, match="poisson assembly for 4900 > 4096"):
             assemble_poisson(g)
 
 
@@ -129,15 +129,15 @@ class TestFredholm:
         assert np.allclose(op.matrix, op.matrix.T)
 
     def test_kernel_validation(self):
-        with pytest.raises(InvalidKernelParameter):
+        with pytest.raises(InvalidInput, match="unknown kernel kind"):
             KernelSpec("unknown")
-        with pytest.raises(InvalidKernelParameter):
+        with pytest.raises(InvalidInput, match="width must be positive"):
             KernelSpec("gaussian", width=0.0)
-        with pytest.raises(InvalidKernelParameter):
+        with pytest.raises(InvalidInput, match="parameters must be finite"):
             KernelSpec("constant", value=np.inf)
 
     def test_beyond_cap_rejected(self):
-        with pytest.raises(GridTooLarge):
+        with pytest.raises(InvalidInput, match="fredholm assembly for 4900 > 4096"):
             assemble_fredholm(DomainGrid(2, 70), KernelSpec("constant"))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tiklav import qp
-from tiklav.errors import InfeasibleProblem
+from tiklav.errors import Infeasible, InvalidInput
 from tiklav.qp import ActiveSet, QPResult, solve_box_state_qp
 
 
@@ -178,8 +178,16 @@ def test_infeasible_state_rows_raise():
     g = np.zeros(3)
     T = np.ones((1, 3))
     psi = np.array([-1.0])
-    with pytest.raises(InfeasibleProblem):
+    with pytest.raises(Infeasible, match="depends on the active rows"):
         solve_dense(H, g, np.ones(3), T, psi, 1e-8, 1.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+def test_nonpositive_tol_rejected(tol):
+    # tol <= 0 would otherwise run out the proximal steps (NonConvergence)
+    with pytest.raises(InvalidInput, match="tol must be positive"):
+        solve_dense(2 * np.eye(2), -np.ones(2), np.ones(2), None, None, tol,
+                    1.0)
 
 
 def test_kkt_certificates_reported():

@@ -16,7 +16,7 @@ from conftest import random_problem
 from tiklav import cli, experiments, qp
 from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
                                feasibility, project_admissible)
-from tiklav.errors import AlphaNonPositive, OracleTooLarge
+from tiklav.errors import InvalidInput
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, constant, wnorm
 from tiklav.manufacture import manufacture
 from tiklav.operators import (AssembledOperator, KernelSpec, apply,
@@ -68,9 +68,9 @@ class TestSolve:
 
     def test_alpha_must_be_positive(self):
         prob = loose_problem()
-        with pytest.raises(AlphaNonPositive):
+        with pytest.raises(InvalidInput, match="alpha must be positive"):
             solve(RegularizedProblem(prob.op, prob.y_d, prob.aset, 0.0))
-        with pytest.raises(AlphaNonPositive):
+        with pytest.raises(InvalidInput, match="alpha must be positive"):
             solve_unconstrained(prob.op, prob.y_d, -1.0)
 
     def test_projection_formula_residual_small(self):
@@ -90,7 +90,7 @@ class TestSolve:
 class TestOracle:
     def test_cap_enforced(self):
         prob = loose_problem(n=16)
-        with pytest.raises(OracleTooLarge):
+        with pytest.raises(InvalidInput, match="exceeds the oracle cap"):
             oracle_solve(prob)
 
     def test_matches_solver_on_random_instances(self):
