@@ -103,8 +103,13 @@ class AdmissibleSet:
         return self.state.sign
 
     def with_lambda(self, lam: float, sign: Optional[str] = None) -> "AdmissibleSet":
-        st = replace(self.state, lam=lam, sign=sign or self.state.sign)
-        return AdmissibleSet(self.box, st, self.op)
+        """The set with the Lavrentiev parameter lam (and sign); this set
+        itself when neither changes, so its cached state rows are shared."""
+        sign = sign or self.sign
+        if lam == self.lam and sign == self.sign:
+            return self
+        return AdmissibleSet(self.box, replace(self.state, lam=lam, sign=sign),
+                             self.op)
 
     @property
     def shift(self) -> float:

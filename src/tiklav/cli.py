@@ -82,6 +82,23 @@ def _require(cfg: dict, key: str, where: str, cast=None, default=_REQUIRED):
         raise InvalidInput(f"{where}.{key}: {exc}") from None
 
 
+def _int(value) -> int:
+    """An integral JSON number (12 or 12.0) as an int; 12.7, "12" and true
+    are rejected, not truncated or parsed."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"expected an integer, got {value!r}")
+    return value
+
+
+def _bool(value) -> bool:
+    """JSON true or false; any other value ("false", 0) is rejected."""
+    if not isinstance(value, bool):
+        raise InvalidInput(f"expected true or false, got {value!r}")
+    return value
+
+
 def _grid_values(grid: DomainGrid, spec) -> np.ndarray:
     """Scalar, array or 'inf' -> per-node values."""
     if spec == "inf":
@@ -109,7 +126,7 @@ def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
         if grid.d != 1:
             raise InvalidInput("sine-mixture source is 1D only")
         amp = _require(spec, "amplitude", where, float, 1.0)
-        modes = _require(spec, "modes", where, int, grid.n)
+        modes = _require(spec, "modes", where, _int, grid.n)
         decay = _require(spec, "decay", where, float, 0.5)
         x = grid.coords[:, 0]
         vals = np.zeros(grid.num_nodes)
@@ -122,8 +139,8 @@ def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
 def build_operator(cfg: dict):
     op_cfg = _require(cfg, "operator", "config")
     kind = _require(op_cfg, "kind", "operator")
-    grid = DomainGrid(_require(op_cfg, "d", "operator", int),
-                      _require(op_cfg, "n", "operator", int))
+    grid = DomainGrid(_require(op_cfg, "d", "operator", _int),
+                      _require(op_cfg, "n", "operator", _int))
     if kind == "poisson":
         return assemble_poisson(grid)
     if kind == "fredholm":
@@ -145,7 +162,7 @@ def build_admissible(cfg: dict, op) -> AdmissibleSet:
     if region_spec == "all":
         region = ObservationRegion.all_nodes(grid)
     else:
-        inner = _require(region_spec, "inner", "admissible.region", bool,
+        inner = _require(region_spec, "inner", "admissible.region", _bool,
                          False)
         region = _require(region_spec, "bounds", "admissible.region",
                           lambda bounds: ObservationRegion.from_bounds(
@@ -166,10 +183,10 @@ def build_instance(cfg: dict, op, aset: AdmissibleSet,
     w = _build_w(op.grid, _require(m_cfg, "w", where), where + ".w")
     return manufacture(
         w, aset.with_lambda(0.0),
-        attainable=bool(m_cfg.get("attainable", True)),
+        attainable=_require(m_cfg, "attainable", where, _bool, True),
         residual=_require(m_cfg, "residual", where, float, 0.0),
         residual_direction=m_cfg.get("residual_direction", "random"),
-        seed=_require(m_cfg, "seed", where, int, seed))
+        seed=_require(m_cfg, "seed", where, _int, seed))
 
 
 def build_data(cfg: dict, op, aset, seed: int):

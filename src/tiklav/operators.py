@@ -23,6 +23,7 @@ from .errors import InvalidInput
 from .grid import DomainGrid, GridFunction
 
 DENSE_CAP = 4096
+SINE_BLOCK = 128  # rows of the sine basis indexed at a time
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,11 @@ class AssembledOperator:
         return B
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        return self.V @ (self.s * (self.V.T @ values))
+        return self.apply_eigen(self.V.T @ values)
+
+    def apply_eigen(self, x: np.ndarray) -> np.ndarray:
+        """S u from x = V^T u, u's coefficients in the eigenbasis: V (s * x)."""
+        return self.V @ (self.s * x)
 
     apply_adjoint_values = apply_values  # S* = S under uniform weights
 
@@ -108,13 +113,17 @@ def _sine_modes(n: int):
     of the 3-point Dirichlet Laplacian on n nodes and its eigenvalues
     4/h^2 sin^2(k pi h/2), j, k = 1..n."""
     # sin(pi j k/(n+1)) takes 2(n+1) values: one table indexed by the exact
-    # integer angle j k mod 2(n+1)
+    # integer angle j k mod 2(n+1), SINE_BLOCK rows of V at a time, so no
+    # n x n index array sits beside V
     k = np.arange(1, n + 1)
-    jk = np.outer(k, k)
-    jk %= 2 * (n + 1)
     h = 1.0 / (n + 1)
     table = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.arange(2 * (n + 1)))
-    return table[jk], 4.0 / h**2 * np.sin(0.5 * np.pi * h * k) ** 2
+    V = np.empty((n, n))
+    for j in range(0, n, SINE_BLOCK):
+        jk = np.outer(k[j:j + SINE_BLOCK], k)
+        jk %= 2 * (n + 1)
+        np.take(table, jk, out=V[j:j + SINE_BLOCK], mode="clip")  # in range
+    return V, 4.0 / h**2 * np.sin(0.5 * np.pi * h * k) ** 2
 
 
 def assemble_poisson(grid: DomainGrid) -> AssembledOperator:

@@ -75,6 +75,7 @@ class ActiveSet(NamedTuple):
 @dataclass
 class QPResult:
     u: np.ndarray
+    vtu: np.ndarray          # V^T u: u in the eigenbasis of H
     mu_lower: np.ndarray
     mu_upper: np.ndarray
     eta: np.ndarray
@@ -86,10 +87,12 @@ class QPResult:
     active: ActiveSet        # the engine's final active rows
 
 
-def _kkt_residuals(V, d, gx, upper, B, psi, u, eta, wfac):
-    """Multiplier split and residual norms for the original problem."""
+def _kkt_residuals(V, d, gx, upper, B, psi, u, eta, wfac, bx):
+    """V^T u, the multiplier split and the residual norms for the original
+    problem; bx = B V^T u, the state rows at u. B^T eta is skipped when no
+    state row is active (eta = 0)."""
     x = V.T @ u
-    r = V @ (d * x + gx + B.T @ eta)
+    r = V @ (d * x + gx + (B.T @ eta if eta.any() else 0.0))
     finite_up = np.isfinite(upper)
     mu_lower = np.maximum(r, 0.0)
     mu_upper = np.where(finite_up, np.maximum(-r, 0.0), 0.0)
@@ -99,10 +102,10 @@ def _kkt_residuals(V, d, gx, upper, B, psi, u, eta, wfac):
     if finite_up.any():
         comp = max(comp, float(np.max(np.abs(
             mu_upper[finite_up] * (upper[finite_up] - u[finite_up])))))
-    gap = B @ x - psi
+    gap = bx - psi
     primal = float(np.max(gap, initial=0.0))
     comp = max(comp, float(np.max(np.abs(eta * gap), initial=0.0)))
-    return mu_lower, mu_upper, stationarity, primal, comp
+    return x, mu_lower, mu_upper, stationarity, primal, comp
 
 
 def _split(Q, w):
@@ -119,9 +122,12 @@ def _split(Q, w):
 def _lapack():
     """LAPACK's raw triangular solve and scipy's QR downdate, looked up once
     per process on the first active row. The raw trtrs, because
-    solve_triangular's argument checks cost more than the solve itself."""
+    solve_triangular's argument checks cost more than the solve itself; and
+    qr_delete without the batch wrapper newer scipy puts around it, which
+    costs more than a small downdate."""
     import scipy.linalg as sla
-    return sla.get_lapack_funcs("trtrs", dtype=np.float64), sla.qr_delete
+    return (sla.get_lapack_funcs("trtrs", dtype=np.float64),
+            getattr(sla.qr_delete, "__wrapped__", sla.qr_delete))
 
 
 def _rsolve(R, v, trans=0):
@@ -165,8 +171,8 @@ class _ThinQR:
     def drop(self, k):
         """Remove column k. qr_delete with overwrite_qr leaves the downdated
         factors in the leading blocks of the buffers."""
-        _lapack()[1](self.Q, self.R, k, which="col", overwrite_qr=True,
-                     check_finite=False)
+        # positional: k, p=1, which, overwrite_qr, check_finite
+        _lapack()[1](self.Q, self.R, k, 1, "col", True, False)
         self.q -= 1
 
 
@@ -189,7 +195,9 @@ def _start_rows(start, V, up, B):
 
 def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     """Goldfarb-Idnani iteration on H = V diag(d) V^T with every d > 0;
-    returns (x, eta, active-set changes, ActiveSet) with u = V x.
+    returns (x, eta, active-set changes, ActiveSet, last) with u = V x, where
+    last is the pair (V x, B x) of the final slack evaluation, or None when
+    the change cap ended the loop (the pair is then stale).
 
     Rows 0..n-1 are the lower bounds (-u_i <= 0), the next ones the
     finite upper bounds (u_i <= upper_i), the rest the state rows B V^T;
@@ -243,14 +251,15 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     if active:
         x = x - rsd * (qr.Q @ (qr.R @ mult))
 
-    changes, p = 0, -1
+    changes, p, last = 0, -1, None
     while changes < 10 * (c.size + 1):
         if p < 0:  # pick the most violated row
-            u = V @ x
-            slack = np.concatenate([-u, u[up], B @ x]) - c
+            u, bx = V @ x, B @ x
+            slack = np.concatenate([-u, u[up], bx]) - c
             slack[active] = -np.inf
             p = int(np.argmax(slack))
             if slack[p] <= feas_tol:
+                last = u, bx
                 break
             b = normal(p)
             w = rsd * b
@@ -295,21 +304,25 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     eta[ids[ids >= nb] - nb] = mult[ids >= nb]
     ids.sort()
     return x, eta, changes, ActiveSet(
-        ids[ids < n], up[ids[(ids >= n) & (ids < nb)] - n], ids[ids >= nb] - nb)
+        ids[ids < n], up[ids[(ids >= n) & (ids < nb)] - n],
+        ids[ids >= nb] - nb), last
 
 
-def _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes, active):
+def _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes, active,
+               last):
     """QPResult for u = V x and eta when their KKT residuals on the original
     problem are all <= tol, else None. u is exactly 0 or upper on the
-    active bound rows, where V x holds them only to round-off."""
-    u = V @ x
+    active bound rows, where V x holds them only to round-off. last is the
+    engine's (V x, B x), or None to form them here; the state gap is B x,
+    which differs from the rows at u by that round-off only."""
+    u, bx = last or (V @ x, B @ x)
     u[active.lower] = 0.0
     u[active.upper] = upper[active.upper]
-    mu_lo, mu_up, stat, primal, comp = _kkt_residuals(
-        V, d, gx, upper, B, psi, u, eta, wfac)
+    vtu, mu_lo, mu_up, stat, primal, comp = _kkt_residuals(
+        V, d, gx, upper, B, psi, u, eta, wfac, bx)
     if max(stat, primal, comp) <= tol:
-        return QPResult(u, mu_lo, mu_up, eta, changes, stat, primal, comp,
-                        active)
+        return QPResult(u, vtu, mu_lo, mu_up, eta, changes, stat, primal,
+                        comp, active)
     return None
 
 
@@ -335,19 +348,19 @@ def solve_box_state_qp(H, gx: np.ndarray, upper: np.ndarray,
     feas_tol = 0.1 * tol
     x, changes, active = np.zeros(d.size), 0, start  # first proximal center
     if np.min(d) > np.finfo(float).eps * np.max(d):  # definite to round-off
-        x, eta, changes, active = _dual_active_set(V, d, gx, upper, B, psi,
-                                                   feas_tol, active)
+        x, eta, changes, active, last = _dual_active_set(
+            V, d, gx, upper, B, psi, feas_tol, active)
         res = _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes,
-                         active)
+                         active, last)
         if res is not None:
             return res
     delta = PROX_SCALE * (float(np.max((V**2) @ d, initial=0.0)) or 1.0)
     for _ in range(MAX_PROX_STEPS):  # each step starts from the last one's set
-        x, eta, k, active = _dual_active_set(V, d + delta, gx - delta * x,
-                                             upper, B, psi, feas_tol, active)
+        x, eta, k, active, last = _dual_active_set(
+            V, d + delta, gx - delta * x, upper, B, psi, feas_tol, active)
         changes += k
         res = _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes,
-                         active)
+                         active, last)
         if res is not None:
             return res
     raise NonConvergence(f"no KKT certificate after {MAX_PROX_STEPS} proximal "

@@ -66,10 +66,10 @@ class Solution:
 
 
 def _solution(problem: RegularizedProblem, res: qp.QPResult) -> Solution:
-    """The Solution at a solved point res.u. S is applied to u once; y, the
-    objective, the margins and the rows with slack < ACTIVE_TOL all derive
-    from that S u."""
-    su = problem.op.apply_values(res.u)
+    """The Solution at a solved point res.u. S u is formed once, from the
+    certificate's res.vtu = V^T u; y, the objective, the margins and the
+    rows with slack < ACTIVE_TOL all derive from that S u."""
+    su = problem.op.apply_eigen(res.vtu)
     slack = problem.aset.slack(res.u, su)
     lo, up, st = (np.flatnonzero(x < ACTIVE_TOL) for x in slack)
     grid = problem.op.grid
@@ -145,7 +145,7 @@ def pseudo_inverse(op: AssembledOperator, y_d: GridFunction,
     wfac = np.sqrt(op.grid.weight)
     res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac)
     w = op.grid.weight
-    r = op.apply_values(res.u) - y_d.values
+    r = op.apply_eigen(res.vtu) - y_d.values
     m_star = float(w * (r @ r))
 
     prev, active = None, res.active
@@ -230,5 +230,6 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
                                np.flatnonzero(pat == 2),
                                np.flatnonzero(np.array(st_pat, dtype=int)))
         return _solution(problem, qp.QPResult(
-            u, mu_lower, mu_upper, eta, 0, stat, 0.0, 0.0, pattern))
+            u, problem.op.V.T @ u, mu_lower, mu_upper, eta, 0, stat, 0.0,
+            0.0, pattern))
     raise NoFeasiblePattern("no activity pattern is primal/dual feasible")

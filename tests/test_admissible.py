@@ -59,6 +59,15 @@ class TestConstruction:
         assert shifted.lam == 0.01 and shifted.sign == "minus"
         assert shifted.box is aset.box and shifted.op is aset.op
 
+    @pytest.mark.parametrize("lam, sign", [(0.0, "plus"), (0.01, "minus")])
+    def test_unchanged_lambda_is_the_same_set(self, lam, sign):
+        # the same set, so the cached state rows B are built once
+        aset = small_set(lam=lam, sign=sign)
+        assert aset.with_lambda(aset.lam) is aset
+        assert aset.with_lambda(lam, sign) is aset
+        assert aset.with_lambda(lam, "plus" if sign == "minus" else "minus") \
+            is not aset
+
     def test_constraint_matrix_shift_sign(self):
         # the eigen rows B give the dense rows S[idx] +- lam e_idx as B V^T
         for op in (assemble_poisson(DomainGrid(1, 8)),

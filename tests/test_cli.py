@@ -313,6 +313,17 @@ REJECTED = [
      "empty-pairs"),
     ("solve", _non_attainable(residual=0.1, residual_direction="uniform"),
      "unknown-residual-direction"),
+    ("solve", _with(base_cfg(), ["operator", "n"], 12.7), "grid-n-fractional"),
+    ("solve", _with(base_cfg(), ["operator", "n"], "12"), "grid-n-string"),
+    ("solve", _with(base_cfg(), ["operator", "d"], True), "grid-d-boolean"),
+    ("solve", _non_attainable(residual=0.1, seed=2.5), "seed-fractional"),
+    ("solve", _with(base_cfg(), ["data", "manufactured", "w"],
+                    {"kind": "sine-mixture", "modes": 3.5}), "modes-fractional"),
+    ("solve", _with(base_cfg(), ["data", "manufactured", "attainable"],
+                    "false"), "attainable-string"),
+    ("solve", _with(base_cfg(), ["admissible", "region"],
+                    {"bounds": [[0.25, 0.75]], "inner": "false"}),
+     "region-inner-string"),
 ]
 
 
@@ -324,3 +335,14 @@ def test_library_errors_from_config_values_exit_2(command, cfg, tmp_path,
                                      "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_integral_numbers_and_json_booleans_accepted(tmp_path):
+    # 12.0 is an integral JSON number; true and false are the booleans
+    cfg = _with(base_cfg(), ["operator", "n"], 12.0)
+    cfg["admissible"]["region"] = {"bounds": [[0.25, 0.75]], "inner": False}
+    cfg["data"]["manufactured"].update(attainable=True, seed=3.0)
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert len(json.loads((out / "solution.json").read_text())["u"]) == 12

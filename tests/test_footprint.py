@@ -1,0 +1,53 @@
+"""Footprint of the spectral solve path: what a verify holds in memory and
+builds more than once."""
+
+import contextlib
+import io
+import json
+import tracemalloc
+
+from tiklav import cli
+from tiklav.operators import AssembledOperator
+
+
+def _verify(cfg, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["verify", "--config", str(path), "--seed", "0",
+                       "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_OK
+
+
+def test_state_rows_built_once_per_interior_verify(monkeypatch, tmp_path):
+    # manufacture and the sweep both ask for the lambda = 0 set, which is
+    # the configured set itself: one B for the whole verify
+    calls = []
+    inner = AssembledOperator.eigen_rows
+
+    def counting(self, idx, shift=0.0):
+        calls.append(idx.size)
+        return inner(self, idx, shift)
+
+    monkeypatch.setattr(AssembledOperator, "eigen_rows", counting)
+    _verify(cli.load_config("interior-attainable-poisson-1d"), tmp_path)
+    assert len(calls) == 1
+
+
+def test_interior_verify_holds_one_basis_and_one_block_of_rows(tmp_path):
+    # numpy's traced peak over a whole verify at n = 1024 is the sine basis
+    # V and the state rows B, with no V-sized index array beside V and no
+    # second copy of B (tracemalloc counts numpy's buffers exactly, unlike
+    # the process RSS)
+    cfg = cli.load_config("interior-attainable-poisson-1d")
+    cfg["operator"]["n"] = 1024
+    tracemalloc.start()
+    try:
+        _verify(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    op = cli.build_operator(cfg)
+    B, _ = cli.build_admissible(cfg, op).constraint_matrix()
+    assert peak <= 1.15 * (op.V.nbytes + B.nbytes), \
+        (peak, op.V.nbytes, B.nbytes)

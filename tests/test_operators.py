@@ -5,8 +5,9 @@ import pytest
 
 from tiklav.errors import InvalidInput
 from tiklav.grid import DomainGrid, GridFunction, constant, from_callable
-from tiklav.operators import (DENSE_CAP, KernelSpec, apply, apply_adjoint,
-                              assemble_fredholm, assemble_poisson)
+from tiklav.operators import (DENSE_CAP, SINE_BLOCK, KernelSpec, _sine_modes,
+                              apply, apply_adjoint, assemble_fredholm,
+                              assemble_poisson)
 
 
 class TestPoissonAnalytic:
@@ -65,6 +66,17 @@ class TestSineBasis:
     def test_basis_is_orthonormal(self, grid):
         V, _ = assemble_poisson(grid).gram_eig
         assert np.max(np.abs(V.T @ V - np.eye(grid.num_nodes))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, SINE_BLOCK - 1, SINE_BLOCK,
+                                   SINE_BLOCK + 1, 2048])
+    def test_blocked_basis_is_the_one_shot_table(self, n):
+        # V filled a block of rows at a time indexes the same table by the
+        # same exact integer angles: bit for bit table[j k mod 2(n+1)]
+        V, _ = _sine_modes(n)
+        k = np.arange(1, n + 1)
+        h = 1.0 / (n + 1)
+        table = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.arange(2 * (n + 1)))
+        assert np.array_equal(V, table[np.outer(k, k) % (2 * n + 2)])
 
     @pytest.mark.parametrize("grid", [DomainGrid(1, 64), DomainGrid(2, 12)],
                              ids=["1d", "2d"])

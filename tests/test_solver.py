@@ -245,29 +245,53 @@ class TestNoFallback:
         assert solve_counts and set(solve_counts) == {1}
 
 
+def counted_interior_preset():
+    """The interior preset's operator and instance on a view of V that
+    counts the np.matmul calls taking V itself or V^T as an operand (full
+    products, not rows of V); returns (op, instance, list of the calls)."""
+    cfg = cli.load_config("interior-attainable-poisson-1d")
+    op = cli.build_operator(cfg)
+    calls, full = [], (op.V.shape, op.V.ctypes.data)
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and any(
+                    isinstance(x, Counting) and (x.shape, x.ctypes.data) == full
+                    for x in inputs):
+                calls.append(1)
+
+            def plain(x):
+                return x.view(np.ndarray) if isinstance(x, Counting) else x
+
+            if "out" in kwargs:
+                kwargs["out"] = tuple(map(plain, kwargs["out"]))
+            return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+    op = AssembledOperator(op.grid, op.V.view(Counting), op.s)
+    inst = cli.build_instance(cfg, op, cli.build_admissible(cfg, op), 0)
+    return op, inst, calls
+
+
 class TestOneEvaluation:
     """y, the objective, the margins and the active rows of a solved point
-    all come from one application of S."""
+    all come from one S u, formed from the certificate's V^T u."""
 
-    def test_one_apply_per_solve_record_and_instance(self, monkeypatch,
-                                                     interior_preset):
-        _, op, _, inst = interior_preset
-        calls = []
-        inner = AssembledOperator.apply_values
-
-        def counting(self, values):
-            calls.append(1)
-            return inner(self, values)
-
-        monkeypatch.setattr(AssembledOperator, "apply_values", counting)
+    def test_one_apply_per_solve_record_and_instance(self):
+        # full products with V: an interior solve makes 5 (V^T y_d; V x in
+        # the engine's last slack evaluation, whose V x and B x the
+        # certificate reuses; V^T u and V r in the certificate; S u = V (s *
+        # V^T u) for the Solution); manufacture makes 8 (S* w and S u_bar,
+        # 2 each; 4 in the projection's solve)
+        op, inst, calls = counted_interior_preset()
+        calls.clear()
         manufacture(inst.w, inst.aset)
-        assert len(calls) == 1
+        assert len(calls) == 8
         calls.clear()
         solve(RegularizedProblem(op, inst.y_d, inst.aset, 1e-2))
-        assert len(calls) == 1
+        assert len(calls) == 5
         calls.clear()
         out = experiments.sweep_alpha(inst, [1e-1, 1e-2, 1e-3, 1e-4])
-        assert len(calls) == len(out["records"]) == 4
+        assert len(out["records"]) == 4 and len(calls) == 4 * 5
 
     def test_margins_are_the_feasibility_report(self):
         rng = np.random.default_rng(20240817)  # criterion 3's first instances
