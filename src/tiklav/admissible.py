@@ -157,12 +157,19 @@ def project_admissible(v: GridFunction, aset: AdmissibleSet,
     """L2-nearest point of the admissible set (identity-Hessian QP)."""
     if v.grid != aset.op.grid:
         raise InvalidInput("grids differ")
+    return GridFunction(v.grid, _projection(aset, aset.op.V.T @ v.values,
+                                            tol).u)
+
+
+def _projection(aset: AdmissibleSet, vtv: np.ndarray,
+                tol: float) -> qp.QPResult:
+    """The projection's QP result for v = V vtv, v given by its coefficients
+    in the operator's eigenbasis; its `vtu` holds those of the projection."""
     B, psi = aset.constraint_matrix()
-    V = aset.op.V  # 2I in the rows' basis
-    H, gx = (V, np.full(v.grid.num_nodes, 2.0)), -2.0 * (V.T @ v.values)
-    wfac = np.sqrt(v.grid.weight)
-    res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac)
-    return GridFunction(v.grid, res.u)
+    H = aset.op.V, np.full(vtv.size, 2.0)  # 2I in the rows' basis
+    wfac = np.sqrt(aset.op.grid.weight)
+    return qp.solve_box_state_qp(H, -2.0 * vtv, aset.box.upper, B, psi, tol,
+                                 wfac)
 
 
 def slater(aset: AdmissibleSet, u_hat: GridFunction):

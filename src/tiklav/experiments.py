@@ -49,20 +49,16 @@ class RateFit:
     n_points: int
 
 
-def _solve(inst: ManufacturedInstance, aset: AdmissibleSet, alpha: float,
-           tol: float, y_d: Optional[GridFunction] = None,
+def _solve(inst: ManufacturedInstance, prob: RegularizedProblem, tol: float,
            delta: float = 0.0,
            start: Optional[ActiveSet] = None) -> Tuple[SweepRecord, Solution]:
-    """Solve over aset at alpha with data y_d (default: the exact data),
-    warm-started from `start` (the previous solve of a path), and record
-    the errors against the instance's exact solution and data."""
-    g = aset.op.grid
-    prob = RegularizedProblem(aset.op, inst.y_d if y_d is None else y_d,
-                              aset, alpha)
+    """Solve prob, warm-started from `start` (the previous solve of a path),
+    and record the errors against the instance's exact solution and data."""
+    g = prob.op.grid
     sol = solve(prob, tol=tol, start=start)
     rep = sol.margins
     rec = SweepRecord(
-        alpha=alpha, lam=aset.lam, delta=delta,
+        alpha=prob.alpha, lam=prob.aset.lam, delta=delta,
         err_u=wnorm(g, sol.u.values - inst.u_bar.values),
         err_Su=wnorm(g, sol.y.values - inst.y_d.values),
         margin_lo=rep.margin_lower, margin_up=rep.margin_upper,
@@ -108,9 +104,11 @@ def sweep_alpha(inst: ManufacturedInstance, alpha_list: Sequence[float],
             any(alphas[i] <= alphas[i + 1] for i in range(len(alphas) - 1)):
         raise InvalidInput("alpha_list must be >= 4 positive values, descending")
     aset = inst.aset.with_lambda(0.0)
+    prob = RegularizedProblem(aset.op, inst.y_d, aset, alphas[0])
     records, active = [], None
     for a in alphas:
-        rec, sol = _solve(inst, aset, a, tol, start=active)
+        prob = prob.at(a)
+        rec, sol = _solve(inst, prob, tol, start=active)
         records.append(rec)
         active = sol.active_set
     checks = [_apriori_bounds(r, inst.w_norm, inst.residual_norm, tol)
@@ -163,8 +161,8 @@ def noise_study(inst: ManufacturedInstance, delta_list: Sequence[float],
     for i, d in enumerate(deltas):
         alpha = c * d**s if d > 0 else alpha_floor
         noisy = add_noise(inst.y_d, d, seed + i).y_delta
-        rec, sol = _solve(inst, aset, alpha, tol, y_d=noisy, delta=d,
-                          start=active)
+        prob = RegularizedProblem(aset.op, noisy, aset, alpha)
+        rec, sol = _solve(inst, prob, tol, delta=d, start=active)
         records.append(rec)
         active = sol.active_set
     checks = [_apriori_bounds(r, inst.w_norm, r.delta, tol) for r in records]
@@ -190,13 +188,14 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
         raise Infeasible(
             f"lam = {lams[0]:g} exceeds tau/||u_hat||_inf = {sl['lam_max']:g}")
     base_set = inst.aset.with_lambda(0.0)
-    base = _solve(inst, base_set, alpha, tol)[1]
+    prob = RegularizedProblem(base_set.op, inst.y_d, base_set, alpha)
+    base = _solve(inst, prob, tol)[1]
     g = base_set.op.grid
     records, errors, plus_feasible, minus_violation = [], [], [], []
     active = base.active_set  # descending lam: each solve starts nearby
     for lam in lams:
-        rec, sol = _solve(inst, inst.aset.with_lambda(lam, sign), alpha, tol,
-                          start=active)
+        prob = prob.at(aset=inst.aset.with_lambda(lam, sign))
+        rec, sol = _solve(inst, prob, tol, start=active)
         active = sol.active_set
         records.append(rec)
         errors.append(wnorm(g, sol.u.values - base.u.values))
@@ -231,11 +230,14 @@ def total_error_study(inst: ManufacturedInstance, alpha_list: Sequence[float],
     g = inst.aset.op.grid
     records, triangle = [], []
     active, active0 = None, None  # two paths: shifted sets and lam = 0
-    for a in alpha_list:
-        rec, sol = _solve(inst, inst.aset.with_lambda(min(lam_cap, a), sign),
-                          a, tol, start=active)
-        sol0 = _solve(inst, inst.aset.with_lambda(0.0), a, tol,
-                      start=active0)[1]
+    aset0 = inst.aset.with_lambda(0.0)
+    for i, a in enumerate(alpha_list):  # both paths share one V^T y_d
+        prob0 = RegularizedProblem(aset0.op, inst.y_d, aset0, a) if i == 0 \
+            else prob0.at(a)
+        rec, sol = _solve(
+            inst, prob0.at(aset=inst.aset.with_lambda(min(lam_cap, a), sign)),
+            tol, start=active)
+        sol0 = _solve(inst, prob0, tol, start=active0)[1]
         active, active0 = sol.active_set, sol0.active_set
         records.append(rec)
         rhs = wnorm(g, inst.u_bar.values - sol0.u.values) \
@@ -251,12 +253,13 @@ def alpha_continuity_check(op, y_d: GridFunction, aset: AdmissibleSet,
     """Check ||u_beta - u_alpha|| <= (|alpha-beta|/beta) ||u_alpha|| + 20 tol."""
     if len(pairs) == 0:
         raise InvalidInput("pairs must be nonempty")
-    out = []
+    out, prob = [], RegularizedProblem(op, y_d, aset, pairs[0][0])
     for a, b in pairs:
-        sol_a = solve(RegularizedProblem(op, y_d, aset, a), tol=tol)
+        prob = prob.at(a)
+        sol_a = solve(prob, tol=tol)
         ua = sol_a.u
-        ub = solve(RegularizedProblem(op, y_d, aset, b), tol=tol,
-                   start=sol_a.active_set).u
+        prob = prob.at(b)
+        ub = solve(prob, tol=tol, start=sol_a.active_set).u
         lhs = wnorm(op.grid, ub.values - ua.values)
         out.append(bool(lhs <= abs(a - b) / b * ua.norm() + 20 * tol))
     return out

@@ -9,10 +9,10 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .admissible import (FEAS_TOL, AdmissibleSet, FeasibilityReport,
-                         project_admissible)
+                         _projection, project_admissible)
 from .errors import InvalidInput
 from .grid import GridFunction, wnorm
-from .operators import apply, apply_adjoint
+from .operators import apply_adjoint
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -85,9 +85,12 @@ def manufacture(w: GridFunction, aset: AdmissibleSet, attainable: bool = True,
     """
     if aset.lam != 0.0:
         raise InvalidInput("manufacture requires the unregularized set (lam = 0)")
-    sw = apply_adjoint(aset.op, w)
-    u_bar = project_admissible(sw, aset, tol=tol)
-    y_d = apply(aset.op, u_bar)
+    if w.grid != aset.op.grid:
+        raise InvalidInput("operator and function grids differ")
+    op = aset.op  # S* w = V (s * V^T w) enters by its coefficients
+    res = _projection(aset, op.s * (op.V.T @ w.values), tol)
+    u_bar = GridFunction(w.grid, res.u)
+    y_d = GridFunction(w.grid, op.apply_eigen(res.vtu))
     margins = FeasibilityReport.from_slack(
         aset.slack(u_bar.values, y_d.values), FEAS_TOL)
     res_norm = 0.0

@@ -113,16 +113,28 @@ def _sine_modes(n: int):
     of the 3-point Dirichlet Laplacian on n nodes and its eigenvalues
     4/h^2 sin^2(k pi h/2), j, k = 1..n."""
     # sin(pi j k/(n+1)) takes 2(n+1) values: one table indexed by the exact
-    # integer angle j k mod 2(n+1), SINE_BLOCK rows of V at a time, so no
-    # n x n index array sits beside V
+    # integer angle m = j k mod 2(n+1). Its entries are sines of angles in
+    # [0, pi/2], negated for m >= n+1, so table[n+1-m] == table[m] and
+    # table[m+n+1] == -table[m] hold exactly, and with them
+    #   V[j, n+1-k] = (-1)^(j+1) V[j, k],  V[n+1-j, k] = (-1)^(k+1) V[j, k].
+    # The top-left ceil(n/2) square is looked up, SINE_BLOCK rows at a time
+    # (no n x n index array beside V); the other three quarters are signed
+    # reflections of it, written in place
     k = np.arange(1, n + 1)
     h = 1.0 / (n + 1)
-    table = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.arange(2 * (n + 1)))
+    r = np.arange(2 * (n + 1)) % (n + 1)
+    table = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.minimum(r, n + 1 - r))
+    table[n + 1:] *= -1.0
+    half, rest = (n + 1) // 2, n // 2
+    sign = np.where(k % 2 == 1, 1.0, -1.0)  # (-1)^(k+1)
     V = np.empty((n, n))
-    for j in range(0, n, SINE_BLOCK):
-        jk = np.outer(k[j:j + SINE_BLOCK], k)
+    for j in range(0, half, SINE_BLOCK):
+        jk = np.outer(k[j:min(j + SINE_BLOCK, half)], k[:half])
         jk %= 2 * (n + 1)
-        np.take(table, jk, out=V[j:j + SINE_BLOCK], mode="clip")  # in range
+        np.take(table, jk, out=V[j:j + jk.shape[0], :half], mode="clip")
+    np.multiply(V[:half, :rest][:, ::-1], sign[:half, None],
+                out=V[:half, half:])
+    np.multiply(V[:rest][::-1], sign, out=V[half:])
     return V, 4.0 / h**2 * np.sin(0.5 * np.pi * h * k) ** 2
 
 

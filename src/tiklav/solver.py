@@ -5,7 +5,8 @@ pseudo-inverse."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,21 @@ class RegularizedProblem:
             raise InvalidInput("problem grids differ")
         if self.alpha <= 0:
             raise InvalidInput(f"alpha must be positive, got {self.alpha}")
+
+    @cached_property
+    def vty(self) -> np.ndarray:
+        """V^T y_d, the data in the operator's eigenbasis: one full product
+        with V per data vector, shared by the problems `at` derives."""
+        return self.op.V.T @ self.y_d.values
+
+    def at(self, alpha: Optional[float] = None,
+           aset: Optional[AdmissibleSet] = None) -> "RegularizedProblem":
+        """This problem at another alpha or admissible set; op and y_d are
+        the same objects, so it takes over the coefficients V^T y_d."""
+        new = replace(self, alpha=self.alpha if alpha is None else alpha,
+                      aset=self.aset if aset is None else aset)
+        new.__dict__["vty"] = self.vty
+        return new
 
     def objective(self, u_values: np.ndarray) -> float:
         """Weighted objective ||Su - y_d||^2 + alpha ||u||^2."""
@@ -84,11 +100,16 @@ def _solution(problem: RegularizedProblem, res: qp.QPResult) -> Solution:
         active_set=res.active)
 
 
-def _build_quadratic(op: AssembledOperator, y_d: GridFunction, alpha: float):
+def _quadratic(op: AssembledOperator, vty: np.ndarray, alpha: float):
     """Hessian 2(S*S + alpha I) as its eigenpairs (V, d), and the gradient
-    at 0 in that basis, -2 V^T S* y_d = -2 s * V^T y_d."""
+    at 0 in that basis, -2 V^T S* y_d = -2 s * V^T y_d, from vty = V^T y_d."""
     V, s2 = op.gram_eig
-    return (V, 2.0 * (s2 + alpha)), -2.0 * op.s * (V.T @ y_d.values)
+    return (V, 2.0 * (s2 + alpha)), -2.0 * op.s * vty
+
+
+def _build_quadratic(op: AssembledOperator, y_d: GridFunction, alpha: float):
+    """`_quadratic` for the data y_d."""
+    return _quadratic(op, op.V.T @ y_d.values, alpha)
 
 
 def solve_unconstrained(op: AssembledOperator, y_d: GridFunction,
@@ -106,7 +127,7 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
     warm-started from `start`, the `active_set` of a nearby solve (same
     admissible region; any lambda, alpha or data)."""
     aset = problem.aset
-    H, gx = _build_quadratic(problem.op, problem.y_d, problem.alpha)
+    H, gx = _quadratic(problem.op, problem.vty, problem.alpha)
     B, psi = aset.constraint_matrix()
     wfac = np.sqrt(problem.op.grid.weight)
     res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac,
@@ -140,7 +161,8 @@ def pseudo_inverse(op: AssembledOperator, y_d: GridFunction,
     constraint ||Su - y_d||^2 <= m* + tol while never exceeding the norm of
     the true minimal-norm minimizer.
     """
-    H, gx = _build_quadratic(op, y_d, 0.0)
+    prob = RegularizedProblem(op, y_d, aset, 1e-2)  # alpha: the loop's first
+    H, gx = _quadratic(op, prob.vty, 0.0)
     B, psi = aset.constraint_matrix()
     wfac = np.sqrt(op.grid.weight)
     res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac)
@@ -151,7 +173,7 @@ def pseudo_inverse(op: AssembledOperator, y_d: GridFunction,
     prev, active = None, res.active
     alpha = 1e-2
     while alpha >= 1e-12:
-        prob = RegularizedProblem(op, y_d, aset, alpha)
+        prob = prob.at(alpha)
         sol = solve(prob, tol=tol, start=active)
         u, active = sol.u, sol.active_set
         rr = sol.y.values - y_d.values

@@ -7,7 +7,8 @@ import json
 import tracemalloc
 
 from tiklav import cli
-from tiklav.operators import AssembledOperator
+from tiklav.grid import DomainGrid
+from tiklav.operators import AssembledOperator, assemble_poisson
 
 
 def _verify(cfg, tmp_path):
@@ -51,3 +52,15 @@ def test_interior_verify_holds_one_basis_and_one_block_of_rows(tmp_path):
     B, _ = cli.build_admissible(cfg, op).constraint_matrix()
     assert peak <= 1.15 * (op.V.nbytes + B.nbytes), \
         (peak, op.V.nbytes, B.nbytes)
+
+
+def test_sine_basis_builds_without_a_second_block_of_v():
+    # the quarter lookup holds one block of SINE_BLOCK index rows, and the
+    # reflections write into V with no temporary
+    tracemalloc.start()
+    try:
+        op = assemble_poisson(DomainGrid(1, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.10 * op.V.nbytes, (peak, op.V.nbytes)

@@ -49,6 +49,17 @@ class TestPoissonAnalytic:
             assemble_poisson(g)
 
 
+def _symmetric_table(n):
+    """sqrt(2/(n+1)) sin(pi m/(n+1)) for m < 2(n+1), each from the sine of
+    an angle in [0, pi/2]: sin(pi r'/(n+1)), r' = min(r, n+1-r) for r = m
+    mod (n+1), negated for m >= n+1."""
+    h = 1.0 / (n + 1)
+    r = np.arange(2 * (n + 1)) % (n + 1)
+    table = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.minimum(r, n + 1 - r))
+    table[n + 1:] *= -1.0
+    return table
+
+
 def _laplacian(grid):
     """The 3-point (1D) or 5-point (2D) Dirichlet Laplacian, dense."""
     n = grid.n
@@ -68,15 +79,43 @@ class TestSineBasis:
         assert np.max(np.abs(V.T @ V - np.eye(grid.num_nodes))) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, SINE_BLOCK - 1, SINE_BLOCK,
-                                   SINE_BLOCK + 1, 2048])
+                                   SINE_BLOCK + 1, 2047, 2048])
     def test_blocked_basis_is_the_one_shot_table(self, n):
-        # V filled a block of rows at a time indexes the same table by the
-        # same exact integer angles: bit for bit table[j k mod 2(n+1)]
+        # V looked up a block of rows of one quarter at a time and reflected
+        # into the rest is the full lookup table[j k mod 2(n+1)] into the
+        # symmetric table (equal values; a zero entry, where n+1 divides
+        # j k, may carry either sign)
         V, _ = _sine_modes(n)
         k = np.arange(1, n + 1)
+        assert np.array_equal(V, _symmetric_table(n)[np.outer(k, k)
+                                                     % (2 * n + 2)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12, 97, 2047, 2048])
+    def test_table_and_basis_reflections_are_exact(self, n):
+        table, m = _symmetric_table(n), np.arange(n + 2)
+        assert np.array_equal(table[n + 1 - m], table[m])
+        assert np.array_equal(table[m[:n + 1] + n + 1], -table[m[:n + 1]])
+        V, _ = _sine_modes(n)
+        sign = np.where(np.arange(1, n + 1) % 2 == 1, 1.0, -1.0)
+        assert np.array_equal(V[:, ::-1], V * sign[:, None])  # V[j, n+1-k]
+        assert np.array_equal(V[::-1], V * sign)              # V[n+1-j, k]
+        assert np.array_equal(V, V.T)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="longdouble is double here")
+    @pytest.mark.parametrize("n", [7, 12, 97])
+    def test_symmetric_table_is_no_less_accurate(self, n):
+        # against sqrt(2/(n+1)) sin(pi m/(n+1)) in extended precision, the
+        # basis is no further off than the one from sin(pi h m) over all m
+        k = np.arange(1, n + 1)
+        m = np.outer(k, k) % (2 * n + 2)
+        pi = 4 * np.arctan(np.longdouble(1))
+        exact = np.sqrt(np.longdouble(2) / (n + 1)) \
+            * np.sin(m.astype(np.longdouble) * pi / (n + 1))
         h = 1.0 / (n + 1)
-        table = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.arange(2 * (n + 1)))
-        assert np.array_equal(V, table[np.outer(k, k) % (2 * n + 2)])
+        plain = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.arange(2 * (n + 1)))
+        V, _ = _sine_modes(n)
+        assert np.max(np.abs(V - exact)) <= np.max(np.abs(plain[m] - exact))
 
     @pytest.mark.parametrize("grid", [DomainGrid(1, 64), DomainGrid(2, 12)],
                              ids=["1d", "2d"])

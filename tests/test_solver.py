@@ -277,21 +277,23 @@ class TestOneEvaluation:
     all come from one S u, formed from the certificate's V^T u."""
 
     def test_one_apply_per_solve_record_and_instance(self):
-        # full products with V: an interior solve makes 5 (V^T y_d; V x in
-        # the engine's last slack evaluation, whose V x and B x the
-        # certificate reuses; V^T u and V r in the certificate; S u = V (s *
-        # V^T u) for the Solution); manufacture makes 8 (S* w and S u_bar,
-        # 2 each; 4 in the projection's solve)
+        # full products with V: a problem forms V^T y_d once, and the
+        # problems a path derives from it share it; an interior solve then
+        # makes 4 (V x in the engine's last slack evaluation, whose V x and
+        # B x the certificate reuses; V^T u and V r in the certificate; S u
+        # = V (s * V^T u) for the Solution); manufacture makes 5 (V^T w for
+        # the coefficients s * V^T w of S* w, the projection's 3 solve
+        # products, and S u_bar from the projection's V^T u)
         op, inst, calls = counted_interior_preset()
         calls.clear()
         manufacture(inst.w, inst.aset)
-        assert len(calls) == 8
-        calls.clear()
-        solve(RegularizedProblem(op, inst.y_d, inst.aset, 1e-2))
         assert len(calls) == 5
         calls.clear()
+        solve(RegularizedProblem(op, inst.y_d, inst.aset, 1e-2))
+        assert len(calls) == 1 + 4
+        calls.clear()
         out = experiments.sweep_alpha(inst, [1e-1, 1e-2, 1e-3, 1e-4])
-        assert len(out["records"]) == 4 and len(calls) == 4 * 5
+        assert len(out["records"]) == 4 and len(calls) == 1 + 4 * 4
 
     def test_margins_are_the_feasibility_report(self):
         rng = np.random.default_rng(20240817)  # criterion 3's first instances
