@@ -20,7 +20,8 @@ class Infeasible(TiklavError):
 
 
 class NonConvergence(TiklavError):
-    """Iteration limits exhausted before the requested tolerance was met."""
+    """A QP pass ended without a KKT certificate at the requested
+    tolerance."""
 
 
 class NoTransition(TiklavError):

@@ -24,18 +24,15 @@ scipy's in-place column downdate. scipy.linalg (that downdate and LAPACK's
 triangular solve) is imported when the first row becomes active, so a
 solve whose every row stays inactive runs on numpy alone.
 
-An H whose smallest eigenvalue is <= eps * its largest (positive
-semidefinite only, to round-off), or a result that misses the KKT
-certificate, is handled by proximal-point steps (Rockafellar, SIAM J.
-Control Optim. 14 (1976) 877): each step
-u_{k+1} = argmin f(u) + delta/2 ||u - u_k||^2 over the same constraints is
-one dual active-set solve with H + delta I, i.e. iterated Tikhonov
-regularization, and a step is accepted only through the certificate on H.
+An H whose smallest eigenvalue is not > eps * its largest (semidefinite
+to round-off, or NaN) is rejected, and a pass that ends without the KKT
+certificate raises NonConvergence: the callers' Hessians carry alpha > 0
+(or are 2I), so one pass suffices.
 
 A solve can start from the active set of a nearby one (`start`, e.g. the
-previous point of a lambda or alpha path, or the previous proximal step):
-the dual method needs only a dual-feasible start (Goldfarb and Idnani;
-Ferreau, Bock and Diehl, Int. J. Robust Nonlinear Control 18 (2008) 816).
+previous point of a lambda or alpha path): the dual method needs only a
+dual-feasible start (Goldfarb and Idnani; Ferreau, Bock and Diehl, Int. J.
+Robust Nonlinear Control 18 (2008) 816).
 The start rows that exist in the problem and are independent are factored,
 x is the minimizer with them as equalities, and the row with the most
 negative multiplier is dropped until every multiplier is >= 0; the usual
@@ -60,8 +57,6 @@ import numpy as np
 from .errors import Infeasible, InvalidInput, NonConvergence
 
 DEPENDENT_TOL = 1e-10   # |projection of L^{-1} a off the active rows| / |L^{-1} a|
-PROX_SCALE = 1e-6       # proximal weight delta = PROX_SCALE * max(diag H)
-MAX_PROX_STEPS = 200
 
 
 class ActiveSet(NamedTuple):
@@ -79,8 +74,7 @@ class QPResult:
     mu_lower: np.ndarray
     mu_upper: np.ndarray
     eta: np.ndarray
-    iterations: int          # active-set changes after the warm start,
-                             # summed over proximal steps
+    iterations: int          # active-set changes after the warm start
     stationarity: float
     primal: float
     complementarity: float
@@ -336,32 +330,24 @@ def solve_box_state_qp(H, gx: np.ndarray, upper: np.ndarray,
     The gradient at 0 and the state rows are given in that basis: g = V gx
     and T = B V^T. `start` is the active set of a nearby solve (e.g. a
     previous `QPResult.active`); rows it names that do not exist here, or
-    depend on others, are skipped. Raises InvalidInput unless tol > 0,
-    Infeasible when no box point satisfies T u <= psi and NonConvergence
-    when MAX_PROX_STEPS proximal steps miss the certificate.
+    depend on others, are skipped. Raises InvalidInput unless tol > 0 and
+    min(d) > eps * max(d), Infeasible when no box point satisfies
+    T u <= psi and NonConvergence when the pass misses the certificate.
     """
     if not tol > 0:
         raise InvalidInput(f"tol must be positive, got {tol}")
     V, d = H
+    if not np.min(d) > np.finfo(float).eps * np.max(d):  # NaN fails too
+        raise InvalidInput(
+            "Hessian not definite to round-off: d_min/d_max = "
+            f"{np.min(d):.3e}/{np.max(d):.3e}")
     if B is None:
         B, psi = np.zeros((0, d.size)), np.zeros(0)
-    feas_tol = 0.1 * tol
-    x, changes, active = np.zeros(d.size), 0, start  # first proximal center
-    if np.min(d) > np.finfo(float).eps * np.max(d):  # definite to round-off
-        x, eta, changes, active, last = _dual_active_set(
-            V, d, gx, upper, B, psi, feas_tol, active)
-        res = _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes,
-                         active, last)
-        if res is not None:
-            return res
-    delta = PROX_SCALE * (float(np.max((V**2) @ d, initial=0.0)) or 1.0)
-    for _ in range(MAX_PROX_STEPS):  # each step starts from the last one's set
-        x, eta, k, active, last = _dual_active_set(
-            V, d + delta, gx - delta * x, upper, B, psi, feas_tol, active)
-        changes += k
-        res = _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes,
-                         active, last)
-        if res is not None:
-            return res
-    raise NonConvergence(f"no KKT certificate after {MAX_PROX_STEPS} proximal "
-                         f"steps ({changes} active-set changes)")
+    x, eta, changes, active, last = _dual_active_set(
+        V, d, gx, upper, B, psi, 0.1 * tol, start)
+    res = _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes,
+                     active, last)
+    if res is None:
+        raise NonConvergence(
+            f"no KKT certificate after {changes} active-set changes")
+    return res

@@ -1,6 +1,5 @@
 """Solver for the regularized problem min ||Su - y_d||^2 + alpha||u||^2
-over the admissible set, plus the enumeration oracle and the constrained
-pseudo-inverse."""
+over the admissible set, plus the enumeration oracle."""
 
 from __future__ import annotations
 
@@ -72,8 +71,7 @@ class Solution:
     active_upper: np.ndarray
     active_state: np.ndarray      # positions into the region index list
     iterations: int               # QP active-set changes (adds plus drops)
-                                  # after the warm start, summed over any
-                                  # proximal steps
+                                  # after the warm start
     kkt_stationarity: float
     kkt_primal: float
     kkt_complementarity: float
@@ -107,17 +105,12 @@ def _quadratic(op: AssembledOperator, vty: np.ndarray, alpha: float):
     return (V, 2.0 * (s2 + alpha)), -2.0 * op.s * vty
 
 
-def _build_quadratic(op: AssembledOperator, y_d: GridFunction, alpha: float):
-    """`_quadratic` for the data y_d."""
-    return _quadratic(op, op.V.T @ y_d.values, alpha)
-
-
 def solve_unconstrained(op: AssembledOperator, y_d: GridFunction,
                         alpha: float) -> GridFunction:
     """Solve (S*S + alpha I) u = S* y_d in the eigenbasis of S."""
     if alpha <= 0:
         raise InvalidInput(f"alpha must be positive, got {alpha}")
-    (V, d), gx = _build_quadratic(op, y_d, alpha)
+    (V, d), gx = _quadratic(op, op.V.T @ y_d.values, alpha)
     return GridFunction(op.grid, V @ (-gx / d))
 
 
@@ -143,48 +136,6 @@ def projection_formula_residual(sol: Solution, problem: RegularizedProblem,
     p = project_admissible(GridFunction(problem.op.grid, v), problem.aset,
                           tol=0.1 * tol)
     return wnorm(problem.op.grid, sol.u.values - p.values)
-
-
-@dataclass
-class PseudoInverseResult:
-    u: GridFunction
-    residual_norm: float
-    norm: float
-
-
-def pseudo_inverse(op: AssembledOperator, y_d: GridFunction,
-                   aset: AdmissibleSet, tol: float = 1e-8) -> PseudoInverseResult:
-    """Constrained pseudo-inverse: minimal-norm minimizer of the residual.
-
-    Stage (i) minimizes ||Su - y_d||^2 over the set; stage (ii) follows the
-    Tikhonov path with decreasing alpha, which satisfies the relaxed
-    constraint ||Su - y_d||^2 <= m* + tol while never exceeding the norm of
-    the true minimal-norm minimizer.
-    """
-    prob = RegularizedProblem(op, y_d, aset, 1e-2)  # alpha: the loop's first
-    H, gx = _quadratic(op, prob.vty, 0.0)
-    B, psi = aset.constraint_matrix()
-    wfac = np.sqrt(op.grid.weight)
-    res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac)
-    w = op.grid.weight
-    r = op.apply_eigen(res.vtu) - y_d.values
-    m_star = float(w * (r @ r))
-
-    prev, active = None, res.active
-    alpha = 1e-2
-    while alpha >= 1e-12:
-        prob = prob.at(alpha)
-        sol = solve(prob, tol=tol, start=active)
-        u, active = sol.u, sol.active_set
-        rr = sol.y.values - y_d.values
-        res2 = float(w * (rr @ rr))
-        if res2 <= m_star + 0.5 * tol:
-            if prev is not None and wnorm(op.grid, u.values - prev.values) <= tol:
-                break
-            prev = u
-        alpha *= 0.1
-    rr = sol.y.values - y_d.values
-    return PseudoInverseResult(u, wnorm(op.grid, rr), u.norm())
 
 
 def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tiklav import cli
+from tiklav import cli, qp
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -79,6 +79,13 @@ class TestSolve:
         rc = cli.main(["solve", "--config", write_cfg(tmp_path, cfg),
                        "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_INFEASIBLE
+
+    def test_certificate_miss_exits_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(qp, "_certified", lambda *args: None)
+        rc = cli.main(["solve", "--config", write_cfg(tmp_path, base_cfg()),
+                       "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_NONCONVERGENCE
+        assert capsys.readouterr().err.startswith("nonconvergence: ")
 
     def test_explicit_data_values(self, tmp_path):
         cfg = base_cfg()
@@ -324,6 +331,12 @@ REJECTED = [
     ("solve", _with(base_cfg(), ["admissible", "region"],
                     {"bounds": [[0.25, 0.75]], "inner": "false"}),
      "region-inner-string"),
+    # a Gaussian Gram matrix is singular to round-off, so 2(S*S + alpha I)
+    # is not definite at this alpha
+    ("solve", _with(_with(base_cfg(), ["operator"], {
+        "kind": "fredholm", "d": 1, "n": 24,
+        "kernel": {"kind": "gaussian", "width": 0.3}}), ["alpha"], 1e-30),
+     "alpha-below-round-off"),
 ]
 
 

@@ -102,14 +102,17 @@ def test_dependent_lower_bound_and_state_row():
     assert res.eta[0] + res.mu_lower[0] == pytest.approx(2.0, abs=1e-9)
 
 
-def test_semidefinite_hessian_uses_proximal_steps():
-    # H has no Cholesky factor: proximal steps through H + delta I solve it
-    H = np.array([[2.0, 0.0], [0.0, 0.0]])
-    g = np.array([-2.0, 1.0])
-    res = solve_dense(H, g, np.ones(2), None, None,
-                      1e-10, 1.0)
-    assert np.allclose(res.u, [1.0, 0.0], atol=1e-9)
-    assert max(res.stationarity, res.complementarity) <= 1e-10
+@pytest.mark.parametrize("d_min", [0.0, 1e-35, np.nan],
+                         ids=["zero", "round-off", "nan"])
+def test_semidefinite_hessian_rejected(d_min):
+    # an exact 0 eigenvalue, one positive but <= eps * d_max, or NaN: the
+    # dual active-set pass would divide by sqrt(d)
+    rng = np.random.default_rng(0)
+    V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    d = np.array([2.0, 1.0, 0.5, d_min])
+    with pytest.raises(InvalidInput, match="not definite to round-off"):
+        solve_box_state_qp((V, d), rng.standard_normal(4), np.ones(4), None,
+                           None, 1e-10, 1.0)
 
 
 def _least_squares_batch(seed, count=100):
@@ -126,16 +129,6 @@ def _least_squares_batch(seed, count=100):
         T = rng.standard_normal((m, n)) if m else None
         psi = rng.uniform(0.05, 1.0, m) if m else None
         yield A, y, upper, T, psi
-
-
-def test_rank_deficient_batch_certified():
-    # H = 2 A^T A with rank(A) < n, g = -2 A^T y in the range of H, some
-    # infinite upper bounds and 0-3 state rows: every solve is certified
-    for A, y, upper, T, psi in _least_squares_batch(5):
-        H, g = 2 * A.T @ A, -2 * A.T @ y
-        res = solve_dense(H, g, upper, T, psi, 1e-10, 1.0)
-        assert max(res.stationarity, res.primal, res.complementarity) <= 1e-10
-        assert np.all(res.u >= -1e-11) and np.all(res.u <= upper + 1e-11)
 
 
 def test_eigenpair_and_dense_hessian_agree():
@@ -159,19 +152,6 @@ def test_eigenpair_and_dense_hessian_agree():
                    by_svd.complementarity) <= 1e-10
 
 
-def test_round_off_eigenvalue_takes_proximal_steps():
-    # d_min = 1e-35 is positive but below eps * d_max: H is semidefinite to
-    # round-off, and a dual active-set solve on it would divide by sqrt(d)
-    rng = np.random.default_rng(0)
-    V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    d = np.array([2.0, 1.0, 0.5, 1e-35])
-    gx = d * rng.standard_normal(4)  # g = V gx in the range of H
-    B = rng.standard_normal((2, 4)) @ V
-    res = solve_box_state_qp((V, d), gx, np.ones(4), B, np.full(2, 0.3),
-                             1e-10, 1.0)
-    assert max(res.stationarity, res.primal, res.complementarity) <= 1e-10
-
-
 def test_infeasible_state_rows_raise():
     # sum(u) <= -1 impossible for u >= 0
     H = 2 * np.eye(3)
@@ -184,7 +164,7 @@ def test_infeasible_state_rows_raise():
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
 def test_nonpositive_tol_rejected(tol):
-    # tol <= 0 would otherwise run out the proximal steps (NonConvergence)
+    # no certificate meets tol <= 0: the pass would end in NonConvergence
     with pytest.raises(InvalidInput, match="tol must be positive"):
         solve_dense(2 * np.eye(2), -np.ones(2), np.ones(2), None, None, tol,
                     1.0)

@@ -1,7 +1,5 @@
 """Regularized solver against the enumeration oracle and closed forms."""
 
-import contextlib
-import io
 import os
 import subprocess
 import sys
@@ -13,15 +11,14 @@ import scipy.linalg as sla
 
 import tiklav
 from conftest import random_problem
-from tiklav import cli, experiments, qp
+from tiklav import cli, experiments
 from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
                                feasibility, project_admissible)
 from tiklav.errors import InvalidInput
-from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, constant, wnorm
+from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, wnorm
 from tiklav.manufacture import manufacture
-from tiklav.operators import (AssembledOperator, KernelSpec, apply,
-                              assemble_fredholm, assemble_poisson)
-from tiklav.solver import (RegularizedProblem, oracle_solve, pseudo_inverse,
+from tiklav.operators import AssembledOperator, apply, assemble_poisson
+from tiklav.solver import (RegularizedProblem, oracle_solve,
                            projection_formula_residual, solve,
                            solve_unconstrained)
 
@@ -145,56 +142,6 @@ class TestOracle:
         assert o.kkt_stationarity <= 1e-7
 
 
-class TestPseudoInverse:
-    def test_rank_one_minimal_norm_closed_form(self):
-        # separable kernel: S u = x * (h x.u); data y_d = x is attainable and
-        # the minimal-norm preimage is the multiple of x with h x.u = 1
-        g = DomainGrid(1, 9)
-        op = assemble_fredholm(g, KernelSpec("separable"))
-        x = g.coords[:, 0]
-        state = StateConstraint(ObservationRegion.all_nodes(g), np.full(9, 100.0))
-        aset = AdmissibleSet(BoxBounds.constant(g, 5.0), state, op)
-        y_d = GridFunction(g, x)
-        out = pseudo_inverse(op, y_d, aset, tol=1e-10)
-        expected = x / (g.h * (x @ x))
-        assert out.residual_norm <= 1e-6
-        assert np.allclose(out.u.values, expected, atol=1e-4)
-        # any other preimage z of y_d has larger norm
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            null = rng.standard_normal(9)
-            null -= (null @ x) / (x @ x) * x  # stay in the kernel of S
-            z = expected + 0.5 * null
-            if np.all(z >= 0) and np.all(z <= 5.0):
-                assert out.norm <= wnorm(g, z) + 1e-6
-
-    def test_attainable_data_recovers_near_zero_residual(self):
-        g = DomainGrid(1, 8)
-        op = assemble_poisson(g)
-        state = StateConstraint(ObservationRegion.all_nodes(g), np.full(8, 100.0))
-        aset = AdmissibleSet(BoxBounds.constant(g, 10.0), state, op)
-        u_true = GridFunction(g, np.full(8, 0.5))
-        y_d = apply(op, u_true)
-        out = pseudo_inverse(op, y_d, aset, tol=1e-10)
-        assert out.residual_norm <= 1e-6
-        assert np.allclose(out.u.values, 0.5, atol=1e-4)
-
-    def test_unattainable_data_residual_matches_stage_one(self):
-        # y_d far above what the box allows: residual floor is positive and
-        # the returned point is feasible
-        g = DomainGrid(1, 6)
-        op = assemble_fredholm(g, KernelSpec("constant"))
-        state = StateConstraint(ObservationRegion.all_nodes(g), np.full(6, 100.0))
-        aset = AdmissibleSet(BoxBounds.constant(g, 1.0), state, op)
-        y_d = constant(g, 10.0)
-        out = pseudo_inverse(op, y_d, aset, tol=1e-9)
-        assert out.residual_norm > 1.0
-        assert feasibility(out.u, aset).feasible
-        # the residual floor is attained by u = b (monotone kernel)
-        r_at_cap = wnorm(g, op.apply_values(np.ones(6)) - y_d.values)
-        assert out.residual_norm <= r_at_cap + 1e-6
-
-
 def test_solution_continuity_in_alpha():
     prob = loose_problem(psi=0.002, b=0.5, alpha=1e-2)
     g = prob.op.grid
@@ -205,44 +152,6 @@ def test_solution_continuity_in_alpha():
     for a, b in [(1e-2, 2e-2), (1e-2, 5e-3), (2e-2, 5e-3)]:
         lhs = wnorm(g, sols[b].u.values - sols[a].u.values)
         assert lhs <= abs(a - b) / b * sols[a].u.norm() + 1e-7
-
-
-class TestNoFallback:
-    """On a positive-definite H one dual active-set solve is certified on its
-    own: the proximal route never runs."""
-
-    @pytest.fixture
-    def solve_counts(self, monkeypatch):
-        """Dual active-set calls made by each solve_box_state_qp call."""
-        counts = []
-        engine, inner = qp.solve_box_state_qp, qp._dual_active_set
-
-        def counting_engine(*args, **kwargs):
-            counts.append(0)
-            return engine(*args, **kwargs)
-
-        def counting_inner(*args, **kwargs):
-            counts[-1] += 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(qp, "solve_box_state_qp", counting_engine)
-        monkeypatch.setattr(qp, "_dual_active_set", counting_inner)
-        return counts
-
-    def test_random_instances(self, solve_counts):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            solve(random_problem(rng), tol=1e-10)
-        assert solve_counts == [1] * 200
-
-    @pytest.mark.parametrize("preset", ["interior-attainable-poisson-1d",
-                                        "clipped-fredholm-1d",
-                                        "binding-state-poisson-2d"])
-    def test_preset_verify(self, preset, tmp_path, solve_counts):
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(["verify", "--config", preset, "--out", str(tmp_path)])
-        assert rc == cli.EXIT_OK
-        assert solve_counts and set(solve_counts) == {1}
 
 
 def counted_interior_preset():
@@ -320,7 +229,6 @@ def test_poisson_solve_uses_no_gram_and_no_cholesky(monkeypatch):
         assert len(sol.active_state) > 0
         assert projection_formula_residual(sol, prob, tol=1e-8) <= 1e-7
         solve_unconstrained(prob.op, prob.y_d, prob.alpha)
-        pseudo_inverse(prob.op, prob.y_d, prob.aset, tol=1e-9)
 
 
 def test_solve_does_not_import_scipy_optimize(tmp_path):

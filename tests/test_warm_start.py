@@ -1,17 +1,13 @@
-"""Warm starts along alpha/lambda paths and proximal steps: the same
-certified minimizers as cold solves, with fewer active-set changes."""
+"""Warm starts along alpha/lambda paths: the same certified minimizers as
+cold solves, with fewer active-set changes."""
 
 import numpy as np
 import pytest
 
 from conftest import load_preset_instance, random_problem
-from tiklav import qp
-from tiklav.admissible import AdmissibleSet, BoxBounds, StateConstraint
 from tiklav.experiments import lavrentiev_sweep
-from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, wnorm
-from tiklav.operators import KernelSpec, assemble_fredholm
-from tiklav.solver import (RegularizedProblem, _build_quadratic,
-                           pseudo_inverse, solve)
+from tiklav.grid import GridFunction, wnorm
+from tiklav.solver import RegularizedProblem, solve
 
 
 def certificate(sol):
@@ -89,35 +85,3 @@ def test_warm_lambda_sweep_halves_active_set_changes(binding_preset):
         op, inst.y_d, aset.with_lambda(lam, e["sign"]), e["alpha"])).iterations
         for lam in e["lambda_list"])
     assert warm <= cold / 2
-
-
-def test_proximal_steps_and_alpha_loop_start_warm(monkeypatch):
-    # a Gaussian Gram matrix is singular to round-off, so pseudo_inverse's
-    # alpha = 0 stage takes proximal steps; each step starts from the last
-    # one's active set and each alpha from the previous alpha's
-    calls = []
-    engine, inner = qp.solve_box_state_qp, qp._dual_active_set
-
-    def counting_engine(*args, **kwargs):
-        calls.append([])
-        return engine(*args, **kwargs)
-
-    def counting_inner(*args, **kwargs):
-        out = inner(*args, **kwargs)
-        calls[-1].append(out[2])
-        return out
-
-    monkeypatch.setattr(qp, "solve_box_state_qp", counting_engine)
-    monkeypatch.setattr(qp, "_dual_active_set", counting_inner)
-    g = DomainGrid(1, 24)
-    op = assemble_fredholm(g, KernelSpec("gaussian", width=0.3))
-    state = StateConstraint(ObservationRegion.all_nodes(g), np.full(24, 0.3))
-    aset = AdmissibleSet(BoxBounds.constant(g, 1.0), state, op)
-    y_d = GridFunction(g, 1.0 + np.sin(3 * np.pi * g.coords[:, 0]))
-    (_, d), _ = _build_quadratic(op, y_d, 0.0)
-    assert d.min() <= np.finfo(float).eps * d.max()
-    pseudo_inverse(op, y_d, aset, tol=1e-9)
-    stage, loop = calls[0], [k for call in calls[1:] for k in call]
-    assert len(stage) >= 2 and stage[0] >= 50
-    assert stage[1] <= stage[0] // 10
-    assert sum(loop) <= stage[0] // 2
