@@ -129,9 +129,9 @@ class AdmissibleSet:
         if not finite.any():
             return None, None
         idx = self.state.region.indices[finite]
-        B, psi = self.op.eigen_rows(idx, self.shift), self.state.psi[finite]
-        B.flags.writeable = psi.flags.writeable = False
-        return B, psi
+        psi = self.state.psi[finite]
+        psi.flags.writeable = False
+        return self.op.eigen_rows(idx, self.shift), psi
 
     def slack(self, u_values: np.ndarray, su: np.ndarray):
         """The slacks of the lower, upper and state constraints at u, given

@@ -92,6 +92,14 @@ def _int(value) -> int:
     return value
 
 
+def _float(value) -> float:
+    """A JSON number (0.01, 1 or Infinity) as a float; "0.01" and true are
+    rejected, not parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInput(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _bool(value) -> bool:
     """JSON true or false; any other value ("false", 0) is rejected."""
     if not isinstance(value, bool):
@@ -100,34 +108,31 @@ def _bool(value) -> bool:
 
 
 def _grid_values(grid: DomainGrid, spec) -> np.ndarray:
-    """Scalar, array or 'inf' -> per-node values."""
-    if spec == "inf":
-        return np.full(grid.num_nodes, np.inf)
-    if isinstance(spec, (int, float)):
-        return np.full(grid.num_nodes, float(spec))
-    if isinstance(spec, list):
-        arr = np.asarray(spec, dtype=float)
-        if arr.shape != (grid.num_nodes,):
-            raise InvalidInput(
-                f"expected {grid.num_nodes} values, got {arr.shape}")
-        return arr
-    raise InvalidInput("expected scalar, array or 'inf'")
+    """A number, 'inf' or a list of them, one per node -> per-node values."""
+    def value(v):
+        return np.inf if v == "inf" else _float(v)
+
+    if not isinstance(spec, list):
+        return np.full(grid.num_nodes, value(spec))
+    if len(spec) != grid.num_nodes:
+        raise InvalidInput(f"expected {grid.num_nodes} values, got {len(spec)}")
+    return np.array([value(v) for v in spec])
 
 
 def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
     kind = _require(spec, "kind", where)
     if kind == "constant":
         return GridFunction(grid, np.full(grid.num_nodes,
-                                          _require(spec, "value", where, float)))
+                                          _require(spec, "value", where, _float)))
     if kind == "values":
         return GridFunction(grid, _require(
             spec, "values", where, lambda v: _grid_values(grid, v)))
     if kind == "sine-mixture":
         if grid.d != 1:
             raise InvalidInput("sine-mixture source is 1D only")
-        amp = _require(spec, "amplitude", where, float, 1.0)
+        amp = _require(spec, "amplitude", where, _float, 1.0)
         modes = _require(spec, "modes", where, _int, grid.n)
-        decay = _require(spec, "decay", where, float, 0.5)
+        decay = _require(spec, "decay", where, _float, 0.5)
         x = grid.coords[:, 0]
         vals = np.zeros(grid.num_nodes)
         for k in range(1, modes + 1):
@@ -147,8 +152,8 @@ def build_operator(cfg: dict):
         k_cfg = _require(op_cfg, "kernel", "operator")
         where = "operator.kernel"
         kspec = KernelSpec(kind=_require(k_cfg, "kind", where),
-                           value=_require(k_cfg, "value", where, float, 1.0),
-                           width=_require(k_cfg, "width", where, float, 1.0))
+                           value=_require(k_cfg, "value", where, _float, 1.0),
+                           width=_require(k_cfg, "width", where, _float, 1.0))
         return assemble_fredholm(grid, kspec)
     raise InvalidInput(f"unknown operator kind {kind!r}")
 
@@ -166,11 +171,12 @@ def build_admissible(cfg: dict, op) -> AdmissibleSet:
                          False)
         region = _require(region_spec, "bounds", "admissible.region",
                           lambda bounds: ObservationRegion.from_bounds(
-                              grid, bounds, inner=inner))
+                              grid, [[_float(x) for x in pair]
+                                     for pair in bounds], inner=inner))
     psi = _require(a_cfg, "psi", "admissible",
                    lambda v: _grid_values(grid, v))
     state = StateConstraint(region, psi[region.indices],
-                            _require(a_cfg, "lambda", "admissible", float, 0.0),
+                            _require(a_cfg, "lambda", "admissible", _float, 0.0),
                             a_cfg.get("sign", "plus"))
     return AdmissibleSet(box, state, op)
 
@@ -184,7 +190,7 @@ def build_instance(cfg: dict, op, aset: AdmissibleSet,
     return manufacture(
         w, aset.with_lambda(0.0),
         attainable=_require(m_cfg, "attainable", where, _bool, True),
-        residual=_require(m_cfg, "residual", where, float, 0.0),
+        residual=_require(m_cfg, "residual", where, _float, 0.0),
         residual_direction=m_cfg.get("residual_direction", "random"),
         seed=_require(m_cfg, "seed", where, _int, seed))
 
@@ -246,7 +252,7 @@ def cmd_solve(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
     op = build_operator(cfg)
     aset = build_admissible(cfg, op)
     y_d, _ = build_data(cfg, op, aset, seed)
-    alpha = _require(cfg, "alpha", "config", float)
+    alpha = _require(cfg, "alpha", "config", _float)
     prob = RegularizedProblem(op, y_d, aset, alpha)
     sol = solve(prob, tol=tol)
     rep = sol.margins
@@ -302,12 +308,12 @@ def cmd_manufacture(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunRepor
 
 
 def _floats(e_cfg: dict, key: str) -> list:
-    return _require(e_cfg, key, "experiment", lambda v: [float(x) for x in v])
+    return _require(e_cfg, key, "experiment", lambda v: [_float(x) for x in v])
 
 
 def _pair(value) -> tuple:
     lo, hi = value
-    return float(lo), float(hi)
+    return _float(lo), _float(hi)
 
 
 def _rate_fit(fit, e_cfg: dict):
@@ -347,8 +353,8 @@ def _verify_noise(cfg, e_cfg, op, aset, tol, seed):
     rule = e_cfg.get("rule", {})
     out = experiments.noise_study(
         inst, _floats(e_cfg, "delta_list"),
-        s=_require(rule, "s", "experiment.rule", float, 2.0 / 3.0),
-        c=_require(rule, "c", "experiment.rule", float, 1.0),
+        s=_require(rule, "s", "experiment.rule", _float, 2.0 / 3.0),
+        c=_require(rule, "c", "experiment.rule", _float, 1.0),
         tol=tol, seed=seed)
     checks = {"error_bounds": all(map(all, out["bound_checks"]))}
     if inst.interior:
@@ -362,7 +368,7 @@ def _verify_lavrentiev(cfg, e_cfg, op, aset, tol, seed):
     u_hat = _build_w(op.grid, uhat, "experiment.uhat")
     sign = e_cfg.get("sign", "plus")
     out = experiments.lavrentiev_sweep(
-        inst, _require(e_cfg, "alpha", "experiment", float),
+        inst, _require(e_cfg, "alpha", "experiment", _float),
         _floats(e_cfg, "lambda_list"), sign, u_hat, tol=tol)
     # every shifted solution equal to the lambda = 0 one (no positive scaled
     # error) meets the lambda/alpha bound with constant 0
@@ -382,7 +388,7 @@ def _verify_total_error(cfg, e_cfg, op, aset, tol, seed):
     inst = build_instance(cfg, op, aset, seed)
     out = experiments.total_error_study(
         inst, _floats(e_cfg, "alpha_list"),
-        lam_cap=_require(e_cfg, "lambda_cap", "experiment", float, 1e-2),
+        lam_cap=_require(e_cfg, "lambda_cap", "experiment", _float, 1e-2),
         sign=e_cfg.get("sign", "plus"), tol=tol)
     slope_ok, fit = _rate_fit(out["fit"], e_cfg)
     checks = {"rate_slope": slope_ok,

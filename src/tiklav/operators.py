@@ -9,7 +9,11 @@ S^T S = V diag(s^2) V^T, and a row of S + shift I is V[i] diag(s + shift) V^T.
 The Poisson operator uses the closed-form eigenbasis of the Dirichlet
 Laplacian, the sine modes of the fast Poisson solver (Buzbee, Golub and
 Nielson, SIAM J. Numer. Anal. 7 (1970) 627), with s = 1/eigenvalue: no
-inverse and no dense S is formed. A Fredholm operator takes one eigh of its
+inverse and no dense S is formed. In 1D, V is a `SineBasis`: V x is one
+discrete sine transform (DST-I) by numpy's FFT, and the state rows are an
+implicit `EigenRows`, so no n x n array is formed on the solve path. In 2D,
+V is the dense Kronecker product of two 1D tables, where a 144-node product
+is cheaper than a 2D transform. A Fredholm operator takes one eigh of its
 quadrature matrix, which it keeps as its dense S.
 """
 
@@ -65,8 +69,8 @@ class AssembledOperator:
     construction apart from its caches; safe for concurrent reads.
     """
 
-    def __init__(self, grid: DomainGrid, V: np.ndarray, s: np.ndarray,
-                 matrix: np.ndarray | None = None):
+    def __init__(self, grid: DomainGrid, V: np.ndarray | SineBasis,
+                 s: np.ndarray, matrix: np.ndarray | None = None):
         self.grid = grid
         self.V = V
         self.s = s
@@ -79,7 +83,7 @@ class AssembledOperator:
         """Dense S, cached; with s > 0 it is W W^T, W = V s^(1/2), which as a
         product with its own transpose is exactly symmetric."""
         if self._matrix is None:
-            W = self.V * np.sqrt(self.s)
+            W = np.asarray(self.V) * np.sqrt(self.s)
             self._matrix = W @ W.T
         return self._matrix
 
@@ -91,11 +95,16 @@ class AssembledOperator:
             self._gram = m.T @ m
         return self._gram
 
-    def eigen_rows(self, idx: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """Rows idx of S + shift I in the eigenbasis: a new array B with
-        (S + shift I)[idx] = B V^T, B = V[idx] diag(s + shift)."""
+    def eigen_rows(self, idx: np.ndarray, shift: float = 0.0):
+        """Rows idx of S + shift I in the eigenbasis: a read-only B with
+        (S + shift I)[idx] = B V^T, B = V[idx] diag(s + shift); an implicit
+        `EigenRows` on a `SineBasis`, else a new array."""
+        w = self.s + shift
+        if isinstance(self.V, SineBasis):
+            return EigenRows(self.V, idx, w)
         B = self.V[idx]  # fancy indexing: a copy, safe to scale in place
-        B *= self.s + shift
+        B *= w
+        B.flags.writeable = False
         return B
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
@@ -108,23 +117,121 @@ class AssembledOperator:
     apply_adjoint_values = apply_values  # S* = S under uniform weights
 
 
+class SineBasis:
+    """The orthonormal sine basis V of `_sine_modes(n)` without its n^2
+    entries. V == V.T, so V.T is V itself, and V @ x, for x of shape (n,)
+    or (n, m), is one DST-I, computed as a chirp-z transform (Bluestein)
+    on power-of-two FFTs. Rows V[i] and V[idx] are looked up in the exact
+    symmetric sine table, so they equal those of `_sine_modes`;
+    np.asarray(V) builds that dense table, for the readers that need it
+    (`AssembledOperator.matrix`, the oracle and the tests).
+    """
+
+    def __init__(self, n: int):
+        self.shape = (n, n)
+        self._k = np.arange(1, n + 1)
+        self._table = _sine_spectrum(n)[0]
+        # (V x)_j = sqrt(2/(n+1)) Im sum_k x_k exp(i pi j k/(n+1)), and
+        # j k = (j^2 + k^2 - (j-k)^2)/2 turns the sum into
+        # c_j sum_k conj(c_(j-k)) c_k x_k, a convolution with the chirp
+        # c_m = exp(i pi m^2/(2(n+1))), whose angle is exact with m^2
+        # reduced mod 4(n+1). It runs on FFTs of the power of two
+        # L >= 2n - 1: several times faster than one FFT of length 2(n+1)
+        # when n + 1 has a large prime factor (2049 = 3 * 683)
+        m = np.arange(n + 1)
+        c = np.exp(1j * np.pi / (2 * (n + 1)) * (m * m % (4 * (n + 1))))
+        L = 1 << (2 * n - 2).bit_length()
+        kernel = np.zeros(L, dtype=complex)
+        kernel[:n] = c[:n].conj()                   # lags j - k = 0..n-1
+        kernel[L - n + 1:] = c[n - 1:0:-1].conj()   # lags -(n-1)..-1
+        self._kernel = np.fft.fft(kernel)
+        self._chirp = c[1:]
+        self._scale = np.sqrt(2.0 / (n + 1)) * c[1:]
+
+    @property
+    def T(self) -> "SineBasis":
+        return self
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        n = self.shape[0]
+        col = (slice(None),) + (None,) * (x.ndim - 1)  # broadcast along axis 0
+        z = np.fft.fft(self._chirp[col] * x, n=self._kernel.size, axis=0)
+        z *= self._kernel[col]
+        return (self._scale[col] * np.fft.ifft(z, axis=0)[:n]).imag
+
+    def __getitem__(self, i):
+        """Rows i of V, for an int or an integer index array i."""
+        j = self._k[i]
+        return self._table[np.multiply.outer(j, self._k) % self._table.size]
+
+    def __array__(self, dtype=None, copy=None):
+        return _sine_modes(self.shape[0])[0].astype(dtype or float,
+                                                     copy=False)
+
+
+class EigenRows:
+    """B = V[idx] diag(w) for a `SineBasis` V, held as (V, idx, w): B @ x is
+    (V @ (w * x))[idx], B.T @ eta is w * (V.T @ e) with e the vector that
+    holds eta at idx, and B[i] is V[idx[i]] * w. Read-only: it has no
+    buffer and no item assignment, and np.asarray(B) is a new array.
+    """
+
+    def __init__(self, V: SineBasis, idx: np.ndarray, w: np.ndarray):
+        self.V, self.idx, self.w = V, idx.copy(), w.copy()
+        self.idx.flags.writeable = self.w.flags.writeable = False
+        self.shape = (idx.size, V.shape[0])
+
+    @property
+    def T(self) -> "_EigenRowsT":
+        return _EigenRowsT(self)
+
+    def __matmul__(self, x):
+        return (self.V @ (self.w * x.T).T)[self.idx]
+
+    def __getitem__(self, i):
+        return self.V[self.idx[i]] * self.w
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:].astype(dtype or float, copy=False)
+
+
+class _EigenRowsT:
+    """The transpose of an `EigenRows` B, for the products B.T @ eta."""
+
+    def __init__(self, B: EigenRows):
+        self.B = B
+
+    def __matmul__(self, eta):
+        B = self.B  # bincount sums eta over repeated indices
+        return B.w * (B.V.T @ np.bincount(B.idx, eta, B.shape[1]))
+
+
+def _sine_spectrum(n: int):
+    """The table sqrt(2/(n+1)) sin(pi m/(n+1)) of the 2(n+1) integer angles
+    m, in which V[j-1, k-1] = table[j k mod 2(n+1)] is looked up, and the
+    eigenvalues 4/h^2 sin^2(k pi h/2) of the Laplacian, k = 1..n. Each
+    entry is the sine of an angle in [0, pi/2], negated for m >= n+1, so
+    table[n+1-m] == table[m] and table[m+n+1] == -table[m] hold exactly."""
+    h = 1.0 / (n + 1)
+    r = np.arange(2 * (n + 1)) % (n + 1)
+    table = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.minimum(r, n + 1 - r))
+    table[n + 1:] *= -1.0
+    k = np.arange(1, n + 1)
+    return table, 4.0 / h**2 * np.sin(0.5 * np.pi * h * k) ** 2
+
+
 def _sine_modes(n: int):
     """Orthonormal eigenvectors V[j-1, k-1] = sqrt(2/(n+1)) sin(pi j k/(n+1))
     of the 3-point Dirichlet Laplacian on n nodes and its eigenvalues
-    4/h^2 sin^2(k pi h/2), j, k = 1..n."""
-    # sin(pi j k/(n+1)) takes 2(n+1) values: one table indexed by the exact
-    # integer angle m = j k mod 2(n+1). Its entries are sines of angles in
-    # [0, pi/2], negated for m >= n+1, so table[n+1-m] == table[m] and
-    # table[m+n+1] == -table[m] hold exactly, and with them
+    4/h^2 sin^2(k pi h/2), j, k = 1..n, as a dense array."""
+    # the table's exact reflections give
     #   V[j, n+1-k] = (-1)^(j+1) V[j, k],  V[n+1-j, k] = (-1)^(k+1) V[j, k].
     # The top-left ceil(n/2) square is looked up, SINE_BLOCK rows at a time
     # (no n x n index array beside V); the other three quarters are signed
     # reflections of it, written in place
     k = np.arange(1, n + 1)
-    h = 1.0 / (n + 1)
-    r = np.arange(2 * (n + 1)) % (n + 1)
-    table = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.minimum(r, n + 1 - r))
-    table[n + 1:] *= -1.0
+    table, lam = _sine_spectrum(n)
     half, rest = (n + 1) // 2, n // 2
     sign = np.where(k % 2 == 1, 1.0, -1.0)  # (-1)^(k+1)
     V = np.empty((n, n))
@@ -135,19 +242,22 @@ def _sine_modes(n: int):
     np.multiply(V[:half, :rest][:, ::-1], sign[:half, None],
                 out=V[:half, half:])
     np.multiply(V[:rest][::-1], sign, out=V[half:])
-    return V, 4.0 / h**2 * np.sin(0.5 * np.pi * h * k) ** 2
+    return V, lam
 
 
 def assemble_poisson(grid: DomainGrid) -> AssembledOperator:
     """Inverse S of the 2nd-order central-difference Dirichlet Laplacian,
-    S = V diag(1/lam) V^T in the sine basis (a Kronecker product in 2D)."""
+    S = V diag(1/lam) V^T in the sine basis: a `SineBasis` in 1D, the dense
+    Kronecker product of two 1D tables in 2D."""
     N = grid.num_nodes
     if N > DENSE_CAP:
         raise InvalidInput(f"poisson assembly for {N} > {DENSE_CAP} nodes")
+    if grid.d == 1:
+        return AssembledOperator(grid, SineBasis(grid.n),
+                                 1.0 / _sine_spectrum(grid.n)[1])
     V, lam = _sine_modes(grid.n)
-    if grid.d == 2:
-        V, lam = np.kron(V, V), np.add.outer(lam, lam).ravel()
-    return AssembledOperator(grid, V, 1.0 / lam)
+    return AssembledOperator(grid, np.kron(V, V),
+                             1.0 / np.add.outer(lam, lam).ravel())
 
 
 def assemble_fredholm(grid: DomainGrid, kernel: KernelSpec) -> AssembledOperator:

@@ -13,11 +13,14 @@ active multiplier can shrink.
 
 H is given by its eigendecomposition H = V diag(d) V^T with V square
 orthonormal, which the callers know in closed form, and g and the state
-rows by their coefficients in that basis: g = V gx and T = B V^T. The
-iterate is kept as x = V^T u. L = V diag(sqrt d), H = L L^T, takes the
-place of a Cholesky factor, so a row a with b = V^T a has
-L^{-1} a = d^{-1/2} * b, where b is -V[i] or V[i] for a bound and a row of
-B for a state row: an entering row costs O(n). The active rows enter
+rows by their coefficients in that basis: g = V gx and T = B V^T. V and B
+are used only through V @ x, V.T @ x, B @ x, B.T @ eta, rows V[i], B[i]
+and B.shape: dense arrays, or the 1D Poisson operator's implicit
+`operators.SineBasis` and `operators.EigenRows`, whose products are sine
+transforms. The iterate is kept as x = V^T u. L = V diag(sqrt d),
+H = L L^T, takes the place of a Cholesky factor, so a row a with b = V^T a
+has L^{-1} a = d^{-1/2} * b, where b is -V[i] or V[i] for a bound and a
+row of B for a state row: an entering row costs O(n). The active rows enter
 through W = L^{-1} A_active, kept as a thin QR factorization W = Q R in
 buffers that double when full: an add writes one column, a drop is
 scipy's in-place column downdate. scipy.linalg (that downdate and LAPACK's
@@ -321,12 +324,13 @@ def _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes, active,
 
 
 def solve_box_state_qp(H, gx: np.ndarray, upper: np.ndarray,
-                       B: Optional[np.ndarray], psi: Optional[np.ndarray],
+                       B, psi: Optional[np.ndarray],
                        tol: float, wfac: float,
                        start: Optional[ActiveSet] = None) -> QPResult:
     """Solve the QP with certified KKT residuals <= tol.
 
-    H is the pair (V, d) with H = V diag(d) V^T and V square orthonormal.
+    H is the pair (V, d) with H = V diag(d) V^T and V square orthonormal,
+    a dense array or an `operators.SineBasis` (see the module docstring).
     The gradient at 0 and the state rows are given in that basis: g = V gx
     and T = B V^T. `start` is the active set of a nearby solve (e.g. a
     previous `QPResult.active`); rows it names that do not exist here, or

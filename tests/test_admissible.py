@@ -84,21 +84,40 @@ class TestConstruction:
                 S = op.matrix
                 T = S[idx]
                 T[np.arange(idx.size), idx] += shift
-                assert np.max(np.abs(B @ op.V.T - T)) \
+                assert np.max(np.abs(np.asarray(B) @ np.asarray(op.V).T - T)) \
                     <= 1e-12 * np.linalg.norm(S)
 
     @pytest.mark.parametrize("lam", [0.0, 0.2])
     def test_constraint_matrix_is_a_copy(self, lam):
+        # built once per set and shared, so read-only: the 1D rows are an
+        # implicit EigenRows with no writable buffer (no item assignment,
+        # no buffer, read-only parts, a new array from np.asarray); the 2D
+        # rows a read-only array
         aset = small_set(n=5, lam=lam, sign="plus")
-        V_before = aset.op.V.copy()
+        V_before = np.asarray(aset.op.V)
         psi_before = aset.state.psi.copy()
         B, psi = aset.constraint_matrix()
-        for arr in (B, psi):  # built once per set and shared: read-only
+        B_before = np.asarray(B)
+        with pytest.raises(ValueError):
+            psi[:] = -7.0
+        with pytest.raises(TypeError):
+            B[:] = -7.0
+        with pytest.raises(TypeError):
+            memoryview(B)
+        for part in (B.idx, B.w):
             with pytest.raises(ValueError):
-                arr[:] = -7.0
+                part[:] = 0
+        np.asarray(B)[:] = -7.0
+        assert np.array_equal(np.asarray(B), B_before)
         assert aset.constraint_matrix()[0] is B
-        assert np.array_equal(aset.op.V, V_before)
+        assert np.array_equal(np.asarray(aset.op.V), V_before)
         assert np.array_equal(aset.state.psi, psi_before)
+        g = DomainGrid(2, 3)
+        state = StateConstraint(ObservationRegion.all_nodes(g), 0.05, lam)
+        B2, _ = AdmissibleSet(BoxBounds.constant(g, 1.0), state,
+                              assemble_poisson(g)).constraint_matrix()
+        with pytest.raises(ValueError):
+            B2[:] = -7.0
 
     def test_infinite_psi_rows_dropped(self):
         g = DomainGrid(1, 5)

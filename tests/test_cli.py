@@ -331,6 +331,15 @@ REJECTED = [
     ("solve", _with(base_cfg(), ["admissible", "region"],
                     {"bounds": [[0.25, 0.75]], "inner": "false"}),
      "region-inner-string"),
+    ("solve", _with(base_cfg(), ["alpha"], "0.01"), "alpha-string"),
+    ("solve", _with(base_cfg(), ["admissible", "b"], True), "b-boolean"),
+    ("solve", _with(base_cfg(), ["admissible", "psi"], [True] * 12),
+     "psi-boolean-entry"),
+    ("solve", _with(base_cfg(), ["data", "manufactured", "w"],
+                    {"kind": "sine-mixture", "amplitude": "1.0"}),
+     "amplitude-string"),
+    ("verify", _lavrentiev_cfg(lambda_list=["1e-2", "1e-3"]),
+     "lambda-list-string"),
     # a Gaussian Gram matrix is singular to round-off, so 2(S*S + alpha I)
     # is not definite at this alpha
     ("solve", _with(_with(base_cfg(), ["operator"], {
@@ -359,3 +368,11 @@ def test_integral_numbers_and_json_booleans_accepted(tmp_path):
     assert cli.main(["solve", "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == cli.EXIT_OK
     assert len(json.loads((out / "solution.json").read_text())["u"]) == 12
+
+
+def test_inf_spelling_accepted(tmp_path):
+    # "inf" marks an absent bound, as a scalar or as a list entry
+    cfg = _with(base_cfg(), ["admissible", "b"], "inf")
+    cfg["admissible"]["psi"] = [1.0] * 11 + ["inf"]
+    assert cli.main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_OK

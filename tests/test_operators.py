@@ -5,9 +5,9 @@ import pytest
 
 from tiklav.errors import InvalidInput
 from tiklav.grid import DomainGrid, GridFunction, constant, from_callable
-from tiklav.operators import (DENSE_CAP, SINE_BLOCK, KernelSpec, _sine_modes,
-                              apply, apply_adjoint, assemble_fredholm,
-                              assemble_poisson)
+from tiklav.operators import (DENSE_CAP, SINE_BLOCK, KernelSpec, SineBasis,
+                              _sine_modes, apply, apply_adjoint,
+                              assemble_fredholm, assemble_poisson)
 
 
 class TestPoissonAnalytic:
@@ -116,6 +116,36 @@ class TestSineBasis:
         plain = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.arange(2 * (n + 1)))
         V, _ = _sine_modes(n)
         assert np.max(np.abs(V - exact)) <= np.max(np.abs(plain[m] - exact))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 97, 127, 128, 129, 2047,
+                                   2048])
+    def test_transform_is_the_dense_table(self, n):
+        # V @ x by one DST-I against the product with the dense table, to
+        # round-off; rows and the dense form equal the table's in value
+        V, D = SineBasis(n), _sine_modes(n)[0]
+        rng = np.random.default_rng(n)
+        x, M = rng.standard_normal(n), rng.standard_normal((n, 3))
+        for got, want, norm in ((V @ x, D @ x, np.linalg.norm(x)),
+                                (V.T @ x, D.T @ x, np.linalg.norm(x)),
+                                (V @ M, D @ M, np.linalg.norm(M))):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * norm
+        idx = rng.integers(0, n, size=5)
+        assert np.array_equal(V[n // 2], D[n // 2])
+        assert np.array_equal(V[idx], D[idx])
+        assert np.array_equal(np.asarray(V), D)
+        assert V.T is V and V.shape == D.shape
+
+    def test_transform_is_its_own_inverse(self):
+        # V == V.T is orthonormal, so V (V x) = x, also on e_683, the row of
+        # the n = 2048 table whose entries take only 3 values
+        n = 2048
+        V = SineBasis(n)
+        e = np.zeros(n)
+        e[683] = 1.0
+        for x in (e, np.random.default_rng(5).standard_normal(n)):
+            assert np.max(np.abs(V @ (V @ x) - x)) \
+                <= 1e-13 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("grid", [DomainGrid(1, 64), DomainGrid(2, 12)],
                              ids=["1d", "2d"])

@@ -1,5 +1,7 @@
 """Regularized solver against the enumeration oracle and closed forms."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -17,7 +19,8 @@ from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
 from tiklav.errors import InvalidInput
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, wnorm
 from tiklav.manufacture import manufacture
-from tiklav.operators import AssembledOperator, apply, assemble_poisson
+from tiklav.operators import (AssembledOperator, SineBasis, apply,
+                              assemble_poisson)
 from tiklav.solver import (RegularizedProblem, oracle_solve,
                            projection_formula_residual, solve,
                            solve_unconstrained)
@@ -154,29 +157,21 @@ def test_solution_continuity_in_alpha():
         assert lhs <= abs(a - b) / b * sols[a].u.norm() + 1e-7
 
 
-def counted_interior_preset():
-    """The interior preset's operator and instance on a view of V that
-    counts the np.matmul calls taking V itself or V^T as an operand (full
-    products, not rows of V); returns (op, instance, list of the calls)."""
+def counted_interior_preset(monkeypatch):
+    """The interior preset's operator and instance with every application
+    of its SineBasis counted: each is one DST, behind V @ x, V.T @ x, the
+    state rows' B @ x and B.T @ eta (not a row lookup V[i]); returns (op,
+    instance, list of the calls)."""
     cfg = cli.load_config("interior-attainable-poisson-1d")
     op = cli.build_operator(cfg)
-    calls, full = [], (op.V.shape, op.V.ctypes.data)
+    assert isinstance(op.V, SineBasis)
+    calls, inner = [], SineBasis.__matmul__
 
-    class Counting(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul and any(
-                    isinstance(x, Counting) and (x.shape, x.ctypes.data) == full
-                    for x in inputs):
-                calls.append(1)
+    def counting(self, x):
+        calls.append(1)
+        return inner(self, x)
 
-            def plain(x):
-                return x.view(np.ndarray) if isinstance(x, Counting) else x
-
-            if "out" in kwargs:
-                kwargs["out"] = tuple(map(plain, kwargs["out"]))
-            return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
-
-    op = AssembledOperator(op.grid, op.V.view(Counting), op.s)
+    monkeypatch.setattr(SineBasis, "__matmul__", counting)
     inst = cli.build_instance(cfg, op, cli.build_admissible(cfg, op), 0)
     return op, inst, calls
 
@@ -185,24 +180,26 @@ class TestOneEvaluation:
     """y, the objective, the margins and the active rows of a solved point
     all come from one S u, formed from the certificate's V^T u."""
 
-    def test_one_apply_per_solve_record_and_instance(self):
-        # full products with V: a problem forms V^T y_d once, and the
-        # problems a path derives from it share it; an interior solve then
-        # makes 4 (V x in the engine's last slack evaluation, whose V x and
-        # B x the certificate reuses; V^T u and V r in the certificate; S u
-        # = V (s * V^T u) for the Solution); manufacture makes 5 (V^T w for
-        # the coefficients s * V^T w of S* w, the projection's 3 solve
-        # products, and S u_bar from the projection's V^T u)
-        op, inst, calls = counted_interior_preset()
+    def test_one_apply_per_solve_record_and_instance(self, monkeypatch):
+        # sine transforms: a problem forms V^T y_d once, and the problems a
+        # path derives from it share it; an interior solve then makes 5 (V x
+        # and B x = (V (w * x))[idx] in the engine's last slack evaluation,
+        # which the certificate reuses; V^T u and V r in the certificate;
+        # S u = V (s * V^T u) for the Solution). The implicit B x is the
+        # one transform more than the 4 full products of a dense V, where
+        # B x is a product with the rows alone. manufacture makes 6 (V^T w
+        # for the coefficients s * V^T w of S* w, the projection's 4 solve
+        # transforms, and S u_bar from the projection's V^T u)
+        op, inst, calls = counted_interior_preset(monkeypatch)
         calls.clear()
         manufacture(inst.w, inst.aset)
-        assert len(calls) == 5
+        assert len(calls) == 6
         calls.clear()
         solve(RegularizedProblem(op, inst.y_d, inst.aset, 1e-2))
-        assert len(calls) == 1 + 4
+        assert len(calls) == 1 + 5
         calls.clear()
         out = experiments.sweep_alpha(inst, [1e-1, 1e-2, 1e-3, 1e-4])
-        assert len(out["records"]) == 4 and len(calls) == 1 + 4 * 4
+        assert len(out["records"]) == 4 and len(calls) == 1 + 4 * 5
 
     def test_margins_are_the_feasibility_report(self):
         rng = np.random.default_rng(20240817)  # criterion 3's first instances
@@ -248,10 +245,12 @@ def test_solve_does_not_import_scipy_optimize(tmp_path):
     assert out.stdout.splitlines()[-1] == "[]"
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The scipy modules a fresh interpreter has loaded after `code`."""
+def _modules_after(code: str, prefix: str = "scipy") -> str:
+    """The modules under `prefix` a fresh interpreter has loaded after
+    `code`."""
     code += ("\nimport sys\n"
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+             "print(sorted(m for m in sys.modules"
+             f" if m.startswith({prefix!r})))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(tiklav.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
@@ -259,7 +258,25 @@ def _scipy_modules_after(code: str) -> str:
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules_after("import tiklav.cli") == "[]"
+    assert _modules_after("import tiklav.cli") == "[]"
+
+
+def test_cli_import_loads_no_fft():
+    # numpy.fft loads on the first 1D sine transform, not on import
+    assert _modules_after("import tiklav.cli", "numpy.fft") == "[]"
+
+
+def test_2d_verify_builds_no_sine_basis(monkeypatch, tmp_path):
+    # the 2D preset keeps the dense Kronecker basis and array state rows;
+    # its numpy.fft comes only from scipy.linalg, which imports it itself
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(SineBasis, "__init__", forbidden)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["verify", "--config", "binding-state-poisson-2d",
+                       "--seed", "0", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
 
 
 def test_interior_verify_loads_no_scipy(tmp_path):
@@ -271,4 +288,4 @@ def test_interior_verify_loads_no_scipy(tmp_path):
             " 'interior-attainable-poisson-1d', '--seed', '0', '--out',"
             f" {str(tmp_path)!r}])\n"
             "assert rc == 0, rc\n")
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code) == "[]"
