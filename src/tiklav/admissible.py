@@ -133,6 +133,16 @@ class AdmissibleSet:
         psi.flags.writeable = False
         return self.op.eigen_rows(idx, self.shift), psi
 
+    def rows_adjoint(self, eta: np.ndarray):
+        """T^T eta for the state rows T = (S + shift I)[idx] of
+        `constraint_matrix`: (S + shift I) e, with e holding eta at idx;
+        0.0 when eta is 0 (no state row active)."""
+        if not eta.any():
+            return 0.0
+        idx = self.state.region.indices[np.isfinite(self.state.psi)]
+        e = np.bincount(idx, eta, self.op.grid.num_nodes)
+        return self.op.apply_values(e) + self.shift * e
+
     def slack(self, u_values: np.ndarray, su: np.ndarray):
         """The slacks of the lower, upper and state constraints at u, given
         su = S u: (u, b - u, psi - (S u + shift u) on the region), inf where
@@ -157,19 +167,21 @@ def project_admissible(v: GridFunction, aset: AdmissibleSet,
     """L2-nearest point of the admissible set (identity-Hessian QP)."""
     if v.grid != aset.op.grid:
         raise InvalidInput("grids differ")
-    return GridFunction(v.grid, _projection(aset, aset.op.V.T @ v.values,
-                                            tol).u)
+    return GridFunction(v.grid, _projection(aset, v.values,
+                                            aset.op.V.T @ v.values, tol))
 
 
-def _projection(aset: AdmissibleSet, vtv: np.ndarray,
-                tol: float) -> qp.QPResult:
-    """The projection's QP result for v = V vtv, v given by its coefficients
-    in the operator's eigenbasis; its `vtu` holds those of the projection."""
+def _projection(aset: AdmissibleSet, v: np.ndarray, vtv: np.ndarray,
+                tol: float) -> np.ndarray:
+    """The projection of v, given in node space and by its coefficients
+    vtv = V^T v: min |u - v|^2, the QP with H = 2I (in the rows' basis) and
+    g = -2 v, certified on its Lagrangian gradient 2(u - v) + T^T eta."""
     B, psi = aset.constraint_matrix()
-    H = aset.op.V, np.full(vtv.size, 2.0)  # 2I in the rows' basis
+    H = aset.op.V, np.full(v.size, 2.0)
     wfac = np.sqrt(aset.op.grid.weight)
-    return qp.solve_box_state_qp(H, -2.0 * vtv, aset.box.upper, B, psi, tol,
-                                 wfac)
+    return qp.solve_box_state_qp(
+        H, -2.0 * vtv, lambda u, eta: 2.0 * (u - v) + aset.rows_adjoint(eta),
+        aset.box.upper, B, psi, tol, wfac).u
 
 
 def slater(aset: AdmissibleSet, u_hat: GridFunction):

@@ -28,7 +28,8 @@ from .admissible import AdmissibleSet, BoxBounds, StateConstraint
 from .errors import Infeasible, InvalidInput, NonConvergence, NoTransition
 from .grid import DomainGrid, GridFunction, ObservationRegion
 from .manufacture import ManufacturedInstance, manufacture, optimal_alpha
-from .operators import KernelSpec, assemble_fredholm, assemble_poisson
+from .operators import (KernelSpec, SineBasis, assemble_fredholm,
+                        assemble_poisson)
 from .solver import RegularizedProblem, projection_formula_residual, solve
 
 EXIT_OK = 0
@@ -133,11 +134,18 @@ def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
         amp = _require(spec, "amplitude", where, _float, 1.0)
         modes = _require(spec, "modes", where, _int, grid.n)
         decay = _require(spec, "decay", where, _float, 0.5)
-        x = grid.coords[:, 0]
-        vals = np.zeros(grid.num_nodes)
+        # sum_k amp k^-decay sqrt(2) sin(k pi x) is one sine transform:
+        # sqrt(2) sin(pi j k/N) = sqrt(N) V[j, k], N = n + 1. Mode k is
+        # folded exactly to m = k mod 2N: m in {0, N} vanishes on the nodes,
+        # and m > N is minus the mode 2N - m
+        n = grid.n
+        coef = np.zeros(n)
         for k in range(1, modes + 1):
-            vals += amp * k**(-decay) * np.sqrt(2.0) * np.sin(k * np.pi * x)
-        return GridFunction(grid, vals)
+            m = k % (2 * (n + 1))
+            if m % (n + 1):
+                j, sign = (m, 1.0) if m <= n else (2 * (n + 1) - m, -1.0)
+                coef[j - 1] += sign * amp * k**-decay
+        return GridFunction(grid, np.sqrt(n + 1.0) * (SineBasis(n) @ coef))
     raise InvalidInput(f"unknown w kind {kind!r}")
 
 

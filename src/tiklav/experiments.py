@@ -88,10 +88,13 @@ def fit_rate(alphas: Sequence[float], errors: Sequence[float],
     if keep.sum() < 4:
         return None
     la, le = np.log(a[keep]), np.log(e[keep])
-    A = np.column_stack([la, np.ones_like(la)])
-    coef, res, *_ = np.linalg.lstsq(A, le, rcond=None)
-    fit_res = float(np.sqrt(res[0])) if res.size else 0.0
-    return RateFit(slope=float(coef[0]), intercept=float(coef[1]),
+    # the line fit in closed form: no LAPACK call, whose first use raises
+    # the resident memory of an interior verify by about 1 MB
+    dx = la - la.mean()
+    slope = float(dx @ (le - le.mean()) / (dx @ dx))
+    intercept = float(le.mean() - slope * la.mean())
+    fit_res = float(np.linalg.norm(le - (slope * la + intercept)))
+    return RateFit(slope=slope, intercept=intercept,
                    alpha_min=float(a[keep].min()), alpha_max=float(a[keep].max()),
                    fit_residual=fit_res, n_points=int(keep.sum()))
 

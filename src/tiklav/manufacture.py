@@ -12,7 +12,7 @@ from .admissible import (FEAS_TOL, AdmissibleSet, FeasibilityReport,
                          _projection, project_admissible)
 from .errors import InvalidInput
 from .grid import GridFunction, wnorm
-from .operators import apply_adjoint
+from .operators import apply, apply_adjoint
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -87,10 +87,13 @@ def manufacture(w: GridFunction, aset: AdmissibleSet, attainable: bool = True,
         raise InvalidInput("manufacture requires the unregularized set (lam = 0)")
     if w.grid != aset.op.grid:
         raise InvalidInput("operator and function grids differ")
-    op = aset.op  # S* w = V (s * V^T w) enters by its coefficients
-    res = _projection(aset, op.s * (op.V.T @ w.values), tol)
-    u_bar = GridFunction(w.grid, res.u)
-    y_d = GridFunction(w.grid, op.apply_eigen(res.vtu))
+    # S* w enters in node space and by its coefficients s * V^T w: one
+    # transform in 1D, as V^T of the node values would be
+    op = aset.op
+    u_bar = GridFunction(w.grid, _projection(
+        aset, op.apply_adjoint_values(w.values), op.s * (op.V.T @ w.values),
+        tol))
+    y_d = apply(op, u_bar)
     margins = FeasibilityReport.from_slack(
         aset.slack(u_bar.values, y_d.values), FEAS_TOL)
     res_norm = 0.0

@@ -3,18 +3,22 @@
 Both operators map GridFunctions to GridFunctions on the same grid. With
 uniform quadrature weights the weighted adjoint is the plain transpose, and
 both are symmetric, so each is held as one spectral operator
-S = V diag(s) V^T with V orthonormal: S and S* apply as V (s * V^T u),
-S^T S = V diag(s^2) V^T, and a row of S + shift I is V[i] diag(s + shift) V^T.
+S = V diag(s) V^T with V orthonormal: S^T S = V diag(s^2) V^T, and a row
+of S + shift I is V[i] diag(s + shift) V^T.
 
 The Poisson operator uses the closed-form eigenbasis of the Dirichlet
 Laplacian, the sine modes of the fast Poisson solver (Buzbee, Golub and
 Nielson, SIAM J. Numer. Anal. 7 (1970) 627), with s = 1/eigenvalue: no
 inverse and no dense S is formed. In 1D, V is a `SineBasis`: V x is one
 discrete sine transform (DST-I) by numpy's FFT, and the state rows are an
-implicit `EigenRows`, so no n x n array is formed on the solve path. In 2D,
-V is the dense Kronecker product of two 1D tables, where a 144-node product
-is cheaper than a 2D transform. A Fredholm operator takes one eigh of its
-quadrature matrix, which it keeps as its dense S.
+implicit `EigenRows`, so no n x n array is formed on the solve path. S
+itself needs no transform there: S f, the solution of the 3-point
+Dirichlet problem, is the discrete Green's function applied by two
+cumulative sums (`SineBasis.green`), and `apply_values` and the state rows
+at a point (`EigenRows.at_values`) use it. In 2D, V is the dense Kronecker
+product of two 1D tables, where a 144-node product is cheaper than a 2D
+transform, and S u is V (s * V^T u). A Fredholm operator takes one eigh
+of its quadrature matrix, which it keeps as its dense S.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ class KernelSpec:
 
 class AssembledOperator:
     """A symmetric discrete forward map S = V diag(s) V^T with V orthonormal
-    and s real; S u and S* u are both V (s * V^T u).
+    and s real; S u and S* u are both V (s * V^T u), or, with a `SineBasis`
+    V (the 1D Poisson operator, s = 1/eigenvalue), the Green's function.
 
     The dense matrix S is built or kept only for the readers that need it
     (`gram`, the enumeration oracle and the tests). Immutable after
@@ -99,20 +104,19 @@ class AssembledOperator:
         """Rows idx of S + shift I in the eigenbasis: a read-only B with
         (S + shift I)[idx] = B V^T, B = V[idx] diag(s + shift); an implicit
         `EigenRows` on a `SineBasis`, else a new array."""
-        w = self.s + shift
         if isinstance(self.V, SineBasis):
-            return EigenRows(self.V, idx, w)
+            return EigenRows(self, idx, shift)
         B = self.V[idx]  # fancy indexing: a copy, safe to scale in place
-        B *= w
+        B *= self.s + shift
         B.flags.writeable = False
         return B
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        return self.apply_eigen(self.V.T @ values)
-
-    def apply_eigen(self, x: np.ndarray) -> np.ndarray:
-        """S u from x = V^T u, u's coefficients in the eigenbasis: V (s * x)."""
-        return self.V @ (self.s * x)
+        """S u for u's node values: the Green's function on a `SineBasis`
+        (no transform), else V (s * V^T u)."""
+        if isinstance(self.V, SineBasis):
+            return self.V.green(values)
+        return self.V @ (self.s * (self.V.T @ values))
 
     apply_adjoint_values = apply_values  # S* = S under uniform weights
 
@@ -124,12 +128,15 @@ class SineBasis:
     on power-of-two FFTs. Rows V[i] and V[idx] are looked up in the exact
     symmetric sine table, so they equal those of `_sine_modes`;
     np.asarray(V) builds that dense table, for the readers that need it
-    (`AssembledOperator.matrix`, the oracle and the tests).
+    (`AssembledOperator.matrix`, the oracle and the tests). `green(f)`
+    applies the operator V diag(1/eigenvalue) V^T of `assemble_poisson`
+    in node space, with no transform.
     """
 
     def __init__(self, n: int):
         self.shape = (n, n)
         self._k = np.arange(1, n + 1)
+        self._j = (self._k.astype(float), (n + 1.0) - self._k)  # i, N - i
         self._table = _sine_spectrum(n)[0]
         # (V x)_j = sqrt(2/(n+1)) Im sum_k x_k exp(i pi j k/(n+1)), and
         # j k = (j^2 + k^2 - (j-k)^2)/2 turns the sum into
@@ -160,6 +167,17 @@ class SineBasis:
         z *= self._kernel[col]
         return (self._scale[col] * np.fft.ifft(z, axis=0)[:n]).imag
 
+    def green(self, f: np.ndarray) -> np.ndarray:
+        """S f = L^{-1} f for the 3-point Dirichlet Laplacian L on n nodes,
+        f of shape (n,), by its Green's function: with N = n + 1,
+        (S f)_i = [(N - i) sum_{j<=i} j f_j + i sum_{j>i} (N - j) f_j] / N^3,
+        two cumulative sums."""
+        n = self.shape[0]
+        j, nj = self._j
+        out = nj * np.cumsum(j * f)
+        out[:-1] += j[:-1] * np.cumsum((nj * f)[:0:-1])[::-1]
+        return out / (n + 1)**3
+
     def __getitem__(self, i):
         """Rows i of V, for an int or an integer index array i."""
         j = self._k[i]
@@ -171,40 +189,29 @@ class SineBasis:
 
 
 class EigenRows:
-    """B = V[idx] diag(w) for a `SineBasis` V, held as (V, idx, w): B @ x is
-    (V @ (w * x))[idx], B.T @ eta is w * (V.T @ e) with e the vector that
-    holds eta at idx, and B[i] is V[idx[i]] * w. Read-only: it has no
-    buffer and no item assignment, and np.asarray(B) is a new array.
+    """B = V[idx] diag(w), w = s + shift, the rows idx of S + shift I in the
+    eigenbasis of a 1D Poisson operator (V a `SineBasis`), held as (op, idx,
+    shift). B x for u = V x comes from u itself, with no transform:
+    `at_values(u)` = ((S + shift I) u)[idx] by the Green's function. B[i]
+    is V[idx[i]] * w. Read-only: it has no buffer and no item assignment,
+    and np.asarray(B) is a new array.
     """
 
-    def __init__(self, V: SineBasis, idx: np.ndarray, w: np.ndarray):
-        self.V, self.idx, self.w = V, idx.copy(), w.copy()
+    def __init__(self, op: AssembledOperator, idx: np.ndarray, shift: float):
+        self.op, self.V, self.shift = op, op.V, shift
+        self.idx, self.w = idx.copy(), op.s + shift
         self.idx.flags.writeable = self.w.flags.writeable = False
-        self.shape = (idx.size, V.shape[0])
+        self.shape = (idx.size, self.V.shape[0])
 
-    @property
-    def T(self) -> "_EigenRowsT":
-        return _EigenRowsT(self)
-
-    def __matmul__(self, x):
-        return (self.V @ (self.w * x.T).T)[self.idx]
+    def at_values(self, u: np.ndarray) -> np.ndarray:
+        """B x for u = V x: ((S + shift I) u)[idx], from the node values."""
+        return (self.op.apply_values(u) + self.shift * u)[self.idx]
 
     def __getitem__(self, i):
         return self.V[self.idx[i]] * self.w
 
     def __array__(self, dtype=None, copy=None):
         return self[:].astype(dtype or float, copy=False)
-
-
-class _EigenRowsT:
-    """The transpose of an `EigenRows` B, for the products B.T @ eta."""
-
-    def __init__(self, B: EigenRows):
-        self.B = B
-
-    def __matmul__(self, eta):
-        B = self.B  # bincount sums eta over repeated indices
-        return B.w * (B.V.T @ np.bincount(B.idx, eta, B.shape[1]))
 
 
 def _sine_spectrum(n: int):

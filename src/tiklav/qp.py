@@ -14,23 +14,31 @@ active multiplier can shrink.
 H is given by its eigendecomposition H = V diag(d) V^T with V square
 orthonormal, which the callers know in closed form, and g and the state
 rows by their coefficients in that basis: g = V gx and T = B V^T. V and B
-are used only through V @ x, V.T @ x, B @ x, B.T @ eta, rows V[i], B[i]
-and B.shape: dense arrays, or the 1D Poisson operator's implicit
-`operators.SineBasis` and `operators.EigenRows`, whose products are sine
-transforms. The iterate is kept as x = V^T u. L = V diag(sqrt d),
-H = L L^T, takes the place of a Cholesky factor, so a row a with b = V^T a
-has L^{-1} a = d^{-1/2} * b, where b is -V[i] or V[i] for a bound and a
-row of B for a state row: an entering row costs O(n). The active rows enter
-through W = L^{-1} A_active, kept as a thin QR factorization W = Q R in
-buffers that double when full: an add writes one column, a drop is
-scipy's in-place column downdate. scipy.linalg (that downdate and LAPACK's
-triangular solve) is imported when the first row becomes active, so a
-solve whose every row stays inactive runs on numpy alone.
+are used only through V @ x, rows V[i], B[i], B.shape and the state rows
+B x at u = V x: dense arrays (B @ x), or the 1D Poisson operator's
+implicit `operators.SineBasis`, whose product is a sine transform, and
+`operators.EigenRows`, which gives B x from u itself (`B.at_values(u)`,
+the Green's function, no transform). The iterate is kept as x = V^T u.
+L = V diag(sqrt d), H = L L^T, takes the place of a Cholesky factor, so a
+row a with b = V^T a has L^{-1} a = d^{-1/2} * b, where b is -V[i] or V[i]
+for a bound and a row of B for a state row: an entering row costs O(n).
+The active rows enter through W = L^{-1} A_active, kept as a thin QR
+factorization W = Q R in buffers that double when full: an add writes
+one column, a drop is scipy's in-place column downdate. scipy.linalg
+(that downdate and LAPACK's triangular solve) is imported when the first
+row becomes active, so a solve whose every row stays inactive runs on
+numpy alone.
 
-An H whose smallest eigenvalue is not > eps * its largest (semidefinite
-to round-off, or NaN) is rejected, and a pass that ends without the KKT
-certificate raises NonConvergence: the callers' Hessians carry alpha > 0
-(or are 2I), so one pass suffices.
+The KKT certificate is measured on the problem, not on the basis the
+engine iterated in: the caller passes the Lagrangian gradient
+grad(u, eta) = H u + g + T^T eta in node space (for the regularized
+problem 2(S*(S u - y_d) + alpha u) + T^T eta, for a projection onto the
+admissible set 2(u - v) + T^T eta), and the multipliers of the bounds,
+the stationarity, primal and complementarity residuals all derive from
+it. An H whose smallest eigenvalue is not > eps * its largest
+(semidefinite to round-off, or NaN) is rejected, and a pass that ends
+without the KKT certificate raises NonConvergence: the callers' Hessians
+carry alpha > 0 (or are 2I), so one pass suffices.
 
 A solve can start from the active set of a nearby one (`start`, e.g. the
 previous point of a lambda or alpha path): the dual method needs only a
@@ -53,7 +61,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -73,7 +81,6 @@ class ActiveSet(NamedTuple):
 @dataclass
 class QPResult:
     u: np.ndarray
-    vtu: np.ndarray          # V^T u: u in the eigenbasis of H
     mu_lower: np.ndarray
     mu_upper: np.ndarray
     eta: np.ndarray
@@ -84,17 +91,16 @@ class QPResult:
     active: ActiveSet        # the engine's final active rows
 
 
-def _kkt_residuals(V, d, gx, upper, B, psi, u, eta, wfac, bx):
-    """V^T u, the multiplier split and the residual norms for the original
-    problem; bx = B V^T u, the state rows at u. B^T eta is skipped when no
-    state row is active (eta = 0)."""
-    x = V.T @ u
-    r = V @ (d * x + gx + (B.T @ eta if eta.any() else 0.0))
+def _kkt_residuals(grad, upper, psi, u, eta, wfac, bx):
+    """The multiplier split and the residual norms for the original problem,
+    from its Lagrangian gradient grad(u, eta) = H u + g + T^T eta in node
+    space; bx = T u, the state rows at u."""
+    r = grad(u, eta)
     finite_up = np.isfinite(upper)
     mu_lower = np.maximum(r, 0.0)
     mu_upper = np.where(finite_up, np.maximum(-r, 0.0), 0.0)
     stat_vec = r - mu_lower + mu_upper  # nonzero only where b = inf and r < 0
-    stationarity = wfac * np.linalg.norm(stat_vec)
+    stationarity = wfac * float(np.linalg.norm(stat_vec))
     comp = float(np.max(np.abs(mu_lower * u))) if u.size else 0.0
     if finite_up.any():
         comp = max(comp, float(np.max(np.abs(
@@ -102,7 +108,7 @@ def _kkt_residuals(V, d, gx, upper, B, psi, u, eta, wfac, bx):
     gap = bx - psi
     primal = float(np.max(gap, initial=0.0))
     comp = max(comp, float(np.max(np.abs(eta * gap), initial=0.0)))
-    return x, mu_lower, mu_upper, stationarity, primal, comp
+    return mu_lower, mu_upper, stationarity, primal, comp
 
 
 def _split(Q, w):
@@ -190,6 +196,12 @@ def _start_rows(start, V, up, B):
             np.vstack([-V[lo], V[hi[hit]], B[st]]))
 
 
+def _rows_at(B, x, u):
+    """B x, the state rows at u = V x: from u itself for an implicit
+    `operators.EigenRows`, else the product."""
+    return B.at_values(u) if hasattr(B, "at_values") else B @ x
+
+
 def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     """Goldfarb-Idnani iteration on H = V diag(d) V^T with every d > 0;
     returns (x, eta, active-set changes, ActiveSet, last) with u = V x, where
@@ -251,7 +263,8 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     changes, p, last = 0, -1, None
     while changes < 10 * (c.size + 1):
         if p < 0:  # pick the most violated row
-            u, bx = V @ x, B @ x
+            u = V @ x
+            bx = _rows_at(B, x, u)
             slack = np.concatenate([-u, u[up], bx]) - c
             slack[active] = -np.inf
             p = int(np.argmax(slack))
@@ -305,25 +318,28 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
         ids[ids >= nb] - nb), last
 
 
-def _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes, active,
+def _certified(V, grad, upper, B, psi, tol, wfac, x, eta, changes, active,
                last):
     """QPResult for u = V x and eta when their KKT residuals on the original
     problem are all <= tol, else None. u is exactly 0 or upper on the
     active bound rows, where V x holds them only to round-off. last is the
     engine's (V x, B x), or None to form them here; the state gap is B x,
     which differs from the rows at u by that round-off only."""
-    u, bx = last or (V @ x, B @ x)
+    if last is None:
+        u = V @ x
+        last = u, _rows_at(B, x, u)
+    u, bx = last
     u[active.lower] = 0.0
     u[active.upper] = upper[active.upper]
-    vtu, mu_lo, mu_up, stat, primal, comp = _kkt_residuals(
-        V, d, gx, upper, B, psi, u, eta, wfac, bx)
+    mu_lo, mu_up, stat, primal, comp = _kkt_residuals(
+        grad, upper, psi, u, eta, wfac, bx)
     if max(stat, primal, comp) <= tol:
-        return QPResult(u, vtu, mu_lo, mu_up, eta, changes, stat, primal,
-                        comp, active)
+        return QPResult(u, mu_lo, mu_up, eta, changes, stat, primal, comp,
+                        active)
     return None
 
 
-def solve_box_state_qp(H, gx: np.ndarray, upper: np.ndarray,
+def solve_box_state_qp(H, gx: np.ndarray, grad: Callable, upper: np.ndarray,
                        B, psi: Optional[np.ndarray],
                        tol: float, wfac: float,
                        start: Optional[ActiveSet] = None) -> QPResult:
@@ -332,11 +348,14 @@ def solve_box_state_qp(H, gx: np.ndarray, upper: np.ndarray,
     H is the pair (V, d) with H = V diag(d) V^T and V square orthonormal,
     a dense array or an `operators.SineBasis` (see the module docstring).
     The gradient at 0 and the state rows are given in that basis: g = V gx
-    and T = B V^T. `start` is the active set of a nearby solve (e.g. a
-    previous `QPResult.active`); rows it names that do not exist here, or
-    depend on others, are skipped. Raises InvalidInput unless tol > 0 and
-    min(d) > eps * max(d), Infeasible when no box point satisfies
-    T u <= psi and NonConvergence when the pass misses the certificate.
+    and T = B V^T. grad(u, eta) is the Lagrangian gradient
+    H u + g + T^T eta in node space (eta: one entry per row of B), on
+    which the certificate is measured. `start` is the active set of a
+    nearby solve (e.g. a previous `QPResult.active`); rows it names that do
+    not exist here, or depend on others, are skipped. Raises InvalidInput
+    unless tol > 0 and min(d) > eps * max(d), Infeasible when no box point
+    satisfies T u <= psi and NonConvergence when the pass misses the
+    certificate.
     """
     if not tol > 0:
         raise InvalidInput(f"tol must be positive, got {tol}")
@@ -349,7 +368,7 @@ def solve_box_state_qp(H, gx: np.ndarray, upper: np.ndarray,
         B, psi = np.zeros((0, d.size)), np.zeros(0)
     x, eta, changes, active, last = _dual_active_set(
         V, d, gx, upper, B, psi, 0.1 * tol, start)
-    res = _certified(V, d, gx, upper, B, psi, tol, wfac, x, eta, changes,
+    res = _certified(V, grad, upper, B, psi, tol, wfac, x, eta, changes,
                      active, last)
     if res is None:
         raise NonConvergence(

@@ -79,11 +79,13 @@ class Solution:
                                   # for a nearby solve
 
 
-def _solution(problem: RegularizedProblem, res: qp.QPResult) -> Solution:
-    """The Solution at a solved point res.u. S u is formed once, from the
-    certificate's res.vtu = V^T u; y, the objective, the margins and the
-    rows with slack < ACTIVE_TOL all derive from that S u."""
-    su = problem.op.apply_eigen(res.vtu)
+def _solution(problem: RegularizedProblem, res: qp.QPResult,
+              su: Optional[np.ndarray] = None) -> Solution:
+    """The Solution at a solved point res.u, given su = S u (formed here
+    when None): y, the objective, the margins and the rows with slack
+    < ACTIVE_TOL all derive from that one S u."""
+    if su is None:
+        su = problem.op.apply_values(res.u)
     slack = problem.aset.slack(res.u, su)
     lo, up, st = (np.flatnonzero(x < ACTIVE_TOL) for x in slack)
     grid = problem.op.grid
@@ -96,6 +98,21 @@ def _solution(problem: RegularizedProblem, res: qp.QPResult) -> Solution:
         iterations=res.iterations, kkt_stationarity=res.stationarity,
         kkt_primal=res.primal, kkt_complementarity=res.complementarity,
         active_set=res.active)
+
+
+class _Lagrangian:
+    """grad(u, eta) = 2(S*(S u - y_d) + alpha u) + T^T eta, the Lagrangian
+    gradient of a problem in node space, on which the QP certificate is
+    measured; keeps the S u it formed last, for the Solution."""
+
+    def __init__(self, problem: RegularizedProblem):
+        self.problem, self.su = problem, None
+
+    def __call__(self, u: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        p = self.problem
+        self.su = p.op.apply_values(u)
+        r = p.op.apply_adjoint_values(self.su - p.y_d.values) + p.alpha * u
+        return 2.0 * r + p.aset.rows_adjoint(eta)
 
 
 def _quadratic(op: AssembledOperator, vty: np.ndarray, alpha: float):
@@ -121,11 +138,12 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
     admissible region; any lambda, alpha or data)."""
     aset = problem.aset
     H, gx = _quadratic(problem.op, problem.vty, problem.alpha)
+    grad = _Lagrangian(problem)
     B, psi = aset.constraint_matrix()
     wfac = np.sqrt(problem.op.grid.weight)
-    res = qp.solve_box_state_qp(H, gx, aset.box.upper, B, psi, tol, wfac,
-                                start)
-    return _solution(problem, res)
+    res = qp.solve_box_state_qp(H, gx, grad, aset.box.upper, B, psi, tol,
+                                wfac, start)
+    return _solution(problem, res, grad.su)
 
 
 def projection_formula_residual(sol: Solution, problem: RegularizedProblem,
@@ -203,6 +221,5 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
                                np.flatnonzero(pat == 2),
                                np.flatnonzero(np.array(st_pat, dtype=int)))
         return _solution(problem, qp.QPResult(
-            u, problem.op.V.T @ u, mu_lower, mu_upper, eta, 0, stat, 0.0,
-            0.0, pattern))
+            u, mu_lower, mu_upper, eta, 0, stat, 0.0, 0.0, pattern))
     raise NoFeasiblePattern("no activity pattern is primal/dual feasible")

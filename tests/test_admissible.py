@@ -87,6 +87,30 @@ class TestConstruction:
                 assert np.max(np.abs(np.asarray(B) @ np.asarray(op.V).T - T)) \
                     <= 1e-12 * np.linalg.norm(S)
 
+    def test_rows_adjoint_is_the_transposed_rows(self):
+        # T^T eta = (S + shift I) e in node space, e holding eta at the
+        # finite-psi region nodes; 0.0 when no state row is active
+        rng = np.random.default_rng(11)
+        for op in (assemble_poisson(DomainGrid(1, 9)),
+                   assemble_poisson(DomainGrid(2, 4)),
+                   assemble_fredholm(DomainGrid(1, 9),
+                                     KernelSpec("gaussian", width=0.3))):
+            grid = op.grid
+            idx = np.arange(0, grid.num_nodes, 2)
+            psi = np.full(idx.size, 0.05)
+            psi[1] = np.inf  # an absent row: not among the rows of T
+            for sign, shift in (("plus", 0.2), ("minus", -0.2)):
+                state = StateConstraint(ObservationRegion(grid, idx), psi,
+                                        0.2, sign)
+                aset = AdmissibleSet(BoxBounds.constant(grid, 1.0), state, op)
+                rows = idx[np.isfinite(psi)]
+                T = op.matrix[rows]
+                T[np.arange(rows.size), rows] += shift
+                eta = rng.uniform(0.0, 1.0, rows.size)
+                assert np.max(np.abs(aset.rows_adjoint(eta) - T.T @ eta)) \
+                    <= 1e-13 * np.linalg.norm(T) * np.linalg.norm(eta)
+                assert aset.rows_adjoint(np.zeros(rows.size)) == 0.0
+
     @pytest.mark.parametrize("lam", [0.0, 0.2])
     def test_constraint_matrix_is_a_copy(self, lam):
         # built once per set and shared, so read-only: the 1D rows are an

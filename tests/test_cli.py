@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from tiklav import cli, qp
+from tiklav.grid import DomainGrid
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -376,3 +378,21 @@ def test_inf_spelling_accepted(tmp_path):
     cfg["admissible"]["psi"] = [1.0] * 11 + ["inf"]
     assert cli.main(["solve", "--config", write_cfg(tmp_path, cfg),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("n", [3, 16, 97])
+def test_sine_mixture_is_the_per_mode_sum(n):
+    # one sine transform of the folded mode coefficients equals the sum of
+    # amp k^-decay sqrt(2) sin(k pi x) over the modes, also above n, where
+    # the modes fold back (m = k mod 2(n+1); 0 and n+1 vanish on the nodes)
+    grid = DomainGrid(1, n)
+    x = grid.coords[:, 0]
+    for modes in (0, 1, n // 2, n, n + 1, 2 * n + 2, 3 * n + 5):
+        spec = {"kind": "sine-mixture", "amplitude": 1.3, "modes": modes,
+                "decay": 0.7}
+        got = cli._build_w(grid, spec, "w").values
+        want = np.zeros(n)
+        for k in range(1, modes + 1):
+            want += 1.3 * k**-0.7 * np.sqrt(2.0) * np.sin(k * np.pi * x)
+        assert np.max(np.abs(got - want)) \
+            <= 1e-13 * max(np.max(np.abs(want)), 1.0), modes

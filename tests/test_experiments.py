@@ -32,6 +32,23 @@ class TestFitRate:
         assert fit.slope == pytest.approx(0.5, abs=1e-12)
         assert np.exp(fit.intercept) == pytest.approx(3.0)
 
+    def test_matches_the_least_squares_reference(self):
+        # the closed-form line fit against LAPACK's least squares on noisy
+        # power laws: slope, intercept and residual norm
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            a = np.logspace(-5, -1, int(rng.integers(4, 12)))
+            e = rng.uniform(0.5, 3.0) * a ** rng.uniform(0.3, 1.0) \
+                * np.exp(0.1 * rng.standard_normal(a.size))
+            fit = fit_rate(a, e, tol=1e-12)
+            A = np.column_stack([np.log(a), np.ones(a.size)])
+            coef, res, *_ = np.linalg.lstsq(A, np.log(e), rcond=None)
+            assert fit.slope == pytest.approx(coef[0], rel=1e-12)
+            assert fit.intercept == pytest.approx(coef[1], rel=1e-12,
+                                                  abs=1e-12)
+            assert fit.fit_residual == pytest.approx(np.sqrt(res[0]),
+                                                     rel=1e-9, abs=1e-14)
+
     def test_drops_points_below_floor(self):
         a = np.logspace(-8, -1, 8)
         e = np.sqrt(a)

@@ -187,6 +187,58 @@ class TestSineBasis:
         assert op.matrix is S  # cached
 
 
+class TestGreensFunction:
+    """S f for the 1D Poisson operator in node space, by two cumulative
+    sums (`SineBasis.green`), with no transform."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 2048])
+    def test_green_is_the_spectral_operator(self, n):
+        # against S f = V diag(1/lam) V^T f with the dense sine table
+        D, lam = _sine_modes(n)
+        f = np.random.default_rng(n).standard_normal(n)
+        want = D @ ((D.T @ f) / lam)
+        got = SineBasis(n).green(f)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 2048])
+    def test_green_inverts_the_laplacian(self, n):
+        # L (S f) = f for the 3-point Dirichlet Laplacian, h = 1/(n+1), to
+        # round-off times cond(L) ~ (n+1)^2
+        f = np.random.default_rng(n).standard_normal(n)
+        u = np.concatenate([[0.0], SineBasis(n).green(f), [0.0]])
+        Lu = (2 * u[1:-1] - u[:-2] - u[2:]) * (n + 1) ** 2
+        assert np.linalg.norm(Lu - f) \
+            <= 1e-16 * (n + 1) ** 2 * np.linalg.norm(f)
+
+    def test_poisson_1d_apply_makes_no_transform(self, monkeypatch):
+        op = assemble_poisson(DomainGrid(1, 64))
+        u = GridFunction(op.grid, np.random.default_rng(1).standard_normal(64))
+        calls, inner = [], SineBasis.__matmul__
+
+        def counting(self, x):
+            calls.append(1)
+            return inner(self, x)
+
+        monkeypatch.setattr(SineBasis, "__matmul__", counting)
+        su = op.apply_values(u.values)
+        apply(op, u), apply_adjoint(op, u)
+        assert calls == []
+        assert np.linalg.norm(su - op.matrix @ u.values) \
+            <= 1e-13 * np.linalg.norm(su)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3, -0.05])
+    def test_state_rows_at_values_are_the_product(self, shift):
+        # for u = V x, the rows at u by the Green's function are B x
+        n = 97
+        op = assemble_poisson(DomainGrid(1, n))
+        idx = np.array([0, 5, 40, 41, 96])
+        B = op.eigen_rows(idx, shift)
+        x = np.random.default_rng(3).standard_normal(n)
+        want = np.asarray(B) @ x
+        assert np.max(np.abs(B.at_values(op.V @ x) - want)) \
+            <= 1e-13 * np.linalg.norm(x)
+
+
 class TestFredholm:
     def test_constant_kernel_integrates(self):
         # k = 1: (Su)(x) = quadrature sum of u; for u = 1 that is n*h

@@ -8,13 +8,19 @@ from tiklav.errors import Infeasible, InvalidInput
 from tiklav.qp import ActiveSet, QPResult, solve_box_state_qp
 
 
+def node_gradient(H, g, T):
+    """The Lagrangian gradient H u + g + T^T eta of a dense QP, in node
+    space."""
+    return lambda u, eta: H @ u + g + (0.0 if T is None else T.T @ eta)
+
+
 def solve_dense(H, g, upper, T, psi, tol, wfac, start=None):
     """solve_box_state_qp on a dense H, g and T, turned into ((V, d), V^T g,
-    T V) with one eigh."""
+    T V) with one eigh, and certified on the node-space gradient."""
     d, V = np.linalg.eigh(H)
     B = None if T is None else T @ V
-    return solve_box_state_qp((V, d), V.T @ g, upper, B, psi, tol, wfac,
-                              start)
+    return solve_box_state_qp((V, d), V.T @ g, node_gradient(H, g, T), upper,
+                              B, psi, tol, wfac, start)
 
 
 def test_unconstrained_interior_minimizer():
@@ -111,8 +117,9 @@ def test_semidefinite_hessian_rejected(d_min):
     V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     d = np.array([2.0, 1.0, 0.5, d_min])
     with pytest.raises(InvalidInput, match="not definite to round-off"):
-        solve_box_state_qp((V, d), rng.standard_normal(4), np.ones(4), None,
-                           None, 1e-10, 1.0)
+        solve_box_state_qp((V, d), rng.standard_normal(4),
+                           node_gradient(np.eye(4), np.zeros(4), None),
+                           np.ones(4), None, None, 1e-10, 1.0)
 
 
 def _least_squares_batch(seed, count=100):
@@ -142,9 +149,10 @@ def test_eigenpair_and_dense_hessian_agree():
         s2[:sigma.size] = sigma**2
         g = -2 * A.T @ y
         V = Wt.T
-        by_eigh = solve_dense(2 * (A.T @ A + alpha * np.eye(n)), g,
-                              upper, T, psi, 1e-10, 1.0)
-        by_svd = solve_box_state_qp((V, 2 * (s2 + alpha)), V.T @ g, upper,
+        H = 2 * (A.T @ A + alpha * np.eye(n))
+        by_eigh = solve_dense(H, g, upper, T, psi, 1e-10, 1.0)
+        by_svd = solve_box_state_qp((V, 2 * (s2 + alpha)), V.T @ g,
+                                    node_gradient(H, g, T), upper,
                                     None if T is None else T @ V, psi,
                                     1e-10, 1.0)
         assert np.max(np.abs(by_svd.u - by_eigh.u)) <= 1e-8

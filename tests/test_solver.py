@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from conftest import random_problem
 from tiklav import cli, experiments
 from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
                                feasibility, project_admissible)
-from tiklav.errors import InvalidInput
+from tiklav.errors import InvalidInput, NonConvergence
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, wnorm
 from tiklav.manufacture import manufacture
 from tiklav.operators import (AssembledOperator, SineBasis, apply,
@@ -159,9 +160,9 @@ def test_solution_continuity_in_alpha():
 
 def counted_interior_preset(monkeypatch):
     """The interior preset's operator and instance with every application
-    of its SineBasis counted: each is one DST, behind V @ x, V.T @ x, the
-    state rows' B @ x and B.T @ eta (not a row lookup V[i]); returns (op,
-    instance, list of the calls)."""
+    of its SineBasis counted: each is one DST, behind V @ x and V.T @ x
+    (not a row lookup V[i], nor the Green's function behind S u and the
+    state rows at u); returns (op, instance, list of the calls)."""
     cfg = cli.load_config("interior-attainable-poisson-1d")
     op = cli.build_operator(cfg)
     assert isinstance(op.V, SineBasis)
@@ -178,28 +179,45 @@ def counted_interior_preset(monkeypatch):
 
 class TestOneEvaluation:
     """y, the objective, the margins and the active rows of a solved point
-    all come from one S u, formed from the certificate's V^T u."""
+    all come from one S u, the one the certificate's gradient formed."""
 
     def test_one_apply_per_solve_record_and_instance(self, monkeypatch):
         # sine transforms: a problem forms V^T y_d once, and the problems a
-        # path derives from it share it; an interior solve then makes 5 (V x
-        # and B x = (V (w * x))[idx] in the engine's last slack evaluation,
-        # which the certificate reuses; V^T u and V r in the certificate;
-        # S u = V (s * V^T u) for the Solution). The implicit B x is the
-        # one transform more than the 4 full products of a dense V, where
-        # B x is a product with the rows alone. manufacture makes 6 (V^T w
-        # for the coefficients s * V^T w of S* w, the projection's 4 solve
-        # transforms, and S u_bar from the projection's V^T u)
+        # path derives from it share it; an interior solve then makes 1, the
+        # engine's u = V x. The state rows at u (B x), the certificate's
+        # gradient 2(S(S u - y_d) + alpha u) and the Solution's S u are
+        # Green's function applies in node space. manufacture makes 2 (V^T w
+        # for the coefficients s * V^T w of S* w, and the projection's V x)
         op, inst, calls = counted_interior_preset(monkeypatch)
         calls.clear()
         manufacture(inst.w, inst.aset)
-        assert len(calls) == 6
+        assert len(calls) == 2
         calls.clear()
         solve(RegularizedProblem(op, inst.y_d, inst.aset, 1e-2))
-        assert len(calls) == 1 + 5
+        assert len(calls) == 1 + 1
         calls.clear()
         out = experiments.sweep_alpha(inst, [1e-1, 1e-2, 1e-3, 1e-4])
-        assert len(out["records"]) == 4 and len(calls) == 1 + 4 * 5
+        assert len(out["records"]) == 4 and len(calls) == 1 + 4 * 1
+
+    def test_verify_at_n_2048_makes_13_transforms(self, monkeypatch,
+                                                  tmp_path):
+        # the sweep-1d-large verify: the sine-mixture source (1),
+        # manufacture (2), V^T y_d (1) and 9 interior solves (1 each)
+        cfg = cli.load_config("interior-attainable-poisson-1d")
+        cfg["operator"]["n"] = 2048
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        calls, inner = [], SineBasis.__matmul__
+
+        def counting(self, x):
+            calls.append(1)
+            return inner(self, x)
+
+        monkeypatch.setattr(SineBasis, "__matmul__", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["verify", "--config", str(path), "--seed", "0",
+                           "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_OK and len(calls) == 13
 
     def test_margins_are_the_feasibility_report(self):
         rng = np.random.default_rng(20240817)  # criterion 3's first instances
@@ -207,6 +225,58 @@ class TestOneEvaluation:
             prob = random_problem(rng)
             for sol in (solve(prob, tol=1e-10), oracle_solve(prob, tol=1e-10)):
                 assert sol.margins == feasibility(sol.u, prob.aset)
+
+
+class _SwappedModes(SineBasis):
+    """V P, the sine basis with its first two modes swapped: orthonormal,
+    so H = (V P) diag(d) (V P)^T is a self-consistent Hessian, but not the
+    eigenbasis of S, so that H is not the problem's."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.perm = np.r_[1, 0, 2:n]
+
+    def __matmul__(self, x):
+        return super().__matmul__(np.asarray(x)[self.perm])
+
+    def __getitem__(self, i):
+        return super().__getitem__(i)[..., self.perm]
+
+    @property
+    def T(self):
+        return _SwappedModesT(self)
+
+
+class _SwappedModesT:
+    """(V P)^T = P V^T for a `_SwappedModes` V P."""
+
+    def __init__(self, VP):
+        self.VP = VP
+
+    def __matmul__(self, x):
+        return SineBasis.__matmul__(self.VP, x)[self.VP.perm]
+
+
+def test_certificate_checks_the_problem_not_the_basis():
+    # the engine iterates in a wrong basis and stops at the minimizer of
+    # the wrong H; stationarity measured in that basis is round-off, but
+    # the problem's own gradient 2(S(S u - y_d) + alpha u) is not
+    grid = DomainGrid(1, 16)
+    V = _SwappedModes(grid.n)
+    assert np.allclose(V.T @ (V @ np.eye(16)), np.eye(16), atol=1e-13)
+    op = assemble_poisson(grid)
+    y_d = GridFunction(grid, np.random.default_rng(7).standard_normal(16))
+    for basis, certified in ((op.V, True), (V, False)):
+        op_b = AssembledOperator(grid, basis, op.s)
+        state = StateConstraint(ObservationRegion.all_nodes(grid),
+                                np.full(16, 100.0))
+        aset = AdmissibleSet(BoxBounds.constant(grid, np.inf), state, op_b)
+        prob = RegularizedProblem(op_b, y_d, aset, 0.1)
+        if certified:
+            assert solve(prob).kkt_stationarity <= 1e-8
+        else:
+            with pytest.raises(NonConvergence, match="no KKT certificate"):
+                solve(prob)
 
 
 def test_poisson_solve_uses_no_gram_and_no_cholesky(monkeypatch):
