@@ -9,16 +9,17 @@ of S + shift I is V[i] diag(s + shift) V^T.
 The Poisson operator uses the closed-form eigenbasis of the Dirichlet
 Laplacian, the sine modes of the fast Poisson solver (Buzbee, Golub and
 Nielson, SIAM J. Numer. Anal. 7 (1970) 627), with s = 1/eigenvalue: no
-inverse and no dense S is formed. In 1D, V is a `SineBasis`: V x is one
-discrete sine transform (DST-I) by numpy's FFT, and the state rows are an
-implicit `EigenRows`, so no n x n array is formed on the solve path. S
-itself needs no transform there: S f, the solution of the 3-point
-Dirichlet problem, is the discrete Green's function applied by two
-cumulative sums (`SineBasis.green`), and `apply_values` and the state rows
-at a point (`EigenRows.at_values`) use it. In 2D, V is the dense Kronecker
-product of two 1D tables, where a 144-node product is cheaper than a 2D
-transform, and S u is V (s * V^T u). A Fredholm operator takes one eigh
-of its quadrature matrix, which it keeps as its dense S.
+inverse and no dense S is formed, and each entry of V that is read is
+looked up in one table of 2(n+1) sine values (`_sine_rows`). In 1D, V is a
+`SineBasis`: V x is one discrete sine transform (DST-I) by numpy's FFT, and
+the state rows are an implicit `EigenRows`, so no n x n array is formed on
+the solve path. S itself needs no transform there: S f, the solution of
+the 3-point Dirichlet problem, is the discrete Green's function applied by
+two cumulative sums (`SineBasis.green`), and `apply_values` and the state
+rows at a point (`EigenRows.at_values`) use it. In 2D, V is the dense
+Kronecker product of two 1D tables, where a 144-node product is cheaper
+than a 2D transform, and S u is V (s * V^T u). A Fredholm operator takes
+one eigh of its quadrature matrix, which it keeps as its dense S.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import InvalidInput
 from .grid import DomainGrid, GridFunction
 
 DENSE_CAP = 4096
-SINE_BLOCK = 128  # rows of the sine basis indexed at a time
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ class AssembledOperator:
     V (the 1D Poisson operator, s = 1/eigenvalue), the Green's function.
 
     The dense matrix S is built or kept only for the readers that need it
-    (`gram`, the enumeration oracle and the tests). Immutable after
-    construction apart from its caches; safe for concurrent reads.
+    (the enumeration oracle and the tests). Immutable after construction
+    apart from that cache; safe for concurrent reads.
     """
 
     def __init__(self, grid: DomainGrid, V: np.ndarray | SineBasis,
@@ -80,8 +80,6 @@ class AssembledOperator:
         self.V = V
         self.s = s
         self._matrix = matrix  # None: s > 0, and S = W W^T is built on read
-        self._gram = None
-        self.gram_eig = (V, s**2)  # S^T S = V diag(s^2) V^T, s^2 >= 0
 
     @property
     def matrix(self) -> np.ndarray:
@@ -91,14 +89,6 @@ class AssembledOperator:
             W = np.asarray(self.V) * np.sqrt(self.s)
             self._matrix = W @ W.T
         return self._matrix
-
-    @property
-    def gram(self) -> np.ndarray:
-        """Dense S^T S, cached (the oracle's Hessian)."""
-        if self._gram is None:
-            m = self.matrix
-            self._gram = m.T @ m
-        return self._gram
 
     def eigen_rows(self, idx: np.ndarray, shift: float = 0.0):
         """Rows idx of S + shift I in the eigenbasis: a read-only B with
@@ -122,22 +112,22 @@ class AssembledOperator:
 
 
 class SineBasis:
-    """The orthonormal sine basis V of `_sine_modes(n)` without its n^2
-    entries. V == V.T, so V.T is V itself, and V @ x, for x of shape (n,)
-    or (n, m), is one DST-I, computed as a chirp-z transform (Bluestein)
-    on power-of-two FFTs. Rows V[i] and V[idx] are looked up in the exact
-    symmetric sine table, so they equal those of `_sine_modes`;
-    np.asarray(V) builds that dense table, for the readers that need it
-    (`AssembledOperator.matrix`, the oracle and the tests). `green(f)`
-    applies the operator V diag(1/eigenvalue) V^T of `assemble_poisson`
-    in node space, with no transform.
+    """The orthonormal eigenbasis V of the 3-point Dirichlet Laplacian on n
+    nodes without its n^2 entries, and its eigenvalues `lam`. V == V.T, so
+    V.T is V itself, and V @ x, for a vector x, is one DST-I, computed as a
+    chirp-z transform (Bluestein) on power-of-two FFTs. Rows V[i], V[idx]
+    and np.asarray(V) = V[:], the dense table for the readers that need it
+    (`AssembledOperator.matrix`, the oracle and the tests), are looked up
+    in the exact symmetric sine table (`_sine_rows`). `green(f)` applies
+    the operator V diag(1/lam) V^T of `assemble_poisson` in node space,
+    with no transform.
     """
 
     def __init__(self, n: int):
         self.shape = (n, n)
         self._k = np.arange(1, n + 1)
         self._j = (self._k.astype(float), (n + 1.0) - self._k)  # i, N - i
-        self._table = _sine_spectrum(n)[0]
+        self._table, self.lam = _sine_spectrum(n)
         # (V x)_j = sqrt(2/(n+1)) Im sum_k x_k exp(i pi j k/(n+1)), and
         # j k = (j^2 + k^2 - (j-k)^2)/2 turns the sum into
         # c_j sum_k conj(c_(j-k)) c_k x_k, a convolution with the chirp
@@ -160,12 +150,9 @@ class SineBasis:
         return self
 
     def __matmul__(self, x):
-        x = np.asarray(x)
-        n = self.shape[0]
-        col = (slice(None),) + (None,) * (x.ndim - 1)  # broadcast along axis 0
-        z = np.fft.fft(self._chirp[col] * x, n=self._kernel.size, axis=0)
-        z *= self._kernel[col]
-        return (self._scale[col] * np.fft.ifft(z, axis=0)[:n]).imag
+        z = np.fft.fft(self._chirp * x, n=self._kernel.size)
+        z *= self._kernel
+        return (self._scale * np.fft.ifft(z)[:self.shape[0]]).imag
 
     def green(self, f: np.ndarray) -> np.ndarray:
         """S f = L^{-1} f for the 3-point Dirichlet Laplacian L on n nodes,
@@ -180,12 +167,10 @@ class SineBasis:
 
     def __getitem__(self, i):
         """Rows i of V, for an int or an integer index array i."""
-        j = self._k[i]
-        return self._table[np.multiply.outer(j, self._k) % self._table.size]
+        return _sine_rows(self._table, self._k[i], self._k)
 
     def __array__(self, dtype=None, copy=None):
-        return _sine_modes(self.shape[0])[0].astype(dtype or float,
-                                                     copy=False)
+        return self[:].astype(dtype or float, copy=False)
 
 
 class EigenRows:
@@ -228,28 +213,14 @@ def _sine_spectrum(n: int):
     return table, 4.0 / h**2 * np.sin(0.5 * np.pi * h * k) ** 2
 
 
-def _sine_modes(n: int):
-    """Orthonormal eigenvectors V[j-1, k-1] = sqrt(2/(n+1)) sin(pi j k/(n+1))
-    of the 3-point Dirichlet Laplacian on n nodes and its eigenvalues
-    4/h^2 sin^2(k pi h/2), j, k = 1..n, as a dense array."""
-    # the table's exact reflections give
-    #   V[j, n+1-k] = (-1)^(j+1) V[j, k],  V[n+1-j, k] = (-1)^(k+1) V[j, k].
-    # The top-left ceil(n/2) square is looked up, SINE_BLOCK rows at a time
-    # (no n x n index array beside V); the other three quarters are signed
-    # reflections of it, written in place
-    k = np.arange(1, n + 1)
-    table, lam = _sine_spectrum(n)
-    half, rest = (n + 1) // 2, n // 2
-    sign = np.where(k % 2 == 1, 1.0, -1.0)  # (-1)^(k+1)
-    V = np.empty((n, n))
-    for j in range(0, half, SINE_BLOCK):
-        jk = np.outer(k[j:min(j + SINE_BLOCK, half)], k[:half])
-        jk %= 2 * (n + 1)
-        np.take(table, jk, out=V[j:j + jk.shape[0], :half], mode="clip")
-    np.multiply(V[:half, :rest][:, ::-1], sign[:half, None],
-                out=V[:half, half:])
-    np.multiply(V[:rest][::-1], sign, out=V[half:])
-    return V, lam
+def _sine_rows(table: np.ndarray, j, k: np.ndarray) -> np.ndarray:
+    """Rows j of the sine basis at columns k (an int or integer arrays,
+    from 1): V[j-1, k-1] = sqrt(2/(n+1)) sin(pi j k/(n+1)) =
+    table[j k mod 2(n+1)], in the table of `_sine_spectrum`. As j k = k j,
+    the dense V is exactly symmetric."""
+    jk = np.multiply.outer(j, k)
+    jk %= table.size
+    return table[jk]
 
 
 def assemble_poisson(grid: DomainGrid) -> AssembledOperator:
@@ -260,9 +231,11 @@ def assemble_poisson(grid: DomainGrid) -> AssembledOperator:
     if N > DENSE_CAP:
         raise InvalidInput(f"poisson assembly for {N} > {DENSE_CAP} nodes")
     if grid.d == 1:
-        return AssembledOperator(grid, SineBasis(grid.n),
-                                 1.0 / _sine_spectrum(grid.n)[1])
-    V, lam = _sine_modes(grid.n)
+        V = SineBasis(grid.n)
+        return AssembledOperator(grid, V, 1.0 / V.lam)
+    table, lam = _sine_spectrum(grid.n)
+    k = np.arange(1, grid.n + 1)
+    V = _sine_rows(table, k, k)
     return AssembledOperator(grid, np.kron(V, V),
                              1.0 / np.add.outer(lam, lam).ravel())
 

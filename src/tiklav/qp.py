@@ -9,7 +9,9 @@ whenever its multiplier would turn negative, so the multipliers stay dual
 feasible and the active rows stay linearly independent. It ends after
 finitely many active-set changes at the exact minimizer, or proves the
 problem infeasible when a violated row depends on the active rows and no
-active multiplier can shrink.
+active multiplier can shrink. A violation within 64 eps |b| |x_0|, the
+round-off of the row value b^T x at the scale of the unconstrained
+minimizer x_0, proves nothing: it raises NonConvergence instead.
 
 H is given by its eigendecomposition H = V diag(d) V^T with V square
 orthonormal, which the callers know in closed form, and g and the state
@@ -214,8 +216,10 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     feas_tol counts as satisfied. The iteration starts from the rows of
     `start` made dual feasible (see the module docstring); changes made
     there are not counted. Raises Infeasible when the constraints
-    admit no point. After 10 changes per row the current (dual-feasible,
-    possibly primal-infeasible) iterate is returned.
+    admit no point, and NonConvergence when a row that depends on the
+    active rows is violated only within the round-off of its value. After
+    10 changes per row the current (dual-feasible, possibly
+    primal-infeasible) iterate is returned.
     """
     n = d.size
     up = np.flatnonzero(np.isfinite(upper))
@@ -292,8 +296,15 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
             partial = float(ratios.min())
         step = min(full, partial)
         if step == np.inf:
+            # noise: the round-off of b^T x at the scale of x_0 = -gx/d
+            viol, noise = b @ x - c[p], 64 * np.finfo(float).eps \
+                * np.linalg.norm(b) * np.linalg.norm(gx / d)
+            if viol <= noise:
+                raise NonConvergence(
+                    f"a row violated by {viol:.3e}, within its round-off "
+                    f"{noise:.3e}, depends on the active rows")
             raise Infeasible(
-                f"constraints infeasible: a row violated by {b @ x - c[p]:.3e} "
+                f"constraints infeasible: a row violated by {viol:.3e} "
                 "depends on the active rows")
         if full < np.inf:
             x = x - step * (rsd * z)
@@ -355,7 +366,7 @@ def solve_box_state_qp(H, gx: np.ndarray, grad: Callable, upper: np.ndarray,
     not exist here, or depend on others, are skipped. Raises InvalidInput
     unless tol > 0 and min(d) > eps * max(d), Infeasible when no box point
     satisfies T u <= psi and NonConvergence when the pass misses the
-    certificate.
+    certificate or ends on a violation within round-off.
     """
     if not tol > 0:
         raise InvalidInput(f"tol must be positive, got {tol}")

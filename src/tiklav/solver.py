@@ -116,10 +116,9 @@ class _Lagrangian:
 
 
 def _quadratic(op: AssembledOperator, vty: np.ndarray, alpha: float):
-    """Hessian 2(S*S + alpha I) as its eigenpairs (V, d), and the gradient
-    at 0 in that basis, -2 V^T S* y_d = -2 s * V^T y_d, from vty = V^T y_d."""
-    V, s2 = op.gram_eig
-    return (V, 2.0 * (s2 + alpha)), -2.0 * op.s * vty
+    """Hessian 2(S*S + alpha I) = V diag(2(s^2 + alpha)) V^T as (V, d), and
+    the gradient at 0 in that basis, -2 s * V^T y_d, from vty = V^T y_d."""
+    return (op.V, 2.0 * (op.s**2 + alpha)), -2.0 * op.s * vty
 
 
 def solve_unconstrained(op: AssembledOperator, y_d: GridFunction,
@@ -172,7 +171,7 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
     aset = problem.aset
     # a dense H and T of its own: the oracle shares no basis with `solve`
     S = problem.op.matrix
-    H = 2.0 * problem.op.gram + 2.0 * problem.alpha * np.eye(n)
+    H = 2.0 * (S.T @ S) + 2.0 * problem.alpha * np.eye(n)
     g = -2.0 * (S.T @ problem.y_d.values)
     finite = np.isfinite(aset.state.psi)
     idx = aset.state.region.indices[finite]

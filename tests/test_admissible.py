@@ -5,7 +5,7 @@ import pytest
 
 from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
                                feasibility, project_admissible, slater)
-from tiklav.errors import Infeasible, InvalidInput
+from tiklav.errors import Infeasible, InvalidInput, NonConvergence
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, constant
 from tiklav.operators import KernelSpec, assemble_fredholm, assemble_poisson
 
@@ -300,6 +300,34 @@ class TestProjection:
         aset = AdmissibleSet(BoxBounds.constant(g, 1.0), state, op)
         with pytest.raises(Infeasible, match="constraints infeasible"):
             project_admissible(constant(g, 0.5), aset, tol=1e-8)
+
+    @pytest.mark.parametrize("grid, make, first", [
+        (DomainGrid(1, 24), assemble_poisson, 16),
+        (DomainGrid(1, 24),
+         lambda g: assemble_fredholm(g, KernelSpec("gaussian", width=0.3)), 17),
+        (DomainGrid(2, 6), assemble_poisson, 17),
+    ], ids=["poisson-1d", "gaussian", "poisson-2d"])
+    def test_huge_input_is_never_infeasible(self, grid, make, first):
+        # u = 0 is admissible, so no input makes the set infeasible; at
+        # max |v| >= 10^first the engine used to end on a row violated
+        # within the round-off of its value and report Infeasible
+        N = grid.num_nodes
+        state = StateConstraint(ObservationRegion.all_nodes(grid),
+                                np.full(N, 1.0))
+        aset = AdmissibleSet(BoxBounds.constant(grid, 1.0), state, make(grid))
+        for seed in range(3):
+            v = np.random.default_rng(seed).standard_normal(N)
+            v /= np.max(np.abs(v))
+            for e in range(first, 21):
+                try:
+                    p = project_admissible(GridFunction(grid, 10.0**e * v),
+                                           aset, tol=1e-9)
+                except NonConvergence as exc:
+                    assert "within its round-off" in str(exc)
+                    continue
+                rep = feasibility(p, aset)
+                assert min(rep.margin_lower, rep.margin_upper,
+                           rep.margin_state) >= -1e-9
 
 
 class TestSlater:

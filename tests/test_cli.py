@@ -1,6 +1,7 @@
 """Command-line interface: configs, exit codes, reports and determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +243,56 @@ def test_preset_report_is_strict_json(preset, tmp_path):
     assert cli.main(["verify", "--config", preset, "--out", str(out)]) == cli.EXIT_OK
     report = json.loads((out / "report.json").read_text(), parse_constant=reject)
     assert report["checks"] and all(report["checks"].values())
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ATOL = 1e-7  # 10 tol: the c_fit jitter across reachable active sets
+
+
+def _assert_close(got, want, where):
+    """Strings, booleans and integers equal; floats within GOLDEN_ATOL."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for k in want:
+            _assert_close(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= GOLDEN_ATOL, \
+            (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def _csv_cell(cell):
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
+
+
+@pytest.mark.parametrize("preset", ["interior-attainable-poisson-1d",
+                                    "clipped-fredholm-1d",
+                                    "binding-state-poisson-2d"])
+def test_preset_matches_golden(preset, tmp_path):
+    # tests/golden/<preset> holds the checks, the summaries and the
+    # sweep.csv of a reference run; a change of code that keeps the
+    # results keeps these
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", preset, "--out", str(out)]) == cli.EXIT_OK
+    golden = GOLDEN / preset
+    report = json.loads((out / "report.json").read_text())
+    want = json.loads((golden / "report.json").read_text())
+    _assert_close({k: report[k] for k in want}, want, preset)
+    assert (out / "sweep.csv").exists() == (golden / "sweep.csv").exists()
+    if (golden / "sweep.csv").exists():
+        got, want = ([[_csv_cell(c) for c in line.split(",")]
+                      if i else line.split(",")
+                      for i, line in enumerate(p.read_text().splitlines())]
+                     for p in (out / "sweep.csv", golden / "sweep.csv"))
+        _assert_close(got, want, f"{preset}/sweep.csv")
 
 
 def test_config_round_trip_in_report(tmp_path):

@@ -7,7 +7,7 @@ import json
 import tracemalloc
 
 from tiklav import cli
-from tiklav.operators import AssembledOperator, _sine_modes
+from tiklav.operators import AssembledOperator
 
 
 def _verify(cfg, tmp_path):
@@ -50,14 +50,3 @@ def test_interior_verify_holds_no_dense_basis_or_rows(tmp_path):
         tracemalloc.stop()
     assert peak <= n * n * 8 / 8, peak
 
-
-def test_sine_basis_builds_without_a_second_block_of_v():
-    # the quarter lookup holds one block of SINE_BLOCK index rows, and the
-    # reflections write into V with no temporary
-    tracemalloc.start()
-    try:
-        V, _ = _sine_modes(2048)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.10 * V.nbytes, (peak, V.nbytes)

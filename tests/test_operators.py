@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from tiklav import solver
 from tiklav.errors import InvalidInput
 from tiklav.grid import DomainGrid, GridFunction, constant, from_callable
-from tiklav.operators import (DENSE_CAP, SINE_BLOCK, KernelSpec, SineBasis,
-                              _sine_modes, apply, apply_adjoint,
-                              assemble_fredholm, assemble_poisson)
+from tiklav.operators import (DENSE_CAP, KernelSpec, SineBasis, apply,
+                              apply_adjoint, assemble_fredholm,
+                              assemble_poisson)
 
 
 class TestPoissonAnalytic:
@@ -60,6 +61,20 @@ def _symmetric_table(n):
     return table
 
 
+def _table_basis(n):
+    """The dense sine basis V[j-1, k-1] = table[j k mod 2(n+1)], looked up
+    in `_symmetric_table` in one shot."""
+    k = np.arange(1, n + 1)
+    return _symmetric_table(n)[np.outer(k, k) % (2 * n + 2)]
+
+
+def _same_bits(a, b):
+    """a and b are float64 arrays of one shape with equal bit patterns
+    (so also the signs of their zeros agree)."""
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape \
+        and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def _laplacian(grid):
     """The 3-point (1D) or 5-point (2D) Dirichlet Laplacian, dense."""
     n = grid.n
@@ -75,27 +90,32 @@ class TestSineBasis:
     @pytest.mark.parametrize("grid", [DomainGrid(1, 64), DomainGrid(2, 12)],
                              ids=["1d", "2d"])
     def test_basis_is_orthonormal(self, grid):
-        V, _ = assemble_poisson(grid).gram_eig
+        V = np.asarray(assemble_poisson(grid).V)
         assert np.max(np.abs(V.T @ V - np.eye(grid.num_nodes))) <= 1e-13
 
-    @pytest.mark.parametrize("n", [1, 2, SINE_BLOCK - 1, SINE_BLOCK,
-                                   SINE_BLOCK + 1, 2047, 2048])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 2047, 2048])
     def test_blocked_basis_is_the_one_shot_table(self, n):
-        # V looked up a block of rows of one quarter at a time and reflected
-        # into the rest is the full lookup table[j k mod 2(n+1)] into the
-        # symmetric table (equal values; a zero entry, where n+1 divides
-        # j k, may carry either sign)
-        V, _ = _sine_modes(n)
-        k = np.arange(1, n + 1)
-        assert np.array_equal(V, _symmetric_table(n)[np.outer(k, k)
-                                                     % (2 * n + 2)])
+        # the dense basis is the full lookup table[j k mod 2(n+1)] into the
+        # symmetric table, bit for bit, also at the edges (127, 128, 129) of
+        # the 128-row blocks an earlier builder looked it up in
+        assert _same_bits(np.asarray(SineBasis(n)), _table_basis(n))
+
+    @pytest.mark.parametrize("n", [3, 12, 64])
+    def test_2d_basis_is_the_kron_of_the_table(self, n):
+        # the 2D Poisson basis is the Kronecker product of that 1D lookup,
+        # compared n rows at a time: rows i n .. i n + n - 1 are kron(D[i], D)
+        D = _table_basis(n)
+        V = np.asarray(assemble_poisson(DomainGrid(2, n)).V)
+        assert V.shape == (n * n, n * n)
+        for i in range(n):
+            assert _same_bits(V[i * n:(i + 1) * n], np.kron(D[i:i + 1], D))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12, 97, 2047, 2048])
     def test_table_and_basis_reflections_are_exact(self, n):
         table, m = _symmetric_table(n), np.arange(n + 2)
         assert np.array_equal(table[n + 1 - m], table[m])
         assert np.array_equal(table[m[:n + 1] + n + 1], -table[m[:n + 1]])
-        V, _ = _sine_modes(n)
+        V = np.asarray(SineBasis(n))
         sign = np.where(np.arange(1, n + 1) % 2 == 1, 1.0, -1.0)
         assert np.array_equal(V[:, ::-1], V * sign[:, None])  # V[j, n+1-k]
         assert np.array_equal(V[::-1], V * sign)              # V[n+1-j, k]
@@ -114,7 +134,7 @@ class TestSineBasis:
             * np.sin(m.astype(np.longdouble) * pi / (n + 1))
         h = 1.0 / (n + 1)
         plain = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.arange(2 * (n + 1)))
-        V, _ = _sine_modes(n)
+        V = np.asarray(SineBasis(n))
         assert np.max(np.abs(V - exact)) <= np.max(np.abs(plain[m] - exact))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 97, 127, 128, 129, 2047,
@@ -122,14 +142,12 @@ class TestSineBasis:
     def test_transform_is_the_dense_table(self, n):
         # V @ x by one DST-I against the product with the dense table, to
         # round-off; rows and the dense form equal the table's in value
-        V, D = SineBasis(n), _sine_modes(n)[0]
+        V, D = SineBasis(n), _table_basis(n)
         rng = np.random.default_rng(n)
-        x, M = rng.standard_normal(n), rng.standard_normal((n, 3))
-        for got, want, norm in ((V @ x, D @ x, np.linalg.norm(x)),
-                                (V.T @ x, D.T @ x, np.linalg.norm(x)),
-                                (V @ M, D @ M, np.linalg.norm(M))):
+        x = rng.standard_normal(n)
+        for got, want in ((V @ x, D @ x), (V.T @ x, D.T @ x)):
             assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-13 * norm
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(x)
         idx = rng.integers(0, n, size=5)
         assert np.array_equal(V[n // 2], D[n // 2])
         assert np.array_equal(V[idx], D[idx])
@@ -163,11 +181,13 @@ class TestSineBasis:
                                   KernelSpec("gaussian", width=0.3)),
     ], ids=["poisson-1d", "poisson-2d", "fredholm"])
     def test_gram_eig_reconstructs_gram(self, make):
-        op = make()
-        V, s2 = op.gram_eig
-        G = op.gram
-        assert np.linalg.norm((V * s2) @ V.T - G) <= 1e-12 * np.linalg.norm(G)
-        assert op.gram_eig is op.gram_eig  # cached
+        # the eigenpairs (V, d) of the Hessian that `solver._quadratic`
+        # hands the QP engine reconstruct 2(S^T S + alpha I) from dense S
+        op, alpha = make(), 1e-3
+        (V, d), _ = solver._quadratic(op, np.zeros(op.grid.num_nodes), alpha)
+        V, S = np.asarray(V), op.matrix
+        H = 2.0 * (S.T @ S + alpha * np.eye(S.shape[0]))
+        assert np.linalg.norm((V * d) @ V.T - H) <= 1e-12 * np.linalg.norm(H)
 
     @pytest.mark.parametrize("make", [
         lambda: assemble_poisson(DomainGrid(1, 40)),
@@ -194,10 +214,11 @@ class TestGreensFunction:
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 2048])
     def test_green_is_the_spectral_operator(self, n):
         # against S f = V diag(1/lam) V^T f with the dense sine table
-        D, lam = _sine_modes(n)
+        V = SineBasis(n)
+        D = np.asarray(V)
         f = np.random.default_rng(n).standard_normal(n)
-        want = D @ ((D.T @ f) / lam)
-        got = SineBasis(n).green(f)
+        want = D @ ((D.T @ f) / V.lam)
+        got = V.green(f)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 2048])
@@ -295,9 +316,3 @@ class TestAdjoint:
         for grid in (DomainGrid(1, 25), DomainGrid(2, 9)):
             op = assemble_poisson(grid)
             assert np.array_equal(op.matrix, op.matrix.T)
-
-    def test_gram_is_symmetric_psd(self):
-        op = assemble_fredholm(DomainGrid(1, 12), KernelSpec("gaussian", width=0.4))
-        G = op.gram
-        assert np.array_equal(G, G.T)
-        assert np.min(np.linalg.eigvalsh(G)) >= -1e-14

