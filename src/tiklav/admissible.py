@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .grid import DomainGrid, GridFunction, ObservationRegion
-from .operators import AssembledOperator
+from .operators import AssembledOperator, EigenRows
 from . import qp
 
 FEAS_TOL = 1e-9       # absolute feasibility tolerance on margins
@@ -117,31 +117,18 @@ class AdmissibleSet:
         return self.lam if self.sign == PLUS else -self.lam
 
     def constraint_matrix(self):
-        """(B, psi) for the region nodes with finite psi, or (None, None).
-        B holds the state rows in the operator's eigenbasis: the rows of
-        S + shift I are B V^T (`AssembledOperator.eigen_rows`). Built once
-        per set; both arrays are read-only."""
+        """(T, psi) for the region nodes with finite psi: T is the
+        `EigenRows` of S + shift I at those nodes, with no rows when no psi
+        is finite. Built once per set; both are read-only."""
         return self._state_rows
 
     @cached_property
     def _state_rows(self):
         finite = np.isfinite(self.state.psi)
-        if not finite.any():
-            return None, None
-        idx = self.state.region.indices[finite]
         psi = self.state.psi[finite]
         psi.flags.writeable = False
-        return self.op.eigen_rows(idx, self.shift), psi
-
-    def rows_adjoint(self, eta: np.ndarray):
-        """T^T eta for the state rows T = (S + shift I)[idx] of
-        `constraint_matrix`: (S + shift I) e, with e holding eta at idx;
-        0.0 when eta is 0 (no state row active)."""
-        if not eta.any():
-            return 0.0
-        idx = self.state.region.indices[np.isfinite(self.state.psi)]
-        e = np.bincount(idx, eta, self.op.grid.num_nodes)
-        return self.op.apply_values(e) + self.shift * e
+        return (EigenRows(self.op, self.state.region.indices[finite],
+                          self.shift), psi)
 
     def slack(self, u_values: np.ndarray, su: np.ndarray):
         """The slacks of the lower, upper and state constraints at u, given
@@ -176,12 +163,12 @@ def _projection(aset: AdmissibleSet, v: np.ndarray, vtv: np.ndarray,
     """The projection of v, given in node space and by its coefficients
     vtv = V^T v: min |u - v|^2, the QP with H = 2I (in the rows' basis) and
     g = -2 v, certified on its Lagrangian gradient 2(u - v) + T^T eta."""
-    B, psi = aset.constraint_matrix()
+    T, psi = aset.constraint_matrix()
     H = aset.op.V, np.full(v.size, 2.0)
     wfac = np.sqrt(aset.op.grid.weight)
     return qp.solve_box_state_qp(
-        H, -2.0 * vtv, lambda u, eta: 2.0 * (u - v) + aset.rows_adjoint(eta),
-        aset.box.upper, B, psi, tol, wfac).u
+        H, -2.0 * vtv, lambda u, eta: 2.0 * (u - v) + T.adjoint(eta),
+        aset.box.upper, T, psi, tol, wfac).u
 
 
 def slater(aset: AdmissibleSet, u_hat: GridFunction):

@@ -11,15 +11,15 @@ Laplacian, the sine modes of the fast Poisson solver (Buzbee, Golub and
 Nielson, SIAM J. Numer. Anal. 7 (1970) 627), with s = 1/eigenvalue: no
 inverse and no dense S is formed, and each entry of V that is read is
 looked up in one table of 2(n+1) sine values (`_sine_rows`). In 1D, V is a
-`SineBasis`: V x is one discrete sine transform (DST-I) by numpy's FFT, and
-the state rows are an implicit `EigenRows`, so no n x n array is formed on
-the solve path. S itself needs no transform there: S f, the solution of
-the 3-point Dirichlet problem, is the discrete Green's function applied by
-two cumulative sums (`SineBasis.green`), and `apply_values` and the state
-rows at a point (`EigenRows.at_values`) use it. In 2D, V is the dense
-Kronecker product of two 1D tables, where a 144-node product is cheaper
-than a 2D transform, and S u is V (s * V^T u). A Fredholm operator takes
-one eigh of its quadrature matrix, which it keeps as its dense S.
+`SineBasis`: V x is one discrete sine transform (DST-I) by numpy's FFT, so
+no n x n array is formed on the solve path. S itself needs no transform
+there: S f, the solution of the 3-point Dirichlet problem, is the discrete
+Green's function applied by two cumulative sums (`SineBasis.green`), which
+`apply_values` uses. In 2D, V is the dense Kronecker product of two 1D
+tables, where a 144-node product is cheaper than a 2D transform, and S u
+is V (s * V^T u). A Fredholm operator takes one eigh of its quadrature
+matrix, which it keeps as its dense S. For every operator the state rows
+of S + shift I are an implicit `EigenRows`, applied through `apply_values`.
 """
 
 from __future__ import annotations
@@ -89,17 +89,6 @@ class AssembledOperator:
             W = np.asarray(self.V) * np.sqrt(self.s)
             self._matrix = W @ W.T
         return self._matrix
-
-    def eigen_rows(self, idx: np.ndarray, shift: float = 0.0):
-        """Rows idx of S + shift I in the eigenbasis: a read-only B with
-        (S + shift I)[idx] = B V^T, B = V[idx] diag(s + shift); an implicit
-        `EigenRows` on a `SineBasis`, else a new array."""
-        if isinstance(self.V, SineBasis):
-            return EigenRows(self, idx, shift)
-        B = self.V[idx]  # fancy indexing: a copy, safe to scale in place
-        B *= self.s + shift
-        B.flags.writeable = False
-        return B
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         """S u for u's node values: the Green's function on a `SineBasis`
@@ -174,12 +163,14 @@ class SineBasis:
 
 
 class EigenRows:
-    """B = V[idx] diag(w), w = s + shift, the rows idx of S + shift I in the
-    eigenbasis of a 1D Poisson operator (V a `SineBasis`), held as (op, idx,
-    shift). B x for u = V x comes from u itself, with no transform:
-    `at_values(u)` = ((S + shift I) u)[idx] by the Green's function. B[i]
-    is V[idx[i]] * w. Read-only: it has no buffer and no item assignment,
-    and np.asarray(B) is a new array.
+    """The state rows T = (S + shift I)[idx] of an operator, held as (op,
+    idx, shift): in the eigenbasis T = B V^T with B = V[idx] diag(w),
+    w = s + shift, and B[i] is V[idx[i]] * w. T u comes from the node
+    values u = V x with no product with B: `at_values(u)` is
+    ((S + shift I) u)[idx], by the Green's function in 1D Poisson, and
+    `adjoint(eta)` is T^T eta = (S + shift I) e in node space. Read-only:
+    it has no buffer and no item assignment, and np.asarray(B) is a new
+    array.
     """
 
     def __init__(self, op: AssembledOperator, idx: np.ndarray, shift: float):
@@ -189,8 +180,19 @@ class EigenRows:
         self.shape = (idx.size, self.V.shape[0])
 
     def at_values(self, u: np.ndarray) -> np.ndarray:
-        """B x for u = V x: ((S + shift I) u)[idx], from the node values."""
+        """T u = B x for u = V x, from the node values; with no rows, an
+        empty array and no apply of S."""
+        if not self.idx.size:
+            return np.zeros(0)
         return (self.op.apply_values(u) + self.shift * u)[self.idx]
+
+    def adjoint(self, eta: np.ndarray):
+        """T^T eta = (S + shift I) e, e holding eta at idx; 0.0 when eta is
+        0 (no row active)."""
+        if not eta.any():
+            return 0.0
+        e = np.bincount(self.idx, eta, self.shape[1])
+        return self.op.apply_values(e) + self.shift * e
 
     def __getitem__(self, i):
         return self.V[self.idx[i]] * self.w

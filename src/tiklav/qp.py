@@ -15,12 +15,13 @@ minimizer x_0, proves nothing: it raises NonConvergence instead.
 
 H is given by its eigendecomposition H = V diag(d) V^T with V square
 orthonormal, which the callers know in closed form, and g and the state
-rows by their coefficients in that basis: g = V gx and T = B V^T. V and B
-are used only through V @ x, rows V[i], B[i], B.shape and the state rows
-B x at u = V x: dense arrays (B @ x), or the 1D Poisson operator's
-implicit `operators.SineBasis`, whose product is a sine transform, and
-`operators.EigenRows`, which gives B x from u itself (`B.at_values(u)`,
-the Green's function, no transform). The iterate is kept as x = V^T u.
+rows by their coefficients in that basis: g = V gx and T = B V^T. V is
+used only through V @ x and rows V[i]: a dense array, or the 1D Poisson
+operator's implicit `operators.SineBasis`, whose product is a sine
+transform. B is used only through its rows B[i], B.shape and the state
+rows at u = V x, B.at_values(u) = T u: an `operators.EigenRows`, which
+forms them from u itself (by the Green's function in 1D Poisson), with no
+rows when no state row exists. The iterate is kept as x = V^T u.
 L = V diag(sqrt d), H = L L^T, takes the place of a Cholesky factor, so a
 row a with b = V^T a has L^{-1} a = d^{-1/2} * b, where b is -V[i] or V[i]
 for a bound and a row of B for a state row: an entering row costs O(n).
@@ -198,17 +199,10 @@ def _start_rows(start, V, up, B):
             np.vstack([-V[lo], V[hi[hit]], B[st]]))
 
 
-def _rows_at(B, x, u):
-    """B x, the state rows at u = V x: from u itself for an implicit
-    `operators.EigenRows`, else the product."""
-    return B.at_values(u) if hasattr(B, "at_values") else B @ x
-
-
 def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     """Goldfarb-Idnani iteration on H = V diag(d) V^T with every d > 0;
-    returns (x, eta, active-set changes, ActiveSet, last) with u = V x, where
-    last is the pair (V x, B x) of the final slack evaluation, or None when
-    the change cap ended the loop (the pair is then stale).
+    returns (u, bx, eta, active-set changes, ActiveSet), where u = V x and
+    bx = B x are the final slack evaluation's, at the final iterate x.
 
     Rows 0..n-1 are the lower bounds (-u_i <= 0), the next ones the
     finite upper bounds (u_i <= upper_i), the rest the state rows B V^T;
@@ -218,8 +212,9 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     there are not counted. Raises Infeasible when the constraints
     admit no point, and NonConvergence when a row that depends on the
     active rows is violated only within the round-off of its value. After
-    10 changes per row the current (dual-feasible, possibly
-    primal-infeasible) iterate is returned.
+    10 changes per row, the next slack evaluation ends the loop at its
+    (dual-feasible, possibly primal-infeasible) iterate; the drops between
+    two evaluations are bounded by the number of active rows.
     """
     n = d.size
     up = np.flatnonzero(np.isfinite(upper))
@@ -264,16 +259,15 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     if active:
         x = x - rsd * (qr.Q @ (qr.R @ mult))
 
-    changes, p, last = 0, -1, None
-    while changes < 10 * (c.size + 1):
+    changes, p, cap = 0, -1, 10 * (c.size + 1)
+    while True:
         if p < 0:  # pick the most violated row
             u = V @ x
-            bx = _rows_at(B, x, u)
+            bx = B.at_values(u)
             slack = np.concatenate([-u, u[up], bx]) - c
             slack[active] = -np.inf
             p = int(np.argmax(slack))
-            if slack[p] <= feas_tol:
-                last = u, bx
+            if slack[p] <= feas_tol or changes >= cap:
                 break
             b = normal(p)
             w = rsd * b
@@ -324,22 +318,17 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     eta = np.zeros(B.shape[0])
     eta[ids[ids >= nb] - nb] = mult[ids >= nb]
     ids.sort()
-    return x, eta, changes, ActiveSet(
+    return u, bx, eta, changes, ActiveSet(
         ids[ids < n], up[ids[(ids >= n) & (ids < nb)] - n],
-        ids[ids >= nb] - nb), last
+        ids[ids >= nb] - nb)
 
 
-def _certified(V, grad, upper, B, psi, tol, wfac, x, eta, changes, active,
-               last):
-    """QPResult for u = V x and eta when their KKT residuals on the original
-    problem are all <= tol, else None. u is exactly 0 or upper on the
-    active bound rows, where V x holds them only to round-off. last is the
-    engine's (V x, B x), or None to form them here; the state gap is B x,
-    which differs from the rows at u by that round-off only."""
-    if last is None:
-        u = V @ x
-        last = u, _rows_at(B, x, u)
-    u, bx = last
+def _certified(grad, upper, psi, tol, wfac, u, bx, eta, changes, active):
+    """QPResult for the engine's u = V x, its state rows bx = B x and eta
+    when their KKT residuals on the original problem are all <= tol, else
+    None. u is set exactly to 0 or upper on the active bound rows, where
+    V x holds them only to round-off; the state gap is bx, which differs
+    from the rows at that u by the same round-off only."""
     u[active.lower] = 0.0
     u[active.upper] = upper[active.upper]
     mu_lo, mu_up, stat, primal, comp = _kkt_residuals(
@@ -351,36 +340,35 @@ def _certified(V, grad, upper, B, psi, tol, wfac, x, eta, changes, active,
 
 
 def solve_box_state_qp(H, gx: np.ndarray, grad: Callable, upper: np.ndarray,
-                       B, psi: Optional[np.ndarray],
+                       B, psi: np.ndarray,
                        tol: float, wfac: float,
                        start: Optional[ActiveSet] = None) -> QPResult:
     """Solve the QP with certified KKT residuals <= tol.
 
     H is the pair (V, d) with H = V diag(d) V^T and V square orthonormal,
-    a dense array or an `operators.SineBasis` (see the module docstring).
-    The gradient at 0 and the state rows are given in that basis: g = V gx
-    and T = B V^T. grad(u, eta) is the Lagrangian gradient
-    H u + g + T^T eta in node space (eta: one entry per row of B), on
-    which the certificate is measured. `start` is the active set of a
-    nearby solve (e.g. a previous `QPResult.active`); rows it names that do
-    not exist here, or depend on others, are skipped. Raises InvalidInput
-    unless tol > 0 and min(d) > eps * max(d), Infeasible when no box point
-    satisfies T u <= psi and NonConvergence when the pass misses the
-    certificate or ends on a violation within round-off.
+    a dense array or an `operators.SineBasis`, and B the state rows, an
+    `operators.EigenRows` (see the module docstring). The gradient at 0
+    and the state rows are given in that basis: g = V gx and T = B V^T.
+    grad(u, eta) is the Lagrangian gradient H u + g + T^T eta in node
+    space (eta: one entry per row of B), on which the certificate is
+    measured. `start` is the active set of a nearby solve (e.g. a previous
+    `QPResult.active`); rows it names that do not exist here, or depend on
+    others, are skipped. Raises InvalidInput unless 0 < tol < inf and
+    min(d) > eps * max(d), Infeasible when no box point satisfies
+    T u <= psi and NonConvergence when the pass misses the certificate or
+    ends on a violation within round-off.
     """
-    if not tol > 0:
-        raise InvalidInput(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:  # an infinite tol would certify any point
+        raise InvalidInput(f"tol must be positive and finite, got {tol}")
     V, d = H
     if not np.min(d) > np.finfo(float).eps * np.max(d):  # NaN fails too
         raise InvalidInput(
             "Hessian not definite to round-off: d_min/d_max = "
             f"{np.min(d):.3e}/{np.max(d):.3e}")
-    if B is None:
-        B, psi = np.zeros((0, d.size)), np.zeros(0)
-    x, eta, changes, active, last = _dual_active_set(
+    u, bx, eta, changes, active = _dual_active_set(
         V, d, gx, upper, B, psi, 0.1 * tol, start)
-    res = _certified(V, grad, upper, B, psi, tol, wfac, x, eta, changes,
-                     active, last)
+    res = _certified(grad, upper, psi, tol, wfac, u, bx, eta, changes,
+                     active)
     if res is None:
         raise NonConvergence(
             f"no KKT certificate after {changes} active-set changes")

@@ -112,7 +112,7 @@ class _Lagrangian:
         p = self.problem
         self.su = p.op.apply_values(u)
         r = p.op.apply_adjoint_values(self.su - p.y_d.values) + p.alpha * u
-        return 2.0 * r + p.aset.rows_adjoint(eta)
+        return 2.0 * r + p.aset.constraint_matrix()[0].adjoint(eta)
 
 
 def _quadratic(op: AssembledOperator, vty: np.ndarray, alpha: float):
@@ -138,9 +138,9 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
     aset = problem.aset
     H, gx = _quadratic(problem.op, problem.vty, problem.alpha)
     grad = _Lagrangian(problem)
-    B, psi = aset.constraint_matrix()
+    T, psi = aset.constraint_matrix()
     wfac = np.sqrt(problem.op.grid.weight)
-    res = qp.solve_box_state_qp(H, gx, grad, aset.box.upper, B, psi, tol,
+    res = qp.solve_box_state_qp(H, gx, grad, aset.box.upper, T, psi, tol,
                                 wfac, start)
     return _solution(problem, res, grad.su)
 

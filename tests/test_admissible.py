@@ -88,6 +88,7 @@ class TestConstruction:
                     <= 1e-12 * np.linalg.norm(S)
 
     def test_rows_adjoint_is_the_transposed_rows(self):
+        # the state rows at u are T u = ((S + shift I) u)[rows] and
         # T^T eta = (S + shift I) e in node space, e holding eta at the
         # finite-psi region nodes; 0.0 when no state row is active
         rng = np.random.default_rng(11)
@@ -106,17 +107,21 @@ class TestConstruction:
                 rows = idx[np.isfinite(psi)]
                 T = op.matrix[rows]
                 T[np.arange(rows.size), rows] += shift
+                B, _ = aset.constraint_matrix()
+                u = rng.standard_normal(grid.num_nodes)
+                assert np.max(np.abs(B.at_values(u) - T @ u)) \
+                    <= 1e-13 * np.linalg.norm(T) * np.linalg.norm(u)
                 eta = rng.uniform(0.0, 1.0, rows.size)
-                assert np.max(np.abs(aset.rows_adjoint(eta) - T.T @ eta)) \
+                assert np.max(np.abs(B.adjoint(eta) - T.T @ eta)) \
                     <= 1e-13 * np.linalg.norm(T) * np.linalg.norm(eta)
-                assert aset.rows_adjoint(np.zeros(rows.size)) == 0.0
+                assert B.adjoint(np.zeros(rows.size)) == 0.0
 
     @pytest.mark.parametrize("lam", [0.0, 0.2])
     def test_constraint_matrix_is_a_copy(self, lam):
-        # built once per set and shared, so read-only: the 1D rows are an
+        # built once per set and shared, so read-only: the rows are an
         # implicit EigenRows with no writable buffer (no item assignment,
-        # no buffer, read-only parts, a new array from np.asarray); the 2D
-        # rows a read-only array
+        # no buffer, read-only parts, a new array from np.asarray), in 1D
+        # and 2D alike
         aset = small_set(n=5, lam=lam, sign="plus")
         V_before = np.asarray(aset.op.V)
         psi_before = aset.state.psi.copy()
@@ -140,7 +145,7 @@ class TestConstruction:
         state = StateConstraint(ObservationRegion.all_nodes(g), 0.05, lam)
         B2, _ = AdmissibleSet(BoxBounds.constant(g, 1.0), state,
                               assemble_poisson(g)).constraint_matrix()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             B2[:] = -7.0
 
     def test_infinite_psi_rows_dropped(self):
@@ -152,12 +157,15 @@ class TestConstruction:
         T, p = aset.constraint_matrix()
         assert T.shape == (2, 5) and np.allclose(p, [0.1, 0.2])
 
-    def test_all_infinite_psi_gives_none(self):
+    def test_all_infinite_psi_gives_no_rows(self):
         g = DomainGrid(1, 5)
         op = assemble_poisson(g)
         state = StateConstraint(ObservationRegion.all_nodes(g), np.full(5, np.inf))
         aset = AdmissibleSet(BoxBounds.constant(g, 1.0), state, op)
-        assert aset.constraint_matrix() == (None, None)
+        T, psi = aset.constraint_matrix()
+        assert T.shape == (0, 5) and psi.shape == (0,)
+        assert T.at_values(np.ones(5)).shape == (0,)
+        assert T.adjoint(np.zeros(0)) == 0.0
 
 
 class TestFeasibility:

@@ -368,6 +368,7 @@ REJECTED = [
                            slope_range="ab"), "slope-range-not-numbers"),
     ("solve --tol -1", base_cfg(), "negative-tol"),
     ("solve --tol 0", base_cfg(), "zero-tol"),
+    ("solve --tol inf", base_cfg(), "infinite-tol"),
     ("verify", _lavrentiev_cfg(lambda_list=[]), "empty-lambda-list"),
     ("verify", _experiment(base_cfg(), kind="continuity", pairs=[]),
      "empty-pairs"),

@@ -7,7 +7,7 @@ import json
 import tracemalloc
 
 from tiklav import cli
-from tiklav.operators import AssembledOperator
+from tiklav.operators import EigenRows
 
 
 def _verify(cfg, tmp_path):
@@ -21,15 +21,15 @@ def _verify(cfg, tmp_path):
 
 def test_state_rows_built_once_per_interior_verify(monkeypatch, tmp_path):
     # manufacture and the sweep both ask for the lambda = 0 set, which is
-    # the configured set itself: one B for the whole verify
+    # the configured set itself: one EigenRows for the whole verify
     calls = []
-    inner = AssembledOperator.eigen_rows
+    inner = EigenRows.__init__
 
-    def counting(self, idx, shift=0.0):
+    def counting(self, op, idx, shift):
         calls.append(idx.size)
-        return inner(self, idx, shift)
+        inner(self, op, idx, shift)
 
-    monkeypatch.setattr(AssembledOperator, "eigen_rows", counting)
+    monkeypatch.setattr(EigenRows, "__init__", counting)
     _verify(cli.load_config("interior-attainable-poisson-1d"), tmp_path)
     assert len(calls) == 1
 

@@ -6,8 +6,8 @@ import pytest
 from tiklav import solver
 from tiklav.errors import InvalidInput
 from tiklav.grid import DomainGrid, GridFunction, constant, from_callable
-from tiklav.operators import (DENSE_CAP, KernelSpec, SineBasis, apply,
-                              apply_adjoint, assemble_fredholm,
+from tiklav.operators import (DENSE_CAP, EigenRows, KernelSpec, SineBasis,
+                              apply, apply_adjoint, assemble_fredholm,
                               assemble_poisson)
 
 
@@ -249,15 +249,20 @@ class TestGreensFunction:
 
     @pytest.mark.parametrize("shift", [0.0, 0.3, -0.05])
     def test_state_rows_at_values_are_the_product(self, shift):
-        # for u = V x, the rows at u by the Green's function are B x
+        # for u = V x, the rows at u by the Green's function are B x, and
+        # their adjoint at eta is B^T eta in node space, V B^T eta
         n = 97
         op = assemble_poisson(DomainGrid(1, n))
         idx = np.array([0, 5, 40, 41, 96])
-        B = op.eigen_rows(idx, shift)
-        x = np.random.default_rng(3).standard_normal(n)
+        B = EigenRows(op, idx, shift)
+        rng = np.random.default_rng(3)
+        x, eta = rng.standard_normal(n), rng.standard_normal(idx.size)
         want = np.asarray(B) @ x
         assert np.max(np.abs(B.at_values(op.V @ x) - want)) \
             <= 1e-13 * np.linalg.norm(x)
+        want = op.V @ (np.asarray(B).T @ eta)
+        assert np.max(np.abs(B.adjoint(eta) - want)) \
+            <= 1e-13 * np.linalg.norm(eta)
 
 
 class TestFredholm:

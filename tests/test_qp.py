@@ -14,13 +14,29 @@ def node_gradient(H, g, T):
     return lambda u, eta: H @ u + g + (0.0 if T is None else T.T @ eta)
 
 
+class DenseRows:
+    """Dense state rows T (None: no rows) as the engine reads them: rows
+    of B = T V in the eigenbasis V, and T u at u = V x."""
+
+    def __init__(self, T, V):
+        self.T = np.zeros((0, V.shape[0])) if T is None else T
+        self.B = self.T @ V
+        self.shape = self.B.shape
+
+    def __getitem__(self, i):
+        return self.B[i]
+
+    def at_values(self, u):
+        return self.T @ u
+
+
 def solve_dense(H, g, upper, T, psi, tol, wfac, start=None):
     """solve_box_state_qp on a dense H, g and T, turned into ((V, d), V^T g,
     T V) with one eigh, and certified on the node-space gradient."""
     d, V = np.linalg.eigh(H)
-    B = None if T is None else T @ V
     return solve_box_state_qp((V, d), V.T @ g, node_gradient(H, g, T), upper,
-                              B, psi, tol, wfac, start)
+                              DenseRows(T, V), np.zeros(0) if T is None
+                              else psi, tol, wfac, start)
 
 
 def test_unconstrained_interior_minimizer():
@@ -119,7 +135,8 @@ def test_semidefinite_hessian_rejected(d_min):
     with pytest.raises(InvalidInput, match="not definite to round-off"):
         solve_box_state_qp((V, d), rng.standard_normal(4),
                            node_gradient(np.eye(4), np.zeros(4), None),
-                           np.ones(4), None, None, 1e-10, 1.0)
+                           np.ones(4), DenseRows(None, V), np.zeros(0),
+                           1e-10, 1.0)
 
 
 def _least_squares_batch(seed, count=100):
@@ -153,8 +170,8 @@ def test_eigenpair_and_dense_hessian_agree():
         by_eigh = solve_dense(H, g, upper, T, psi, 1e-10, 1.0)
         by_svd = solve_box_state_qp((V, 2 * (s2 + alpha)), V.T @ g,
                                     node_gradient(H, g, T), upper,
-                                    None if T is None else T @ V, psi,
-                                    1e-10, 1.0)
+                                    DenseRows(T, V), np.zeros(0)
+                                    if T is None else psi, 1e-10, 1.0)
         assert np.max(np.abs(by_svd.u - by_eigh.u)) <= 1e-8
         assert max(by_svd.stationarity, by_svd.primal,
                    by_svd.complementarity) <= 1e-10
@@ -170,9 +187,10 @@ def test_infeasible_state_rows_raise():
         solve_dense(H, g, np.ones(3), T, psi, 1e-8, 1.0)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 def test_nonpositive_tol_rejected(tol):
-    # no certificate meets tol <= 0: the pass would end in NonConvergence
+    # no certificate meets tol <= 0: the pass would end in NonConvergence;
+    # an infinite tol would certify any point
     with pytest.raises(InvalidInput, match="tol must be positive"):
         solve_dense(2 * np.eye(2), -np.ones(2), np.ones(2), None, None, tol,
                     1.0)

@@ -14,16 +14,16 @@ import scipy.linalg as sla
 
 import tiklav
 from conftest import random_problem
-from tiklav import cli, experiments, qp
+from tiklav import cli, experiments
 from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
                                feasibility, project_admissible)
 from tiklav.errors import InvalidInput, NonConvergence
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, wnorm
 from tiklav.manufacture import manufacture
-from tiklav.operators import (AssembledOperator, SineBasis, apply,
-                              assemble_poisson)
-from tiklav.solver import (RegularizedProblem, _Lagrangian, _quadratic,
-                           oracle_solve, projection_formula_residual, solve,
+from tiklav.operators import (AssembledOperator, KernelSpec, SineBasis,
+                              apply, assemble_fredholm, assemble_poisson)
+from tiklav.solver import (RegularizedProblem, oracle_solve,
+                           projection_formula_residual, solve,
                            solve_unconstrained)
 
 
@@ -280,29 +280,66 @@ def test_certificate_checks_the_problem_not_the_basis():
                 solve(prob)
 
 
-@pytest.mark.parametrize("grid", [DomainGrid(1, 8), DomainGrid(2, 5)],
-                         ids=["eigen-rows", "dense-rows"])
-def test_certified_forms_the_stale_pair_itself(grid):
-    # after the change cap the engine hands `_certified` no (V x, B x);
-    # forming them from x gives the same result as the engine's own pair
-    prob = loose_problem(grid=grid, psi=0.002, b=0.5, alpha=0.05)
-    (V, d), gx = _quadratic(prob.op, prob.vty, prob.alpha)
-    B, psi = prob.aset.constraint_matrix()
-    assert hasattr(B, "at_values") == (grid.d == 1)  # EigenRows in 1D
-    upper, tol = prob.aset.box.upper, 1e-10
-    wfac = np.sqrt(grid.weight)
-    x, eta, changes, active, last = qp._dual_active_set(
-        V, d, gx, upper, B, psi, 0.1 * tol)
-    assert last is not None and active.state.size > 0
-    results = [qp._certified(V, _Lagrangian(prob), upper, B, psi, tol, wfac,
-                             x, eta, changes, active, pair)
-               for pair in ((last[0].copy(), last[1].copy()), None)]
-    assert None not in results
-    got, want = results
-    for field in ("u", "mu_lower", "mu_upper", "eta"):
-        assert np.array_equal(getattr(got, field), getattr(want, field))
-    assert (got.stationarity, got.primal, got.complementarity) \
-        == (want.stationarity, want.primal, want.complementarity)
+def _box_only(op, seed):
+    """Data y_d = S(1.5 sin 3 pi x) plus noise and a box-only set on op:
+    0 <= u <= b, b uniform in [0.5, 1.5] and +inf on ~20% of the nodes,
+    and no finite psi."""
+    grid = op.grid
+    rng = np.random.default_rng(seed)
+    w = 1.5 * np.prod(np.sin(3 * np.pi * grid.coords), axis=1)
+    y_d = op.apply_values(w) + 1e-3 * rng.standard_normal(grid.num_nodes)
+    b = rng.uniform(0.5, 1.5, grid.num_nodes)
+    b[rng.random(grid.num_nodes) < 0.2] = np.inf
+    state = StateConstraint(ObservationRegion.all_nodes(grid), np.inf)
+    return GridFunction(grid, y_d), AdmissibleSet(BoxBounds(grid, b), state,
+                                                  op)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assemble_poisson(DomainGrid(1, 200)),
+    lambda: assemble_poisson(DomainGrid(2, 24)),
+    lambda: assemble_fredholm(DomainGrid(1, 300),
+                              KernelSpec("gaussian", width=0.1)),
+], ids=["poisson-1d", "poisson-2d", "fredholm"])
+def test_box_only_solves_match_bvls(make):
+    # an exact active-set solver in separate code: BVLS on
+    # min |[S; sqrt(alpha) I] u - [y_d; 0]|^2 over 0 <= u <= b, the same
+    # problem; a cold solve, then a warm path down in alpha, with hundreds
+    # of active bounds, QR buffer growth and, in 2D and Fredholm, drops
+    from scipy.optimize import lsq_linear
+    op = make()
+    y_d, aset = _box_only(op, 0)
+    S, n = op.matrix, op.grid.num_nodes
+    start = None
+    for alpha in (1e-4, 1e-5, 1e-6):
+        sol = solve(RegularizedProblem(op, y_d, aset, alpha), tol=1e-10,
+                    start=start)
+        start = sol.active_set
+        ref = lsq_linear(np.vstack([S, np.sqrt(alpha) * np.eye(n)]),
+                         np.concatenate([y_d.values, np.zeros(n)]),
+                         bounds=(0.0, aset.box.upper), method="bvls",
+                         tol=1e-12)
+        assert ref.status > 0
+        assert wnorm(op.grid, sol.u.values - ref.x) <= 1e-10, alpha
+    assert sol.active_lower.size > n // 2 and sol.active_upper.size > 0
+
+
+def test_box_only_solve_applies_s_once(monkeypatch):
+    # with no finite psi the state rows are empty: the engine's slack
+    # evaluations form no T u, and S is applied once, by the certificate's
+    # gradient, whose S u the Solution reuses
+    op = assemble_poisson(DomainGrid(1, 200))
+    y_d, aset = _box_only(op, 1)
+    prob = RegularizedProblem(op, y_d, aset, 1e-6)
+    calls, inner = [], AssembledOperator.apply_values
+
+    def counting(self, values):
+        calls.append(1)
+        return inner(self, values)
+
+    monkeypatch.setattr(AssembledOperator, "apply_values", counting)
+    sol = solve(prob, tol=1e-10)
+    assert sol.active_lower.size > 100 and len(calls) == 1
 
 
 def test_poisson_solve_uses_no_gram_and_no_cholesky(monkeypatch):
@@ -362,8 +399,9 @@ def test_cli_import_loads_no_fft():
 
 
 def test_2d_verify_builds_no_sine_basis(monkeypatch, tmp_path):
-    # the 2D preset keeps the dense Kronecker basis and array state rows;
-    # its numpy.fft comes only from scipy.linalg, which imports it itself
+    # the 2D preset keeps the dense Kronecker basis, on which its state
+    # rows are an EigenRows; its numpy.fft comes only from scipy.linalg,
+    # which imports it itself
     def forbidden(*args, **kwargs):
         raise AssertionError("called")
 
