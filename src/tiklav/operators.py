@@ -165,12 +165,12 @@ class SineBasis:
 class EigenRows:
     """The state rows T = (S + shift I)[idx] of an operator, held as (op,
     idx, shift): in the eigenbasis T = B V^T with B = V[idx] diag(w),
-    w = s + shift, and B[i] is V[idx[i]] * w. T u comes from the node
-    values u = V x with no product with B: `at_values(u)` is
-    ((S + shift I) u)[idx], by the Green's function in 1D Poisson, and
-    `adjoint(eta)` is T^T eta = (S + shift I) e in node space. Read-only:
-    it has no buffer and no item assignment, and np.asarray(B) is a new
-    array.
+    w = s + shift, and B[i] is V[idx[i]] * w. T u at u = V x needs no
+    product with B: `at_values(u, x)` is ((S + shift I) u)[idx], by the
+    Green's function on u in 1D Poisson and as (V (w * x))[idx] with a
+    dense V, and `adjoint(eta)` is T^T eta = (S + shift I) e in node
+    space. Read-only: it has no buffer and no item assignment, and
+    np.asarray(B) is a new array.
     """
 
     def __init__(self, op: AssembledOperator, idx: np.ndarray, shift: float):
@@ -179,12 +179,15 @@ class EigenRows:
         self.idx.flags.writeable = self.w.flags.writeable = False
         self.shape = (idx.size, self.V.shape[0])
 
-    def at_values(self, u: np.ndarray) -> np.ndarray:
-        """T u = B x for u = V x, from the node values; with no rows, an
-        empty array and no apply of S."""
+    def at_values(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """T u = B x for u = V x: one product with a dense V, the Green's
+        function on u with a `SineBasis`; with no rows, an empty array and
+        no product."""
         if not self.idx.size:
             return np.zeros(0)
-        return (self.op.apply_values(u) + self.shift * u)[self.idx]
+        if isinstance(self.V, SineBasis):
+            return (self.V.green(u) + self.shift * u)[self.idx]
+        return (self.V @ (self.w * x))[self.idx]
 
     def adjoint(self, eta: np.ndarray):
         """T^T eta = (S + shift I) e, e holding eta at idx; 0.0 when eta is

@@ -19,18 +19,21 @@ rows by their coefficients in that basis: g = V gx and T = B V^T. V is
 used only through V @ x and rows V[i]: a dense array, or the 1D Poisson
 operator's implicit `operators.SineBasis`, whose product is a sine
 transform. B is used only through its rows B[i], B.shape and the state
-rows at u = V x, B.at_values(u) = T u: an `operators.EigenRows`, which
-forms them from u itself (by the Green's function in 1D Poisson), with no
-rows when no state row exists. The iterate is kept as x = V^T u.
+rows at u = V x, B.at_values(u, x) = T u: an `operators.EigenRows`, which
+forms them from x by one product with a dense V, and from u by the
+Green's function in 1D Poisson, with no rows when no state row exists.
+The iterate is kept as x = V^T u.
 L = V diag(sqrt d), H = L L^T, takes the place of a Cholesky factor, so a
 row a with b = V^T a has L^{-1} a = d^{-1/2} * b, where b is -V[i] or V[i]
 for a bound and a row of B for a state row: an entering row costs O(n).
-The active rows enter through W = L^{-1} A_active, kept as a thin QR
-factorization W = Q R in buffers that double when full: an add writes
-one column, a drop is scipy's in-place column downdate. scipy.linalg
-(that downdate and LAPACK's triangular solve) is imported when the first
-row becomes active, so a solve whose every row stays inactive runs on
-numpy alone.
+The active rows enter through W = L^{-1} A_active, kept as W P = Q with
+Q orthonormal and P = R^{-1} of the thin QR factorization W = Q R, in
+buffers that double when full: the start's rows are one Householder QR,
+an add writes one column of each, a drop is one Householder reflection
+applied to both, and the triangular solves of the method are products
+with P. After a drop, the row being tried is split against the columns
+left by adding back the direction that left, with no new Gram-Schmidt
+pass. The engine runs on numpy alone.
 
 The KKT certificate is measured on the problem, not on the basis the
 engine iterated in: the caller passes the Lagrangian gradient
@@ -62,7 +65,7 @@ rescaled by sqrt(h^d) via the `wfac` argument.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -71,6 +74,8 @@ import numpy as np
 from .errors import Infeasible, InvalidInput, NonConvergence
 
 DEPENDENT_TOL = 1e-10   # |projection of L^{-1} a off the active rows| / |L^{-1} a|
+ORTH_TOL = 8 * np.finfo(float).eps  # |Q^T z| / |z| a split may leave
+BLOCK = 1 << 15         # entries of a temporary that stays in cache (256 KB)
 
 
 class ActiveSet(NamedTuple):
@@ -115,71 +120,115 @@ def _kkt_residuals(grad, upper, psi, u, eta, wfac, bx):
 
 
 def _split(Q, w):
-    """w = Q y + z with z orthogonal to the columns of Q; two Gram-Schmidt
-    passes."""
+    """w = Q y + z with z orthogonal to the columns of Q, and |z|^2. One
+    Gram-Schmidt pass; a second corrects z only when the first left
+    |Q^T z| > ORTH_TOL |z|. That test measures what a new column z/|z|
+    would have in common with the old ones, so it bounds their products
+    by ORTH_TOL whatever the old columns' history: the loss of
+    orthogonality cannot build up over adds, as it can under a test on
+    |z| / |w| alone."""
     y = Q.T @ w
     z = w - Q @ y
     y2 = Q.T @ z
-    z -= Q @ y2
-    return y + y2, z
+    zz = z @ z
+    if y2 @ y2 > ORTH_TOL**2 * zz:
+        z -= Q @ y2
+        y += y2
+        zz = z @ z
+    return y, z, zz
 
 
-@functools.cache
-def _lapack():
-    """LAPACK's raw triangular solve and scipy's QR downdate, looked up once
-    per process on the first active row. The raw trtrs, because
-    solve_triangular's argument checks cost more than the solve itself; and
-    qr_delete without the batch wrapper newer scipy puts around it, which
-    costs more than a small downdate."""
-    import scipy.linalg as sla
-    return (sla.get_lapack_funcs("trtrs", dtype=np.float64),
-            getattr(sla.qr_delete, "__wrapped__", sla.qr_delete))
-
-
-def _rsolve(R, v, trans=0):
-    """R^{-1} v, or R^{-T} v with trans=1, for upper triangular R; an empty
-    v (no active row) is returned as it is."""
-    return _lapack()[0](R, v, trans=trans)[0] if v.size else v
+def _cut(a, k):
+    """a without its entry k, shifted down in a's own buffer."""
+    a[k:-1] = a[k + 1:]
+    return a[:-1]
 
 
 class _ThinQR:
-    """Thin QR factors Q R of the active columns W, in F-order buffers of
-    `cap` columns that double (up to n) when full."""
+    """The active columns W as W P = Q: Q with orthonormal columns and
+    P = R^{-1} for the thin QR factorization W = Q R. Q and P are stacked
+    as [Q; P] in one F-order buffer of `cap` columns that doubles (up to n)
+    when full, so that a column operation on both is one product. P is
+    upper triangular in its columns left of f: `factor` and `add` keep it
+    so, and a drop makes it dense from the column it starts at."""
 
     def __init__(self, n, cap):
-        self._Q = np.empty((n, cap), order="F")
-        self._R = np.zeros((cap, cap), order="F")
-        self.q = 0
+        self._M = np.empty((n + cap, cap), order="F")
+        self.n, self.q, self.f = n, 0, 0
 
     @property
     def Q(self):
-        return self._Q[:, :self.q]
+        return self._M[:self.n, :self.q]
 
     @property
-    def R(self):
-        return self._R[:self.q, :self.q]
+    def P(self):
+        return self._M[self.n:self.n + self.q, :self.q]
 
-    def add(self, y, z, zn):
-        """Append the column Q y + z, where zn = |z| > 0."""
-        q = self.q
-        if q == self._R.shape[0]:  # full: double, up to n columns
-            n, cap = self._Q.shape[0], min(2 * q, self._Q.shape[0])
-            Q = np.empty((n, cap), order="F")
-            R = np.zeros((cap, cap), order="F")
-            Q[:, :q], R[:q, :q] = self._Q, self._R
-            self._Q, self._R = Q, R
-        np.divide(z, zn, out=self._Q[:, q])
-        self._R[:q, q] = y
-        self._R[q, :q] = 0.0  # below the block a drop left: not its result
-        self._R[q, q] = zn
+    def factor(self, W, tol):
+        """Take the rows of W, in order, as the first columns of an empty
+        factorization, each kept when its part off the kept ones before it
+        has a norm > tol[j]. One Householder QR, W^T = Q R, and P = R^{-1}
+        hold the rows before the first that fails (|R_mm| = the norm of
+        row m's part off rows 0..m-1), or the first n rows; the rows after
+        that one are added one at a time. Returns the rows' positions."""
+        n, M = self.n, self._M
+        if not W.shape[0]:
+            return []
+        Q, R = np.linalg.qr(W.T)
+        bad = np.flatnonzero(np.abs(R.diagonal()) <= tol[:R.shape[0]])
+        m = int(bad[0]) if bad.size else R.shape[0]
+        M[:n, :m] = Q[:, :m]
+        M[n:n + m, :m] = np.linalg.inv(R[:m, :m])
+        self.q = self.f = m
+        kept = list(range(m))
+        for j in range(m + 1, W.shape[0]):  # row m fails, or m = n
+            y, z, zz = _split(self.Q, W[j])
+            zn = math.sqrt(zz)
+            if zn > tol[j]:
+                self.add(self.P @ y, z, zn)
+                kept.append(j)
+        return kept
+
+    def add(self, r, z, zn):
+        """Append the column Q y + z, where r = P y and zn = |z| > 0: z/zn
+        to Q and (-r, 1)/zn to P."""
+        n, q, M = self.n, self.q, self._M
+        if q == M.shape[1]:  # full: double, up to n columns
+            cap = min(2 * q, n)
+            M = np.empty((n + cap, cap), order="F")
+            M[:n + q, :q] = self._M
+            self._M = M
+        np.divide(z, zn, out=M[:n, q])
+        np.divide(r, -zn, out=M[n:n + q, q])
+        M[n + q, :q] = 0.0
+        M[n + q, q] = 1.0 / zn
+        if self.f == q:
+            self.f = q + 1
         self.q = q + 1
 
     def drop(self, k):
-        """Remove column k. qr_delete with overwrite_qr leaves the downdated
-        factors in the leading blocks of the buffers."""
-        # positional: k, p=1, which, overwrite_qr, check_finite
-        _lapack()[1](self.Q, self.R, k, 1, "col", True, False)
-        self.q -= 1
+        """Remove column k. As P R = I, c = P[k] is orthogonal to every
+        other column of R, and the reflection H = I - v v^T that maps c to
+        the last coordinate leaves W (P H) = Q H with row k of P H zero but
+        in its last column: that row and that column go. c is zero left of
+        j = min(k, f), so H acts on the columns j.. of [Q; P] only.
+        Returns the last columns of Q H and of P H (all q rows): the
+        direction that left, until the next add overwrites it."""
+        n, q, j = self.n, self.q, min(k, self.f)
+        X = self._M[:n + q, j:q]
+        v = X[n + k].copy()  # c - sigma e_last, scaled to |v|^2 = 2
+        cn = math.sqrt(v @ v)
+        v[-1] += math.copysign(cn, v[-1])
+        v /= math.sqrt(cn * abs(v[-1]))
+        a = X @ v
+        # X -= a v^T by blocks of columns, each product a temporary of at
+        # most BLOCK entries; np.dot, unlike np.outer, is one BLAS call
+        step = max(1, BLOCK // (n + q))
+        for i in range(0, q - j, step):
+            X[:, i:i + step] -= np.dot(v[i:i + step, None], a[None, :]).T
+        self._M[n + k:n + q - 1, j:q - 1] = self._M[n + k + 1:n + q, j:q - 1]
+        self.q, self.f = q - 1, j
+        return self._M[:n, q - 1], self._M[n:n + q, q - 1]
 
 
 def _start_rows(start, V, up, B):
@@ -229,65 +278,61 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     rsd = 1.0 / np.sqrt(d)      # L^{-1} a = rsd * (V^T a)
     x = -gx / d
 
-    # warm start: factor the independent start rows as W = L^{-1} A = Q R;
+    # warm start: factor the independent start rows as W = L^{-1} A, W P = Q;
     # in s = L^T u the equality-constrained minimizer is s = s0 - W mult
-    # with R^T R mult = W^T s0 - c, the rows' violations at u0 = V x
+    # with (W^T W) mult = W^T s0 - c, the rows' violations at u0 = V x,
+    # where (W^T W)^{-1} = P P^T and W mult = Q P^T viol
     rows, normals = _start_rows(start, V, up, B)
     W = rsd * normals            # row j is L^{-1} a for row rows[j]
-    wn = np.linalg.norm(W, axis=1)
     qr = _ThinQR(n, min(n, max(8, rows.size)))  # a few columns; adds double it
-    kept = []
-    for j in range(rows.size):
-        y, z = _split(qr.Q, W[j])
-        zn = np.sqrt(z @ z)
-        if zn > DEPENDENT_TOL * wn[j]:
-            qr.add(y, z, zn)
-            kept.append(j)
-    active = rows[kept].tolist()  # row ids in the column order of Q R
-    viol = normals[kept] @ x - c[rows[kept]]
-
-    def multipliers():
-        return _rsolve(qr.R, _rsolve(qr.R, viol, trans=1))
-
-    mult = multipliers()
+    kept = qr.factor(W, DEPENDENT_TOL * np.linalg.norm(W, axis=1))
+    # the active rows' ids and multipliers in the column order of Q, in
+    # buffers of n entries: an add writes one, a drop shifts the rest down
+    idbuf, mbuf = np.empty(n, dtype=np.intp), np.empty(n)
+    active = idbuf[:len(kept)]
+    active[:] = rows[kept]
+    viol = normals[kept] @ x - c[active]
+    t = viol @ qr.P
+    mult = np.matmul(qr.P, t, out=mbuf[:qr.q])
     while mult.size and mult.min() < 0.0:  # drop until dual feasible
-        k = int(np.argmin(mult))
+        k = int(mult.argmin())
         qr.drop(k)
-        del active[k]
-        viol = np.delete(viol, k)
-        mult = multipliers()
-    if active:
-        x = x - rsd * (qr.Q @ (qr.R @ mult))
+        active, viol = _cut(active, k), _cut(viol, k)
+        t = viol @ qr.P
+        mult = np.matmul(qr.P, t, out=mbuf[:qr.q])
+    if active.size:
+        x = x - rsd * (qr.Q @ t)
 
     changes, p, cap = 0, -1, 10 * (c.size + 1)
     while True:
         if p < 0:  # pick the most violated row
             u = V @ x
-            bx = B.at_values(u)
+            bx = B.at_values(u, x)
             slack = np.concatenate([-u, u[up], bx]) - c
             slack[active] = -np.inf
-            p = int(np.argmax(slack))
+            p = int(slack.argmax())
             if slack[p] <= feas_tol or changes >= cap:
                 break
             b = normal(p)
             w = rsd * b
+            wn = np.sqrt(w @ w)
             mult_p = 0.0
-        # split w = Q y + z with z orthogonal to the active columns; the
-        # primal step is -L^{-T} z, i.e. -rsd * z in x, and the active
-        # multipliers move by -r
-        y, z = _split(qr.Q, w)
-        r = _rsolve(qr.R, y)
-        zz = z @ z
+            # split w = Q y + z with z orthogonal to the active columns;
+            # the primal step is -L^{-T} z, i.e. -rsd * z in x, and the
+            # active multipliers move by -r = -P y, w's coefficients on
+            # the active columns
+            y, z, zz = _split(qr.Q, w)
+            r = qr.P @ y
         zn = np.sqrt(zz)
         full = np.inf             # step length that makes row p active
-        if zn > DEPENDENT_TOL * np.linalg.norm(w):
+        if zn > DEPENDENT_TOL * wn:
             full = (b @ x - c[p]) / zz
-        shrink = np.flatnonzero(r > 0.0)  # step length that zeroes mult[k]
-        partial, k = np.inf, -1
-        if shrink.size:
-            ratios = mult[shrink] / r[shrink]
-            k = int(shrink[np.argmin(ratios)])
-            partial = float(ratios.min())
+        partial, k = np.inf, -1   # step length that zeroes mult[k]
+        if mult.size:             # the first smallest ratio over r > 0
+            ratios = np.full(mult.size, np.inf)
+            np.divide(mult, r, out=ratios, where=r > 0.0)
+            k = int(ratios.argmin())
+            partial = float(ratios[k])
         step = min(full, partial)
         if step == np.inf:
             # noise: the round-off of b^T x at the scale of x_0 = -gx/d
@@ -302,19 +347,25 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
                 "depends on the active rows")
         if full < np.inf:
             x = x - step * (rsd * z)
-        mult = np.maximum(mult - step * r, 0.0)
+        np.maximum(mult - step * r, 0.0, out=mult)
         mult_p += step
         changes += 1
         if full <= partial:  # row p becomes active
-            qr.add(y, z, zn)
-            active.append(p)
-            mult = np.append(mult, mult_p)
+            qr.add(r, z, zn)
+            q = active.size
+            idbuf[q], mbuf[q] = p, mult_p
+            active, mult = idbuf[:q + 1], mbuf[:q + 1]
             p = -1
         else:                # row k leaves; p is tried again
-            qr.drop(k)
-            del active[k]
-            mult = np.delete(mult, k)
-    ids = np.array(active, dtype=np.intp)
+            # on the columns left: the direction e that left is added back
+            # to z and taken out of r, (e . w) times its Q and P columns
+            qe, pe = qr.drop(k)
+            active, mult = _cut(active, k), _cut(mult, k)
+            g = qe @ w
+            z += g * qe
+            zz = z @ z
+            r = _cut(r - g * pe, k)
+    ids = active.copy()
     eta = np.zeros(B.shape[0])
     eta[ids[ids >= nb] - nb] = mult[ids >= nb]
     ids.sort()

@@ -109,7 +109,7 @@ class TestConstruction:
                 T[np.arange(rows.size), rows] += shift
                 B, _ = aset.constraint_matrix()
                 u = rng.standard_normal(grid.num_nodes)
-                assert np.max(np.abs(B.at_values(u) - T @ u)) \
+                assert np.max(np.abs(B.at_values(u, op.V.T @ u) - T @ u)) \
                     <= 1e-13 * np.linalg.norm(T) * np.linalg.norm(u)
                 eta = rng.uniform(0.0, 1.0, rows.size)
                 assert np.max(np.abs(B.adjoint(eta) - T.T @ eta)) \
@@ -164,7 +164,7 @@ class TestConstruction:
         aset = AdmissibleSet(BoxBounds.constant(g, 1.0), state, op)
         T, psi = aset.constraint_matrix()
         assert T.shape == (0, 5) and psi.shape == (0,)
-        assert T.at_values(np.ones(5)).shape == (0,)
+        assert T.at_values(np.ones(5), np.ones(5)).shape == (0,)
         assert T.adjoint(np.zeros(0)) == 0.0
 
 

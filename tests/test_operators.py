@@ -258,7 +258,7 @@ class TestGreensFunction:
         rng = np.random.default_rng(3)
         x, eta = rng.standard_normal(n), rng.standard_normal(idx.size)
         want = np.asarray(B) @ x
-        assert np.max(np.abs(B.at_values(op.V @ x) - want)) \
+        assert np.max(np.abs(B.at_values(op.V @ x, x) - want)) \
             <= 1e-13 * np.linalg.norm(x)
         want = op.V @ (np.asarray(B).T @ eta)
         assert np.max(np.abs(B.adjoint(eta) - want)) \

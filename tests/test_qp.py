@@ -5,6 +5,8 @@ import pytest
 
 from tiklav import qp
 from tiklav.errors import Infeasible, InvalidInput
+from tiklav.grid import DomainGrid
+from tiklav.operators import KernelSpec, assemble_fredholm
 from tiklav.qp import ActiveSet, QPResult, solve_box_state_qp
 
 
@@ -26,7 +28,7 @@ class DenseRows:
     def __getitem__(self, i):
         return self.B[i]
 
-    def at_values(self, u):
+    def at_values(self, u, x):
         return self.T @ u
 
 
@@ -278,31 +280,131 @@ def test_stale_starts_certify_and_match_cold():
 
 
 def test_thin_qr_grows_and_drops_in_place():
-    # Q R stays the thin QR factorization of the kept columns, held in the
-    # buffers' leading blocks, through growth, drops and adds after drops
+    # W P = Q with orthonormal Q stays true of the kept columns W, held in
+    # the leading blocks of one buffer, through growth, drops and adds
+    # after drops; P stays upper triangular left of f, and a drop returns
+    # the direction that left, which turns the split of a vector w against
+    # all columns into its split against the columns left
     rng = np.random.default_rng(5)
     n = 12
     W = rng.standard_normal((n, 11))
     f, cols = qp._ThinQR(n, 2), []
 
     def add(j):
-        y, z = qp._split(f.Q, W[:, j])
-        f.add(y, z, np.linalg.norm(z))
+        y, z, _ = qp._split(f.Q, W[:, j])
+        f.add(f.P @ y, z, np.linalg.norm(z))
         cols.append(j)
 
     def check():
-        Q, R = f.Q, f.R
-        assert Q.base is f._Q and R.base is f._R
+        Q, P = f.Q, f.P
+        assert Q.base is f._M and P.base is f._M
         assert np.allclose(Q.T @ Q, np.eye(len(cols)), atol=1e-12)
-        assert np.array_equal(np.tril(R, -1), np.zeros_like(R))
-        assert np.allclose(Q @ R, W[:, cols], atol=1e-12)
+        assert np.allclose(W[:, cols] @ P, Q, atol=1e-12)
+        assert np.array_equal(np.tril(P[:, :f.f], -1),
+                              np.zeros((len(cols), f.f)))
 
     for j in range(7):  # capacity 2 -> 4 -> 8
         add(j)
     check()
+    assert f.f == 7 and f._M.shape == (n + 8, 8)
+    buf = f._M
     for k, j in ((0, 7), (4, 8), (6, 9), (2, 10)):
-        f.drop(k)
+        w = rng.standard_normal(n)
+        y, z, _ = qp._split(f.Q, w)
+        r = f.P @ y
+        qe, pe = f.drop(k)
         del cols[k]
         check()
+        g = qe @ w
+        z, r = z + g * qe, np.delete(r - g * pe, k)
+        y, z_new, _ = qp._split(f.Q, w)
+        assert np.allclose(z, z_new, atol=1e-12)
+        assert np.allclose(r, f.P @ y, atol=1e-12)
         add(j)
         check()
+    assert f._M is buf
+    assert f.f < f.q  # the drops left a dense block
+
+
+def test_thin_qr_holds_through_many_adds_and_drops():
+    # no drift: 2,000 random adds and drops at n = 64 keep Q orthonormal
+    # and W P = Q to 1e-10
+    rng = np.random.default_rng(8)
+    n = 64
+    pool = rng.standard_normal((n, 2000))
+    f, cols = qp._ThinQR(n, 8), []
+    for j in range(pool.shape[1]):
+        if f.q < 8 or (f.q < n - 8 and rng.random() < 0.5):
+            y, z, _ = qp._split(f.Q, pool[:, j])
+            f.add(f.P @ y, z, np.linalg.norm(z))
+            cols.append(j)
+        else:
+            k = int(rng.integers(f.q))
+            f.drop(k)
+            del cols[k]
+    Q, P = f.Q, f.P
+    assert f.q >= 8
+    assert np.max(np.abs(Q.T @ Q - np.eye(f.q))) <= 1e-10
+    assert np.max(np.abs(Q - pool[:, cols] @ P)) <= 1e-10
+
+
+@pytest.mark.parametrize("n, rows", [(12, 9), (12, 16), (6, 0)])
+def test_thin_qr_factor_keeps_the_rows_sequential_adds_keep(n, rows):
+    # one Householder QR up to the first dependent row, then adds: the same
+    # rows kept as adding them one at a time, with W P = Q, Q orthonormal
+    # and P upper triangular; row 5 depends on rows 0 and 2, and beyond n
+    # rows every row depends on the first n
+    rng = np.random.default_rng(n + rows)
+    W = rng.standard_normal((rows, n))
+    if rows > 5:
+        W[5] = 2.0 * W[0] - W[2]
+    tol = qp.DEPENDENT_TOL * np.linalg.norm(W, axis=1)
+    ref, want = qp._ThinQR(n, n), []
+    for j in range(rows):
+        y, z, zz = qp._split(ref.Q, W[j])
+        if np.sqrt(zz) > tol[j]:
+            ref.add(ref.P @ y, z, np.sqrt(zz))
+            want.append(j)
+    f = qp._ThinQR(n, min(n, max(8, rows)))
+    kept = f.factor(W, tol)
+    assert kept == want and f.q == f.f == len(kept)
+    assert rows <= 5 or 5 not in kept
+    Q, P = f.Q, f.P
+    assert np.allclose(Q.T @ Q, np.eye(f.q), atol=1e-12)
+    assert np.allclose(W[kept].T @ P, Q, atol=1e-12)
+    assert np.array_equal(np.tril(P, -1), np.zeros_like(P))
+    assert np.allclose(Q @ Q.T, ref.Q @ ref.Q.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9])
+def test_split_leaves_z_orthogonal_to_q(scale):
+    # w = Q a + scale e with e orthogonal to Q: one Gram-Schmidt pass
+    # leaves |Q^T z| ~ eps |w|, far above ORTH_TOL |z| when |z| << |w|;
+    # the correcting pass brings it under the bound
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((64, 40)))
+    e = rng.standard_normal(64)
+    e -= Q @ (Q.T @ e)
+    e -= Q @ (Q.T @ e)
+    w = Q @ rng.standard_normal(40) + scale * e / np.linalg.norm(e)
+    y, z, zz = qp._split(Q, w)
+    assert zz == z @ z
+    assert np.max(np.abs(Q.T @ z)) <= qp.ORTH_TOL * np.sqrt(zz)
+    assert np.allclose(Q @ y + z, w, rtol=0.0, atol=1e-14)
+
+
+def test_split_keeps_q_orthonormal_over_correlated_adds():
+    # the lower-bound rows L^{-1} a of all 300 nodes of a Gaussian Fredholm
+    # operator at alpha = 1e-6, added in node order: neighbouring rows are
+    # nearly parallel, so each new column's error is carried into the
+    # next. A second pass skipped whenever |z| >= |w|/sqrt(2) (the
+    # Daniel-Gragg-Kaufman-Stewart test) lets max |Q^T Q - I| grow to
+    # about 2e-4 here; the test on |Q^T z| itself keeps it at round-off
+    op = assemble_fredholm(DomainGrid(1, 300), KernelSpec("gaussian", width=0.1))
+    W = -op.V / np.sqrt(2.0 * (op.s**2 + 1e-6))
+    f = qp._ThinQR(300, 8)
+    for w in W:
+        y, z, zz = qp._split(f.Q, w)
+        assert np.sqrt(zz) > qp.DEPENDENT_TOL * np.linalg.norm(w)
+        f.add(f.P @ y, z, np.sqrt(zz))
+    assert np.max(np.abs(f.Q.T @ f.Q - np.eye(300))) <= 1e-13

@@ -400,8 +400,7 @@ def test_cli_import_loads_no_fft():
 
 def test_2d_verify_builds_no_sine_basis(monkeypatch, tmp_path):
     # the 2D preset keeps the dense Kronecker basis, on which its state
-    # rows are an EigenRows; its numpy.fft comes only from scipy.linalg,
-    # which imports it itself
+    # rows are an EigenRows
     def forbidden(*args, **kwargs):
         raise AssertionError("called")
 
@@ -422,3 +421,35 @@ def test_interior_verify_loads_no_scipy(tmp_path):
             f" {str(tmp_path)!r}])\n"
             "assert rc == 0, rc\n")
     assert _modules_after(code) == "[]"
+
+
+@pytest.mark.parametrize("preset", ["binding-state-poisson-2d",
+                                    "clipped-fredholm-1d"])
+def test_active_verify_loads_no_scipy(preset, tmp_path):
+    # rows of these presets' solves become active and leave again: the
+    # engine's adds and drops run on numpy alone
+    code = ("import contextlib, io, tiklav.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = tiklav.cli.main(['verify', '--config',"
+            f" {preset!r}, '--seed', '0', '--out', {str(tmp_path)!r}])\n"
+            "assert rc == 0, rc\n")
+    assert _modules_after(code) == "[]"
+
+
+def test_presets_verify_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it unimportable, every preset
+    # verifies and exits 0
+    presets = ("interior-attainable-poisson-1d", "clipped-fredholm-1d",
+               "binding-state-poisson-2d")
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import contextlib, io, tiklav.cli\n"
+            f"for preset in {presets!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = tiklav.cli.main(['verify', '--config', preset,"
+            f" '--seed', '0', '--out', {str(tmp_path)!r} + '/' + preset])\n"
+            "    assert rc == 0, (preset, rc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(tiklav.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
