@@ -59,8 +59,9 @@ class StateConstraint:
             raise InvalidInput("psi length does not match region")
         if not np.all(p > -np.inf):  # +inf marks an absent row
             raise InvalidInput("psi must be a number or +inf")
-        if self.lam < 0:
-            raise InvalidInput("lavrentiev parameter must be >= 0")
+        if not 0 <= self.lam < np.inf:  # NaN fails too
+            raise InvalidInput(
+                f"lavrentiev parameter must be >= 0 and finite, got {self.lam}")
         if self.sign not in (PLUS, MINUS):
             raise InvalidInput(f"sign must be 'plus' or 'minus', got {self.sign!r}")
 
@@ -71,14 +72,14 @@ class FeasibilityReport:
     margin_upper: float
     margin_state: float
     feasible: bool
-    tol: float = FEAS_TOL
 
     @classmethod
-    def from_slack(cls, slack, tol: float) -> "FeasibilityReport":
-        """The minima of the three slack arrays of `AdmissibleSet.slack`."""
+    def from_slack(cls, slack) -> "FeasibilityReport":
+        """The minima of the three slack arrays of `AdmissibleSet.slack`,
+        feasible when none is below -FEAS_TOL."""
         m_lo, m_up, m_st = (float(np.min(x, initial=np.inf)) for x in slack)
-        return cls(m_lo, m_up, m_st,
-                   m_lo >= -tol and m_up >= -tol and m_st >= -tol, tol)
+        return cls(m_lo, m_up, m_st, m_lo >= -FEAS_TOL and m_up >= -FEAS_TOL
+                   and m_st >= -FEAS_TOL)
 
 
 @dataclass(frozen=True)
@@ -141,12 +142,11 @@ class AdmissibleSet:
         return u_values, self.box.upper - u_values, self.state.psi - state
 
 
-def feasibility(u: GridFunction, aset: AdmissibleSet,
-                tol: float = FEAS_TOL) -> FeasibilityReport:
+def feasibility(u: GridFunction, aset: AdmissibleSet) -> FeasibilityReport:
     if u.grid != aset.op.grid:
         raise InvalidInput("grids differ")
     su = aset.op.apply_values(u.values)
-    return FeasibilityReport.from_slack(aset.slack(u.values, su), tol)
+    return FeasibilityReport.from_slack(aset.slack(u.values, su))
 
 
 def project_admissible(v: GridFunction, aset: AdmissibleSet,

@@ -94,9 +94,10 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """A JSON number (0.01, 1 or Infinity) as a float; "0.01" and true are
-    rejected, not parsed."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON number (0.01, 1 or Infinity) as a float; "0.01", true and
+    NaN are rejected, not parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or value != value:  # NaN, the one number unequal to itself
         raise InvalidInput(f"expected a number, got {value!r}")
     return float(value)
 

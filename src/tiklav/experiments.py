@@ -9,7 +9,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .admissible import FEAS_TOL, AdmissibleSet, FeasibilityReport, slater
+from .admissible import AdmissibleSet, FeasibilityReport, slater
 from .errors import Infeasible, InvalidInput, NoTransition
 from .grid import GridFunction, wnorm
 from .manufacture import ManufacturedInstance, add_noise
@@ -163,7 +163,7 @@ def noise_study(inst: ManufacturedInstance, delta_list: Sequence[float],
     records, active = [], None
     for i, d in enumerate(deltas):
         alpha = c * d**s if d > 0 else alpha_floor
-        noisy = add_noise(inst.y_d, d, seed + i).y_delta
+        noisy = add_noise(inst.y_d, d, seed + i)
         prob = RegularizedProblem(aset.op, noisy, aset, alpha)
         rec, sol = _solve(inst, prob, tol, delta=d, start=active)
         records.append(rec)
@@ -203,7 +203,7 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
         records.append(rec)
         errors.append(wnorm(g, sol.u.values - base.u.values))
         rep0 = FeasibilityReport.from_slack(
-            base_set.slack(sol.u.values, sol.y.values), FEAS_TOL)
+            base_set.slack(sol.u.values, sol.y.values))
         if sign == "plus":
             plus_feasible.append(bool(rep0.feasible))
         else:

@@ -8,11 +8,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .admissible import (FEAS_TOL, AdmissibleSet, FeasibilityReport,
-                         _projection, project_admissible)
+from .admissible import (AdmissibleSet, FeasibilityReport, _projection,
+                         project_admissible)
 from .errors import InvalidInput
 from .grid import GridFunction, wnorm
-from .operators import apply, apply_adjoint
+from .operators import apply
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -68,20 +68,14 @@ class ManufacturedInstance:
         }
 
 
-@dataclass
-class NoisyData:
-    y_delta: GridFunction
-    delta: float
-    seed: int
-
-
 def manufacture(w: GridFunction, aset: AdmissibleSet, attainable: bool = True,
                 residual: float = 0.0, residual_direction: str = "random",
-                seed: int = 0, tol: float = 1e-10) -> ManufacturedInstance:
+                seed: int = 0) -> ManufacturedInstance:
     """Build the exact solution u_bar = P_set(S*w) and matching data.
 
     Attainable instances use y_d = S u_bar exactly; otherwise a residual of
-    the requested norm is added (random or constant direction).
+    the requested norm is added (random or constant direction). The
+    projection is certified to KKT residuals <= 1e-10.
     """
     if aset.lam != 0.0:
         raise InvalidInput("manufacture requires the unregularized set (lam = 0)")
@@ -91,11 +85,10 @@ def manufacture(w: GridFunction, aset: AdmissibleSet, attainable: bool = True,
     # transform in 1D, as V^T of the node values would be
     op = aset.op
     u_bar = GridFunction(w.grid, _projection(
-        aset, op.apply_adjoint_values(w.values), op.s * (op.V.T @ w.values),
-        tol))
+        aset, op.apply_values(w.values), op.s * (op.V.T @ w.values),
+        1e-10))
     y_d = apply(op, u_bar)
-    margins = FeasibilityReport.from_slack(
-        aset.slack(u_bar.values, y_d.values), FEAS_TOL)
+    margins = FeasibilityReport.from_slack(aset.slack(u_bar.values, y_d.values))
     res_norm = 0.0
     if not attainable:
         if residual <= 0:
@@ -116,15 +109,15 @@ def manufacture(w: GridFunction, aset: AdmissibleSet, attainable: bool = True,
         margins=margins, w_norm=w.norm(), residual_norm=res_norm)
 
 
-def add_noise(y_d: GridFunction, delta: float, seed: int) -> NoisyData:
+def add_noise(y_d: GridFunction, delta: float, seed: int) -> GridFunction:
     """y_d + delta * e / ||e|| with e from the seeded generator; exact norm."""
     if delta < 0:
         raise InvalidInput("noise level must be >= 0")
     if delta == 0.0:
-        return NoisyData(y_d.copy(), 0.0, seed)
+        return y_d.copy()
     e = _lcg_uniforms(seed, y_d.grid.num_nodes)
     e /= wnorm(y_d.grid, e)
-    return NoisyData(GridFunction(y_d.grid, y_d.values + delta * e), delta, seed)
+    return GridFunction(y_d.grid, y_d.values + delta * e)
 
 
 def recover_source(path: Sequence[Tuple[float, "Solution"]], y_d: GridFunction,
@@ -136,7 +129,7 @@ def recover_source(path: Sequence[Tuple[float, "Solution"]], y_d: GridFunction,
     ratios = [wnorm(y_d.grid, sol.y.values - y_d.values) / a for a, sol in path]
     alpha, sol = path[-1]
     w_est = GridFunction(y_d.grid, -(sol.y.values - y_d.values) / alpha)
-    proj = project_admissible(apply_adjoint(aset.op, w_est), aset, tol=tol)
+    proj = project_admissible(apply(aset.op, w_est), aset, tol=tol)
     certificate = wnorm(y_d.grid, proj.values - sol.u.values)
     return {"w_est": w_est, "certificate": certificate,
             "discrepancy_ratios": ratios}

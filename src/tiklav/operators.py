@@ -97,8 +97,6 @@ class AssembledOperator:
             return self.V.green(values)
         return self.V @ (self.s * (self.V.T @ values))
 
-    apply_adjoint_values = apply_values  # S* = S under uniform weights
-
 
 class SineBasis:
     """The orthonormal eigenbasis V of the 3-point Dirichlet Laplacian on n
@@ -261,9 +259,3 @@ def apply(op: AssembledOperator, u: GridFunction) -> GridFunction:
     if u.grid != op.grid:
         raise InvalidInput("operator and function grids differ")
     return GridFunction(op.grid, op.apply_values(u.values))
-
-
-def apply_adjoint(op: AssembledOperator, y: GridFunction) -> GridFunction:
-    if y.grid != op.grid:
-        raise InvalidInput("operator and function grids differ")
-    return GridFunction(op.grid, op.apply_adjoint_values(y.values))

@@ -50,13 +50,15 @@ A solve can start from the active set of a nearby one (`start`, e.g. the
 previous point of a lambda or alpha path): the dual method needs only a
 dual-feasible start (Goldfarb and Idnani; Ferreau, Bock and Diehl, Int. J.
 Robust Nonlinear Control 18 (2008) 816).
-The start rows that exist in the problem and are independent are factored,
-x is the minimizer with them as equalities, and the row with the most
+Of the start rows that exist in the problem, those before the first that
+depends on the rows before it (at most n) are factored by one Householder
+QR, x is the minimizer with them as equalities, and the row with the most
 negative multiplier is dropped until every multiplier is >= 0; the usual
-iteration then runs from there. Any start, however stale, is valid: the
-result is certified as a cold one is, and the start changes only the
-number of active-set changes (and, within the certificate, which rows
-violated by at most 0.1 tol are left inactive).
+iteration then runs from there and adds back any later start row that is
+violated. Any start, however stale, is valid: the result is certified as
+a cold one is, and the start changes only the number of active-set changes
+(and, within the certificate, which rows violated by at most 0.1 tol are
+left inactive).
 
 The weighted L2 structure of the grid cancels out of the optimality
 system for uniform quadrature weights; norms reported to callers are
@@ -148,13 +150,13 @@ class _ThinQR:
     """The active columns W as W P = Q: Q with orthonormal columns and
     P = R^{-1} for the thin QR factorization W = Q R. Q and P are stacked
     as [Q; P] in one F-order buffer of `cap` columns that doubles (up to n)
-    when full, so that a column operation on both is one product. P is
-    upper triangular in its columns left of f: `factor` and `add` keep it
-    so, and a drop makes it dense from the column it starts at."""
+    when full, so that a column operation on both is one product. `factor`
+    and `add` keep P upper triangular; a drop makes it dense from the
+    first nonzero column of the row it removes."""
 
     def __init__(self, n, cap):
         self._M = np.empty((n + cap, cap), order="F")
-        self.n, self.q, self.f = n, 0, 0
+        self.n, self.q = n, 0
 
     @property
     def Q(self):
@@ -165,29 +167,20 @@ class _ThinQR:
         return self._M[self.n:self.n + self.q, :self.q]
 
     def factor(self, W, tol):
-        """Take the rows of W, in order, as the first columns of an empty
-        factorization, each kept when its part off the kept ones before it
-        has a norm > tol[j]. One Householder QR, W^T = Q R, and P = R^{-1}
-        hold the rows before the first that fails (|R_mm| = the norm of
-        row m's part off rows 0..m-1), or the first n rows; the rows after
-        that one are added one at a time. Returns the rows' positions."""
-        n, M = self.n, self._M
+        """Take the rows of W before the first whose part off the rows
+        before it has a norm <= tol[j], at most n of them, as the columns
+        of an empty factorization: one Householder QR, W^T = Q R, where
+        |R_mm| is the norm of row m's part off rows 0..m-1, and
+        P = R^{-1}. Returns the number m of rows taken."""
         if not W.shape[0]:
-            return []
+            return 0
         Q, R = np.linalg.qr(W.T)
         bad = np.flatnonzero(np.abs(R.diagonal()) <= tol[:R.shape[0]])
         m = int(bad[0]) if bad.size else R.shape[0]
-        M[:n, :m] = Q[:, :m]
-        M[n:n + m, :m] = np.linalg.inv(R[:m, :m])
-        self.q = self.f = m
-        kept = list(range(m))
-        for j in range(m + 1, W.shape[0]):  # row m fails, or m = n
-            y, z, zz = _split(self.Q, W[j])
-            zn = math.sqrt(zz)
-            if zn > tol[j]:
-                self.add(self.P @ y, z, zn)
-                kept.append(j)
-        return kept
+        self._M[:self.n, :m] = Q[:, :m]
+        self._M[self.n:self.n + m, :m] = np.linalg.inv(R[:m, :m])
+        self.q = m
+        return m
 
     def add(self, r, z, zn):
         """Append the column Q y + z, where r = P y and zn = |z| > 0: z/zn
@@ -202,8 +195,6 @@ class _ThinQR:
         np.divide(r, -zn, out=M[n:n + q, q])
         M[n + q, :q] = 0.0
         M[n + q, q] = 1.0 / zn
-        if self.f == q:
-            self.f = q + 1
         self.q = q + 1
 
     def drop(self, k):
@@ -211,11 +202,14 @@ class _ThinQR:
         other column of R, and the reflection H = I - v v^T that maps c to
         the last coordinate leaves W (P H) = Q H with row k of P H zero but
         in its last column: that row and that column go. c is zero left of
-        j = min(k, f), so H acts on the columns j.. of [Q; P] only.
+        its first nonzero column j, so H acts on the columns j.. of [Q; P]
+        only. The rows of P after k shift up in all columns: a row after k
+        may be nonzero left of j once drops have filled P in.
         Returns the last columns of Q H and of P H (all q rows): the
         direction that left, until the next add overwrites it."""
-        n, q, j = self.n, self.q, min(k, self.f)
-        X = self._M[:n + q, j:q]
+        n, q, M = self.n, self.q, self._M
+        j = int(np.flatnonzero(M[n + k, :q])[0])
+        X = M[:n + q, j:q]
         v = X[n + k].copy()  # c - sigma e_last, scaled to |v|^2 = 2
         cn = math.sqrt(v @ v)
         v[-1] += math.copysign(cn, v[-1])
@@ -226,9 +220,9 @@ class _ThinQR:
         step = max(1, BLOCK // (n + q))
         for i in range(0, q - j, step):
             X[:, i:i + step] -= np.dot(v[i:i + step, None], a[None, :]).T
-        self._M[n + k:n + q - 1, j:q - 1] = self._M[n + k + 1:n + q, j:q - 1]
-        self.q, self.f = q - 1, j
-        return self._M[:n, q - 1], self._M[n:n + q, q - 1]
+        M[n + k:n + q - 1, :q - 1] = M[n + k + 1:n + q, :q - 1]
+        self.q = q - 1
+        return M[:n, q - 1], M[n:n + q, q - 1]
 
 
 def _start_rows(start, V, up, B):
@@ -285,13 +279,13 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     rows, normals = _start_rows(start, V, up, B)
     W = rsd * normals            # row j is L^{-1} a for row rows[j]
     qr = _ThinQR(n, min(n, max(8, rows.size)))  # a few columns; adds double it
-    kept = qr.factor(W, DEPENDENT_TOL * np.linalg.norm(W, axis=1))
+    m = qr.factor(W, DEPENDENT_TOL * np.linalg.norm(W, axis=1))
     # the active rows' ids and multipliers in the column order of Q, in
     # buffers of n entries: an add writes one, a drop shifts the rest down
     idbuf, mbuf = np.empty(n, dtype=np.intp), np.empty(n)
-    active = idbuf[:len(kept)]
-    active[:] = rows[kept]
-    viol = normals[kept] @ x - c[active]
+    active = idbuf[:m]
+    active[:] = rows[:m]
+    viol = normals[:m] @ x - c[active]
     t = viol @ qr.P
     mult = np.matmul(qr.P, t, out=mbuf[:qr.q])
     while mult.size and mult.min() < 0.0:  # drop until dual feasible
@@ -403,14 +397,17 @@ def solve_box_state_qp(H, gx: np.ndarray, grad: Callable, upper: np.ndarray,
     grad(u, eta) is the Lagrangian gradient H u + g + T^T eta in node
     space (eta: one entry per row of B), on which the certificate is
     measured. `start` is the active set of a nearby solve (e.g. a previous
-    `QPResult.active`); rows it names that do not exist here, or depend on
-    others, are skipped. Raises InvalidInput unless 0 < tol < inf and
+    `QPResult.active`); rows it names that do not exist here, and those
+    from the first that depends on the rows before it, are skipped. Raises
+    InvalidInput unless 0 < tol < inf, gx is finite and
     min(d) > eps * max(d), Infeasible when no box point satisfies
     T u <= psi and NonConvergence when the pass misses the certificate or
     ends on a violation within round-off.
     """
     if not 0 < tol < np.inf:  # an infinite tol would certify any point
         raise InvalidInput(f"tol must be positive and finite, got {tol}")
+    if not np.isfinite(gx).all():
+        raise InvalidInput("gradient at 0 not finite: non-finite data")
     V, d = H
     if not np.min(d) > np.finfo(float).eps * np.max(d):  # NaN fails too
         raise InvalidInput(

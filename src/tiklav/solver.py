@@ -10,8 +10,8 @@ from typing import Optional
 
 import numpy as np
 
-from .admissible import (ACTIVE_TOL, FEAS_TOL, AdmissibleSet,
-                         FeasibilityReport, project_admissible)
+from .admissible import (ACTIVE_TOL, AdmissibleSet, FeasibilityReport,
+                         project_admissible)
 from .errors import InvalidInput, NoFeasiblePattern
 from .grid import GridFunction, wnorm
 from .operators import AssembledOperator
@@ -30,8 +30,9 @@ class RegularizedProblem:
     def __post_init__(self):
         if self.y_d.grid != self.op.grid or self.aset.op.grid != self.op.grid:
             raise InvalidInput("problem grids differ")
-        if self.alpha <= 0:
-            raise InvalidInput(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:  # NaN fails too
+            raise InvalidInput(
+                f"alpha must be positive and finite, got {self.alpha}")
 
     @cached_property
     def vty(self) -> np.ndarray:
@@ -92,7 +93,7 @@ def _solution(problem: RegularizedProblem, res: qp.QPResult,
     return Solution(
         u=GridFunction(grid, res.u), y=GridFunction(grid, su),
         objective=problem._objective(res.u, su),
-        margins=FeasibilityReport.from_slack(slack, FEAS_TOL),
+        margins=FeasibilityReport.from_slack(slack),
         mu_lower=res.mu_lower, mu_upper=res.mu_upper, eta=res.eta,
         active_lower=lo, active_upper=up, active_state=st,
         iterations=res.iterations, kkt_stationarity=res.stationarity,
@@ -111,7 +112,7 @@ class _Lagrangian:
     def __call__(self, u: np.ndarray, eta: np.ndarray) -> np.ndarray:
         p = self.problem
         self.su = p.op.apply_values(u)
-        r = p.op.apply_adjoint_values(self.su - p.y_d.values) + p.alpha * u
+        r = p.op.apply_values(self.su - p.y_d.values) + p.alpha * u
         return 2.0 * r + p.aset.constraint_matrix()[0].adjoint(eta)
 
 
@@ -148,7 +149,7 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
 def projection_formula_residual(sol: Solution, problem: RegularizedProblem,
                                 tol: float = 1e-8) -> float:
     """|| u - P_set( -S*(Su - y_d)/alpha ) || in the weighted norm."""
-    v = -problem.op.apply_adjoint_values(sol.y.values - problem.y_d.values) \
+    v = -problem.op.apply_values(sol.y.values - problem.y_d.values) \
         / problem.alpha
     p = project_admissible(GridFunction(problem.op.grid, v), problem.aset,
                           tol=0.1 * tol)

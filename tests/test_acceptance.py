@@ -10,8 +10,8 @@ from tiklav import cli, experiments
 from tiklav.grid import DomainGrid, GridFunction, constant, from_callable, wnorm
 from tiklav.errors import NoTransition
 from tiklav.manufacture import add_noise, recover_source
-from tiklav.operators import (KernelSpec, apply, apply_adjoint,
-                              assemble_fredholm, assemble_poisson)
+from tiklav.operators import (KernelSpec, apply, assemble_fredholm,
+                              assemble_poisson)
 from tiklav.solver import (RegularizedProblem, oracle_solve,
                            projection_formula_residual, solve)
 
@@ -42,7 +42,7 @@ def test_criterion_01_adjoint_identity(report):
         for _ in range(100):
             u = GridFunction(g, rng.standard_normal(g.num_nodes))
             v = GridFunction(g, rng.standard_normal(g.num_nodes))
-            gap = abs(apply(op, u).inner(v) - u.inner(apply_adjoint(op, v)))
+            gap = abs(apply(op, u).inner(v) - u.inner(apply(op, v)))
             ok &= gap <= 1e-10 * u.norm() * v.norm()
     S = ops[0].matrix
     ok &= np.linalg.norm(S - S.T, 2) <= 1e-10

@@ -400,6 +400,15 @@ REJECTED = [
         "kind": "fredholm", "d": 1, "n": 24,
         "kernel": {"kind": "gaussian", "width": 0.3}}), ["alpha"], 1e-30),
      "alpha-below-round-off"),
+    # JSON's NaN and Infinity: NaN is no number, and lambda must be finite
+    ("solve", _with(base_cfg(), ["admissible", "lambda"], float("nan")),
+     "lambda-nan"),
+    ("solve", _with(base_cfg(), ["admissible", "lambda"], float("inf")),
+     "lambda-infinity"),
+    ("solve", _non_attainable(residual=float("nan")), "residual-nan"),
+    ("verify", _lavrentiev_cfg(lambda_list=[float("nan")]), "lambda-list-nan"),
+    ("verify", _lavrentiev_cfg(lambda_list=[float("inf")]),
+     "lambda-list-infinity"),
 ]
 
 

@@ -198,6 +198,14 @@ def test_nonpositive_tol_rejected(tol):
                     1.0)
 
 
+def test_nan_gradient_rejected():
+    # NaN data would reach the engine's row choice and drops unchecked
+    g = np.array([-1.0, np.nan, -1.0])
+    with pytest.raises(InvalidInput, match="not finite"):
+        solve_dense(2 * np.eye(3), g, np.ones(3), np.ones((1, 3)),
+                    np.ones(1), 1e-10, 1.0)
+
+
 def test_kkt_certificates_reported():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((6, 6))
@@ -254,6 +262,9 @@ def _stale_starts(n, upper, m):
         "every_row": ActiveSet(np.arange(n), finite, np.arange(m)),
         "duplicates": ActiveSet(np.array([1, 1]), finite[:1].repeat(2),
                                 np.zeros(2, int)),
+        # the repeat of row 2 ends the factored prefix before the rest
+        "repeat_then_more": ActiveSet(np.array([1, 2, 2, 3, 4]), finite[1:3],
+                                      np.arange(m)),
     }
 
 
@@ -279,15 +290,11 @@ def test_stale_starts_certify_and_match_cold():
         assert all(np.array_equal(a, b) for a, b in zip(warm.active, cold.active))
 
 
-def test_thin_qr_grows_and_drops_in_place():
-    # W P = Q with orthonormal Q stays true of the kept columns W, held in
-    # the leading blocks of one buffer, through growth, drops and adds
-    # after drops; P stays upper triangular left of f, and a drop returns
-    # the direction that left, which turns the split of a vector w against
-    # all columns into its split against the columns left
-    rng = np.random.default_rng(5)
-    n = 12
-    W = rng.standard_normal((n, 11))
+def _grow_and_drop(W, rng):
+    """Add columns 0..6 of W to an empty factorization of capacity 2, then
+    drop one and add one six times, checking the factorization after
+    each change."""
+    n = W.shape[0]
     f, cols = qp._ThinQR(n, 2), []
 
     def add(j):
@@ -300,21 +307,24 @@ def test_thin_qr_grows_and_drops_in_place():
         assert Q.base is f._M and P.base is f._M
         assert np.allclose(Q.T @ Q, np.eye(len(cols)), atol=1e-12)
         assert np.allclose(W[:, cols] @ P, Q, atol=1e-12)
-        assert np.array_equal(np.tril(P[:, :f.f], -1),
-                              np.zeros((len(cols), f.f)))
 
     for j in range(7):  # capacity 2 -> 4 -> 8
         add(j)
     check()
-    assert f.f == 7 and f._M.shape == (n + 8, 8)
+    assert np.array_equal(np.tril(f.P, -1), np.zeros((7, 7)))
+    assert f._M.shape == (n + 8, 8)
     buf = f._M
-    for k, j in ((0, 7), (4, 8), (6, 9), (2, 10)):
+    for k, j in ((0, 7), (4, 8), (6, 9), (2, 10), (1, 0), (1, 5)):
         w = rng.standard_normal(n)
         y, z, _ = qp._split(f.Q, w)
         r = f.P @ y
+        first = np.flatnonzero(f.P[k])[0]
+        Q0, P0 = f.Q[:, :first].copy(), np.delete(f.P[:, :first], k, axis=0)
         qe, pe = f.drop(k)
         del cols[k]
         check()
+        assert np.array_equal(f.Q[:, :first], Q0)
+        assert np.array_equal(f.P[:, :first], P0)
         g = qe @ w
         z, r = z + g * qe, np.delete(r - g * pe, k)
         y, z_new, _ = qp._split(f.Q, w)
@@ -323,7 +333,20 @@ def test_thin_qr_grows_and_drops_in_place():
         add(j)
         check()
     assert f._M is buf
-    assert f.f < f.q  # the drops left a dense block
+
+
+def test_thin_qr_grows_and_drops_in_place():
+    # W P = Q with orthonormal Q stays true of the kept columns W, held in
+    # the leading blocks of one buffer, through growth, drops and adds
+    # after drops; P is upper triangular until the first drop, a drop
+    # changes no column left of the first nonzero of P's row k, and it
+    # returns the direction that left, which turns the split of a vector w
+    # against all columns into its split against the columns left.
+    # Orthogonal columns (bound rows of H = 2I) make P diagonal, so a row
+    # after k can be nonzero left of row k's first nonzero
+    rng = np.random.default_rng(5)
+    _grow_and_drop(rng.standard_normal((12, 11)), rng)
+    _grow_and_drop(np.eye(12)[:, :11] * rng.uniform(0.5, 2.0, 11), rng)
 
 
 def test_thin_qr_holds_through_many_adds_and_drops():
@@ -348,32 +371,24 @@ def test_thin_qr_holds_through_many_adds_and_drops():
     assert np.max(np.abs(Q - pool[:, cols] @ P)) <= 1e-10
 
 
-@pytest.mark.parametrize("n, rows", [(12, 9), (12, 16), (6, 0)])
-def test_thin_qr_factor_keeps_the_rows_sequential_adds_keep(n, rows):
-    # one Householder QR up to the first dependent row, then adds: the same
-    # rows kept as adding them one at a time, with W P = Q, Q orthonormal
-    # and P upper triangular; row 5 depends on rows 0 and 2, and beyond n
-    # rows every row depends on the first n
+@pytest.mark.parametrize("n, rows, m", [(12, 9, 5), (12, 16, 5), (12, 4, 4),
+                                        (4, 9, 4), (6, 0, 0)])
+def test_thin_qr_factor_keeps_the_independent_prefix(n, rows, m):
+    # one Householder QR takes the rows before the first that depends on
+    # the rows before it, at most n: row 5 depends on rows 0 and 2, and
+    # beyond n rows every row depends on the first n. W P = Q on those m
+    # rows, Q orthonormal and P upper triangular
     rng = np.random.default_rng(n + rows)
     W = rng.standard_normal((rows, n))
     if rows > 5:
         W[5] = 2.0 * W[0] - W[2]
     tol = qp.DEPENDENT_TOL * np.linalg.norm(W, axis=1)
-    ref, want = qp._ThinQR(n, n), []
-    for j in range(rows):
-        y, z, zz = qp._split(ref.Q, W[j])
-        if np.sqrt(zz) > tol[j]:
-            ref.add(ref.P @ y, z, np.sqrt(zz))
-            want.append(j)
     f = qp._ThinQR(n, min(n, max(8, rows)))
-    kept = f.factor(W, tol)
-    assert kept == want and f.q == f.f == len(kept)
-    assert rows <= 5 or 5 not in kept
+    assert f.factor(W, tol) == m and f.q == m
     Q, P = f.Q, f.P
-    assert np.allclose(Q.T @ Q, np.eye(f.q), atol=1e-12)
-    assert np.allclose(W[kept].T @ P, Q, atol=1e-12)
+    assert np.allclose(Q.T @ Q, np.eye(m), atol=1e-12)
+    assert np.allclose(W[:m].T @ P, Q, atol=1e-12)
     assert np.array_equal(np.tril(P, -1), np.zeros_like(P))
-    assert np.allclose(Q @ Q.T, ref.Q @ ref.Q.T, atol=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9])

@@ -326,8 +326,9 @@ def test_box_only_solves_match_bvls(make):
 
 def test_box_only_solve_applies_s_once(monkeypatch):
     # with no finite psi the state rows are empty: the engine's slack
-    # evaluations form no T u, and S is applied once, by the certificate's
-    # gradient, whose S u the Solution reuses
+    # evaluations form no T u, and S is applied twice, S u and
+    # S(S u - y_d), by the certificate's gradient, whose S u the Solution
+    # reuses
     op = assemble_poisson(DomainGrid(1, 200))
     y_d, aset = _box_only(op, 1)
     prob = RegularizedProblem(op, y_d, aset, 1e-6)
@@ -339,7 +340,7 @@ def test_box_only_solve_applies_s_once(monkeypatch):
 
     monkeypatch.setattr(AssembledOperator, "apply_values", counting)
     sol = solve(prob, tol=1e-10)
-    assert sol.active_lower.size > 100 and len(calls) == 1
+    assert sol.active_lower.size > 100 and len(calls) == 2
 
 
 def test_poisson_solve_uses_no_gram_and_no_cholesky(monkeypatch):
