@@ -102,6 +102,15 @@ def _float(value) -> float:
     return float(value)
 
 
+def _finite(cast):
+    """cast, rejecting Infinity: in data it would reach the solver as NaN."""
+    def finite(value):
+        if not np.isfinite(out := cast(value)).all():
+            raise InvalidInput("expected finite numbers")
+        return out
+    return finite
+
+
 def _bool(value) -> bool:
     """JSON true or false; any other value ("false", 0) is rejected."""
     if not isinstance(value, bool):
@@ -124,17 +133,17 @@ def _grid_values(grid: DomainGrid, spec) -> np.ndarray:
 def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
     kind = _require(spec, "kind", where)
     if kind == "constant":
-        return GridFunction(grid, np.full(grid.num_nodes,
-                                          _require(spec, "value", where, _float)))
+        return GridFunction(grid, np.full(grid.num_nodes, _require(
+            spec, "value", where, _finite(_float))))
     if kind == "values":
         return GridFunction(grid, _require(
-            spec, "values", where, lambda v: _grid_values(grid, v)))
+            spec, "values", where, _finite(lambda v: _grid_values(grid, v))))
     if kind == "sine-mixture":
         if grid.d != 1:
             raise InvalidInput("sine-mixture source is 1D only")
-        amp = _require(spec, "amplitude", where, _float, 1.0)
+        amp = _require(spec, "amplitude", where, _finite(_float), 1.0)
         modes = _require(spec, "modes", where, _int, grid.n)
-        decay = _require(spec, "decay", where, _float, 0.5)
+        decay = _require(spec, "decay", where, _finite(_float), 0.5)
         # sum_k amp k^-decay sqrt(2) sin(k pi x) is one sine transform:
         # sqrt(2) sin(pi j k/N) = sqrt(N) V[j, k], N = n + 1. Mode k is
         # folded exactly to m = k mod 2N: m in {0, N} vanishes on the nodes,
@@ -199,7 +208,7 @@ def build_instance(cfg: dict, op, aset: AdmissibleSet,
     return manufacture(
         w, aset.with_lambda(0.0),
         attainable=_require(m_cfg, "attainable", where, _bool, True),
-        residual=_require(m_cfg, "residual", where, _float, 0.0),
+        residual=_require(m_cfg, "residual", where, _finite(_float), 0.0),
         residual_direction=m_cfg.get("residual_direction", "random"),
         seed=_require(m_cfg, "seed", where, _int, seed))
 
@@ -208,7 +217,7 @@ def build_data(cfg: dict, op, aset, seed: int):
     """Returns (y_d, instance-or-None)."""
     d_cfg = _require(cfg, "data", "config")
     values = _require(d_cfg, "values", "data",
-                      lambda v: _grid_values(op.grid, v), None)
+                      _finite(lambda v: _grid_values(op.grid, v)), None)
     if values is not None:
         return GridFunction(op.grid, values), None
     inst = build_instance(cfg, op, aset, seed)

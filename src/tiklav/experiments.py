@@ -13,7 +13,6 @@ from .admissible import AdmissibleSet, FeasibilityReport, slater
 from .errors import Infeasible, InvalidInput, NoTransition
 from .grid import GridFunction, wnorm
 from .manufacture import ManufacturedInstance, add_noise
-from .qp import ActiveSet
 from .solver import RegularizedProblem, Solution, solve
 
 CSV_COLUMNS = ("alpha", "lambda", "delta", "err_u", "err_Su", "margin_lo",
@@ -51,7 +50,7 @@ class RateFit:
 
 def _solve(inst: ManufacturedInstance, prob: RegularizedProblem, tol: float,
            delta: float = 0.0,
-           start: Optional[ActiveSet] = None) -> Tuple[SweepRecord, Solution]:
+           start: Optional[np.ndarray] = None) -> Tuple[SweepRecord, Solution]:
     """Solve prob, warm-started from `start` (the previous solve of a path),
     and record the errors against the instance's exact solution and data."""
     g = prob.op.grid
@@ -99,13 +98,18 @@ def fit_rate(alphas: Sequence[float], errors: Sequence[float],
                    fit_residual=fit_res, n_points=int(keep.sum()))
 
 
+def _alpha_path(alpha_list: Sequence[float]) -> List[float]:
+    """alpha_list as a list if it is >= 4 positive values, descending."""
+    a = list(alpha_list)
+    if len(a) < 4 or min(a) <= 0 or any(x <= y for x, y in zip(a, a[1:])):
+        raise InvalidInput("alpha_list must be >= 4 positive values, descending")
+    return a
+
+
 def sweep_alpha(inst: ManufacturedInstance, alpha_list: Sequence[float],
                 tol: float = 1e-8) -> dict:
     """Tikhonov sweep at lam = 0 with per-record bound checks and a rate fit."""
-    alphas = list(alpha_list)
-    if len(alphas) < 4 or any(a <= 0 for a in alphas) or \
-            any(alphas[i] <= alphas[i + 1] for i in range(len(alphas) - 1)):
-        raise InvalidInput("alpha_list must be >= 4 positive values, descending")
+    alphas = _alpha_path(alpha_list)
     aset = inst.aset.with_lambda(0.0)
     prob = RegularizedProblem(aset.op, inst.y_d, aset, alphas[0])
     records, active = [], None
@@ -234,7 +238,7 @@ def total_error_study(inst: ManufacturedInstance, alpha_list: Sequence[float],
     records, triangle = [], []
     active, active0 = None, None  # two paths: shifted sets and lam = 0
     aset0 = inst.aset.with_lambda(0.0)
-    for i, a in enumerate(alpha_list):  # both paths share one V^T y_d
+    for i, a in enumerate(_alpha_path(alpha_list)):  # one V^T y_d for both
         prob0 = RegularizedProblem(aset0.op, inst.y_d, aset0, a) if i == 0 \
             else prob0.at(a)
         rec, sol = _solve(

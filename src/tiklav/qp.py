@@ -2,16 +2,19 @@
 
 Solves  min 0.5 u^T H u + g^T u  s.t.  0 <= u <= upper,  T u <= psi
 by the dual active-set method of Goldfarb and Idnani (Math. Programming 27
-(1983) 1-33). The lower bounds, the finite upper bounds and the rows of T
-form one set of rows a_i^T u <= c_i. Starting at the unconstrained
-minimizer, the method adds the most violated row and drops an active row
-whenever its multiplier would turn negative, so the multipliers stay dual
-feasible and the active rows stay linearly independent. It ends after
-finitely many active-set changes at the exact minimizer, or proves the
-problem infeasible when a violated row depends on the active rows and no
-active multiplier can shrink. A violation within 64 eps |b| |x_0|, the
-round-off of the row value b^T x at the scale of the unconstrained
-minimizer x_0, proves nothing: it raises NonConvergence instead.
+(1983) 1-33). The bounds and the rows of T form one set of rows
+a_i^T u <= c_i, numbered as everywhere in tiklav: for n nodes, row i is
+the lower bound of node i, row n + i its upper bound (c = +inf where the
+bound is absent: that row never enters) and row 2n + j row j of the m rows
+of T. Starting at the unconstrained minimizer, the method adds the most
+violated row and drops an active row whenever its multiplier would turn
+negative, so the multipliers stay dual feasible and the active rows stay
+linearly independent. It ends after finitely many active-set changes at
+the exact minimizer, or proves the problem infeasible when a violated row
+depends on the active rows and no active multiplier can shrink. A
+violation within 64 eps |b| |x_0|, the round-off of the row value b^T x at
+the scale of the unconstrained minimizer x_0, proves nothing: it raises
+NonConvergence instead.
 
 H is given by its eigendecomposition H = V diag(d) V^T with V square
 orthonormal, which the callers know in closed form, and g and the state
@@ -46,13 +49,14 @@ it. An H whose smallest eigenvalue is not > eps * its largest
 without the KKT certificate raises NonConvergence: the callers' Hessians
 carry alpha > 0 (or are 2I), so one pass suffices.
 
-A solve can start from the active set of a nearby one (`start`, e.g. the
-previous point of a lambda or alpha path): the dual method needs only a
-dual-feasible start (Goldfarb and Idnani; Ferreau, Bock and Diehl, Int. J.
-Robust Nonlinear Control 18 (2008) 816).
-Of the start rows that exist in the problem, those before the first that
-depends on the rows before it (at most n) are factored by one Householder
-QR, x is the minimizer with them as equalities, and the row with the most
+A solve can start from the active rows of a nearby one (`start`, an array
+of row ids, e.g. the previous point of a lambda or alpha path): the dual
+method needs only a dual-feasible start (Goldfarb and Idnani; Ferreau, Bock
+and Diehl, Int. J. Robust Nonlinear Control 18 (2008) 816).
+Of the start rows that exist in the problem (ids in [0, 2n + m) with c
+finite), taken lower, upper, state, those before the first that depends
+on the rows before it (at most n) are factored by one Householder QR, x
+is the minimizer with them as equalities, and the row with the most
 negative multiplier is dropped until every multiplier is >= 0; the usual
 iteration then runs from there and adds back any later start row that is
 violated. Any start, however stale, is valid: the result is certified as
@@ -69,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -78,14 +82,6 @@ from .errors import Infeasible, InvalidInput, NonConvergence
 DEPENDENT_TOL = 1e-10   # |projection of L^{-1} a off the active rows| / |L^{-1} a|
 ORTH_TOL = 8 * np.finfo(float).eps  # |Q^T z| / |z| a split may leave
 BLOCK = 1 << 15         # entries of a temporary that stays in cache (256 KB)
-
-
-class ActiveSet(NamedTuple):
-    """Active rows by kind: lower-bound nodes, upper-bound nodes and state
-    rows (positions into the rows of B), each a sorted int array."""
-    lower: np.ndarray
-    upper: np.ndarray
-    state: np.ndarray
 
 
 @dataclass
@@ -98,27 +94,7 @@ class QPResult:
     stationarity: float
     primal: float
     complementarity: float
-    active: ActiveSet        # the engine's final active rows
-
-
-def _kkt_residuals(grad, upper, psi, u, eta, wfac, bx):
-    """The multiplier split and the residual norms for the original problem,
-    from its Lagrangian gradient grad(u, eta) = H u + g + T^T eta in node
-    space; bx = T u, the state rows at u."""
-    r = grad(u, eta)
-    finite_up = np.isfinite(upper)
-    mu_lower = np.maximum(r, 0.0)
-    mu_upper = np.where(finite_up, np.maximum(-r, 0.0), 0.0)
-    stat_vec = r - mu_lower + mu_upper  # nonzero only where b = inf and r < 0
-    stationarity = wfac * float(np.linalg.norm(stat_vec))
-    comp = float(np.max(np.abs(mu_lower * u))) if u.size else 0.0
-    if finite_up.any():
-        comp = max(comp, float(np.max(np.abs(
-            mu_upper[finite_up] * (upper[finite_up] - u[finite_up])))))
-    gap = bx - psi
-    primal = float(np.max(gap, initial=0.0))
-    comp = max(comp, float(np.max(np.abs(eta * gap), initial=0.0)))
-    return mu_lower, mu_upper, stationarity, primal, comp
+    active: np.ndarray       # sorted ids of the engine's final active rows
 
 
 def _split(Q, w):
@@ -225,49 +201,44 @@ class _ThinQR:
         return M[:n, q - 1], M[n:n + q, q - 1]
 
 
-def _start_rows(start, V, up, B):
-    """Engine row ids of the start's rows that exist in this problem (lower
-    nodes in [0, n), upper nodes with a finite bound, rows of B), and their
-    b_i = V^T a_i as the rows of a matrix. Nothing for an empty start."""
+def _start_rows(start, V, c, B):
+    """The ids in `start` of rows that exist in this problem (in [0, c.size)
+    with c finite), lower bounds first, then upper bounds, then state rows,
+    and their b_i = V^T a_i as the rows of a matrix."""
     n = V.shape[0]
-    if start is None:
-        return np.zeros(0, dtype=np.intp), np.zeros((0, n))
-    lo, hi, st = (np.asarray(a, dtype=np.intp) for a in start)
-    lo = lo[(lo >= 0) & (lo < n)]
-    pos = np.searchsorted(up, hi)
-    hit = pos < up.size
-    hit[hit] = up[pos[hit]] == hi[hit]
-    st = st[(st >= 0) & (st < B.shape[0])]
-    return (np.concatenate([lo, n + pos[hit], n + up.size + st]),
-            np.vstack([-V[lo], V[hi[hit]], B[st]]))
+    ids = np.asarray([] if start is None else start, dtype=np.intp)
+    ids = ids[(ids >= 0) & (ids < c.size)]
+    ids = ids[np.isfinite(c[ids])]
+    lo, hi = ids[ids < n], ids[(ids >= n) & (ids < 2 * n)]
+    st = ids[ids >= 2 * n]
+    return (np.concatenate([lo, hi, st]),
+            np.vstack([-V[lo], V[hi - n], B[st - 2 * n]]))
 
 
 def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     """Goldfarb-Idnani iteration on H = V diag(d) V^T with every d > 0;
-    returns (u, bx, eta, active-set changes, ActiveSet), where u = V x and
-    bx = B x are the final slack evaluation's, at the final iterate x.
+    returns (u, bx, eta, active-set changes, sorted active row ids), where
+    u = V x and bx = B x are the final slack evaluation's, at the final
+    iterate x.
 
-    Rows 0..n-1 are the lower bounds (-u_i <= 0), the next ones the
-    finite upper bounds (u_i <= upper_i), the rest the state rows B V^T;
-    `normal` gives b_i = V^T a_i. A row with violation a_i^T u - c_i <=
-    feas_tol counts as satisfied. The iteration starts from the rows of
-    `start` made dual feasible (see the module docstring); changes made
-    there are not counted. Raises Infeasible when the constraints
-    admit no point, and NonConvergence when a row that depends on the
-    active rows is violated only within the round-off of its value. After
-    10 changes per row, the next slack evaluation ends the loop at its
-    (dual-feasible, possibly primal-infeasible) iterate; the drops between
-    two evaluations are bounded by the number of active rows.
+    Rows are numbered as in the module docstring, so an absent upper bound
+    has slack -inf; `normal` gives b_i = V^T a_i. A row with violation
+    a_i^T u - c_i <= feas_tol counts as satisfied. The iteration starts from the rows of `start` made dual
+    feasible (see the module docstring); changes made there are not
+    counted. Raises Infeasible when the constraints admit no point, and
+    NonConvergence when a row that depends on the active rows is violated
+    only within the round-off of its value. After 10 changes per row that
+    exists, the next slack evaluation ends the loop at its (dual-feasible,
+    possibly primal-infeasible) iterate; the drops between two evaluations
+    are bounded by the number of active rows.
     """
     n = d.size
-    up = np.flatnonzero(np.isfinite(upper))
-    nb = n + up.size
-    c = np.concatenate([np.zeros(n), upper[up], psi])
+    c = np.concatenate([np.zeros(n), upper, psi])
 
     def normal(i):
-        if i >= nb:
-            return B[i - nb]
-        return -V[i] if i < n else V[up[i - n]]
+        if i >= 2 * n:
+            return B[i - 2 * n]
+        return -V[i] if i < n else V[i - n]
 
     rsd = 1.0 / np.sqrt(d)      # L^{-1} a = rsd * (V^T a)
     x = -gx / d
@@ -276,7 +247,7 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     # in s = L^T u the equality-constrained minimizer is s = s0 - W mult
     # with (W^T W) mult = W^T s0 - c, the rows' violations at u0 = V x,
     # where (W^T W)^{-1} = P P^T and W mult = Q P^T viol
-    rows, normals = _start_rows(start, V, up, B)
+    rows, normals = _start_rows(start, V, c, B)
     W = rsd * normals            # row j is L^{-1} a for row rows[j]
     qr = _ThinQR(n, min(n, max(8, rows.size)))  # a few columns; adds double it
     m = qr.factor(W, DEPENDENT_TOL * np.linalg.norm(W, axis=1))
@@ -297,12 +268,12 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     if active.size:
         x = x - rsd * (qr.Q @ t)
 
-    changes, p, cap = 0, -1, 10 * (c.size + 1)
+    changes, p, cap = 0, -1, 10 * (np.isfinite(c).sum() + 1)
     while True:
         if p < 0:  # pick the most violated row
             u = V @ x
             bx = B.at_values(u, x)
-            slack = np.concatenate([-u, u[up], bx]) - c
+            slack = np.concatenate([-u, u, bx]) - c
             slack[active] = -np.inf
             p = int(slack.argmax())
             if slack[p] <= feas_tol or changes >= cap:
@@ -359,25 +330,31 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
             z += g * qe
             zz = z @ z
             r = _cut(r - g * pe, k)
-    ids = active.copy()
+    state = active >= 2 * n
     eta = np.zeros(B.shape[0])
-    eta[ids[ids >= nb] - nb] = mult[ids >= nb]
-    ids.sort()
-    return u, bx, eta, changes, ActiveSet(
-        ids[ids < n], up[ids[(ids >= n) & (ids < nb)] - n],
-        ids[ids >= nb] - nb)
+    eta[active[state] - 2 * n] = mult[state]
+    return u, bx, eta, changes, np.sort(active)
 
 
 def _certified(grad, upper, psi, tol, wfac, u, bx, eta, changes, active):
     """QPResult for the engine's u = V x, its state rows bx = B x and eta
     when their KKT residuals on the original problem are all <= tol, else
-    None. u is set exactly to 0 or upper on the active bound rows, where
-    V x holds them only to round-off; the state gap is bx, which differs
-    from the rows at that u by the same round-off only."""
-    u[active.lower] = 0.0
-    u[active.upper] = upper[active.upper]
-    mu_lo, mu_up, stat, primal, comp = _kkt_residuals(
-        grad, upper, psi, u, eta, wfac, bx)
+    None; the bound multipliers derive from r = grad(u, eta). u is set
+    exactly to 0 or upper on the active bound rows, where V x holds them
+    only to round-off; the state gap is bx, which differs from the rows at
+    that u by the same round-off only."""
+    bound = active[active < 2 * u.size]  # ids i and n + i of node i
+    u[bound % u.size] = np.concatenate([np.zeros(u.size), upper])[bound]
+    finite, r = np.isfinite(upper), grad(u, eta)
+    mu_lo = np.maximum(r, 0.0)
+    mu_up = np.where(finite, np.maximum(-r, 0.0), 0.0)
+    # r - mu_lo + mu_up is nonzero only where b = inf and r < 0
+    stat = wfac * float(np.linalg.norm(r - mu_lo + mu_up))
+    gap = bx - psi
+    primal = float(np.max(gap, initial=0.0))
+    comp = float(np.max(np.abs(np.concatenate([
+        mu_lo * u, mu_up * np.where(finite, upper - u, 0.0), eta * gap])),
+        initial=0.0))
     if max(stat, primal, comp) <= tol:
         return QPResult(u, mu_lo, mu_up, eta, changes, stat, primal, comp,
                         active)
@@ -387,7 +364,7 @@ def _certified(grad, upper, psi, tol, wfac, u, bx, eta, changes, active):
 def solve_box_state_qp(H, gx: np.ndarray, grad: Callable, upper: np.ndarray,
                        B, psi: np.ndarray,
                        tol: float, wfac: float,
-                       start: Optional[ActiveSet] = None) -> QPResult:
+                       start: Optional[np.ndarray] = None) -> QPResult:
     """Solve the QP with certified KKT residuals <= tol.
 
     H is the pair (V, d) with H = V diag(d) V^T and V square orthonormal,
@@ -396,10 +373,9 @@ def solve_box_state_qp(H, gx: np.ndarray, grad: Callable, upper: np.ndarray,
     and the state rows are given in that basis: g = V gx and T = B V^T.
     grad(u, eta) is the Lagrangian gradient H u + g + T^T eta in node
     space (eta: one entry per row of B), on which the certificate is
-    measured. `start` is the active set of a nearby solve (e.g. a previous
-    `QPResult.active`); rows it names that do not exist here, and those
-    from the first that depends on the rows before it, are skipped. Raises
-    InvalidInput unless 0 < tol < inf, gx is finite and
+    measured. `start` is the active row ids of a nearby solve (e.g. a
+    previous `QPResult.active`); ids of rows absent here, and rows from the
+    first that depends on those before it, are skipped. Raises InvalidInput unless 0 < tol < inf, gx is finite and
     min(d) > eps * max(d), Infeasible when no box point satisfies
     T u <= psi and NonConvergence when the pass misses the certificate or
     ends on a violation within round-off.

@@ -76,8 +76,10 @@ class Solution:
     kkt_stationarity: float
     kkt_primal: float
     kkt_complementarity: float
-    active_set: qp.ActiveSet      # the QP's final active rows: a `start`
-                                  # for a nearby solve
+    active_set: np.ndarray        # the QP's final active row ids, sorted:
+                                  # i, n + i, 2n + j for node i's lower and
+                                  # upper bound and constraint_matrix() row
+                                  # j; a `start` for a nearby solve
 
 
 def _solution(problem: RegularizedProblem, res: qp.QPResult,
@@ -132,7 +134,7 @@ def solve_unconstrained(op: AssembledOperator, y_d: GridFunction,
 
 
 def solve(problem: RegularizedProblem, tol: float = 1e-8,
-          start: Optional[qp.ActiveSet] = None) -> Solution:
+          start: Optional[np.ndarray] = None) -> Solution:
     """Minimize over the admissible set with certified KKT residuals <= tol,
     warm-started from `start`, the `active_set` of a nearby solve (same
     admissible region; any lambda, alpha or data)."""
@@ -179,7 +181,7 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
     T = S[idx]  # fancy indexing: a copy, safe to shift
     T[np.arange(idx.size), idx] += aset.shift
     b = aset.box.upper
-    # every row a_i^T u <= c_i: lower bounds, upper bounds, state rows
+    # every row a_i^T u <= c_i, with the ids of `qp`: i, n + i, 2n + j
     A_all = np.vstack([-np.eye(n), np.eye(n), T])
     c_all = np.concatenate([np.zeros(n), b, aset.state.psi[finite]])
     node_states = [(0, 1, 2) if np.isfinite(b[i]) else (0, 1) for i in range(n)]
@@ -216,10 +218,7 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
         stat = wfac * np.linalg.norm(r - mu_lower + mu_upper)
         if stat > feas_tol:  # a near-singular pattern's inexact solve
             continue
-        pat = np.array(box_pat)
-        pattern = qp.ActiveSet(np.flatnonzero(pat == 1),
-                               np.flatnonzero(pat == 2),
-                               np.flatnonzero(np.array(st_pat, dtype=int)))
         return _solution(problem, qp.QPResult(
-            u, mu_lower, mu_upper, eta, 0, stat, 0.0, 0.0, pattern))
+            u, mu_lower, mu_upper, eta, 0, stat, 0.0, 0.0,
+            np.array(rows, dtype=np.intp)))
     raise NoFeasiblePattern("no activity pattern is primal/dual feasible")

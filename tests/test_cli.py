@@ -9,6 +9,8 @@ import pytest
 from tiklav import cli, qp
 from tiklav.grid import DomainGrid
 
+INF = float("inf")
+
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
@@ -328,8 +330,9 @@ def _non_attainable(**manufactured):
     return cfg
 
 
-# command (with any extra arguments), config, id; each is rejected with
-# exit code 2 and a "config error: " line
+# command (with any extra arguments), config, id and, for some, the config
+# field the message names; each is rejected with exit code 2 and a
+# "config error: " line
 REJECTED = [
     ("solve", _with(base_cfg(), ["alpha"], 0), "alpha-zero"),
     ("solve", _with(base_cfg(), ["admissible", "b"], -1), "negative-b"),
@@ -409,17 +412,46 @@ REJECTED = [
     ("verify", _lavrentiev_cfg(lambda_list=[float("nan")]), "lambda-list-nan"),
     ("verify", _lavrentiev_cfg(lambda_list=[float("inf")]),
      "lambda-list-infinity"),
+    # data, sources and residuals must be finite: Infinity would reach the
+    # solver's transforms as NaN
+    ("solve", _with(base_cfg(), ["data"], {"values": [0.1] * 11 + [INF]}),
+     "data-values-infinity", "data.values"),
+    ("solve", _with(base_cfg(), ["data"], {"values": [0.1] * 11 + ["inf"]}),
+     "data-values-inf-string", "data.values"),
+    ("solve", _with(base_cfg(), ["data", "manufactured", "w", "value"], INF),
+     "w-constant-infinity", "data.manufactured.w.value"),
+    ("solve", _with(base_cfg(), ["data", "manufactured", "w"], {
+        "kind": "values", "values": [0.5] * 11 + [-INF]}),
+     "w-values-minus-infinity", "data.manufactured.w.values"),
+    ("solve", _with(base_cfg(), ["data", "manufactured", "w"], {
+        "kind": "sine-mixture", "amplitude": INF}),
+     "w-amplitude-infinity", "data.manufactured.w.amplitude"),
+    ("solve", _with(base_cfg(), ["data", "manufactured", "w"], {
+        "kind": "sine-mixture", "decay": -INF}),
+     "w-decay-minus-infinity", "data.manufactured.w.decay"),
+    ("solve", _non_attainable(residual=INF), "residual-infinity",
+     "data.manufactured.residual"),
+    ("verify", _lavrentiev_cfg({"kind": "constant", "value": INF}),
+     "uhat-infinity", "experiment.uhat.value"),
+    # the rate fit needs >= 4 alphas, as in sweep-alpha
+    ("verify", _experiment(base_cfg(), kind="total-error", alpha_list=[]),
+     "total-error-empty-alpha-list"),
+    ("verify", _experiment(base_cfg(), kind="total-error",
+                           alpha_list=[1e-1, 1e-2, 1e-3]),
+     "total-error-short-alpha-list"),
 ]
 
 
-@pytest.mark.parametrize("command, cfg", [case[:2] for case in REJECTED],
+@pytest.mark.parametrize("command, cfg, field",
+                         [(*case[:2], *(case[3:] or [""])) for case in REJECTED],
                          ids=[case[2] for case in REJECTED])
-def test_library_errors_from_config_values_exit_2(command, cfg, tmp_path,
-                                                  capsys):
+def test_library_errors_from_config_values_exit_2(command, cfg, field,
+                                                  tmp_path, capsys):
     rc = cli.main(command.split() + ["--config", write_cfg(tmp_path, cfg),
                                      "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
 
 
 def test_integral_numbers_and_json_booleans_accepted(tmp_path):

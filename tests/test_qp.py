@@ -7,7 +7,7 @@ from tiklav import qp
 from tiklav.errors import Infeasible, InvalidInput
 from tiklav.grid import DomainGrid
 from tiklav.operators import KernelSpec, assemble_fredholm
-from tiklav.qp import ActiveSet, QPResult, solve_box_state_qp
+from tiklav.qp import QPResult, solve_box_state_qp
 
 
 def node_gradient(H, g, T):
@@ -251,20 +251,22 @@ def test_iterations_count_active_set_changes():
 
 
 def _stale_starts(n, upper, m):
-    """Starts naming rows that do not exist or depend on each other."""
-    finite = np.flatnonzero(np.isfinite(upper))
+    """Starts of row ids (i: lower bound of node i, n + i: its upper bound,
+    2n + j: state row j) naming rows that do not exist or depend on each
+    other."""
+    up = n + np.flatnonzero(np.isfinite(upper))
+    state = 2 * n + np.arange(m)
     return {
         # node 0 has upper = 0: its lower and upper rows are +-e_0
-        "dependent": ActiveSet(np.array([0, 1]), np.array([0]), np.zeros(0, int)),
-        "out_of_range": ActiveSet(np.array([-1, n, 2]),
-                                  np.array([-2, n + 3]),
-                                  np.array([-1, m, m + 4])),
-        "every_row": ActiveSet(np.arange(n), finite, np.arange(m)),
-        "duplicates": ActiveSet(np.array([1, 1]), finite[:1].repeat(2),
-                                np.zeros(2, int)),
+        "dependent": np.array([0, 1, n]),
+        "out_of_range": np.array([-1, -n - 2, 2, 2 * n + m, 2 * n + m + 4]),
+        # the upper ids of nodes with b = inf name no row
+        "every_id": np.arange(2 * n + m + 3),
+        "every_id_reversed": np.arange(2 * n + m + 3)[::-1],
+        "upper_and_state_ids": np.arange(n, 2 * n + m),
+        "duplicates": np.array([1, 1, n, n, 2 * n, 2 * n]),
         # the repeat of row 2 ends the factored prefix before the rest
-        "repeat_then_more": ActiveSet(np.array([1, 2, 2, 3, 4]), finite[1:3],
-                                      np.arange(m)),
+        "repeat_then_more": np.concatenate([[1, 2, 2, 3, 4], up[1:3], state]),
     }
 
 
@@ -286,8 +288,8 @@ def test_stale_starts_certify_and_match_cold():
             assert max(warm.stationarity, warm.primal,
                        warm.complementarity) <= 1e-10, name
             assert np.max(np.abs(warm.u - cold.u)) <= 1e-8, name
+            assert np.array_equal(warm.active, cold.active), name
         assert warm.iterations == 0
-        assert all(np.array_equal(a, b) for a, b in zip(warm.active, cold.active))
 
 
 def _grow_and_drop(W, rng):

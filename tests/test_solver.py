@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,20 @@ class TestSolve:
         assert projection_formula_residual(bad, prob, tol=1e-8) >= 0.05
 
 
+def _mixed_bound_problem(rng, sign):
+    """A random problem with a Lavrentiev shift of the given sign and
+    b = +inf on some nodes, b in [0.05, 1] on the others."""
+    prob = random_problem(rng, n_choices=(4, 5, 6), n_probs=(0.4, 0.4, 0.2))
+    grid = prob.op.grid
+    b = rng.uniform(0.05, 1.0, grid.num_nodes)
+    b[rng.random(grid.num_nodes) < 0.4] = np.inf
+    b[rng.integers(grid.num_nodes)] = np.inf
+    state = replace(prob.aset.state, lam=float(rng.uniform(1e-3, 0.1)),
+                    sign=sign)
+    aset = AdmissibleSet(BoxBounds(grid, b), state, prob.op)
+    return RegularizedProblem(prob.op, prob.y_d, aset, prob.alpha)
+
+
 class TestOracle:
     def test_cap_enforced(self):
         prob = loose_problem(n=16)
@@ -135,6 +150,34 @@ class TestOracle:
         assert np.array_equal(s.active_lower, o.active_lower)
         assert np.array_equal(s.active_upper, o.active_upper)
         assert np.array_equal(s.active_state, o.active_state)
+
+    def test_active_row_ids_match_oracle(self):
+        # the solver's and the oracle's active sets are one array of row
+        # ids: on strictly complementary instances (every pattern
+        # multiplier and every other slack > 1e-6) with some b = +inf and
+        # both Lavrentiev signs they are equal, and a solve started from
+        # the oracle's set makes no active-set change
+        rng = np.random.default_rng(31)
+        kept, kinds = 0, set()
+        for k in range(60):
+            prob = _mixed_bound_problem(rng, ("plus", "minus")[k % 2])
+            o = oracle_solve(prob, tol=1e-10)
+            aset = prob.aset
+            lo, up, st = aset.slack(o.u.values, o.y.values)
+            slack = np.concatenate([lo, up, st[np.isfinite(aset.state.psi)]])
+            mult = np.concatenate([o.mu_lower, o.mu_upper, o.eta])
+            ids = o.active_set
+            if not (np.all(mult[ids] > 1e-6)
+                    and np.all(np.delete(slack, ids) > 1e-6)):
+                continue
+            kept += 1
+            kinds.update(np.minimum(ids // prob.op.grid.num_nodes, 2))
+            assert np.array_equal(solve(prob, tol=1e-10).active_set, ids)
+            warm = solve(prob, tol=1e-10, start=ids)
+            assert max(warm.kkt_stationarity, warm.kkt_primal,
+                       warm.kkt_complementarity) <= 1e-10
+            assert warm.iterations == 0
+        assert kept >= 20 and kinds == {0, 1, 2}  # lower, upper, state
 
     def test_oracle_multipliers_dual_feasible(self):
         rng = np.random.default_rng(77)
