@@ -43,7 +43,8 @@ class BoxBounds:
 
 @dataclass(frozen=True)
 class StateConstraint:
-    """lam*u + Su <= psi (plus) or Su - lam*u <= psi (minus) on the region."""
+    """lam*u + Su <= psi (plus) or Su - lam*u <= psi (minus) at the region
+    nodes with finite psi (+inf: no row), the rows of constraint_matrix()."""
 
     region: ObservationRegion
     psi: np.ndarray
@@ -133,13 +134,11 @@ class AdmissibleSet:
 
     def slack(self, u_values: np.ndarray, su: np.ndarray):
         """The slacks of the lower, upper and state constraints at u, given
-        su = S u: (u, b - u, psi - (S u + shift u) on the region), inf where
-        a bound is absent."""
-        idx = self.state.region.indices
-        state = su[idx]
-        if self.lam != 0.0:
-            state = state + self.shift * u_values[idx]
-        return u_values, self.box.upper - u_values, self.state.psi - state
+        su = S u: (u, b - u, psi - T u) for (T, psi) = constraint_matrix(),
+        so state slack j is that of row j; inf where b is absent."""
+        T, psi = self.constraint_matrix()
+        return (u_values, self.box.upper - u_values,
+                psi - (su[T.idx] + self.shift * u_values[T.idx]))
 
 
 def feasibility(u: GridFunction, aset: AdmissibleSet) -> FeasibilityReport:
@@ -172,14 +171,16 @@ def _projection(aset: AdmissibleSet, v: np.ndarray, vtv: np.ndarray,
 
 
 def slater(aset: AdmissibleSet, u_hat: GridFunction):
-    """Slack tau = min(psi - S u_hat) on the region and the plus-sign cap
-    lam_max = tau / ||u_hat||_inf(region) (inf when u_hat vanishes there)."""
+    """Slack tau = min(psi - S u_hat) over the rows of constraint_matrix()
+    and the plus-sign cap lam_max = tau / max |u_hat| on those rows' nodes
+    (inf when u_hat vanishes there or there is no row)."""
     rep = feasibility(u_hat, aset.with_lambda(0.0))
     if min(rep.margin_lower, rep.margin_upper) < -FEAS_TOL:
         raise InvalidInput("candidate violates the box constraints")
     tau = rep.margin_state
     if not tau > 0:
         raise InvalidInput(f"state slack tau = {tau:.3e} is not positive")
-    sup = float(np.max(np.abs(u_hat.values[aset.state.region.indices])))
+    rows = aset.constraint_matrix()[0].idx
+    sup = float(np.max(np.abs(u_hat.values[rows]), initial=0.0))
     lam_max = np.inf if sup == 0.0 else tau / sup
     return {"tau": tau, "lam_max": lam_max}

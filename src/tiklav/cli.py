@@ -5,9 +5,9 @@ preset name), --out, --tol, --seed. Exit codes: 0 ok, 2 config error,
 3 infeasible, 4 nonconvergence, 5 verification check failed.
 
 `verify` looks up `experiment.kind` in `VERIFY`. Each entry takes (cfg,
-experiment block, operator, admissible set, tol, seed), runs one function of
-`experiments` and returns (records, checks, summaries); records, if any, are
-written to sweep.csv.
+experiment block, admissible set, tol, seed), runs one function of
+`experiments` on the set's operator and returns (records, checks,
+summaries); records, if any, are written to sweep.csv.
 """
 
 from __future__ import annotations
@@ -150,11 +150,15 @@ def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
         # and m > N is minus the mode 2N - m
         n = grid.n
         coef = np.zeros(n)
-        for k in range(1, modes + 1):
-            m = k % (2 * (n + 1))
-            if m % (n + 1):
-                j, sign = (m, 1.0) if m <= n else (2 * (n + 1) - m, -1.0)
-                coef[j - 1] += sign * amp * k**-decay
+        try:
+            for k in range(1, modes + 1):
+                m = k % (2 * (n + 1))
+                if m % (n + 1):
+                    j, sign = (m, 1.0) if m <= n else (2 * (n + 1) - m, -1.0)
+                    coef[j - 1] += sign * amp * k**-decay
+        except OverflowError:  # k**-decay beyond the float range
+            raise InvalidInput(f"{where}.decay: k^-decay overflows at "
+                               f"decay = {decay:g}") from None
         return GridFunction(grid, np.sqrt(n + 1.0) * (SineBasis(n) @ coef))
     raise InvalidInput(f"unknown w kind {kind!r}")
 
@@ -199,12 +203,12 @@ def build_admissible(cfg: dict, op) -> AdmissibleSet:
     return AdmissibleSet(box, state, op)
 
 
-def build_instance(cfg: dict, op, aset: AdmissibleSet,
+def build_instance(cfg: dict, aset: AdmissibleSet,
                    seed: int) -> ManufacturedInstance:
     d_cfg = _require(cfg, "data", "config")
     m_cfg = _require(d_cfg, "manufactured", "data")
     where = "data.manufactured"
-    w = _build_w(op.grid, _require(m_cfg, "w", where), where + ".w")
+    w = _build_w(aset.op.grid, _require(m_cfg, "w", where), where + ".w")
     return manufacture(
         w, aset.with_lambda(0.0),
         attainable=_require(m_cfg, "attainable", where, _bool, True),
@@ -213,14 +217,14 @@ def build_instance(cfg: dict, op, aset: AdmissibleSet,
         seed=_require(m_cfg, "seed", where, _int, seed))
 
 
-def build_data(cfg: dict, op, aset, seed: int):
+def build_data(cfg: dict, aset: AdmissibleSet, seed: int):
     """Returns (y_d, instance-or-None)."""
     d_cfg = _require(cfg, "data", "config")
     values = _require(d_cfg, "values", "data",
-                      _finite(lambda v: _grid_values(op.grid, v)), None)
+                      _finite(lambda v: _grid_values(aset.op.grid, v)), None)
     if values is not None:
-        return GridFunction(op.grid, values), None
-    inst = build_instance(cfg, op, aset, seed)
+        return GridFunction(aset.op.grid, values), None
+    inst = build_instance(cfg, aset, seed)
     return inst.y_d, inst
 
 
@@ -267,11 +271,10 @@ def _write_json(path: Path, obj) -> None:
 
 
 def cmd_solve(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
-    op = build_operator(cfg)
-    aset = build_admissible(cfg, op)
-    y_d, _ = build_data(cfg, op, aset, seed)
+    aset = build_admissible(cfg, build_operator(cfg))
+    y_d, _ = build_data(cfg, aset, seed)
     alpha = _require(cfg, "alpha", "config", _float)
-    prob = RegularizedProblem(op, y_d, aset, alpha)
+    prob = RegularizedProblem(y_d, aset, alpha)
     sol = solve(prob, tol=tol)
     rep = sol.margins
     proj_res = projection_formula_residual(sol, prob, tol=tol)
@@ -300,9 +303,8 @@ def cmd_solve(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
 
 
 def cmd_manufacture(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
-    op = build_operator(cfg)
-    aset = build_admissible(cfg, op)
-    inst = build_instance(cfg, op, aset, seed)
+    aset = build_admissible(cfg, build_operator(cfg))
+    inst = build_instance(cfg, aset, seed)
     report = RunReport("manufacture", cfg)
     alpha_star = optimal_alpha(inst.residual_norm, inst.w_norm) \
         if inst.w_norm > 0 else {"alpha_star": None, "attainable": inst.attainable}
@@ -342,8 +344,8 @@ def _rate_fit(fit, e_cfg: dict):
     return lo <= fit.slope <= hi, asdict(fit)
 
 
-def _verify_sweep_alpha(cfg, e_cfg, op, aset, tol, seed):
-    inst = build_instance(cfg, op, aset, seed)
+def _verify_sweep_alpha(cfg, e_cfg, aset, tol, seed):
+    inst = build_instance(cfg, aset, seed)
     out = experiments.sweep_alpha(inst, _floats(e_cfg, "alpha_list"), tol=tol)
     slope_ok, fit = _rate_fit(out["fit"], e_cfg)
     checks = {"error_bounds": all(map(all, out["bound_checks"])),
@@ -351,14 +353,14 @@ def _verify_sweep_alpha(cfg, e_cfg, op, aset, tol, seed):
     return out["records"], checks, {"fit": fit}
 
 
-def _verify_activity(cfg, e_cfg, op, aset, tol, seed):
-    inst = build_instance(cfg, op, aset, seed)
+def _verify_activity(cfg, e_cfg, aset, tol, seed):
+    inst = build_instance(cfg, aset, seed)
     expect = e_cfg.get("expect", "transition")
     if expect not in ("transition", "none"):
         raise InvalidInput("experiment.expect must be 'transition' or 'none'")
     try:
         out = experiments.activity_transition(
-            inst, _floats(e_cfg, "alpha_list"), tau=inst.tau, tol=tol)
+            inst, _floats(e_cfg, "alpha_list"), tol=tol)
     except NoTransition as exc:
         return ([], {"activity_as_expected": expect == "none"},
                 {"no_transition": str(exc), "tau": inst.tau})
@@ -366,8 +368,8 @@ def _verify_activity(cfg, e_cfg, op, aset, tol, seed):
             {"alpha0": out["alpha0"], "tau": inst.tau})
 
 
-def _verify_noise(cfg, e_cfg, op, aset, tol, seed):
-    inst = build_instance(cfg, op, aset, seed)
+def _verify_noise(cfg, e_cfg, aset, tol, seed):
+    inst = build_instance(cfg, aset, seed)
     rule = e_cfg.get("rule", {})
     out = experiments.noise_study(
         inst, _floats(e_cfg, "delta_list"),
@@ -380,10 +382,10 @@ def _verify_noise(cfg, e_cfg, op, aset, tol, seed):
     return out["records"], checks, {"delta0": out["delta0"]}
 
 
-def _verify_lavrentiev(cfg, e_cfg, op, aset, tol, seed):
-    inst = build_instance(cfg, op, aset, seed)
+def _verify_lavrentiev(cfg, e_cfg, aset, tol, seed):
+    inst = build_instance(cfg, aset, seed)
     uhat = e_cfg.get("uhat", {"kind": "constant", "value": 0.0})
-    u_hat = _build_w(op.grid, uhat, "experiment.uhat")
+    u_hat = _build_w(aset.op.grid, uhat, "experiment.uhat")
     sign = e_cfg.get("sign", "plus")
     out = experiments.lavrentiev_sweep(
         inst, _require(e_cfg, "alpha", "experiment", _float),
@@ -402,8 +404,8 @@ def _verify_lavrentiev(cfg, e_cfg, op, aset, tol, seed):
                                     "slater": out["slater"]}
 
 
-def _verify_total_error(cfg, e_cfg, op, aset, tol, seed):
-    inst = build_instance(cfg, op, aset, seed)
+def _verify_total_error(cfg, e_cfg, aset, tol, seed):
+    inst = build_instance(cfg, aset, seed)
     out = experiments.total_error_study(
         inst, _floats(e_cfg, "alpha_list"),
         lam_cap=_require(e_cfg, "lambda_cap", "experiment", _float, 1e-2),
@@ -414,11 +416,11 @@ def _verify_total_error(cfg, e_cfg, op, aset, tol, seed):
     return out["records"], checks, {"fit": fit}
 
 
-def _verify_continuity(cfg, e_cfg, op, aset, tol, seed):
-    y_d, _ = build_data(cfg, op, aset, seed)
+def _verify_continuity(cfg, e_cfg, aset, tol, seed):
+    y_d, _ = build_data(cfg, aset, seed)
     pairs = _require(e_cfg, "pairs", "experiment",
                      lambda v: [_pair(p) for p in v])
-    flags = experiments.alpha_continuity_check(op, y_d, aset, pairs, tol=tol)
+    flags = experiments.alpha_continuity_check(y_d, aset, pairs, tol=tol)
     return [], {"continuity_bounds": all(flags)}, {"pair_flags": flags}
 
 
@@ -437,9 +439,8 @@ def cmd_verify(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
     kind = _require(e_cfg, "kind", "experiment")
     if not isinstance(kind, str) or kind not in VERIFY:
         raise InvalidInput(f"experiment.kind must be one of {tuple(VERIFY)}")
-    op = build_operator(cfg)
-    aset = build_admissible(cfg, op)
-    records, checks, summaries = VERIFY[kind](cfg, e_cfg, op, aset, tol, seed)
+    aset = build_admissible(cfg, build_operator(cfg))
+    records, checks, summaries = VERIFY[kind](cfg, e_cfg, aset, tol, seed)
     report = RunReport("verify", cfg, summaries=summaries, checks=checks)
     if records:
         csv_path = out_dir / "sweep.csv"

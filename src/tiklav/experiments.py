@@ -4,7 +4,7 @@ and joint total-error studies."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -111,7 +111,7 @@ def sweep_alpha(inst: ManufacturedInstance, alpha_list: Sequence[float],
     """Tikhonov sweep at lam = 0 with per-record bound checks and a rate fit."""
     alphas = _alpha_path(alpha_list)
     aset = inst.aset.with_lambda(0.0)
-    prob = RegularizedProblem(aset.op, inst.y_d, aset, alphas[0])
+    prob = RegularizedProblem(inst.y_d, aset, alphas[0])
     records, active = [], None
     for a in alphas:
         prob = prob.at(a)
@@ -124,30 +124,33 @@ def sweep_alpha(inst: ManufacturedInstance, alpha_list: Sequence[float],
     return {"records": records, "fit": fit, "bound_checks": checks}
 
 
-def _clean(rec: SweepRecord, tau: float) -> bool:
-    no_active = rec.n_active_lo == 0 and rec.n_active_up == 0 \
-        and rec.n_active_state == 0
-    margins_ok = min(rec.margin_lo, rec.margin_up, rec.margin_state) > 0.5 * tau
-    return no_active and margins_ok
+def _inactive(rec: SweepRecord) -> bool:
+    return rec.n_active_lo == rec.n_active_up == rec.n_active_state == 0
+
+
+def _last_dirty(flags: Sequence[bool]) -> Optional[int]:
+    """The index of the last False flag of a path that ends True, -1 when
+    every flag is True; None when the path ends False (no threshold)."""
+    if not flags[-1]:
+        return None
+    return max((i for i, f in enumerate(flags) if not f), default=-1)
 
 
 def activity_transition(inst: ManufacturedInstance, alpha_list: Sequence[float],
-                        tau: float, tol: float = 1e-8) -> dict:
+                        tol: float = 1e-8) -> dict:
     """Largest alpha in the (descending) list below which all solutions have
-    empty active sets and margins above tau/2.  Returns alpha0 = inf when
-    every list element is clean; raises NoTransition when the smallest one
-    is not."""
-    out = sweep_alpha(inst, alpha_list, tol=tol)
-    records = out["records"]
-    flags = [_clean(r, tau) for r in records]
-    if not flags[-1]:
+    empty active sets and margins above inst.tau/2.  Returns alpha0 = inf
+    when every list element is clean; raises NoTransition when the smallest
+    one is not."""
+    records = sweep_alpha(inst, alpha_list, tol=tol)["records"]
+    flags = [_inactive(r) and min(r.margin_lo, r.margin_up, r.margin_state)
+             > 0.5 * inst.tau for r in records]
+    i = _last_dirty(flags)
+    if i is None:
         raise NoTransition(
             f"constraints still active/tight at alpha = {records[-1].alpha:g}")
-    if all(flags):
-        return {"alpha0": np.inf, "records": records, "clean": flags}
-    last_dirty = max(i for i, f in enumerate(flags) if not f)
-    return {"alpha0": records[last_dirty].alpha, "records": records,
-            "clean": flags}
+    return {"alpha0": np.inf if i < 0 else records[i].alpha,
+            "records": records, "clean": flags}
 
 
 def noise_study(inst: ManufacturedInstance, delta_list: Sequence[float],
@@ -168,17 +171,13 @@ def noise_study(inst: ManufacturedInstance, delta_list: Sequence[float],
     for i, d in enumerate(deltas):
         alpha = c * d**s if d > 0 else alpha_floor
         noisy = add_noise(inst.y_d, d, seed + i)
-        prob = RegularizedProblem(aset.op, noisy, aset, alpha)
+        prob = RegularizedProblem(noisy, aset, alpha)
         rec, sol = _solve(inst, prob, tol, delta=d, start=active)
         records.append(rec)
         active = sol.active_set
     checks = [_apriori_bounds(r, inst.w_norm, r.delta, tol) for r in records]
-    inactive = [r.n_active_lo == 0 and r.n_active_up == 0
-                and r.n_active_state == 0 for r in records]
-    delta0 = None
-    if inactive[-1]:
-        dirty = [i for i, f in enumerate(inactive) if not f]
-        delta0 = np.inf if not dirty else records[max(dirty)].delta
+    i = _last_dirty([_inactive(r) for r in records])
+    delta0 = None if i is None else np.inf if i < 0 else records[i].delta
     return {"records": records, "bound_checks": checks, "delta0": delta0}
 
 
@@ -195,9 +194,10 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
         raise Infeasible(
             f"lam = {lams[0]:g} exceeds tau/||u_hat||_inf = {sl['lam_max']:g}")
     base_set = inst.aset.with_lambda(0.0)
-    prob = RegularizedProblem(base_set.op, inst.y_d, base_set, alpha)
+    prob = RegularizedProblem(inst.y_d, base_set, alpha)
     base = _solve(inst, prob, tol)[1]
     g = base_set.op.grid
+    rows = base_set.constraint_matrix()[0].idx
     records, errors, plus_feasible, minus_violation = [], [], [], []
     active = base.active_set  # descending lam: each solve starts nearby
     for lam in lams:
@@ -211,19 +211,14 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
         if sign == "plus":
             plus_feasible.append(bool(rep0.feasible))
         else:
-            idx = inst.aset.state.region.indices
-            cap = lam * float(np.max(np.abs(sol.u.values[idx])))
-            viol = max(0.0, -rep0.margin_state)
-            minus_violation.append(bool(viol <= cap + 10 * tol))
+            cap = lam * float(np.max(np.abs(sol.u.values[rows]), initial=0.0))
+            minus_violation.append(bool(-rep0.margin_state <= cap + 10 * tol))
     scaled = [e * alpha / lam for e, lam in zip(errors, lams) if lam > 0]
     c_fit = max(scaled) if scaled else 0.0
-    lam_coincide = 0.0
-    if inst.margins.margin_state > 0:
-        # largest lam such that it and every smaller lam coincide with lam = 0
-        flags = [e <= 10 * tol for e in errors]
-        if flags[-1]:
-            dirty = [i for i, f in enumerate(flags) if not f]
-            lam_coincide = lams[max(dirty) + 1] if dirty else lams[0]
+    # largest lam such that it and every smaller lam coincide with lam = 0
+    i = _last_dirty([e <= 10 * tol for e in errors])
+    lam_coincide = lams[i + 1] if inst.margins.margin_state > 0 \
+        and i is not None else 0.0
     return {"records": records, "errors": errors, "c_fit": c_fit,
             "c_scaled": scaled, "lam_coincide": lam_coincide, "slater": sl,
             "plus_feasible": plus_feasible, "minus_violation": minus_violation}
@@ -239,7 +234,7 @@ def total_error_study(inst: ManufacturedInstance, alpha_list: Sequence[float],
     active, active0 = None, None  # two paths: shifted sets and lam = 0
     aset0 = inst.aset.with_lambda(0.0)
     for i, a in enumerate(_alpha_path(alpha_list)):  # one V^T y_d for both
-        prob0 = RegularizedProblem(aset0.op, inst.y_d, aset0, a) if i == 0 \
+        prob0 = RegularizedProblem(inst.y_d, aset0, a) if i == 0 \
             else prob0.at(a)
         rec, sol = _solve(
             inst, prob0.at(aset=inst.aset.with_lambda(min(lam_cap, a), sign)),
@@ -254,20 +249,20 @@ def total_error_study(inst: ManufacturedInstance, alpha_list: Sequence[float],
     return {"records": records, "fit": fit, "triangle_checks": triangle}
 
 
-def alpha_continuity_check(op, y_d: GridFunction, aset: AdmissibleSet,
+def alpha_continuity_check(y_d: GridFunction, aset: AdmissibleSet,
                            pairs: Sequence[Tuple[float, float]],
                            tol: float = 1e-8) -> List[bool]:
     """Check ||u_beta - u_alpha|| <= (|alpha-beta|/beta) ||u_alpha|| + 20 tol."""
     if len(pairs) == 0:
         raise InvalidInput("pairs must be nonempty")
-    out, prob = [], RegularizedProblem(op, y_d, aset, pairs[0][0])
+    out, prob = [], RegularizedProblem(y_d, aset, pairs[0][0])
     for a, b in pairs:
         prob = prob.at(a)
         sol_a = solve(prob, tol=tol)
         ua = sol_a.u
         prob = prob.at(b)
         ub = solve(prob, tol=tol, start=sol_a.active_set).u
-        lhs = wnorm(op.grid, ub.values - ua.values)
+        lhs = wnorm(y_d.grid, ub.values - ua.values)
         out.append(bool(lhs <= abs(a - b) / b * ua.norm() + 20 * tol))
     return out
 
@@ -278,10 +273,6 @@ def records_to_csv(records: Sequence[SweepRecord]) -> str:
     The `seconds` column is always 0 so repeated runs are byte-identical.
     """
     lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        vals = (r.alpha, r.lam, r.delta, r.err_u, r.err_Su, r.margin_lo,
-                r.margin_up, r.margin_state, float(r.n_active_lo),
-                float(r.n_active_up), float(r.n_active_state),
-                float(r.iters), 0.0)
-        lines.append(",".join(f"{v:.17g}" for v in vals))
+    for r in records:  # SweepRecord's fields are the columns before seconds
+        lines.append(",".join(f"{float(v):.17g}" for v in (*astuple(r), 0.0)))
     return "\n".join(lines) + "\n"

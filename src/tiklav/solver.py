@@ -20,19 +20,25 @@ from . import qp
 ORACLE_CAP = 10
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < np.inf:  # NaN fails too
+        raise InvalidInput(f"alpha must be positive and finite, got {alpha}")
+
+
 @dataclass(frozen=True)
 class RegularizedProblem:
-    op: AssembledOperator
     y_d: GridFunction
     aset: AdmissibleSet
     alpha: float
 
     def __post_init__(self):
-        if self.y_d.grid != self.op.grid or self.aset.op.grid != self.op.grid:
+        if self.y_d.grid != self.op.grid:
             raise InvalidInput("problem grids differ")
-        if not 0 < self.alpha < np.inf:  # NaN fails too
-            raise InvalidInput(
-                f"alpha must be positive and finite, got {self.alpha}")
+        _check_alpha(self.alpha)
+
+    @property
+    def op(self) -> AssembledOperator:
+        return self.aset.op
 
     @cached_property
     def vty(self) -> np.ndarray:
@@ -42,8 +48,10 @@ class RegularizedProblem:
 
     def at(self, alpha: Optional[float] = None,
            aset: Optional[AdmissibleSet] = None) -> "RegularizedProblem":
-        """This problem at another alpha or admissible set; op and y_d are
-        the same objects, so it takes over the coefficients V^T y_d."""
+        """This problem at another alpha or admissible set on the same
+        operator; it takes over the coefficients V^T y_d."""
+        if aset is not None and aset.op is not self.op:
+            raise InvalidInput("the admissible set is on another operator")
         new = replace(self, alpha=self.alpha if alpha is None else alpha,
                       aset=self.aset if aset is None else aset)
         new.__dict__["vty"] = self.vty
@@ -67,10 +75,10 @@ class Solution:
     margins: FeasibilityReport    # minima of the constraint slacks at u
     mu_lower: np.ndarray
     mu_upper: np.ndarray
-    eta: np.ndarray               # one entry per finite-psi region row
+    eta: np.ndarray               # one entry per constraint_matrix() row
     active_lower: np.ndarray      # node indices with margin < ACTIVE_TOL
     active_upper: np.ndarray
-    active_state: np.ndarray      # positions into the region index list
+    active_state: np.ndarray      # rows j of constraint_matrix(), as eta
     iterations: int               # QP active-set changes (adds plus drops)
                                   # after the warm start
     kkt_stationarity: float
@@ -127,8 +135,7 @@ def _quadratic(op: AssembledOperator, vty: np.ndarray, alpha: float):
 def solve_unconstrained(op: AssembledOperator, y_d: GridFunction,
                         alpha: float) -> GridFunction:
     """Solve (S*S + alpha I) u = S* y_d in the eigenbasis of S."""
-    if alpha <= 0:
-        raise InvalidInput(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     (V, d), gx = _quadratic(op, op.V.T @ y_d.values, alpha)
     return GridFunction(op.grid, V @ (-gx / d))
 

@@ -31,7 +31,7 @@ def load_preset_instance(name, seed=0):
     cfg = json.load(open(cli.preset_path(name)))
     op = cli.build_operator(cfg)
     aset = cli.build_admissible(cfg, op)
-    inst = cli.build_instance(cfg, op, aset, seed)
+    inst = cli.build_instance(cfg, aset, seed)
     return cfg, op, aset, inst
 
 
@@ -72,4 +72,4 @@ def random_problem(rng, n_choices=(4, 5, 6, 7, 8),
     aset = AdmissibleSet(BoxBounds(grid, b), state, op)
     y_d = GridFunction(grid, rng.standard_normal(n) * rng.uniform(0.5, 3.0))
     alpha = float(10 ** rng.uniform(-3, 0))
-    return RegularizedProblem(op, y_d, aset, alpha)
+    return RegularizedProblem(y_d, aset, alpha)

@@ -98,8 +98,7 @@ def test_criterion_04_tikhonov_rate(report, interior_preset):
 
 def test_criterion_05_activity_threshold(report, interior_preset, clipped_preset):
     _, _, _, inst = interior_preset
-    out = experiments.activity_transition(inst, PRESET_ALPHAS, tau=inst.tau,
-                                          tol=1e-8)
+    out = experiments.activity_transition(inst, PRESET_ALPHAS, tol=1e-8)
     ok = np.isfinite(out["alpha0"]) and out["alpha0"] > 0
     after = [f for r, f in zip(out["records"], out["clean"])
              if r.alpha < out["alpha0"]]
@@ -107,7 +106,7 @@ def test_criterion_05_activity_threshold(report, interior_preset, clipped_preset
     _, _, _, inst_c = clipped_preset
     try:
         experiments.activity_transition(inst_c, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5],
-                                        tau=inst_c.tau, tol=1e-8)
+                                        tol=1e-8)
         ok = False
     except NoTransition:
         pass
@@ -168,7 +167,7 @@ def test_criterion_09_alpha_continuity(report, interior_preset):
         a = float(10 ** rng.uniform(-4, -1))
         b = a * float(10 ** rng.uniform(-0.5, 0.5))
         pairs.append((a, b))
-    flags = experiments.alpha_continuity_check(op, inst.y_d, inst.aset, pairs,
+    flags = experiments.alpha_continuity_check(inst.y_d, inst.aset, pairs,
                                                tol=1e-8)
     report(9, "Lipschitz continuity in alpha", all(flags))
 
@@ -181,7 +180,7 @@ def test_criterion_10_projection_formula(report, interior_preset, clipped_preset
                            (binding_preset, (1e-2,))]:
         _, op, aset, inst = preset
         for a in alphas:
-            prob = RegularizedProblem(op, inst.y_d, aset, a)
+            prob = RegularizedProblem(inst.y_d, aset, a)
             sol = solve(prob, tol=1e-9)
             ok &= projection_formula_residual(sol, prob, tol=1e-9) <= 1e-7
     rng = np.random.default_rng(55)
@@ -197,7 +196,7 @@ def test_criterion_11_converse_recovery(report, interior_preset):
     aset = inst.aset
     path = []
     for a in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        sol = solve(RegularizedProblem(op, inst.y_d, aset, a), tol=1e-9)
+        sol = solve(RegularizedProblem(inst.y_d, aset, a), tol=1e-9)
         path.append((a, sol))
     out = recover_source(path, inst.y_d, aset, tol=1e-9)
     report(11, "source-element recovery certificate", out["certificate"] <= 1e-4)

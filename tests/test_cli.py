@@ -429,6 +429,10 @@ REJECTED = [
     ("solve", _with(base_cfg(), ["data", "manufactured", "w"], {
         "kind": "sine-mixture", "decay": -INF}),
      "w-decay-minus-infinity", "data.manufactured.w.decay"),
+    # a finite decay whose mode amplitudes k^-decay overflow a float
+    ("solve", _with(base_cfg(), ["data", "manufactured", "w"], {
+        "kind": "sine-mixture", "modes": 32, "decay": -300}),
+     "w-decay-overflow", "data.manufactured.w.decay"),
     ("solve", _non_attainable(residual=INF), "residual-infinity",
      "data.manufactured.residual"),
     ("verify", _lavrentiev_cfg({"kind": "constant", "value": INF}),
@@ -471,6 +475,36 @@ def test_inf_spelling_accepted(tmp_path):
     cfg["admissible"]["psi"] = [1.0] * 11 + ["inf"]
     assert cli.main(["solve", "--config", write_cfg(tmp_path, cfg),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+
+
+def test_active_state_and_eta_number_the_same_rows(tmp_path):
+    # psi = inf on nodes 0-2 leaves 9 state rows (row j at node j + 3), of
+    # which some bind: active_state and eta both count those rows
+    cfg = _non_attainable(w={"kind": "constant", "value": 2.0}, residual=0.5,
+                          residual_direction="constant")
+    cfg["admissible"].update(b=10.0, psi=["inf"] * 3 + [0.005] * 9)
+    cfg["alpha"] = 1e-3
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == cli.EXIT_OK
+    sol = json.loads((out / "solution.json").read_text())
+    eta = np.array(sol["eta"])
+    active = np.array(sol["active_state"], dtype=int)
+    assert eta.size == 9 and active.size > 0 and active.max() < eta.size
+    assert np.any(eta[active] > 0) and np.all(np.delete(eta, active) == 0)
+
+
+def test_slater_cap_reads_only_state_rows(tmp_path):
+    # u_hat is nonzero only on node 0, which has no state row (psi = inf),
+    # so no lambda shifts a row: lam_max is inf and lambda = 0.1 solves
+    cfg = _lavrentiev_cfg({"kind": "values", "values": [5.0] + [0.0] * 11},
+                          lambda_list=[0.1, 0.01, 0.001])
+    cfg["admissible"].update(b=10.0, psi=["inf"] + [0.05] * 11)
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["summaries"]["slater"]["lam_max"] == "inf"
 
 
 @pytest.mark.parametrize("n", [3, 16, 97])

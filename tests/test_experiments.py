@@ -91,8 +91,7 @@ class TestActivityTransition:
     def test_interior_instance_has_finite_threshold(self):
         # interior instance: active sets empty once alpha is small enough
         inst = make_instance(psi=1.0, b=10.0, w_val=0.5)
-        out = experiments.activity_transition(inst, ALPHAS, tau=inst.tau,
-                                              tol=1e-9)
+        out = experiments.activity_transition(inst, ALPHAS, tol=1e-9)
         assert out["alpha0"] == np.inf or out["alpha0"] in ALPHAS
         assert out["clean"][-1]
 
@@ -100,8 +99,7 @@ class TestActivityTransition:
         # tiny box bound keeps the upper constraint active at every alpha
         inst = make_instance(psi=100.0, b=0.01, w_val=5.0)
         with pytest.raises(NoTransition):
-            experiments.activity_transition(inst, ALPHAS, tau=inst.tau,
-                                            tol=1e-9)
+            experiments.activity_transition(inst, ALPHAS, tol=1e-9)
 
 
 class TestNoiseStudy:
@@ -163,7 +161,7 @@ class TestContinuityCheck:
         inst = make_instance()
         pairs = [(1e-2, 2e-2), (1e-2, 5e-3), (1e-3, 1.5e-3)]
         flags = experiments.alpha_continuity_check(
-            inst.aset.op, inst.y_d, inst.aset, pairs, tol=1e-9)
+            inst.y_d, inst.aset, pairs, tol=1e-9)
         assert all(flags)
 
 
@@ -175,8 +173,7 @@ def test_empty_sweep_inputs_rejected():
     with pytest.raises(InvalidInput, match="lambda_list must be nonempty"):
         experiments.lavrentiev_sweep(inst, 1e-2, [], "plus", u_hat)
     with pytest.raises(InvalidInput, match="pairs must be nonempty"):
-        experiments.alpha_continuity_check(inst.aset.op, inst.y_d, inst.aset,
-                                           [])
+        experiments.alpha_continuity_check(inst.y_d, inst.aset, [])
 
 
 class TestCsv:

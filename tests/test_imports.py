@@ -1,8 +1,10 @@
 """Lint rules with the standard library's ast only: every name a module of
 tiklav imports is used in that module (a linter's unused-import rule),
 every private top-level name of tiklav is referenced somewhere in tiklav (a
-dead-code rule), and tiklav raises no bare ValueError or TypeError (a
-rejected input is `InvalidInput`)."""
+dead-code rule), tiklav raises no bare ValueError or TypeError (a
+rejected input is `InvalidInput`), and only two functions read a state
+constraint's region nodes (every other reader uses the rows of
+`constraint_matrix()`)."""
 
 import ast
 from pathlib import Path
@@ -105,3 +107,46 @@ def test_checker_flags_a_bare_value_or_type_error():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_bare_value_or_type_errors(path):
     assert bare_raises(path.read_text()) == []
+
+
+def region_index_readers(source: str) -> list:
+    """Qualified names of the functions (or "<module>") that read
+    `<x>.region.indices`: the nodes of a state constraint's region, the
+    ones with psi = +inf included. A region held in a local name, as one
+    being built, is not counted."""
+    readers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "indices" \
+                    and isinstance(child.value, ast.Attribute) \
+                    and child.value.attr == "region":
+                readers.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return readers
+
+
+def test_checker_flags_a_region_index_read():
+    source = ("class A:\n    def f(self):\n"
+              "        return self.state.region.indices\n\n"
+              "def g(aset):\n    return aset.constraint_matrix()[0].idx\n\n"
+              "def h(aset, u):\n    return u[aset.state.region.indices]\n\n"
+              "def k(region):\n    return region.indices\n\n"
+              "X = STATE.region.indices\n")
+    assert region_index_readers(source) == ["A.f", "h", "<module>"]
+
+
+def test_only_the_row_builders_read_region_indices():
+    # the state rows exist where psi is finite; AdmissibleSet._state_rows
+    # numbers them for everything else, and oracle_solve numbers them
+    # independently, so that the tests can compare against it
+    readers = {f"{p.stem}.{name}" for p in SOURCES
+               for name in region_index_readers(p.read_text())}
+    assert readers == {"admissible.AdmissibleSet._state_rows",
+                       "solver.oracle_solve"}

@@ -129,7 +129,7 @@ class TestRecoverSource:
         inst = manufacture(w, aset)
         path = []
         for a in (1e-2, 1e-3, 1e-4, 1e-5):
-            sol = solve(RegularizedProblem(aset.op, inst.y_d, aset, a),
+            sol = solve(RegularizedProblem(inst.y_d, aset, a),
                         tol=1e-10)
             path.append((a, sol))
         out = recover_source(path, inst.y_d, aset, tol=1e-10)

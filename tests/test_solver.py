@@ -37,7 +37,7 @@ def loose_problem(n=8, alpha=0.1, b=np.inf, psi=100.0, grid=None):
     aset = AdmissibleSet(BoxBounds.constant(grid, b), state, op)
     x = grid.coords
     y_d = GridFunction(grid, np.prod(x * (1 - x), axis=1))
-    return RegularizedProblem(op, y_d, aset, alpha)
+    return RegularizedProblem(y_d, aset, alpha)
 
 
 class TestSolve:
@@ -71,9 +71,20 @@ class TestSolve:
     def test_alpha_must_be_positive(self):
         prob = loose_problem()
         with pytest.raises(InvalidInput, match="alpha must be positive"):
-            solve(RegularizedProblem(prob.op, prob.y_d, prob.aset, 0.0))
-        with pytest.raises(InvalidInput, match="alpha must be positive"):
-            solve_unconstrained(prob.op, prob.y_d, -1.0)
+            solve(RegularizedProblem(prob.y_d, prob.aset, 0.0))
+        for alpha in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidInput, match="alpha must be positive"):
+                solve_unconstrained(prob.op, prob.y_d, alpha)
+
+    def test_operator_is_the_sets(self):
+        # V^T y_d, which `at` carries over, belongs to the set's operator
+        prob = loose_problem()
+        assert prob.op is prob.aset.op
+        other = assemble_poisson(prob.op.grid)
+        aset = AdmissibleSet(prob.aset.box, prob.aset.state, other)
+        with pytest.raises(InvalidInput, match="another operator"):
+            prob.at(aset=aset)
+        assert prob.at(aset=prob.aset.with_lambda(0.1)).op is prob.op
 
     def test_projection_formula_residual_small(self):
         prob = loose_problem(psi=0.002, b=0.5, alpha=0.05)
@@ -100,7 +111,7 @@ def _mixed_bound_problem(rng, sign):
     state = replace(prob.aset.state, lam=float(rng.uniform(1e-3, 0.1)),
                     sign=sign)
     aset = AdmissibleSet(BoxBounds(grid, b), state, prob.op)
-    return RegularizedProblem(prob.op, prob.y_d, aset, prob.alpha)
+    return RegularizedProblem(prob.y_d, aset, prob.alpha)
 
 
 class TestOracle:
@@ -194,7 +205,7 @@ def test_solution_continuity_in_alpha():
     g = prob.op.grid
     sols = {}
     for a in (1e-2, 2e-2, 5e-3):
-        sols[a] = solve(RegularizedProblem(prob.op, prob.y_d, prob.aset, a),
+        sols[a] = solve(RegularizedProblem(prob.y_d, prob.aset, a),
                         tol=1e-10)
     for a, b in [(1e-2, 2e-2), (1e-2, 5e-3), (2e-2, 5e-3)]:
         lhs = wnorm(g, sols[b].u.values - sols[a].u.values)
@@ -216,7 +227,7 @@ def counted_interior_preset(monkeypatch):
         return inner(self, x)
 
     monkeypatch.setattr(SineBasis, "__matmul__", counting)
-    inst = cli.build_instance(cfg, op, cli.build_admissible(cfg, op), 0)
+    inst = cli.build_instance(cfg, cli.build_admissible(cfg, op), 0)
     return op, inst, calls
 
 
@@ -236,7 +247,7 @@ class TestOneEvaluation:
         manufacture(inst.w, inst.aset)
         assert len(calls) == 2
         calls.clear()
-        solve(RegularizedProblem(op, inst.y_d, inst.aset, 1e-2))
+        solve(RegularizedProblem(inst.y_d, inst.aset, 1e-2))
         assert len(calls) == 1 + 1
         calls.clear()
         out = experiments.sweep_alpha(inst, [1e-1, 1e-2, 1e-3, 1e-4])
@@ -315,7 +326,7 @@ def test_certificate_checks_the_problem_not_the_basis():
         state = StateConstraint(ObservationRegion.all_nodes(grid),
                                 np.full(16, 100.0))
         aset = AdmissibleSet(BoxBounds.constant(grid, np.inf), state, op_b)
-        prob = RegularizedProblem(op_b, y_d, aset, 0.1)
+        prob = RegularizedProblem(y_d, aset, 0.1)
         if certified:
             assert solve(prob).kkt_stationarity <= 1e-8
         else:
@@ -355,7 +366,7 @@ def test_box_only_solves_match_bvls(make):
     S, n = op.matrix, op.grid.num_nodes
     start = None
     for alpha in (1e-4, 1e-5, 1e-6):
-        sol = solve(RegularizedProblem(op, y_d, aset, alpha), tol=1e-10,
+        sol = solve(RegularizedProblem(y_d, aset, alpha), tol=1e-10,
                     start=start)
         start = sol.active_set
         ref = lsq_linear(np.vstack([S, np.sqrt(alpha) * np.eye(n)]),
@@ -374,7 +385,7 @@ def test_box_only_solve_applies_s_once(monkeypatch):
     # reuses
     op = assemble_poisson(DomainGrid(1, 200))
     y_d, aset = _box_only(op, 1)
-    prob = RegularizedProblem(op, y_d, aset, 1e-6)
+    prob = RegularizedProblem(y_d, aset, 1e-6)
     calls, inner = [], AssembledOperator.apply_values
 
     def counting(self, values):

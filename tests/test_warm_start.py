@@ -34,8 +34,8 @@ def preset_path(name):
         sets = [aset.with_lambda(0.0)] + [
             aset.with_lambda(lam, e["sign"])
             for lam in sorted(e["lambda_list"], reverse=True)]
-        return [RegularizedProblem(op, inst.y_d, s, e["alpha"]) for s in sets]
-    return [RegularizedProblem(op, inst.y_d, aset, a) for a in e["alpha_list"]]
+        return [RegularizedProblem(inst.y_d, s, e["alpha"]) for s in sets]
+    return [RegularizedProblem(inst.y_d, aset, a) for a in e["alpha_list"]]
 
 
 @pytest.mark.parametrize("preset", ["interior-attainable-poisson-1d",
@@ -56,8 +56,7 @@ def test_random_alpha_lambda_paths():
         lam0 = float(rng.uniform(1e-3, 0.1))
         steps = [(prob.alpha * 0.5**k, lam0 * 0.3**k) for k in range(4)]
         steps.append((prob.alpha / 16, 0.0))
-        path = [RegularizedProblem(prob.op, prob.y_d,
-                                   prob.aset.with_lambda(lam), a)
+        path = [RegularizedProblem(prob.y_d, prob.aset.with_lambda(lam), a)
                 for a, lam in steps]
         assert_warm_matches_cold(path, tol=1e-10)
 
@@ -82,6 +81,6 @@ def test_warm_lambda_sweep_halves_active_set_changes(binding_preset):
                            GridFunction(op.grid, np.zeros(op.grid.num_nodes)))
     warm = sum(r.iters for r in out["records"])
     cold = sum(solve(RegularizedProblem(
-        op, inst.y_d, aset.with_lambda(lam, e["sign"]), e["alpha"])).iterations
+        inst.y_d, aset.with_lambda(lam, e["sign"]), e["alpha"])).iterations
         for lam in e["lambda_list"])
     assert warm <= cold / 2
