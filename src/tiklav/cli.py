@@ -147,19 +147,28 @@ def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
         # sum_k amp k^-decay sqrt(2) sin(k pi x) is one sine transform:
         # sqrt(2) sin(pi j k/N) = sqrt(N) V[j, k], N = n + 1. Mode k is
         # folded exactly to m = k mod 2N: m in {0, N} vanishes on the nodes,
-        # and m > N is minus the mode 2N - m
+        # and m > N is minus the mode 2N - m. A finite amplitude can still
+        # overflow, in a term amp k^-decay, in the modes folded onto one
+        # coefficient or in the transform: each gives inf or NaN, checked
+        # once on the source
         n = grid.n
         coef = np.zeros(n)
-        try:
-            for k in range(1, modes + 1):
-                m = k % (2 * (n + 1))
-                if m % (n + 1):
-                    j, sign = (m, 1.0) if m <= n else (2 * (n + 1) - m, -1.0)
-                    coef[j - 1] += sign * amp * k**-decay
-        except OverflowError:  # k**-decay beyond the float range
-            raise InvalidInput(f"{where}.decay: k^-decay overflows at "
-                               f"decay = {decay:g}") from None
-        return GridFunction(grid, np.sqrt(n + 1.0) * (SineBasis(n) @ coef))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for k in range(1, modes + 1):
+                    m = k % (2 * (n + 1))
+                    if m % (n + 1):
+                        j, sign = ((m, 1.0) if m <= n
+                                   else (2 * (n + 1) - m, -1.0))
+                        coef[j - 1] += sign * amp * k**-decay
+            except OverflowError:  # k**-decay beyond the float range
+                raise InvalidInput(f"{where}.decay: k^-decay overflows at "
+                                   f"decay = {decay:g}") from None
+            w = np.sqrt(n + 1.0) * (SineBasis(n) @ coef)
+        if not np.isfinite(w).all():
+            raise InvalidInput(f"{where}.amplitude: the source overflows at "
+                               f"amplitude = {amp:g}, decay = {decay:g}")
+        return GridFunction(grid, w)
     raise InvalidInput(f"unknown w kind {kind!r}")
 
 

@@ -31,12 +31,14 @@ row a with b = V^T a has L^{-1} a = d^{-1/2} * b, where b is -V[i] or V[i]
 for a bound and a row of B for a state row: an entering row costs O(n).
 The active rows enter through W = L^{-1} A_active, kept as W P = Q with
 Q orthonormal and P = R^{-1} of the thin QR factorization W = Q R, in
-buffers that double when full: the start's rows are one Householder QR,
-an add writes one column of each, a drop is one Householder reflection
-applied to both, and the triangular solves of the method are products
-with P. After a drop, the row being tried is split against the columns
-left by adding back the direction that left, with no new Gram-Schmidt
-pass. The engine runs on numpy alone.
+buffers that double when full: an add writes one column of each, a drop
+is one Householder reflection applied to both, and the triangular solves
+of the method are products with P. The start phase keeps P alone, from
+one Householder QR that forms R but not Q; Q of the start rows left is
+formed by one QR when the main loop first changes the active set. After
+a drop, the row being tried is split against the columns left by adding
+back the direction that left, with no new Gram-Schmidt pass. The engine
+runs on numpy alone.
 
 The KKT certificate is measured on the problem, not on the basis the
 engine iterated in: the caller passes the Lagrangian gradient
@@ -55,14 +57,17 @@ method needs only a dual-feasible start (Goldfarb and Idnani; Ferreau, Bock
 and Diehl, Int. J. Robust Nonlinear Control 18 (2008) 816).
 Of the start rows that exist in the problem (ids in [0, 2n + m) with c
 finite), taken lower, upper, state, those before the first that depends
-on the rows before it (at most n) are factored by one Householder QR, x
-is the minimizer with them as equalities, and the row with the most
-negative multiplier is dropped until every multiplier is >= 0; the usual
-iteration then runs from there and adds back any later start row that is
-violated. Any start, however stale, is valid: the result is certified as
-a cold one is, and the start changes only the number of active-set changes
-(and, within the certificate, which rows violated by at most 0.1 tol are
-left inactive).
+on the rows before it (at most n) are factored as P = R^{-1} alone, and
+the row with the most negative multiplier is dropped, a reflection of P
+only, until every multiplier is >= 0. x is then the minimizer with the
+rows left as equalities, x = x_0 - d^{-1/2} * (W_left mult). The usual
+iteration runs from there and adds back any later start row that is
+violated; its first change factors the rows left once more, with Q and
+with a zero tolerance, as they already passed the dependence test. A
+start that is already optimal forms no Q. Any start, however stale, is
+valid: the result is certified as a cold one is, and the start changes
+only the number of active-set changes (and, within the certificate,
+which rows violated by at most 0.1 tol are left inactive).
 
 The weighted L2 structure of the grid cancels out of the optimality
 system for uniform quadrature weights; norms reported to callers are
@@ -128,7 +133,9 @@ class _ThinQR:
     as [Q; P] in one F-order buffer of `cap` columns that doubles (up to n)
     when full, so that a column operation on both is one product. `factor`
     and `add` keep P upper triangular; a drop makes it dense from the
-    first nonzero column of the row it removes."""
+    first nonzero column of the row it removes. With n = 0 Q rows it holds
+    P alone, which `factor` and `drop` keep as they do beside Q; `add`
+    needs Q."""
 
     def __init__(self, n, cap):
         self._M = np.empty((n + cap, cap), order="F")
@@ -144,16 +151,21 @@ class _ThinQR:
 
     def factor(self, W, tol):
         """Take the rows of W before the first whose part off the rows
-        before it has a norm <= tol[j], at most n of them, as the columns
-        of an empty factorization: one Householder QR, W^T = Q R, where
-        |R_mm| is the norm of row m's part off rows 0..m-1, and
-        P = R^{-1}. Returns the number m of rows taken."""
+        before it has a norm <= tol[j], at most W.shape[1] of them, as the
+        columns of an empty factorization: one Householder QR, W^T = Q R,
+        where |R_mm| is the norm of row m's part off rows 0..m-1, and
+        P = R^{-1}. With no Q rows (n = 0) the QR forms R alone. Returns
+        the number m of rows taken."""
         if not W.shape[0]:
             return 0
-        Q, R = np.linalg.qr(W.T)
+        if self.n:
+            Q, R = np.linalg.qr(W.T)
+        else:
+            R = np.linalg.qr(W.T, mode="r")
         bad = np.flatnonzero(np.abs(R.diagonal()) <= tol[:R.shape[0]])
         m = int(bad[0]) if bad.size else R.shape[0]
-        self._M[:self.n, :m] = Q[:, :m]
+        if self.n:
+            self._M[:self.n, :m] = Q[:, :m]
         self._M[self.n:self.n + m, :m] = np.linalg.inv(R[:m, :m])
         self.q = m
         return m
@@ -223,14 +235,15 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
 
     Rows are numbered as in the module docstring, so an absent upper bound
     has slack -inf; `normal` gives b_i = V^T a_i. A row with violation
-    a_i^T u - c_i <= feas_tol counts as satisfied. The iteration starts from the rows of `start` made dual
-    feasible (see the module docstring); changes made there are not
-    counted. Raises Infeasible when the constraints admit no point, and
-    NonConvergence when a row that depends on the active rows is violated
-    only within the round-off of its value. After 10 changes per row that
-    exists, the next slack evaluation ends the loop at its (dual-feasible,
-    possibly primal-infeasible) iterate; the drops between two evaluations
-    are bounded by the number of active rows.
+    a_i^T u - c_i <= feas_tol counts as satisfied. The iteration starts
+    from the rows of `start` made dual feasible (see the module
+    docstring); changes made there are not counted. Raises Infeasible
+    when the constraints admit no point, and NonConvergence when a row
+    that depends on the active rows is violated only within the round-off
+    of its value. After 10 changes per row that exists, the next slack
+    evaluation ends the loop at its (dual-feasible, possibly
+    primal-infeasible) iterate; the drops between two evaluations are
+    bounded by the number of active rows.
     """
     n = d.size
     c = np.concatenate([np.zeros(n), upper, psi])
@@ -243,30 +256,29 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     rsd = 1.0 / np.sqrt(d)      # L^{-1} a = rsd * (V^T a)
     x = -gx / d
 
-    # warm start: factor the independent start rows as W = L^{-1} A, W P = Q;
-    # in s = L^T u the equality-constrained minimizer is s = s0 - W mult
-    # with (W^T W) mult = W^T s0 - c, the rows' violations at u0 = V x,
-    # where (W^T W)^{-1} = P P^T and W mult = Q P^T viol
+    # warm start: factor the independent start rows W = L^{-1} A as P = R^{-1}
+    # alone; in s = L^T u the equality-constrained minimizer is
+    # s = s0 - W mult with (W^T W) mult = W^T s0 - c, the rows' violations
+    # at u0 = V x, where (W^T W)^{-1} = P P^T
     rows, normals = _start_rows(start, V, c, B)
     W = rsd * normals            # row j is L^{-1} a for row rows[j]
-    qr = _ThinQR(n, min(n, max(8, rows.size)))  # a few columns; adds double it
+    qr = _ThinQR(0, min(n, rows.size))
     m = qr.factor(W, DEPENDENT_TOL * np.linalg.norm(W, axis=1))
-    # the active rows' ids and multipliers in the column order of Q, in
+    # the active rows' ids and multipliers in the column order of P, in
     # buffers of n entries: an add writes one, a drop shifts the rest down
     idbuf, mbuf = np.empty(n, dtype=np.intp), np.empty(n)
-    active = idbuf[:m]
+    active, keep = idbuf[:m], np.arange(m)  # keep: their rows of W
     active[:] = rows[:m]
     viol = normals[:m] @ x - c[active]
-    t = viol @ qr.P
-    mult = np.matmul(qr.P, t, out=mbuf[:qr.q])
+    mult = np.matmul(qr.P, viol @ qr.P, out=mbuf[:qr.q])
     while mult.size and mult.min() < 0.0:  # drop until dual feasible
         k = int(mult.argmin())
         qr.drop(k)
-        active, viol = _cut(active, k), _cut(viol, k)
-        t = viol @ qr.P
-        mult = np.matmul(qr.P, t, out=mbuf[:qr.q])
+        active, keep, viol = _cut(active, k), _cut(keep, k), _cut(viol, k)
+        mult = np.matmul(qr.P, viol @ qr.P, out=mbuf[:qr.q])
+    W = W[keep]
     if active.size:
-        x = x - rsd * (qr.Q @ t)
+        x = x - rsd * (mult @ W)
 
     changes, p, cap = 0, -1, 10 * (np.isfinite(c).sum() + 1)
     while True:
@@ -282,6 +294,9 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
             w = rsd * b
             wn = np.sqrt(w @ w)
             mult_p = 0.0
+            if not qr.n:  # the first change: form Q of the start rows left
+                qr = _ThinQR(n, min(n, max(8, active.size)))
+                qr.factor(W, np.zeros(active.size))
             # split w = Q y + z with z orthogonal to the active columns;
             # the primal step is -L^{-T} z, i.e. -rsd * z in x, and the
             # active multipliers move by -r = -P y, w's coefficients on
@@ -375,7 +390,8 @@ def solve_box_state_qp(H, gx: np.ndarray, grad: Callable, upper: np.ndarray,
     space (eta: one entry per row of B), on which the certificate is
     measured. `start` is the active row ids of a nearby solve (e.g. a
     previous `QPResult.active`); ids of rows absent here, and rows from the
-    first that depends on those before it, are skipped. Raises InvalidInput unless 0 < tol < inf, gx is finite and
+    first that depends on those before it, are skipped. Raises
+    InvalidInput unless 0 < tol < inf, gx is finite and
     min(d) > eps * max(d), Infeasible when no box point satisfies
     T u <= psi and NonConvergence when the pass misses the certificate or
     ends on a violation within round-off.

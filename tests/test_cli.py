@@ -433,6 +433,15 @@ REJECTED = [
     ("solve", _with(base_cfg(), ["data", "manufactured", "w"], {
         "kind": "sine-mixture", "modes": 32, "decay": -300}),
      "w-decay-overflow", "data.manufactured.w.decay"),
+    # a finite amplitude whose modes overflow a float: in a term amp k^-decay,
+    # and, with one mode, in the sine transform
+    ("solve", _with(base_cfg(), ["data", "manufactured", "w"], {
+        "kind": "sine-mixture", "amplitude": 1e300, "modes": 32,
+        "decay": -10}), "w-amplitude-overflow",
+     "data.manufactured.w.amplitude"),
+    ("solve", _with(base_cfg(), ["data", "manufactured", "w"], {
+        "kind": "sine-mixture", "amplitude": 1e307, "modes": 1, "decay": 0}),
+     "w-amplitude-transform-overflow", "data.manufactured.w.amplitude"),
     ("solve", _non_attainable(residual=INF), "residual-infinity",
      "data.manufactured.residual"),
     ("verify", _lavrentiev_cfg({"kind": "constant", "value": INF}),

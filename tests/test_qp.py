@@ -373,24 +373,53 @@ def test_thin_qr_holds_through_many_adds_and_drops():
     assert np.max(np.abs(Q - pool[:, cols] @ P)) <= 1e-10
 
 
-@pytest.mark.parametrize("n, rows, m", [(12, 9, 5), (12, 16, 5), (12, 4, 4),
-                                        (4, 9, 4), (6, 0, 0)])
+PREFIX_CASES = [(12, 9, 5), (12, 16, 5), (12, 4, 4), (4, 9, 4), (6, 0, 0)]
+
+
+def _prefix_rows(n, rows):
+    """rows random rows of length n, row 5 dependent on rows 0 and 2, and
+    the factorization's tolerance for them."""
+    rng = np.random.default_rng(n + rows)
+    W = rng.standard_normal((rows, n))
+    if rows > 5:
+        W[5] = 2.0 * W[0] - W[2]
+    return W, qp.DEPENDENT_TOL * np.linalg.norm(W, axis=1)
+
+
+@pytest.mark.parametrize("n, rows, m", PREFIX_CASES)
 def test_thin_qr_factor_keeps_the_independent_prefix(n, rows, m):
     # one Householder QR takes the rows before the first that depends on
     # the rows before it, at most n: row 5 depends on rows 0 and 2, and
     # beyond n rows every row depends on the first n. W P = Q on those m
     # rows, Q orthonormal and P upper triangular
-    rng = np.random.default_rng(n + rows)
-    W = rng.standard_normal((rows, n))
-    if rows > 5:
-        W[5] = 2.0 * W[0] - W[2]
-    tol = qp.DEPENDENT_TOL * np.linalg.norm(W, axis=1)
+    W, tol = _prefix_rows(n, rows)
     f = qp._ThinQR(n, min(n, max(8, rows)))
     assert f.factor(W, tol) == m and f.q == m
     Q, P = f.Q, f.P
     assert np.allclose(Q.T @ Q, np.eye(m), atol=1e-12)
     assert np.allclose(W[:m].T @ P, Q, atol=1e-12)
     assert np.array_equal(np.tril(P, -1), np.zeros_like(P))
+
+
+@pytest.mark.parametrize("n, rows, m", PREFIX_CASES)
+def test_thin_qr_without_q_keeps_the_prefix_through_drops(n, rows, m):
+    # with no Q rows, as in a warm start, the factorization keeps P = R^-1
+    # alone: it takes the same prefix, and after drops P P^T is still
+    # (W_keep W_keep^T)^-1. The rows left then pass a zero-tolerance
+    # factorization with Q, which keeps every one of them
+    W, tol = _prefix_rows(n, rows)
+    f = qp._ThinQR(0, min(n, rows))
+    assert f.factor(W, tol) == m and f.q == m
+    keep = list(range(m))
+    for k in (m // 2, 0) if m else ():
+        f.drop(k)
+        del keep[k]
+        G = np.linalg.inv(W[keep] @ W[keep].T)
+        assert np.linalg.norm(f.P @ f.P.T - G) <= 1e-10 * np.linalg.norm(G)
+    g = qp._ThinQR(n, len(keep))
+    assert g.factor(W[keep], np.zeros(len(keep))) == len(keep)
+    assert np.allclose(g.Q.T @ g.Q, np.eye(len(keep)), atol=1e-12)
+    assert np.allclose(W[keep].T @ g.P, g.Q, atol=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import load_preset_instance, random_problem
+from tiklav import qp
 from tiklav.experiments import lavrentiev_sweep
 from tiklav.grid import GridFunction, wnorm
 from tiklav.solver import RegularizedProblem, solve
@@ -71,6 +72,28 @@ def test_start_from_a_distant_lambda():
         cold = solve(prob, tol=1e-10)
         assert certificate(warm) <= 1e-10
         assert wnorm(prob.op.grid, warm.u.values - cold.u.values) <= 1e-8
+
+
+def test_start_forms_q_only_for_main_loop_changes(monkeypatch):
+    # the start phase keeps P = R^-1 alone; Q is formed by one factorization
+    # with Q rows when the main loop first changes the active set, so a
+    # start that is already optimal forms none
+    full, factor = [], qp._ThinQR.factor
+
+    def counted(self, W, tol):
+        full.append(self.n)
+        return factor(self, W, tol)
+
+    monkeypatch.setattr(qp._ThinQR, "factor", counted)
+    path = preset_path("binding-state-poisson-2d")
+    base = solve(path[0])
+    full.clear()
+    first = solve(path[1], start=base.active_set)
+    assert first.iterations > 0 and sum(map(bool, full)) == 1
+    full.clear()
+    again = solve(path[1], start=first.active_set)
+    assert again.iterations == 0 and not any(full)
+    assert certificate(again) <= 1e-8
 
 
 def test_warm_lambda_sweep_halves_active_set_changes(binding_preset):
