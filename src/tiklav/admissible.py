@@ -107,7 +107,8 @@ class AdmissibleSet:
     def with_lambda(self, lam: float, sign: Optional[str] = None) -> "AdmissibleSet":
         """The set with the Lavrentiev parameter lam (and sign); this set
         itself when neither changes, so its cached state rows are shared."""
-        sign = sign or self.sign
+        if sign is None:
+            sign = self.sign
         if lam == self.lam and sign == self.sign:
             return self
         return AdmissibleSet(self.box, replace(self.state, lam=lam, sign=sign),

@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, experiments
-from .admissible import AdmissibleSet, BoxBounds, StateConstraint
+from .admissible import (MINUS, PLUS, AdmissibleSet, BoxBounds,
+                         StateConstraint)
 from .errors import Infeasible, InvalidInput, NonConvergence, NoTransition
 from .grid import DomainGrid, GridFunction, ObservationRegion
 from .manufacture import ManufacturedInstance, manufacture, optimal_alpha
@@ -118,6 +119,13 @@ def _bool(value) -> bool:
     return value
 
 
+def _sign(value) -> str:
+    """"plus" or "minus"; null, "" and any other value are rejected."""
+    if value not in (PLUS, MINUS):
+        raise InvalidInput(f"expected 'plus' or 'minus', got {value!r}")
+    return value
+
+
 def _grid_values(grid: DomainGrid, spec) -> np.ndarray:
     """A number, 'inf' or a list of them, one per node -> per-node values."""
     def value(v):
@@ -140,7 +148,7 @@ def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
             spec, "values", where, _finite(lambda v: _grid_values(grid, v))))
     if kind == "sine-mixture":
         if grid.d != 1:
-            raise InvalidInput("sine-mixture source is 1D only")
+            raise InvalidInput(f"{where}.kind: sine-mixture source is 1D only")
         amp = _require(spec, "amplitude", where, _finite(_float), 1.0)
         modes = _require(spec, "modes", where, _int, grid.n)
         decay = _require(spec, "decay", where, _finite(_float), 0.5)
@@ -169,7 +177,7 @@ def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
             raise InvalidInput(f"{where}.amplitude: the source overflows at "
                                f"amplitude = {amp:g}, decay = {decay:g}")
         return GridFunction(grid, w)
-    raise InvalidInput(f"unknown w kind {kind!r}")
+    raise InvalidInput(f"{where}.kind: unknown w kind {kind!r}")
 
 
 def build_operator(cfg: dict):
@@ -208,7 +216,7 @@ def build_admissible(cfg: dict, op) -> AdmissibleSet:
                    lambda v: _grid_values(grid, v))
     state = StateConstraint(region, psi[region.indices],
                             _require(a_cfg, "lambda", "admissible", _float, 0.0),
-                            a_cfg.get("sign", "plus"))
+                            _require(a_cfg, "sign", "admissible", _sign, PLUS))
     return AdmissibleSet(box, state, op)
 
 
@@ -392,10 +400,10 @@ def _verify_noise(cfg, e_cfg, aset, tol, seed):
 
 
 def _verify_lavrentiev(cfg, e_cfg, aset, tol, seed):
+    sign = _require(e_cfg, "sign", "experiment", _sign, PLUS)
     inst = build_instance(cfg, aset, seed)
     uhat = e_cfg.get("uhat", {"kind": "constant", "value": 0.0})
     u_hat = _build_w(aset.op.grid, uhat, "experiment.uhat")
-    sign = e_cfg.get("sign", "plus")
     out = experiments.lavrentiev_sweep(
         inst, _require(e_cfg, "alpha", "experiment", _float),
         _floats(e_cfg, "lambda_list"), sign, u_hat, tol=tol)
@@ -404,7 +412,7 @@ def _verify_lavrentiev(cfg, e_cfg, aset, tol, seed):
     scaled = [s for s in out["c_scaled"] if s > 0]
     checks = {"c_fit_finite": bool(np.isfinite(out["c_fit"])),
               "c_fit_stable": not scaled or max(scaled) <= 10 * min(scaled)}
-    if sign == "plus":
+    if sign == PLUS:
         checks["plus_solutions_feasible"] = all(out["plus_feasible"])
     else:
         checks["minus_violation_bounded"] = all(out["minus_violation"])
@@ -414,11 +422,12 @@ def _verify_lavrentiev(cfg, e_cfg, aset, tol, seed):
 
 
 def _verify_total_error(cfg, e_cfg, aset, tol, seed):
+    sign = _require(e_cfg, "sign", "experiment", _sign, PLUS)
     inst = build_instance(cfg, aset, seed)
     out = experiments.total_error_study(
         inst, _floats(e_cfg, "alpha_list"),
         lam_cap=_require(e_cfg, "lambda_cap", "experiment", _float, 1e-2),
-        sign=e_cfg.get("sign", "plus"), tol=tol)
+        sign=sign, tol=tol)
     slope_ok, fit = _rate_fit(out["fit"], e_cfg)
     checks = {"rate_slope": slope_ok,
               "triangle_split": all(out["triangle_checks"])}

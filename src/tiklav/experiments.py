@@ -9,7 +9,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .admissible import AdmissibleSet, FeasibilityReport, slater
+from .admissible import PLUS, AdmissibleSet, FeasibilityReport, slater
 from .errors import Infeasible, InvalidInput, NoTransition
 from .grid import GridFunction, wnorm
 from .manufacture import ManufacturedInstance, add_noise
@@ -190,7 +190,7 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
     if not lams:
         raise InvalidInput("lambda_list must be nonempty")
     sl = slater(inst.aset.with_lambda(0.0), u_hat)
-    if sign == "plus" and lams[0] > sl["lam_max"]:
+    if sign == PLUS and lams[0] > sl["lam_max"]:
         raise Infeasible(
             f"lam = {lams[0]:g} exceeds tau/||u_hat||_inf = {sl['lam_max']:g}")
     base_set = inst.aset.with_lambda(0.0)
@@ -208,7 +208,7 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
         errors.append(wnorm(g, sol.u.values - base.u.values))
         rep0 = FeasibilityReport.from_slack(
             base_set.slack(sol.u.values, sol.y.values))
-        if sign == "plus":
+        if sign == PLUS:
             plus_feasible.append(bool(rep0.feasible))
         else:
             cap = lam * float(np.max(np.abs(sol.u.values[rows]), initial=0.0))
@@ -225,7 +225,7 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
 
 
 def total_error_study(inst: ManufacturedInstance, alpha_list: Sequence[float],
-                      lam_cap: float, sign: str = "plus",
+                      lam_cap: float, sign: str = PLUS,
                       tol: float = 1e-8) -> dict:
     """Joint sweep with lam = min(lam_cap, alpha) per alpha; fits the total
     error order and checks the triangle split against the lam = 0 solve."""

@@ -45,11 +45,6 @@ class DomainGrid:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     @property
-    def weights(self) -> np.ndarray:
-        """Quadrature weight per node (uniform, h^d)."""
-        return np.full(self.num_nodes, self.h**self.d)
-
-    @property
     def weight(self) -> float:
         """The common quadrature weight h^d."""
         return self.h**self.d

@@ -1,15 +1,13 @@
-"""Manufactured test instances with known exact solutions, seeded noise,
-source-element recovery and the a-priori parameter choice."""
+"""Manufactured test instances with known exact solutions, seeded noise
+and the a-priori parameter choice."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 import numpy as np
 
-from .admissible import (AdmissibleSet, FeasibilityReport, _projection,
-                         project_admissible)
+from .admissible import AdmissibleSet, FeasibilityReport, _projection
 from .errors import InvalidInput
 from .grid import GridFunction, wnorm
 from .operators import apply
@@ -118,21 +116,6 @@ def add_noise(y_d: GridFunction, delta: float, seed: int) -> GridFunction:
     e = _lcg_uniforms(seed, y_d.grid.num_nodes)
     e /= wnorm(y_d.grid, e)
     return GridFunction(y_d.grid, y_d.values + delta * e)
-
-
-def recover_source(path: Sequence[Tuple[float, "Solution"]], y_d: GridFunction,
-                   aset: AdmissibleSet, tol: float = 1e-9) -> dict:
-    """Extract w_est = -(S u_alpha - y_d)/alpha at the smallest alpha and
-    certify it against the projection identity P_set(S* w_est) = u_alpha."""
-    if not path:
-        raise InvalidInput("recover_source needs at least one (alpha, solution)")
-    ratios = [wnorm(y_d.grid, sol.y.values - y_d.values) / a for a, sol in path]
-    alpha, sol = path[-1]
-    w_est = GridFunction(y_d.grid, -(sol.y.values - y_d.values) / alpha)
-    proj = project_admissible(apply(aset.op, w_est), aset, tol=tol)
-    certificate = wnorm(y_d.grid, proj.values - sol.u.values)
-    return {"w_est": w_est, "certificate": certificate,
-            "discrepancy_ratios": ratios}
 
 
 def optimal_alpha(residual_norm: float, w_norm: float) -> dict:

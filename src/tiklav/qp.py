@@ -315,9 +315,10 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
             partial = float(ratios[k])
         step = min(full, partial)
         if step == np.inf:
-            # noise: the round-off of b^T x at the scale of x_0 = -gx/d
+            # noise: the round-off of b^T x at the scale of x_0 = -gx/d;
+            # hypot scales by the largest entry, so no square overflows
             viol, noise = b @ x - c[p], 64 * np.finfo(float).eps \
-                * np.linalg.norm(b) * np.linalg.norm(gx / d)
+                * np.linalg.norm(b) * math.hypot(*(gx / d))
             if viol <= noise:
                 raise NonConvergence(
                     f"a row violated by {viol:.3e}, within its round-off "

@@ -9,7 +9,7 @@ from conftest import random_problem
 from tiklav import cli, experiments
 from tiklav.grid import DomainGrid, GridFunction, constant, from_callable, wnorm
 from tiklav.errors import NoTransition
-from tiklav.manufacture import add_noise, recover_source
+from tiklav.manufacture import add_noise
 from tiklav.operators import (KernelSpec, apply, assemble_fredholm,
                               assemble_poisson)
 from tiklav.solver import (RegularizedProblem, oracle_solve,
@@ -192,14 +192,20 @@ def test_criterion_10_projection_formula(report, interior_preset, clipped_preset
 
 
 def test_criterion_11_converse_recovery(report, interior_preset):
+    # along the path, w_alpha = -(S u_alpha - y_d)/alpha approaches the
+    # source w, and at the smallest alpha u_alpha = P_set(S* w_alpha)
     _, op, _, inst = interior_preset
-    aset = inst.aset
-    path = []
+    aset, g = inst.aset, op.grid
+    dists = []
     for a in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        sol = solve(RegularizedProblem(inst.y_d, aset, a), tol=1e-9)
-        path.append((a, sol))
-    out = recover_source(path, inst.y_d, aset, tol=1e-9)
-    report(11, "source-element recovery certificate", out["certificate"] <= 1e-4)
+        prob = RegularizedProblem(inst.y_d, aset, a)
+        sol = solve(prob, tol=1e-9)
+        w_alpha = -(sol.y.values - inst.y_d.values) / a
+        dists.append(wnorm(g, w_alpha - inst.w.values))
+    decreasing = all(x > y for x, y in zip(dists, dists[1:]))
+    certificate = projection_formula_residual(sol, prob, tol=1e-8)
+    report(11, "source-element recovery certificate",
+           decreasing and certificate <= 1e-4)
 
 
 def test_criterion_12_determinism(report, tmp_path):

@@ -59,6 +59,11 @@ class TestConstruction:
         assert shifted.lam == 0.01 and shifted.sign == "minus"
         assert shifted.box is aset.box and shifted.op is aset.op
 
+    def test_with_lambda_rejects_empty_sign(self):
+        # only None keeps the set's sign; "" is no sign
+        with pytest.raises(InvalidInput, match="sign must be"):
+            small_set().with_lambda(0.01, "")
+
     @pytest.mark.parametrize("lam, sign", [(0.0, "plus"), (0.01, "minus")])
     def test_unchanged_lambda_is_the_same_set(self, lam, sign):
         # the same set, so the cached state rows B are built once

@@ -92,6 +92,19 @@ class TestSolve:
         assert rc == cli.EXIT_NONCONVERGENCE
         assert capsys.readouterr().err.startswith("nonconvergence: ")
 
+    def test_huge_data_round_off_is_finite(self, tmp_path, capsys):
+        # a source of amplitude 1e200 makes |x_0| overflow as a plain
+        # norm; the round-off bound of the nonconvergence message stays
+        # finite (and pytest makes numpy's overflow warning an error)
+        cfg = _with(base_cfg(), ["data", "manufactured", "w"], {
+            "kind": "sine-mixture", "amplitude": 1e200, "modes": 1,
+            "decay": 0})
+        rc = cli.main(["solve", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_NONCONVERGENCE
+        err = capsys.readouterr().err
+        assert "within its round-off 5.217e+185" in err
+
     def test_explicit_data_values(self, tmp_path):
         cfg = base_cfg()
         cfg["data"] = {"values": [0.1] * 12}
@@ -214,6 +227,20 @@ class TestVerify:
         assert report["summaries"]["c_fit"] == 0.0
         assert report["checks"]["c_fit_stable"] is True
         assert rc == cli.EXIT_OK
+
+    def test_no_rate_fit_exits_5(self, tmp_path):
+        # w = 0 gives u_bar = 0 and err_u = 0 on the whole path: no alpha
+        # lies in the fit window, so there is no fit and rate_slope fails
+        cfg = _experiment(
+            _with(base_cfg(), ["data", "manufactured", "w", "value"], 0.0),
+            kind="sweep-alpha", alpha_list=ALPHAS)
+        out = tmp_path / "o"
+        rc = cli.main(["verify", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_CHECK_FAILED
+        report = json.loads((out / "report.json").read_text())
+        assert report["summaries"] == {"fit": None}
+        assert report["checks"]["rate_slope"] is False
 
     def test_every_kind_has_a_case(self):
         kinds = {cfg["experiment"]["kind"] for cfg, _ in VERIFY_CASES.values()}
@@ -452,6 +479,34 @@ REJECTED = [
     ("verify", _experiment(base_cfg(), kind="total-error",
                            alpha_list=[1e-1, 1e-2, 1e-3]),
      "total-error-short-alpha-list"),
+    # a sign is "plus" or "minus": null and "" do not fall back to the
+    # admissible set's sign
+    ("verify", _lavrentiev_cfg(sign=None), "lavrentiev-null-sign",
+     "experiment.sign"),
+    ("verify", _lavrentiev_cfg(sign=""), "lavrentiev-empty-sign",
+     "experiment.sign"),
+    ("verify", _experiment(base_cfg(), kind="total-error", alpha_list=ALPHAS,
+                           sign=None), "total-error-null-sign",
+     "experiment.sign"),
+    ("solve", _with(base_cfg(), ["admissible", "sign"], None),
+     "admissible-null-sign", "admissible.sign"),
+    ("solve", _with(base_cfg(), ["admissible", "region"], "inner"),
+     "region-not-an-object", "admissible.region"),
+    ("solve", _with(base_cfg(), ["admissible", "psi"], [1.0] * 5),
+     "psi-wrong-length", "admissible.psi"),
+    ("solve", _with(base_cfg(), ["admissible", "region"],
+                    {"bounds": [[0.25, 0.75], [0.25, 0.75]]}),
+     "region-bounds-pair-count", "admissible.region.bounds"),
+    ("solve", _with(_with(base_cfg(), ["operator", "d"], 2),
+                    ["data", "manufactured", "w"],
+                    {"kind": "sine-mixture"}),
+     "sine-mixture-2d", "data.manufactured.w.kind"),
+    ("solve", _with(base_cfg(), ["data", "manufactured", "w"],
+                    {"kind": "warp"}), "unknown-w-kind",
+     "data.manufactured.w.kind"),
+    ("verify", _experiment(base_cfg(), kind="activity", alpha_list=ALPHAS,
+                           expect="sometimes"), "bad-activity-expect",
+     "experiment.expect"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Manufactured instances, seeded noise, source recovery, parameter choice."""
+"""Manufactured instances, seeded noise, parameter choice."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,8 @@ from tiklav.admissible import AdmissibleSet, BoxBounds, StateConstraint, feasibi
 from tiklav.errors import InvalidInput
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, constant, wnorm
 from tiklav.manufacture import (_lcg_uniforms, add_noise, manufacture,
-                                optimal_alpha, recover_source)
+                                optimal_alpha)
 from tiklav.operators import apply, assemble_poisson
-from tiklav.solver import RegularizedProblem, solve
 
 
 def make_set(n=12, b=1.0, psi=0.05):
@@ -120,26 +119,6 @@ class TestNoise:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             add_noise(constant(DomainGrid(1, 8), 0.0), -0.1, seed=0)
-
-
-class TestRecoverSource:
-    def test_certificate_small_for_attainable_instance(self):
-        aset = make_set(psi=1.0, b=10.0)
-        w = constant(aset.op.grid, 0.5)
-        inst = manufacture(w, aset)
-        path = []
-        for a in (1e-2, 1e-3, 1e-4, 1e-5):
-            sol = solve(RegularizedProblem(inst.y_d, aset, a),
-                        tol=1e-10)
-            path.append((a, sol))
-        out = recover_source(path, inst.y_d, aset, tol=1e-10)
-        assert out["certificate"] <= 1e-4
-        assert len(out["discrepancy_ratios"]) == 4
-
-    def test_empty_path_rejected(self):
-        aset = make_set()
-        with pytest.raises(InvalidInput, match="needs at least one"):
-            recover_source([], constant(aset.op.grid, 0.0), aset)
 
 
 class TestOptimalAlpha:
