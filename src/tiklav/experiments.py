@@ -185,27 +185,29 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
                      lam_list: Sequence[float], sign: str,
                      u_hat: GridFunction, tol: float = 1e-8) -> dict:
     """Compare u_alpha^lam against u_alpha^0 across lam; fit the constant of
-    the lam/alpha error bound and detect the coincidence threshold."""
+    the lam/alpha error bound and detect the coincidence threshold.
+
+    The lams are solved first, descending, the largest cold and each next
+    one from the previous active set; then lam = 0, from the smallest lam's
+    active set, its nearest neighbour on the path."""
     lams = sorted(lam_list, reverse=True)
     if not lams:
         raise InvalidInput("lambda_list must be nonempty")
-    sl = slater(inst.aset.with_lambda(0.0), u_hat)
+    base_set = inst.aset.with_lambda(0.0)
+    sl = slater(base_set, u_hat)
     if sign == PLUS and lams[0] > sl["lam_max"]:
         raise Infeasible(
             f"lam = {lams[0]:g} exceeds tau/||u_hat||_inf = {sl['lam_max']:g}")
-    base_set = inst.aset.with_lambda(0.0)
     prob = RegularizedProblem(inst.y_d, base_set, alpha)
-    base = _solve(inst, prob, tol)[1]
-    g = base_set.op.grid
     rows = base_set.constraint_matrix()[0].idx
-    records, errors, plus_feasible, minus_violation = [], [], [], []
-    active = base.active_set  # descending lam: each solve starts nearby
+    records, sols, plus_feasible, minus_violation = [], [], [], []
+    active = None
     for lam in lams:
-        prob = prob.at(aset=inst.aset.with_lambda(lam, sign))
-        rec, sol = _solve(inst, prob, tol, start=active)
+        rec, sol = _solve(inst, prob.at(aset=inst.aset.with_lambda(lam, sign)),
+                          tol, start=active)
         active = sol.active_set
         records.append(rec)
-        errors.append(wnorm(g, sol.u.values - base.u.values))
+        sols.append(sol)
         rep0 = FeasibilityReport.from_slack(
             base_set.slack(sol.u.values, sol.y.values))
         if sign == PLUS:
@@ -213,6 +215,9 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
         else:
             cap = lam * float(np.max(np.abs(sol.u.values[rows]), initial=0.0))
             minus_violation.append(bool(-rep0.margin_state <= cap + 10 * tol))
+    base = _solve(inst, prob, tol, start=active)[1]
+    g = base_set.op.grid
+    errors = [wnorm(g, sol.u.values - base.u.values) for sol in sols]
     scaled = [e * alpha / lam for e, lam in zip(errors, lams) if lam > 0]
     c_fit = max(scaled) if scaled else 0.0
     # largest lam such that it and every smaller lam coincide with lam = 0

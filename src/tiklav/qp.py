@@ -6,7 +6,7 @@ by the dual active-set method of Goldfarb and Idnani (Math. Programming 27
 a_i^T u <= c_i, numbered as everywhere in tiklav: for n nodes, row i is
 the lower bound of node i, row n + i its upper bound (c = +inf where the
 bound is absent: that row never enters) and row 2n + j row j of the m rows
-of T. Starting at the unconstrained minimizer, the method adds the most
+of T. From a dual-feasible start (below), the method adds the most
 violated row and drops an active row whenever its multiplier would turn
 negative, so the multipliers stay dual feasible and the active rows stay
 linearly independent. It ends after finitely many active-set changes at
@@ -51,10 +51,16 @@ it. An H whose smallest eigenvalue is not > eps * its largest
 without the KKT certificate raises NonConvergence: the callers' Hessians
 carry alpha > 0 (or are 2I), so one pass suffices.
 
-A solve can start from the active rows of a nearby one (`start`, an array
-of row ids, e.g. the previous point of a lambda or alpha path): the dual
-method needs only a dual-feasible start (Goldfarb and Idnani; Ferreau, Bock
-and Diehl, Int. J. Robust Nonlinear Control 18 (2008) 816).
+Every solve starts from a set of rows made dual feasible: the dual
+method needs nothing more (Goldfarb and Idnani; Ferreau, Bock and Diehl,
+Int. J. Robust Nonlinear Control 18 (2008) 816). A solve can take the
+active rows of a nearby one (`start`, an array of row ids, e.g. the
+previous point of a lambda or alpha path). A start that names no row of
+the problem becomes the rows violated by more than the feasibility
+tolerance at the unconstrained minimizer x_0 = -gx/d: the first step,
+with mu = 0, of the primal-dual active-set method of Hintermueller, Ito
+and Kunisch (SIAM J. Optim. 13 (2002) 865). When no row is violated
+there, the main loop reuses that slack evaluation and ends at once.
 Of the start rows that exist in the problem (ids in [0, 2n + m) with c
 finite), taken lower, upper, state, those before the first that depends
 on the rows before it (at most n) are factored as P = R^{-1} alone, and
@@ -67,7 +73,8 @@ with a zero tolerance, as they already passed the dependence test. A
 start that is already optimal forms no Q. Any start, however stale, is
 valid: the result is certified as a cold one is, and the start changes
 only the number of active-set changes (and, within the certificate,
-which rows violated by at most 0.1 tol are left inactive).
+which rows violated by at most 0.1 tol are left inactive). The start's
+drops are counted apart from the main loop's changes.
 
 The weighted L2 structure of the grid cancels out of the optimality
 system for uniform quadrature weights; norms reported to callers are
@@ -95,7 +102,9 @@ class QPResult:
     mu_lower: np.ndarray
     mu_upper: np.ndarray
     eta: np.ndarray
-    iterations: int          # active-set changes after the warm start
+    iterations: int          # active-set changes of the main loop
+    start_drops: int         # start rows dropped to make the start dual
+                             # feasible, before the main loop
     stationarity: float
     primal: float
     complementarity: float
@@ -229,15 +238,17 @@ def _start_rows(start, V, c, B):
 
 def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     """Goldfarb-Idnani iteration on H = V diag(d) V^T with every d > 0;
-    returns (u, bx, eta, active-set changes, sorted active row ids), where
-    u = V x and bx = B x are the final slack evaluation's, at the final
-    iterate x.
+    returns (u, bx, eta, main-loop active-set changes, start drops, sorted
+    active row ids), where u = V x and bx = B x are the final slack
+    evaluation's, at the final iterate x.
 
     Rows are numbered as in the module docstring, so an absent upper bound
     has slack -inf; `normal` gives b_i = V^T a_i. A row with violation
     a_i^T u - c_i <= feas_tol counts as satisfied. The iteration starts
-    from the rows of `start` made dual feasible (see the module
-    docstring); changes made there are not counted. Raises Infeasible
+    from the rows of `start` made dual feasible, or, when `start` names no
+    row of the problem, from the rows violated by more than feas_tol at
+    x_0 = -gx/d (see the module docstring); the drops made there are
+    returned apart from the main loop's changes. Raises Infeasible
     when the constraints admit no point, and NonConvergence when a row
     that depends on the active rows is violated only within the round-off
     of its value. After 10 changes per row that exists, the next slack
@@ -253,15 +264,30 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
             return B[i - 2 * n]
         return -V[i] if i < n else V[i - n]
 
+    def at(x):  # the slack evaluation at x: u = V x, bx = B x, violations
+        u = V @ x
+        bx = B.at_values(u, x)
+        return u, bx, np.concatenate([-u, u, bx]) - c
+
     rsd = 1.0 / np.sqrt(d)      # L^{-1} a = rsd * (V^T a)
     x = -gx / d
 
-    # warm start: factor the independent start rows W = L^{-1} A as P = R^{-1}
+    # start: factor the independent start rows W = L^{-1} A as P = R^{-1}
     # alone; in s = L^T u the equality-constrained minimizer is
     # s = s0 - W mult with (W^T W) mult = W^T s0 - c, the rows' violations
-    # at u0 = V x, where (W^T W)^{-1} = P P^T
+    # at u0 = V x, where (W^T W)^{-1} = P P^T. A start that names no row
+    # becomes the rows violated at x_0; when none is, the main loop reuses
+    # that slack evaluation
     rows, normals = _start_rows(start, V, c, B)
-    W = rsd * normals            # row j is L^{-1} a for row rows[j]
+    ev = None
+    if not rows.size:
+        ev = at(x)
+        crash = np.flatnonzero(ev[2] > feas_tol)
+        if crash.size:
+            rows, normals = _start_rows(crash, V, c, B)
+    bx0 = normals @ x            # b^T x_0 of each start row
+    W = normals                  # in place, so that the start holds one
+    W *= rsd                     # k x n array: row j is L^{-1} a for rows[j]
     qr = _ThinQR(0, min(n, rows.size))
     m = qr.factor(W, DEPENDENT_TOL * np.linalg.norm(W, axis=1))
     # the active rows' ids and multipliers in the column order of P, in
@@ -269,23 +295,24 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     idbuf, mbuf = np.empty(n, dtype=np.intp), np.empty(n)
     active, keep = idbuf[:m], np.arange(m)  # keep: their rows of W
     active[:] = rows[:m]
-    viol = normals[:m] @ x - c[active]
+    viol = bx0[:m] - c[active]
     mult = np.matmul(qr.P, viol @ qr.P, out=mbuf[:qr.q])
     while mult.size and mult.min() < 0.0:  # drop until dual feasible
         k = int(mult.argmin())
         qr.drop(k)
         active, keep, viol = _cut(active, k), _cut(keep, k), _cut(viol, k)
         mult = np.matmul(qr.P, viol @ qr.P, out=mbuf[:qr.q])
+    drops = m - active.size
     W = W[keep]
     if active.size:
         x = x - rsd * (mult @ W)
+        ev = None
 
     changes, p, cap = 0, -1, 10 * (np.isfinite(c).sum() + 1)
     while True:
         if p < 0:  # pick the most violated row
-            u = V @ x
-            bx = B.at_values(u, x)
-            slack = np.concatenate([-u, u, bx]) - c
+            u, bx, slack = at(x) if ev is None else ev
+            ev = None
             slack[active] = -np.inf
             p = int(slack.argmax())
             if slack[p] <= feas_tol or changes >= cap:
@@ -349,10 +376,11 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     state = active >= 2 * n
     eta = np.zeros(B.shape[0])
     eta[active[state] - 2 * n] = mult[state]
-    return u, bx, eta, changes, np.sort(active)
+    return u, bx, eta, changes, drops, np.sort(active)
 
 
-def _certified(grad, upper, psi, tol, wfac, u, bx, eta, changes, active):
+def _certified(grad, upper, psi, tol, wfac, u, bx, eta, changes, drops,
+               active):
     """QPResult for the engine's u = V x, its state rows bx = B x and eta
     when their KKT residuals on the original problem are all <= tol, else
     None; the bound multipliers derive from r = grad(u, eta). u is set
@@ -372,8 +400,8 @@ def _certified(grad, upper, psi, tol, wfac, u, bx, eta, changes, active):
         mu_lo * u, mu_up * np.where(finite, upper - u, 0.0), eta * gap])),
         initial=0.0))
     if max(stat, primal, comp) <= tol:
-        return QPResult(u, mu_lo, mu_up, eta, changes, stat, primal, comp,
-                        active)
+        return QPResult(u, mu_lo, mu_up, eta, changes, drops, stat, primal,
+                        comp, active)
     return None
 
 
@@ -391,7 +419,9 @@ def solve_box_state_qp(H, gx: np.ndarray, grad: Callable, upper: np.ndarray,
     space (eta: one entry per row of B), on which the certificate is
     measured. `start` is the active row ids of a nearby solve (e.g. a
     previous `QPResult.active`); ids of rows absent here, and rows from the
-    first that depends on those before it, are skipped. Raises
+    first that depends on those before it, are skipped, and a start that
+    names no row here becomes the rows violated at the unconstrained
+    minimizer. Raises
     InvalidInput unless 0 < tol < inf, gx is finite and
     min(d) > eps * max(d), Infeasible when no box point satisfies
     T u <= psi and NonConvergence when the pass misses the certificate or
@@ -406,9 +436,9 @@ def solve_box_state_qp(H, gx: np.ndarray, grad: Callable, upper: np.ndarray,
         raise InvalidInput(
             "Hessian not definite to round-off: d_min/d_max = "
             f"{np.min(d):.3e}/{np.max(d):.3e}")
-    u, bx, eta, changes, active = _dual_active_set(
+    u, bx, eta, changes, drops, active = _dual_active_set(
         V, d, gx, upper, B, psi, 0.1 * tol, start)
-    res = _certified(grad, upper, psi, tol, wfac, u, bx, eta, changes,
+    res = _certified(grad, upper, psi, tol, wfac, u, bx, eta, changes, drops,
                      active)
     if res is None:
         raise NonConvergence(

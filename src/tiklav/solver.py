@@ -80,7 +80,9 @@ class Solution:
     active_upper: np.ndarray
     active_state: np.ndarray      # rows j of constraint_matrix(), as eta
     iterations: int               # QP active-set changes (adds plus drops)
-                                  # after the warm start
+                                  # of the main loop
+    start_drops: int              # start rows the QP dropped before its
+                                  # main loop
     kkt_stationarity: float
     kkt_primal: float
     kkt_complementarity: float
@@ -106,7 +108,8 @@ def _solution(problem: RegularizedProblem, res: qp.QPResult,
         margins=FeasibilityReport.from_slack(slack),
         mu_lower=res.mu_lower, mu_upper=res.mu_upper, eta=res.eta,
         active_lower=lo, active_upper=up, active_state=st,
-        iterations=res.iterations, kkt_stationarity=res.stationarity,
+        iterations=res.iterations, start_drops=res.start_drops,
+        kkt_stationarity=res.stationarity,
         kkt_primal=res.primal, kkt_complementarity=res.complementarity,
         active_set=res.active)
 
@@ -144,7 +147,8 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
           start: Optional[np.ndarray] = None) -> Solution:
     """Minimize over the admissible set with certified KKT residuals <= tol,
     warm-started from `start`, the `active_set` of a nearby solve (same
-    admissible region; any lambda, alpha or data)."""
+    admissible region; any lambda, alpha or data); with no start, from the
+    rows violated at the unconstrained minimizer."""
     aset = problem.aset
     H, gx = _quadratic(problem.op, problem.vty, problem.alpha)
     grad = _Lagrangian(problem)
@@ -226,6 +230,6 @@ def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
         if stat > feas_tol:  # a near-singular pattern's inexact solve
             continue
         return _solution(problem, qp.QPResult(
-            u, mu_lower, mu_upper, eta, 0, stat, 0.0, 0.0,
+            u, mu_lower, mu_upper, eta, 0, 0, stat, 0.0, 0.0,
             np.array(rows, dtype=np.intp)))
     raise NoFeasiblePattern("no activity pattern is primal/dual feasible")

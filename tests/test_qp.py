@@ -241,13 +241,23 @@ def test_warm_start_accepted():
 
 
 def test_iterations_count_active_set_changes():
-    # both lower bounds enter and nothing leaves: two changes
+    # both lower bounds are violated at the unconstrained minimizer
+    # (-1, -1), so a cold solve starts with both and makes no change
     H = 2 * np.eye(2)
     g = 2 * np.ones(2)
     res = solve_dense(H, g, np.ones(2), None, None,
                       1e-10, 1.0)
     assert np.allclose(res.u, 0.0, atol=1e-15)
-    assert res.iterations == 2
+    assert res.iterations == 0 and res.start_drops == 0
+    # at the unconstrained minimizer (-1, 0.2) only node 0's lower bound is
+    # violated; with u_0 = 0 the minimizer moves to u_1 = -0.3, so the main
+    # loop adds node 1's lower bound: one change, with both multipliers > 0
+    H = np.array([[2.0, 1.0], [1.0, 2.0]])
+    g = np.array([1.8, 0.6])
+    res = solve_dense(H, g, np.ones(2), None, None, 1e-10, 1.0)
+    assert np.allclose(res.u, 0.0, atol=1e-15)
+    assert np.allclose(res.mu_lower, g, atol=1e-12)
+    assert res.iterations == 1 and res.start_drops == 0
 
 
 def _stale_starts(n, upper, m):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import load_preset_instance, random_problem
-from tiklav import qp
+from tiklav import experiments, qp
 from tiklav.experiments import lavrentiev_sweep
 from tiklav.grid import GridFunction, wnorm
-from tiklav.solver import RegularizedProblem, solve
+from tiklav.solver import RegularizedProblem, solve, solve_unconstrained
 
 
 def certificate(sol):
@@ -31,10 +31,10 @@ def preset_path(name):
     """The problems a preset's verify solves, in its order."""
     cfg, op, aset, inst = load_preset_instance(name)
     e = cfg["experiment"]
-    if e["kind"] == "lavrentiev":
-        sets = [aset.with_lambda(0.0)] + [
-            aset.with_lambda(lam, e["sign"])
-            for lam in sorted(e["lambda_list"], reverse=True)]
+    if e["kind"] == "lavrentiev":  # the lams descending, then lam = 0
+        sets = [aset.with_lambda(lam, e["sign"])
+                for lam in sorted(e["lambda_list"], reverse=True)]
+        sets.append(aset.with_lambda(0.0))
         return [RegularizedProblem(inst.y_d, s, e["alpha"]) for s in sets]
     return [RegularizedProblem(inst.y_d, aset, a) for a in e["alpha_list"]]
 
@@ -66,8 +66,8 @@ def test_start_from_a_distant_lambda():
     # the 2D preset's lambda = 1e-2 set as the start of the lambda = 0 and
     # lambda = 1e-5 solves, and the other way round
     path = preset_path("binding-state-poisson-2d")
-    first, last = solve(path[1], tol=1e-10), solve(path[-1], tol=1e-10)
-    for prob, start in [(path[0], first), (path[-1], first), (path[1], last)]:
+    first, last = solve(path[0], tol=1e-10), solve(path[-2], tol=1e-10)
+    for prob, start in [(path[-1], first), (path[-2], first), (path[0], last)]:
         warm = solve(prob, tol=1e-10, start=start.active_set)
         cold = solve(prob, tol=1e-10)
         assert certificate(warm) <= 1e-10
@@ -86,24 +86,91 @@ def test_start_forms_q_only_for_main_loop_changes(monkeypatch):
 
     monkeypatch.setattr(qp._ThinQR, "factor", counted)
     path = preset_path("binding-state-poisson-2d")
-    base = solve(path[0])
+    base = solve(path[-1])  # lambda = 0, then the distant lambda = 1e-2
     full.clear()
-    first = solve(path[1], start=base.active_set)
+    first = solve(path[0], start=base.active_set)
     assert first.iterations > 0 and sum(map(bool, full)) == 1
     full.clear()
-    again = solve(path[1], start=first.active_set)
+    again = solve(path[0], start=first.active_set)
     assert again.iterations == 0 and not any(full)
     assert certificate(again) <= 1e-8
 
 
-def test_warm_lambda_sweep_halves_active_set_changes(binding_preset):
-    # a count of active-set changes, not a time: deterministic
-    cfg, op, aset, inst = binding_preset
+def sweep_solutions(monkeypatch, preset):
+    """lavrentiev_sweep on a preset's experiment with every Solution it
+    solves captured, in its order; returns (output, solutions)."""
+    cfg, op, aset, inst = preset
     e = cfg["experiment"]
+    sols, inner = [], experiments.solve
+
+    def captured(*args, **kwargs):
+        sols.append(inner(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(experiments, "solve", captured)
     out = lavrentiev_sweep(inst, e["alpha"], e["lambda_list"], e["sign"],
                            GridFunction(op.grid, np.zeros(op.grid.num_nodes)))
-    warm = sum(r.iters for r in out["records"])
-    cold = sum(solve(RegularizedProblem(
-        inst.y_d, aset.with_lambda(lam, e["sign"]), e["alpha"])).iterations
+    return out, sols
+
+
+def work(sol):
+    """The engine's active-set changes: main loop and start drops."""
+    return sol.iterations + sol.start_drops
+
+
+def test_warm_lambda_sweep_halves_active_set_changes(monkeypatch,
+                                                     binding_preset):
+    # a count of active-set changes, not a time: deterministic. The sweep
+    # solves every lam and then lam = 0; the cold solves start from the
+    # rows violated at the unconstrained minimizer, as its largest lam does
+    cfg, op, aset, inst = binding_preset
+    e = cfg["experiment"]
+    out, sols = sweep_solutions(monkeypatch, binding_preset)
+    assert len(sols) == len(out["records"]) + 1
+    warm = sum(map(work, sols))
+    cold = sum(work(solve(RegularizedProblem(
+        inst.y_d, aset.with_lambda(lam, e["sign"]), e["alpha"])))
         for lam in e["lambda_list"])
     assert warm <= cold / 2
+
+
+def test_start_drops_are_the_start_phase_drops(monkeypatch, binding_preset):
+    # every drop of P alone (a _ThinQR with no Q rows) is a start drop, and
+    # the Solutions count each one
+    drops, inner = [], qp._ThinQR.drop
+
+    def counted(self, k):
+        drops.append(self.n == 0)
+        return inner(self, k)
+
+    monkeypatch.setattr(qp._ThinQR, "drop", counted)
+    out, sols = sweep_solutions(monkeypatch, binding_preset)
+    assert sum(drops) > 0
+    assert sum(s.start_drops for s in sols) == sum(drops)
+    assert [r.iters for r in out["records"]] == [0] * len(out["records"])
+
+
+def test_cold_start_is_the_rows_violated_at_the_unconstrained_minimizer(
+        monkeypatch, binding_preset):
+    # a solve with no start factors the rows violated by more than 0.1 tol
+    # at x_0, the point solve_unconstrained returns
+    cfg, op, aset, inst = binding_preset
+    e = cfg["experiment"]
+    starts, inner = [], qp._start_rows
+
+    def captured(start, *args):
+        starts.append(start)
+        return inner(start, *args)
+
+    monkeypatch.setattr(qp, "_start_rows", captured)
+    lam_set = aset.with_lambda(1e-2, e["sign"])
+    sol = solve(RegularizedProblem(inst.y_d, lam_set, e["alpha"]), tol=1e-8)
+    assert certificate(sol) <= 1e-8
+    u0 = solve_unconstrained(op, inst.y_d, e["alpha"]).values
+    n = u0.size
+    lo, up, st = lam_set.slack(u0, op.apply_values(u0))
+    violated = np.concatenate([np.flatnonzero(lo < -1e-9),
+                               n + np.flatnonzero(up < -1e-9),
+                               2 * n + np.flatnonzero(st < -1e-9)])
+    assert starts[0] is None and violated.size
+    assert np.array_equal(starts[-1], violated)
