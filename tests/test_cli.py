@@ -304,14 +304,19 @@ def _csv_cell(cell):
 
 @pytest.mark.parametrize("preset", ["interior-attainable-poisson-1d",
                                     "clipped-fredholm-1d",
-                                    "binding-state-poisson-2d"])
+                                    "binding-state-poisson-2d",
+                                    "binding-state-poisson-2d-n24"])
 def test_preset_matches_golden(preset, tmp_path):
     # tests/golden/<preset> holds the checks, the summaries and the
     # sweep.csv of a reference run; a change of code that keeps the
-    # results keeps these
+    # results keeps these. A directory with a config.json pins that config
+    # instead of a preset: binding-state-poisson-2d-n24 is the 2D preset at
+    # n = 24, whose lambda path keeps 252-480 active rows
     out = tmp_path / "out"
-    assert cli.main(["verify", "--config", preset, "--out", str(out)]) == cli.EXIT_OK
     golden = GOLDEN / preset
+    config = golden / "config.json"
+    config = str(config) if config.exists() else preset
+    assert cli.main(["verify", "--config", config, "--out", str(out)]) == cli.EXIT_OK
     report = json.loads((out / "report.json").read_text())
     want = json.loads((golden / "report.json").read_text())
     _assert_close({k: report[k] for k in want}, want, preset)
