@@ -34,11 +34,11 @@ Q orthonormal and P = R^{-1} of the thin QR factorization W = Q R, in
 buffers that double when full: an add writes one column of each, a drop
 is one Householder reflection applied to both, and the triangular solves
 of the method are products with P. The start phase keeps P alone, from
-one Householder QR that forms R but not Q; Q of the start rows left is
-formed by one QR when the main loop first changes the active set. After
-a drop, the row being tried is split against the columns left by adding
-back the direction that left, with no new Gram-Schmidt pass. The engine
-runs on numpy alone.
+one Householder QR that forms R but not Q and a blocked inverse of R; Q
+of the start rows kept is formed by one QR when the main loop first
+changes the active set. After a drop, the row being tried is split
+against the columns left by adding back the direction that left, with no
+new Gram-Schmidt pass. The engine runs on numpy alone.
 
 The KKT certificate is measured on the problem, not on the basis the
 engine iterated in: the caller passes the Lagrangian gradient
@@ -63,18 +63,25 @@ and Kunisch (SIAM J. Optim. 13 (2002) 865). When no row is violated
 there, the main loop reuses that slack evaluation and ends at once.
 Of the start rows that exist in the problem (ids in [0, 2n + m) with c
 finite), taken lower, upper, state, those before the first that depends
-on the rows before it (at most n) are factored as P = R^{-1} alone, and
-the row with the most negative multiplier is dropped, a reflection of P
-only, until every multiplier is >= 0. x is then the minimizer with the
-rows left as equalities, x = x_0 - d^{-1/2} * (W_left mult). The usual
-iteration runs from there and adds back any later start row that is
-violated; its first change factors the rows left once more, with Q and
-with a zero tolerance, as they already passed the dependence test. A
-start that is already optimal forms no Q. Any start, however stale, is
-valid: the result is certified as a cold one is, and the start changes
-only the number of active-set changes (and, within the certificate,
-which rows violated by at most 0.1 tol are left inactive). The start's
-drops are counted apart from the main loop's changes.
+on the rows before it (at most n) are factored as P = R^{-1} alone. The
+rows to keep solve the dual of the QP on the start rows alone, a
+nonnegative least-squares problem in their multipliers,
+min 0.5 m^T G m - viol^T m over m >= 0 with G = W W^T and viol the rows'
+violations at x_0. The primal-dual active-set method of the same
+authors (for simple bounds, Kunisch and Rendl, SIAM J. Optim. 14 (2003)
+35) solves it through K = G^{-1} = P P^T, with no drop from P: at its
+solution every kept multiplier is >= 0 and every start row dropped is
+satisfied, so x = x_0 - d^{-1/2} * (W_kept m) is the minimizer over the
+start rows. The method can cycle when G is not an M-matrix; after
+START_ITERS iterations the engine takes the empty start, x = x_0, which
+is always valid. The usual iteration runs from x and adds back any later
+start row that is violated; its first change factors the rows kept once
+more, with Q and with a zero tolerance, as they already passed the
+dependence test. A start that is already optimal forms no Q. Any start,
+however stale, is valid: the result is certified as a cold one is, and
+the start changes only the number of active-set changes (and, within the
+certificate, which rows violated by at most 0.1 tol are left inactive).
+The start rows dropped are counted apart from the main loop's changes.
 
 The weighted L2 structure of the grid cancels out of the optimality
 system for uniform quadrature weights; norms reported to callers are
@@ -94,6 +101,8 @@ from .errors import Infeasible, InvalidInput, NonConvergence
 DEPENDENT_TOL = 1e-10   # |projection of L^{-1} a off the active rows| / |L^{-1} a|
 ORTH_TOL = 8 * np.finfo(float).eps  # |Q^T z| / |z| a split may leave
 BLOCK = 1 << 15         # entries of a temporary that stays in cache (256 KB)
+START_ITERS = 50        # iterations of the start's dual solve before the
+                        # engine falls back to the empty start
 
 
 @dataclass
@@ -103,8 +112,8 @@ class QPResult:
     mu_upper: np.ndarray
     eta: np.ndarray
     iterations: int          # active-set changes of the main loop
-    start_drops: int         # start rows dropped to make the start dual
-                             # feasible, before the main loop
+    start_drops: int         # start rows the start's dual solve drops
+                             # (all of them past its cap)
     stationarity: float
     primal: float
     complementarity: float
@@ -130,6 +139,22 @@ def _split(Q, w):
     return y, z, zz
 
 
+def _triu_inv(R, out):
+    """out = R^{-1} for upper triangular R, exactly upper triangular: the
+    recursive blocking of LAPACK dtrtri. With R = [[A, B], [0, C]],
+    R^{-1} = [[A^{-1}, -A^{-1} B C^{-1}], [0, C^{-1}]]; below 64 rows,
+    np.linalg.inv."""
+    m = R.shape[0]
+    if m < 64:
+        out[:] = np.triu(np.linalg.inv(R))
+        return
+    h = m // 2
+    _triu_inv(R[:h, :h], out[:h, :h])
+    _triu_inv(R[h:, h:], out[h:, h:])
+    out[:h, h:] = -(out[:h, :h] @ R[:h, h:]) @ out[h:, h:]
+    out[h:, :h] = 0.0
+
+
 def _cut(a, k):
     """a without its entry k, shifted down in a's own buffer."""
     a[k:-1] = a[k + 1:]
@@ -143,8 +168,8 @@ class _ThinQR:
     when full, so that a column operation on both is one product. `factor`
     and `add` keep P upper triangular; a drop makes it dense from the
     first nonzero column of the row it removes. With n = 0 Q rows it holds
-    P alone, which `factor` and `drop` keep as they do beside Q; `add`
-    needs Q."""
+    P alone, as `factor` forms it for a start; `add` and `drop` serve the
+    main loop, with Q."""
 
     def __init__(self, n, cap):
         self._M = np.empty((n + cap, cap), order="F")
@@ -163,8 +188,8 @@ class _ThinQR:
         before it has a norm <= tol[j], at most W.shape[1] of them, as the
         columns of an empty factorization: one Householder QR, W^T = Q R,
         where |R_mm| is the norm of row m's part off rows 0..m-1, and
-        P = R^{-1}. With no Q rows (n = 0) the QR forms R alone. Returns
-        the number m of rows taken."""
+        P = R^{-1} by `_triu_inv`. With no Q rows (n = 0) the QR forms R
+        alone. Returns the number m of rows taken."""
         if not W.shape[0]:
             return 0
         if self.n:
@@ -175,7 +200,7 @@ class _ThinQR:
         m = int(bad[0]) if bad.size else R.shape[0]
         if self.n:
             self._M[:self.n, :m] = Q[:, :m]
-        self._M[self.n:self.n + m, :m] = np.linalg.inv(R[:m, :m])
+        _triu_inv(R[:m, :m], self._M[self.n:self.n + m, :m])
         self.q = m
         return m
 
@@ -236,6 +261,41 @@ def _start_rows(start, V, c, B):
             np.vstack([-V[lo], V[hi - n], B[st - 2 * n]]))
 
 
+def _start_dual(P, viol):
+    """The start rows' multipliers: the dual of the QP on those rows alone,
+    min 0.5 m^T G m - viol^T m over m >= 0 with G^{-1} = K = P P^T, by the
+    primal-dual active-set method of Hintermueller, Ito and Kunisch. With
+    D the rows dropped, s = K_DD^{-1} (K viol)_D and m = K viol - K_{:,D} s
+    give m_D = 0 (to round-off) and G m = viol but on D, where
+    (G m)_D = viol_D - s: s is the violation of the rows dropped at the
+    point that the rows kept give. The next D is the rows kept with m < 0
+    and the rows dropped with s <= 0; at a D that repeats, m >= 0 off D
+    and every row dropped is satisfied. K is used through P only,
+    K viol = P (P^T viol) and K_{:,D} = P P[D]^T, each column formed once,
+    as D mostly grows. Returns (m, the mask of D), or None after
+    START_ITERS iterations with no repeat: the method can cycle when G is
+    not an M-matrix."""
+    m = kv = P @ (viol @ P)  # D empty
+    drop, D, s = np.zeros(kv.size, dtype=bool), np.zeros(0, np.intp), m[:0]
+    cols, KC = D, np.empty((kv.size, 0))  # KC[:, j] = K[:, cols[j]]
+    for _ in range(START_ITERS):
+        nxt = m < 0.0
+        nxt[D] = s <= 0.0
+        if np.array_equal(nxt, drop):
+            return m, drop
+        drop = nxt
+        new = np.flatnonzero(drop)
+        new = new[np.isin(new, cols, assume_unique=True, invert=True)]
+        if new.size:
+            KC = np.hstack([KC, P @ P[new].T])
+            cols = np.concatenate([cols, new])
+        on = drop[cols]  # D in the column order of KC
+        D, t = cols[on], np.zeros(cols.size)
+        t[on] = s = np.linalg.solve(KC[D][:, on], kv[D])
+        m = kv - KC @ t
+    return None
+
+
 def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     """Goldfarb-Idnani iteration on H = V diag(d) V^T with every d > 0;
     returns (u, bx, eta, main-loop active-set changes, start drops, sorted
@@ -245,14 +305,14 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     Rows are numbered as in the module docstring, so an absent upper bound
     has slack -inf; `normal` gives b_i = V^T a_i. A row with violation
     a_i^T u - c_i <= feas_tol counts as satisfied. The iteration starts
-    from the rows of `start` made dual feasible, or, when `start` names no
-    row of the problem, from the rows violated by more than feas_tol at
-    x_0 = -gx/d (see the module docstring); the drops made there are
-    returned apart from the main loop's changes. Raises Infeasible
-    when the constraints admit no point, and NonConvergence when a row
-    that depends on the active rows is violated only within the round-off
-    of its value. After 10 changes per row that exists, the next slack
-    evaluation ends the loop at its (dual-feasible, possibly
+    from the rows of `start` that `_start_dual` keeps, or, when `start`
+    names no row of the problem, from those of the rows violated by more
+    than feas_tol at x_0 = -gx/d (see the module docstring); the start
+    rows dropped are returned apart from the main loop's changes. Raises
+    Infeasible when the constraints admit no point, and NonConvergence when
+    a row that depends on the active rows is violated only within the
+    round-off of its value. After 10 changes per row that exists, the next
+    slack evaluation ends the loop at its (dual-feasible, possibly
     primal-infeasible) iterate; the drops between two evaluations are
     bounded by the number of active rows.
     """
@@ -273,11 +333,11 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     x = -gx / d
 
     # start: factor the independent start rows W = L^{-1} A as P = R^{-1}
-    # alone; in s = L^T u the equality-constrained minimizer is
-    # s = s0 - W mult with (W^T W) mult = W^T s0 - c, the rows' violations
-    # at u0 = V x, where (W^T W)^{-1} = P P^T. A start that names no row
-    # becomes the rows violated at x_0; when none is, the main loop reuses
-    # that slack evaluation
+    # alone; in s = L^T u the minimizer over them is s = s0 - W^T m, m the
+    # solution of their dual, in which viol = W s0 - c are the rows'
+    # violations at u0 = V x and (W W^T)^{-1} = P P^T. A start that names
+    # no row becomes the rows violated at x_0; when none is, the main loop
+    # reuses that slack evaluation
     rows, normals = _start_rows(start, V, c, B)
     ev = None
     if not rows.size:
@@ -290,19 +350,16 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     W *= rsd                     # k x n array: row j is L^{-1} a for rows[j]
     qr = _ThinQR(0, min(n, rows.size))
     m = qr.factor(W, DEPENDENT_TOL * np.linalg.norm(W, axis=1))
+    dual = _start_dual(qr.P, bx0[:m] - c[rows[:m]]) if m else None
+    if dual is None:  # no start row, or past the cap: the empty start
+        dual = np.zeros(m), np.ones(m, dtype=bool)
+    keep = np.flatnonzero(~dual[1])  # the start rows kept: their rows of W
+    drops = m - keep.size
     # the active rows' ids and multipliers in the column order of P, in
     # buffers of n entries: an add writes one, a drop shifts the rest down
     idbuf, mbuf = np.empty(n, dtype=np.intp), np.empty(n)
-    active, keep = idbuf[:m], np.arange(m)  # keep: their rows of W
-    active[:] = rows[:m]
-    viol = bx0[:m] - c[active]
-    mult = np.matmul(qr.P, viol @ qr.P, out=mbuf[:qr.q])
-    while mult.size and mult.min() < 0.0:  # drop until dual feasible
-        k = int(mult.argmin())
-        qr.drop(k)
-        active, keep, viol = _cut(active, k), _cut(keep, k), _cut(viol, k)
-        mult = np.matmul(qr.P, viol @ qr.P, out=mbuf[:qr.q])
-    drops = m - active.size
+    active, mult = idbuf[:keep.size], mbuf[:keep.size]
+    active[:], mult[:] = rows[keep], dual[0][keep]
     W = W[keep]
     if active.size:
         x = x - rsd * (mult @ W)

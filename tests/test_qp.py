@@ -413,23 +413,42 @@ def test_thin_qr_factor_keeps_the_independent_prefix(n, rows, m):
 
 @pytest.mark.parametrize("n, rows, m", PREFIX_CASES)
 def test_thin_qr_without_q_keeps_the_prefix_through_drops(n, rows, m):
-    # with no Q rows, as in a warm start, the factorization keeps P = R^-1
-    # alone: it takes the same prefix, and after drops P P^T is still
-    # (W_keep W_keep^T)^-1. The rows left then pass a zero-tolerance
-    # factorization with Q, which keeps every one of them
+    # with no Q rows, as in a start, the factorization keeps P = R^-1
+    # alone: it takes the same prefix, P is upper triangular and P P^T is
+    # (W W^T)^-1, the K of the start's dual. The rows a start keeps when
+    # its dual drops others then pass a zero-tolerance factorization with
+    # Q, which keeps every one of them
     W, tol = _prefix_rows(n, rows)
     f = qp._ThinQR(0, min(n, rows))
     assert f.factor(W, tol) == m and f.q == m
-    keep = list(range(m))
-    for k in (m // 2, 0) if m else ():
-        f.drop(k)
-        del keep[k]
-        G = np.linalg.inv(W[keep] @ W[keep].T)
-        assert np.linalg.norm(f.P @ f.P.T - G) <= 1e-10 * np.linalg.norm(G)
+    assert np.array_equal(np.tril(f.P, -1), np.zeros((m, m)))
+    if m:
+        K = np.linalg.inv(W[:m] @ W[:m].T)
+        assert np.linalg.norm(f.P @ f.P.T - K) <= 1e-10 * np.linalg.norm(K)
+    keep = [j for j in range(m) if j not in (0, m // 2)]
     g = qp._ThinQR(n, len(keep))
     assert g.factor(W[keep], np.zeros(len(keep))) == len(keep)
     assert np.allclose(g.Q.T @ g.Q, np.eye(len(keep)), atol=1e-12)
     assert np.allclose(W[keep].T @ g.P, g.Q, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 300])
+@pytest.mark.parametrize("spread", [0.0, 12.0])
+def test_blocked_triangular_inverse(m, spread):
+    # R of the QR of m random rows scaled by 10^U(-spread/2, spread/2), so
+    # that its diagonal spans up to 12 decades: the recursive blocked
+    # inverse is exactly upper triangular and as accurate as np.linalg.inv,
+    # on both sides of the 64-row leaf size and across one split
+    rng = np.random.default_rng(m)
+    W = rng.standard_normal((m, m + 5)) \
+        * 10.0 ** rng.uniform(-spread / 2, spread / 2, (m, 1))
+    R = np.linalg.qr(W.T, mode="r")
+    P = np.empty((m, m), order="F")
+    qp._triu_inv(R, P)
+    assert np.array_equal(np.tril(P, -1), np.zeros((m, m)))
+    eye = np.eye(m)
+    assert np.linalg.norm(P @ R - eye) \
+        <= 4 * np.linalg.norm(np.linalg.inv(R) @ R - eye)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9])

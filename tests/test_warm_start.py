@@ -135,19 +135,126 @@ def test_warm_lambda_sweep_halves_active_set_changes(monkeypatch,
 
 
 def test_start_drops_are_the_start_phase_drops(monkeypatch, binding_preset):
-    # every drop of P alone (a _ThinQR with no Q rows) is a start drop, and
-    # the Solutions count each one
-    drops, inner = [], qp._ThinQR.drop
+    # each start keeps the rows its dual solve does not drop: the Solutions
+    # count the dropped rows |D| as start_drops, and no factorization of P
+    # alone (a _ThinQR with no Q rows) is ever dropped from
+    dropped, p_only = [], []
+    dual, drop = qp._start_dual, qp._ThinQR.drop
 
-    def counted(self, k):
-        drops.append(self.n == 0)
-        return inner(self, k)
+    def counted_dual(P, viol):
+        res = dual(P, viol)
+        dropped.append(viol.size if res is None else int(res[1].sum()))
+        return res
 
-    monkeypatch.setattr(qp._ThinQR, "drop", counted)
+    def counted_drop(self, k):
+        p_only.append(self.n == 0)
+        return drop(self, k)
+
+    monkeypatch.setattr(qp, "_start_dual", counted_dual)
+    monkeypatch.setattr(qp._ThinQR, "drop", counted_drop)
     out, sols = sweep_solutions(monkeypatch, binding_preset)
-    assert sum(drops) > 0
-    assert sum(s.start_drops for s in sols) == sum(drops)
+    assert len(dropped) == len(sols) and sum(dropped) > 0
+    assert sum(s.start_drops for s in sols) == sum(dropped)
+    assert not any(p_only)
     assert [r.iters for r in out["records"]] == [0] * len(out["records"])
+
+
+def record_starts(monkeypatch):
+    """Each engine call's start, appended to the list returned: the data
+    d, gx, the row bounds c and feas_tol, the start rows' ids and
+    b_i = V^T a_i, and, when there are start rows, the start dual's
+    (multipliers, mask of dropped)."""
+    starts = []
+    engine, rows, dual = qp._dual_active_set, qp._start_rows, qp._start_dual
+
+    def engine_(V, d, gx, upper, B, psi, feas_tol, start=None):
+        starts.append({"d": d, "gx": gx, "tol": feas_tol, "c": np.concatenate(
+            [np.zeros(d.size), upper, psi])})
+        return engine(V, d, gx, upper, B, psi, feas_tol, start)
+
+    def rows_(*args):
+        ids, normals = rows(*args)
+        starts[-1]["rows"] = ids, normals.copy()  # the engine scales them
+        return ids, normals
+
+    def dual_(P, viol):
+        starts[-1]["dual"] = dual(P, viol)
+        return starts[-1]["dual"]
+
+    monkeypatch.setattr(qp, "_dual_active_set", engine_)
+    monkeypatch.setattr(qp, "_start_rows", rows_)
+    monkeypatch.setattr(qp, "_start_dual", dual_)
+    return starts
+
+
+def assert_start_is_dual_optimal(start):
+    """At x = x_0 - d^-1 (m b) the kept start rows hold as equalities with
+    multipliers >= 0, and every dropped one is satisfied within feas_tol.
+    Returns the number of rows kept and dropped."""
+    if "dual" not in start:  # no start row: the empty start
+        assert not start["rows"][0].size
+        return np.zeros(2, dtype=int)
+    m, dropped = start["dual"]
+    m = np.where(dropped, 0.0, m)  # round-off on the rows dropped
+    ids, b = (a[:m.size] for a in start["rows"])
+    x = -(start["gx"] + m @ b) / start["d"]
+    viol = b @ x - start["c"][ids]
+    assert np.all(m[~dropped] >= 0.0)
+    assert np.all(np.abs(viol[~dropped]) <= start["tol"])
+    assert np.all(viol[dropped] <= start["tol"])
+    return np.array([np.sum(~dropped), np.sum(dropped)])
+
+
+def test_start_is_the_optimum_of_its_dual(monkeypatch, binding_preset):
+    # on the 2D lambda path (and manufacture's projection before it) and on
+    # random alpha paths of 16-32 nodes, warm and cold: the start is the
+    # minimizer over its rows, so the rows it keeps are dual feasible and
+    # the rows it drops are satisfied
+    starts = record_starts(monkeypatch)
+    load_preset_instance("binding-state-poisson-2d")
+    sweep_solutions(monkeypatch, binding_preset)
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        prob, active = random_problem(rng, (16, 24, 32), (0.3, 0.4, 0.3)), None
+        for k in range(4):
+            active = solve(RegularizedProblem(
+                prob.y_d, prob.aset, prob.alpha * 0.3**k), tol=1e-10,
+                start=active).active_set
+    assert len(starts) == 9 + 80
+    counts = [assert_start_is_dual_optimal(s) for s in starts]
+    assert np.all(np.sum(counts[:9], axis=0) > 0)
+    assert np.all(np.sum(counts[9:], axis=0) > 0)
+
+
+def test_past_the_start_cap_the_empty_start_gives_the_same_set(
+        monkeypatch, binding_preset):
+    # with the start's dual solve capped at 0 iterations, every start falls
+    # back to the empty one, the plain dual method from x_0: manufacture's
+    # projection and the lambda = 1e-2 solve still certify, on the same
+    # active sets as with the start kept
+    cfg, op, aset, inst = binding_preset
+    e = cfg["experiment"]
+    prob = RegularizedProblem(inst.y_d, aset.with_lambda(1e-2, e["sign"]),
+                              e["alpha"])
+    results, engine = [], qp.solve_box_state_qp
+
+    def recorded(*args):
+        results.append(engine(*args))
+        return results[-1]
+
+    monkeypatch.setattr(qp, "solve_box_state_qp", recorded)
+    runs = []
+    for cap in (qp.START_ITERS, 0):
+        monkeypatch.setattr(qp, "START_ITERS", cap)
+        load_preset_instance("binding-state-poisson-2d")
+        solve(prob, tol=1e-8)
+        runs.append(results[-2:])
+    for kept, fallback, tol in zip(*runs, (1e-10, 1e-8)):
+        assert max(fallback.stationarity, fallback.primal,
+                   fallback.complementarity) <= tol
+        assert np.array_equal(fallback.active, kept.active)
+        assert kept.iterations == 0 < fallback.iterations
+        assert fallback.start_drops > kept.start_drops
 
 
 def test_cold_start_is_the_rows_violated_at_the_unconstrained_minimizer(
