@@ -151,6 +151,9 @@ def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
             raise InvalidInput(f"{where}.kind: sine-mixture source is 1D only")
         amp = _require(spec, "amplitude", where, _finite(_float), 1.0)
         modes = _require(spec, "modes", where, _int, grid.n)
+        if modes < 1:  # no mode: the source would be w = 0
+            raise InvalidInput(f"{where}.modes: expected at least 1 mode, "
+                               f"got {modes}")
         decay = _require(spec, "decay", where, _finite(_float), 0.5)
         # sum_k amp k^-decay sqrt(2) sin(k pi x) is one sine transform:
         # sqrt(2) sin(pi j k/N) = sqrt(N) V[j, k], N = n + 1. Mode k is
@@ -307,6 +310,7 @@ def cmd_solve(cfg: dict, out_dir: Path, tol: float, seed: int) -> RunReport:
         "active_sizes": [len(sol.active_lower), len(sol.active_upper),
                          len(sol.active_state)],
         "iterations": sol.iterations,
+        "start_drops": sol.start_drops,
     }
     sol_path = out_dir / "solution.json"
     _write_json(sol_path, {

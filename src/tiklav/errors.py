@@ -26,7 +26,3 @@ class NonConvergence(TiklavError):
 
 class NoTransition(TiklavError):
     """Constraints stay active at the smallest regularization parameter."""
-
-
-class NoFeasiblePattern(TiklavError):
-    """No activity pattern yields a primal/dual feasible KKT point."""

@@ -18,8 +18,9 @@ Green's function applied by two cumulative sums (`SineBasis.green`), which
 `apply_values` uses. In 2D, V is the dense Kronecker product of two 1D
 tables, where a 144-node product is cheaper than a 2D transform, and S u
 is V (s * V^T u). A Fredholm operator takes one eigh of its quadrature
-matrix, which it keeps as its dense S. For every operator the state rows
-of S + shift I are an implicit `EigenRows`, applied through `apply_values`.
+matrix and keeps only the eigenpairs. No operator keeps a dense S, and
+for every operator the state rows of S + shift I are an implicit
+`EigenRows`, applied through `apply_values`.
 """
 
 from __future__ import annotations
@@ -68,27 +69,15 @@ class AssembledOperator:
     """A symmetric discrete forward map S = V diag(s) V^T with V orthonormal
     and s real; S u and S* u are both V (s * V^T u), or, with a `SineBasis`
     V (the 1D Poisson operator, s = 1/eigenvalue), the Green's function.
-
-    The dense matrix S is built or kept only for the readers that need it
-    (the enumeration oracle and the tests). Immutable after construction
-    apart from that cache; safe for concurrent reads.
+    It keeps no dense S. Immutable after construction; safe for concurrent
+    reads.
     """
 
     def __init__(self, grid: DomainGrid, V: np.ndarray | SineBasis,
-                 s: np.ndarray, matrix: np.ndarray | None = None):
+                 s: np.ndarray):
         self.grid = grid
         self.V = V
         self.s = s
-        self._matrix = matrix  # None: s > 0, and S = W W^T is built on read
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense S, cached; with s > 0 it is W W^T, W = V s^(1/2), which as a
-        product with its own transpose is exactly symmetric."""
-        if self._matrix is None:
-            W = np.asarray(self.V) * np.sqrt(self.s)
-            self._matrix = W @ W.T
-        return self._matrix
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         """S u for u's node values: the Green's function on a `SineBasis`
@@ -103,11 +92,9 @@ class SineBasis:
     nodes without its n^2 entries, and its eigenvalues `lam`. V == V.T, so
     V.T is V itself, and V @ x, for a vector x, is one DST-I, computed as a
     chirp-z transform (Bluestein) on power-of-two FFTs. Rows V[i], V[idx]
-    and np.asarray(V) = V[:], the dense table for the readers that need it
-    (`AssembledOperator.matrix`, the oracle and the tests), are looked up
-    in the exact symmetric sine table (`_sine_rows`). `green(f)` applies
-    the operator V diag(1/lam) V^T of `assemble_poisson` in node space,
-    with no transform.
+    and V[:], the dense table, are looked up in the exact symmetric sine
+    table (`_sine_rows`). `green(f)` applies the operator V diag(1/lam) V^T
+    of `assemble_poisson` in node space, with no transform.
     """
 
     def __init__(self, n: int):
@@ -156,9 +143,6 @@ class SineBasis:
         """Rows i of V, for an int or an integer index array i."""
         return _sine_rows(self._table, self._k[i], self._k)
 
-    def __array__(self, dtype=None, copy=None):
-        return self[:].astype(dtype or float, copy=False)
-
 
 class EigenRows:
     """The state rows T = (S + shift I)[idx] of an operator, held as (op,
@@ -167,8 +151,8 @@ class EigenRows:
     product with B: `at_values(u, x)` is ((S + shift I) u)[idx], by the
     Green's function on u in 1D Poisson and as (V (w * x))[idx] with a
     dense V, and `adjoint(eta)` is T^T eta = (S + shift I) e in node
-    space. Read-only: it has no buffer and no item assignment, and
-    np.asarray(B) is a new array.
+    space. Read-only: it has no buffer and no item assignment, and B[:] is
+    a new array.
     """
 
     def __init__(self, op: AssembledOperator, idx: np.ndarray, shift: float):
@@ -197,9 +181,6 @@ class EigenRows:
 
     def __getitem__(self, i):
         return self.V[self.idx[i]] * self.w
-
-    def __array__(self, dtype=None, copy=None):
-        return self[:].astype(dtype or float, copy=False)
 
 
 def _sine_spectrum(n: int):
@@ -252,7 +233,7 @@ def assemble_fredholm(grid: DomainGrid, kernel: KernelSpec) -> AssembledOperator
     c = grid.coords
     S = kernel.evaluate(c, c) * grid.weight
     s, V = np.linalg.eigh(S)
-    return AssembledOperator(grid, V, s, matrix=S)
+    return AssembledOperator(grid, V, s)
 
 
 def apply(op: AssembledOperator, u: GridFunction) -> GridFunction:

@@ -1,9 +1,8 @@
 """Solver for the regularized problem min ||Su - y_d||^2 + alpha||u||^2
-over the admissible set, plus the enumeration oracle."""
+over the admissible set."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -12,12 +11,10 @@ import numpy as np
 
 from .admissible import (ACTIVE_TOL, AdmissibleSet, FeasibilityReport,
                          project_admissible)
-from .errors import InvalidInput, NoFeasiblePattern
+from .errors import InvalidInput
 from .grid import GridFunction, wnorm
 from .operators import AssembledOperator
 from . import qp
-
-ORACLE_CAP = 10
 
 
 def _check_alpha(alpha: float) -> None:
@@ -93,12 +90,10 @@ class Solution:
 
 
 def _solution(problem: RegularizedProblem, res: qp.QPResult,
-              su: Optional[np.ndarray] = None) -> Solution:
-    """The Solution at a solved point res.u, given su = S u (formed here
-    when None): y, the objective, the margins and the rows with slack
-    < ACTIVE_TOL all derive from that one S u."""
-    if su is None:
-        su = problem.op.apply_values(res.u)
+              su: np.ndarray) -> Solution:
+    """The Solution at a solved point res.u, given su = S u: y, the
+    objective, the margins and the rows with slack < ACTIVE_TOL all derive
+    from that one S u."""
     slack = problem.aset.slack(res.u, su)
     lo, up, st = (np.flatnonzero(x < ACTIVE_TOL) for x in slack)
     grid = problem.op.grid
@@ -168,68 +163,3 @@ def projection_formula_residual(sol: Solution, problem: RegularizedProblem,
                           tol=0.1 * tol)
     return wnorm(problem.op.grid, sol.u.values - p.values)
 
-
-def oracle_solve(problem: RegularizedProblem, tol: float = 1e-8) -> Solution:
-    """Ground-truth solve by exhaustive enumeration of activity patterns.
-
-    Each node is lower-active, upper-active (finite b only) or free; each
-    finite-psi region row is active or inactive. The first pattern whose
-    equality-constrained KKT system gives a primal/dual feasible point with
-    recomputed stationarity <= max(tol, 1e-9) wins. Its dense H and state
-    rows come from `op.matrix`, independent of the eigenbasis `solve` uses;
-    the winning u only goes through the builder `solve` shares.
-    """
-    n = problem.op.grid.num_nodes
-    if n > ORACLE_CAP:
-        raise InvalidInput(f"{n} nodes exceeds the oracle cap {ORACLE_CAP}")
-    aset = problem.aset
-    # a dense H and T of its own: the oracle shares no basis with `solve`
-    S = problem.op.matrix
-    H = 2.0 * (S.T @ S) + 2.0 * problem.alpha * np.eye(n)
-    g = -2.0 * (S.T @ problem.y_d.values)
-    finite = np.isfinite(aset.state.psi)
-    idx = aset.state.region.indices[finite]
-    T = S[idx]  # fancy indexing: a copy, safe to shift
-    T[np.arange(idx.size), idx] += aset.shift
-    b = aset.box.upper
-    # every row a_i^T u <= c_i, with the ids of `qp`: i, n + i, 2n + j
-    A_all = np.vstack([-np.eye(n), np.eye(n), T])
-    c_all = np.concatenate([np.zeros(n), b, aset.state.psi[finite]])
-    node_states = [(0, 1, 2) if np.isfinite(b[i]) else (0, 1) for i in range(n)]
-
-    patterns = itertools.product(
-        itertools.product(*node_states),
-        itertools.product((0, 1), repeat=idx.size),
-    )
-    feas_tol = max(tol, 1e-9)
-    for box_pat, st_pat in patterns:
-        rows = ([i for i, s in enumerate(box_pat) if s == 1]
-                + [n + i for i, s in enumerate(box_pat) if s == 2]
-                + [2 * n + j for j, s in enumerate(st_pat) if s == 1])
-        K = np.zeros((n + len(rows), n + len(rows)))
-        K[:n, :n] = H
-        K[n:, :n] = A_all[rows]
-        K[:n, n:] = K[n:, :n].T
-        rhs = np.concatenate([-g, c_all[rows]])
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-            if np.linalg.norm(K @ sol - rhs) > 1e-8 * (1 + np.linalg.norm(rhs)):
-                continue
-        u = sol[:n]
-        if sol[n:].min(initial=0.0) < -feas_tol \
-                or (A_all @ u - c_all).max() > feas_tol:
-            continue
-        mults = np.zeros(c_all.size)
-        mults[rows] = sol[n:]
-        mu_lower, mu_upper, eta = np.split(mults, [n, 2 * n])
-        r = H @ u + g + T.T @ eta
-        wfac = np.sqrt(problem.op.grid.weight)
-        stat = wfac * np.linalg.norm(r - mu_lower + mu_upper)
-        if stat > feas_tol:  # a near-singular pattern's inexact solve
-            continue
-        return _solution(problem, qp.QPResult(
-            u, mu_lower, mu_upper, eta, 0, 0, stat, 0.0, 0.0,
-            np.array(rows, dtype=np.intp)))
-    raise NoFeasiblePattern("no activity pattern is primal/dual feasible")

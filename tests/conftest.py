@@ -10,6 +10,7 @@ from tiklav.admissible import AdmissibleSet, BoxBounds, StateConstraint
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion
 from tiklav.operators import KernelSpec, assemble_fredholm, assemble_poisson
 from tiklav.solver import RegularizedProblem
+from reference import assemble
 
 
 @pytest.fixture(scope="session")
@@ -52,16 +53,16 @@ def binding_preset():
 
 def random_problem(rng, n_choices=(4, 5, 6, 7, 8),
                    n_probs=(0.3, 0.3, 0.2, 0.1, 0.1)):
-    """A small random box/state-constrained problem, feasible by psi > 0."""
+    """A small random box/state-constrained problem, feasible by psi > 0,
+    and the dense reference S of its operator."""
     n = int(rng.choice(n_choices, p=n_probs))
     grid = DomainGrid(1, n)
-    if rng.random() < 0.5:
-        op = assemble_poisson(grid)
-    else:
+    kernel = None
+    if rng.random() >= 0.5:
         kind = str(rng.choice(["constant", "separable", "gaussian"]))
-        op = assemble_fredholm(grid, KernelSpec(
-            kind, value=float(rng.uniform(0.5, 2.0)),
-            width=float(rng.uniform(0.2, 1.0))))
+        kernel = KernelSpec(kind, value=float(rng.uniform(0.5, 2.0)),
+                            width=float(rng.uniform(0.2, 1.0)))
+    op, S = assemble(grid, kernel)
     b = np.full(n, np.inf) if rng.random() < 0.25 else rng.uniform(0.3, 2.0, n)
     m = int(rng.integers(1, 3))
     idx = np.sort(rng.choice(n, size=m, replace=False))
@@ -72,4 +73,4 @@ def random_problem(rng, n_choices=(4, 5, 6, 7, 8),
     aset = AdmissibleSet(BoxBounds(grid, b), state, op)
     y_d = GridFunction(grid, rng.standard_normal(n) * rng.uniform(0.5, 3.0))
     alpha = float(10 ** rng.uniform(-3, 0))
-    return RegularizedProblem(y_d, aset, alpha)
+    return RegularizedProblem(y_d, aset, alpha), S

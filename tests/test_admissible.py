@@ -8,6 +8,7 @@ from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
 from tiklav.errors import Infeasible, InvalidInput, NonConvergence
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, constant
 from tiklav.operators import KernelSpec, assemble_fredholm, assemble_poisson
+from reference import assemble
 
 
 def small_set(n=8, b=1.0, psi=0.05, lam=0.0, sign="plus"):
@@ -75,10 +76,9 @@ class TestConstruction:
 
     def test_constraint_matrix_shift_sign(self):
         # the eigen rows B give the dense rows S[idx] +- lam e_idx as B V^T
-        for op in (assemble_poisson(DomainGrid(1, 8)),
-                   assemble_poisson(DomainGrid(2, 4)),
-                   assemble_fredholm(DomainGrid(1, 8),
-                                     KernelSpec("gaussian", width=0.3))):
+        for op, S in (assemble(DomainGrid(1, 8)), assemble(DomainGrid(2, 4)),
+                      assemble(DomainGrid(1, 8),
+                               KernelSpec("gaussian", width=0.3))):
             grid = op.grid
             idx = np.arange(1, grid.num_nodes, 2)
             for sign, shift in (("plus", 0.2), ("minus", -0.2)):
@@ -86,10 +86,9 @@ class TestConstruction:
                                         0.2, sign)
                 aset = AdmissibleSet(BoxBounds.constant(grid, 1.0), state, op)
                 B, _ = aset.constraint_matrix()
-                S = op.matrix
                 T = S[idx]
                 T[np.arange(idx.size), idx] += shift
-                assert np.max(np.abs(np.asarray(B) @ np.asarray(op.V).T - T)) \
+                assert np.max(np.abs(B[:] @ op.V[:].T - T)) \
                     <= 1e-12 * np.linalg.norm(S)
 
     def test_rows_adjoint_is_the_transposed_rows(self):
@@ -97,10 +96,9 @@ class TestConstruction:
         # T^T eta = (S + shift I) e in node space, e holding eta at the
         # finite-psi region nodes; 0.0 when no state row is active
         rng = np.random.default_rng(11)
-        for op in (assemble_poisson(DomainGrid(1, 9)),
-                   assemble_poisson(DomainGrid(2, 4)),
-                   assemble_fredholm(DomainGrid(1, 9),
-                                     KernelSpec("gaussian", width=0.3))):
+        for op, S in (assemble(DomainGrid(1, 9)), assemble(DomainGrid(2, 4)),
+                      assemble(DomainGrid(1, 9),
+                               KernelSpec("gaussian", width=0.3))):
             grid = op.grid
             idx = np.arange(0, grid.num_nodes, 2)
             psi = np.full(idx.size, 0.05)
@@ -110,7 +108,7 @@ class TestConstruction:
                                         0.2, sign)
                 aset = AdmissibleSet(BoxBounds.constant(grid, 1.0), state, op)
                 rows = idx[np.isfinite(psi)]
-                T = op.matrix[rows]
+                T = S[rows]
                 T[np.arange(rows.size), rows] += shift
                 B, _ = aset.constraint_matrix()
                 u = rng.standard_normal(grid.num_nodes)
@@ -125,13 +123,13 @@ class TestConstruction:
     def test_constraint_matrix_is_a_copy(self, lam):
         # built once per set and shared, so read-only: the rows are an
         # implicit EigenRows with no writable buffer (no item assignment,
-        # no buffer, read-only parts, a new array from np.asarray), in 1D
-        # and 2D alike
+        # no buffer, read-only parts, a new array from B[:]), in 1D and 2D
+        # alike
         aset = small_set(n=5, lam=lam, sign="plus")
-        V_before = np.asarray(aset.op.V)
+        V_before = aset.op.V[:]
         psi_before = aset.state.psi.copy()
         B, psi = aset.constraint_matrix()
-        B_before = np.asarray(B)
+        B_before = B[:]
         with pytest.raises(ValueError):
             psi[:] = -7.0
         with pytest.raises(TypeError):
@@ -141,10 +139,10 @@ class TestConstruction:
         for part in (B.idx, B.w):
             with pytest.raises(ValueError):
                 part[:] = 0
-        np.asarray(B)[:] = -7.0
-        assert np.array_equal(np.asarray(B), B_before)
+        B[:][:] = -7.0
+        assert np.array_equal(B[:], B_before)
         assert aset.constraint_matrix()[0] is B
-        assert np.array_equal(np.asarray(aset.op.V), V_before)
+        assert np.array_equal(aset.op.V[:], V_before)
         assert np.array_equal(aset.state.psi, psi_before)
         g = DomainGrid(2, 3)
         state = StateConstraint(ObservationRegion.all_nodes(g), 0.05, lam)

@@ -8,6 +8,7 @@ import pytest
 
 from tiklav import cli, qp
 from tiklav.grid import DomainGrid
+from tiklav.solver import RegularizedProblem, solve
 
 INF = float("inf")
 
@@ -75,6 +76,22 @@ class TestSolve:
         assert len(sol["u"]) == 12
         assert report["summaries"]["kkt"]["stationarity"] <= 1e-8
         assert report["summaries"]["projection_formula_residual"] <= 1e-7
+
+    def test_solve_reports_start_drops(self, tmp_path):
+        # the 2D preset's cold solve keeps only some of the rows violated at
+        # the unconstrained minimizer; the rest, the start drops, are
+        # reported beside the main loop's iterations
+        out, name = tmp_path / "out", "binding-state-poisson-2d"
+        rc = cli.main(["solve", "--config", name, "--seed", "0", "--tol",
+                       "1e-8", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        summary = json.loads((out / "report.json").read_text())["summaries"]
+        cfg = cli.load_config(name)
+        aset = cli.build_admissible(cfg, cli.build_operator(cfg))
+        y_d, _ = cli.build_data(cfg, aset, 0)
+        sol = solve(RegularizedProblem(y_d, aset, cfg["alpha"]), tol=1e-8)
+        assert summary["start_drops"] == sol.start_drops > 0
+        assert summary["iterations"] == sol.iterations
 
     def test_infeasible_exits_3(self, tmp_path):
         cfg = base_cfg()
@@ -415,6 +432,13 @@ REJECTED = [
     ("solve", _non_attainable(residual=0.1, seed=2.5), "seed-fractional"),
     ("solve", _with(base_cfg(), ["data", "manufactured", "w"],
                     {"kind": "sine-mixture", "modes": 3.5}), "modes-fractional"),
+    # no mode would build the source w = 0
+    ("solve", _with(base_cfg(), ["data", "manufactured", "w"],
+                    {"kind": "sine-mixture", "modes": 0}), "modes-zero",
+     "data.manufactured.w.modes"),
+    ("solve", _with(base_cfg(), ["data", "manufactured", "w"],
+                    {"kind": "sine-mixture", "modes": -5}), "modes-negative",
+     "data.manufactured.w.modes"),
     ("solve", _with(base_cfg(), ["data", "manufactured", "attainable"],
                     "false"), "attainable-string"),
     ("solve", _with(base_cfg(), ["admissible", "region"],
@@ -583,7 +607,7 @@ def test_sine_mixture_is_the_per_mode_sum(n):
     # the modes fold back (m = k mod 2(n+1); 0 and n+1 vanish on the nodes)
     grid = DomainGrid(1, n)
     x = grid.coords[:, 0]
-    for modes in (0, 1, n // 2, n, n + 1, 2 * n + 2, 3 * n + 5):
+    for modes in (1, n // 2, n, n + 1, 2 * n + 2, 3 * n + 5):
         spec = {"kind": "sine-mixture", "amplitude": 1.3, "modes": modes,
                 "decay": 0.7}
         got = cli._build_w(grid, spec, "w").values

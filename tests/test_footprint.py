@@ -7,7 +7,8 @@ import json
 import tracemalloc
 
 from tiklav import cli
-from tiklav.operators import EigenRows
+from tiklav.grid import DomainGrid
+from tiklav.operators import EigenRows, KernelSpec, assemble_fredholm
 
 
 def _verify(cfg, tmp_path):
@@ -50,3 +51,17 @@ def test_interior_verify_holds_no_dense_basis_or_rows(tmp_path):
         tracemalloc.stop()
     assert peak <= n * n * 8 / 8, peak
 
+
+
+def test_fredholm_operator_keeps_no_dense_matrix():
+    # after assembly a Fredholm operator holds its eigenpairs, one n x n V,
+    # and not the quadrature matrix S that its eigh split
+    n = 512
+    tracemalloc.start()
+    try:
+        op = assemble_fredholm(DomainGrid(1, n),
+                               KernelSpec("gaussian", width=0.3))
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert op.V.shape == (n, n) and current <= 1.25 * n * n * 8, current

@@ -2,9 +2,10 @@
 tiklav imports is used in that module (a linter's unused-import rule),
 every private top-level name of tiklav is referenced somewhere in tiklav (a
 dead-code rule), tiklav raises no bare ValueError or TypeError (a
-rejected input is `InvalidInput`), and only two functions read a state
+rejected input is `InvalidInput`), only one function reads a state
 constraint's region nodes (every other reader uses the rows of
-`constraint_matrix()`)."""
+`constraint_matrix()`), and the tests' dense references in reference.py
+read nothing of the operator's eigenbasis or of the QP engine."""
 
 import ast
 from pathlib import Path
@@ -144,9 +145,48 @@ def test_checker_flags_a_region_index_read():
 
 def test_only_the_row_builders_read_region_indices():
     # the state rows exist where psi is finite; AdmissibleSet._state_rows
-    # numbers them for everything else, and oracle_solve numbers them
-    # independently, so that the tests can compare against it
+    # numbers them for everything else
     readers = {f"{p.stem}.{name}" for p in SOURCES
                for name in region_index_readers(p.read_text())}
-    assert readers == {"admissible.AdmissibleSet._state_rows",
-                       "solver.oracle_solve"}
+    assert readers == {"admissible.AdmissibleSet._state_rows"}
+
+
+ENGINE_ATTRS = {"V", "s", "apply_values", "at_values", "adjoint",
+                "solve_box_state_qp"}
+
+
+def engine_reads(source: str) -> list:
+    """(line, name) of each read of an operator's eigenbasis or applies
+    (the attributes `V`, `s`, `apply_values`, `at_values`, `adjoint`) and
+    of the QP engine `solve_box_state_qp`, by attribute, name or import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENGINE_ATTRS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id == "solve_box_state_qp":
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name == "solve_box_state_qp"]
+    return sorted(found)
+
+
+def test_checker_flags_an_engine_read():
+    source = ("from tiklav.qp import solve_box_state_qp as run\n"
+              "def f(op, T, u, s):\n"
+              "    x = op.V.T @ u * op.s + s\n"
+              "    return op.apply_values(x) + T.at_values(u, x)\n"
+              "def g(op, T, eta, region):\n"
+              "    return T.adjoint(eta), op.grid, region.indices\n"
+              "y = qp.solve_box_state_qp(H)\n")
+    assert engine_reads(source) == [
+        (1, "solve_box_state_qp"), (3, "V"), (3, "s"), (4, "apply_values"),
+        (4, "at_values"), (6, "adjoint"), (7, "solve_box_state_qp")]
+
+
+def test_reference_shares_no_basis_with_the_engine():
+    # the oracle and the dense S of tests/reference.py are built from the
+    # grid, the kernel and the finite-difference Laplacian alone, so a
+    # wrong eigenbasis cannot pass both the library and its reference
+    source = (Path(__file__).parent / "reference.py").read_text()
+    assert engine_reads(source) == []

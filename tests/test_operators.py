@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import assemble, dense_operator, laplacian
 from tiklav import solver
 from tiklav.errors import InvalidInput
 from tiklav.grid import DomainGrid, GridFunction, constant, from_callable
@@ -74,22 +75,13 @@ def _same_bits(a, b):
         and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _laplacian(grid):
-    """The 3-point (1D) or 5-point (2D) Dirichlet Laplacian, dense."""
-    n = grid.n
-    A1 = (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / grid.h**2
-    if grid.d == 1:
-        return A1
-    return np.kron(A1, np.eye(n)) + np.kron(np.eye(n), A1)
-
-
 class TestSineBasis:
     """The closed-form eigenbasis behind assemble_poisson."""
 
     @pytest.mark.parametrize("grid", [DomainGrid(1, 64), DomainGrid(2, 12)],
                              ids=["1d", "2d"])
     def test_basis_is_orthonormal(self, grid):
-        V = np.asarray(assemble_poisson(grid).V)
+        V = assemble_poisson(grid).V[:]
         assert np.max(np.abs(V.T @ V - np.eye(grid.num_nodes))) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 2047, 2048])
@@ -97,14 +89,14 @@ class TestSineBasis:
         # the dense basis is the full lookup table[j k mod 2(n+1)] into the
         # symmetric table, bit for bit, also at the edges (127, 128, 129) of
         # the 128-row blocks an earlier builder looked it up in
-        assert _same_bits(np.asarray(SineBasis(n)), _table_basis(n))
+        assert _same_bits(SineBasis(n)[:], _table_basis(n))
 
     @pytest.mark.parametrize("n", [3, 12, 64])
     def test_2d_basis_is_the_kron_of_the_table(self, n):
         # the 2D Poisson basis is the Kronecker product of that 1D lookup,
         # compared n rows at a time: rows i n .. i n + n - 1 are kron(D[i], D)
         D = _table_basis(n)
-        V = np.asarray(assemble_poisson(DomainGrid(2, n)).V)
+        V = assemble_poisson(DomainGrid(2, n)).V
         assert V.shape == (n * n, n * n)
         for i in range(n):
             assert _same_bits(V[i * n:(i + 1) * n], np.kron(D[i:i + 1], D))
@@ -114,7 +106,7 @@ class TestSineBasis:
         table, m = _symmetric_table(n), np.arange(n + 2)
         assert np.array_equal(table[n + 1 - m], table[m])
         assert np.array_equal(table[m[:n + 1] + n + 1], -table[m[:n + 1]])
-        V = np.asarray(SineBasis(n))
+        V = SineBasis(n)[:]
         sign = np.where(np.arange(1, n + 1) % 2 == 1, 1.0, -1.0)
         assert np.array_equal(V[:, ::-1], V * sign[:, None])  # V[j, n+1-k]
         assert np.array_equal(V[::-1], V * sign)              # V[n+1-j, k]
@@ -133,7 +125,7 @@ class TestSineBasis:
             * np.sin(m.astype(np.longdouble) * pi / (n + 1))
         h = 1.0 / (n + 1)
         plain = np.sqrt(2.0 * h) * np.sin(np.pi * h * np.arange(2 * (n + 1)))
-        V = np.asarray(SineBasis(n))
+        V = SineBasis(n)[:]
         assert np.max(np.abs(V - exact)) <= np.max(np.abs(plain[m] - exact))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 97, 127, 128, 129, 2047,
@@ -150,7 +142,7 @@ class TestSineBasis:
         idx = rng.integers(0, n, size=5)
         assert np.array_equal(V[n // 2], D[n // 2])
         assert np.array_equal(V[idx], D[idx])
-        assert np.array_equal(np.asarray(V), D)
+        assert np.array_equal(V[:], D)
         assert V.T is V and V.shape == D.shape
 
     def test_transform_is_its_own_inverse(self):
@@ -167,43 +159,42 @@ class TestSineBasis:
     @pytest.mark.parametrize("grid", [DomainGrid(1, 64), DomainGrid(2, 12)],
                              ids=["1d", "2d"])
     def test_operator_inverts_laplacian(self, grid):
-        A = _laplacian(grid)
-        S = assemble_poisson(grid).matrix
-        rel = np.linalg.norm(A @ S - np.eye(grid.num_nodes)) \
-            / np.sqrt(grid.num_nodes)
+        op, eye = assemble_poisson(grid), np.eye(grid.num_nodes)
+        S = np.column_stack([op.apply_values(e) for e in eye])
+        rel = np.linalg.norm(laplacian(grid) @ S - eye) / np.sqrt(grid.num_nodes)
         assert rel <= 1e-10
 
-    @pytest.mark.parametrize("make", [
-        lambda: assemble_poisson(DomainGrid(1, 40)),
-        lambda: assemble_poisson(DomainGrid(2, 7)),
-        lambda: assemble_fredholm(DomainGrid(1, 30),
-                                  KernelSpec("gaussian", width=0.3)),
+    @pytest.mark.parametrize("grid, kernel", [
+        (DomainGrid(1, 40), None),
+        (DomainGrid(2, 7), None),
+        (DomainGrid(1, 30), KernelSpec("gaussian", width=0.3)),
     ], ids=["poisson-1d", "poisson-2d", "fredholm"])
-    def test_gram_eig_reconstructs_gram(self, make):
+    def test_gram_eig_reconstructs_gram(self, grid, kernel):
         # the eigenpairs (V, d) of the Hessian that `solver._quadratic`
         # hands the QP engine reconstruct 2(S^T S + alpha I) from dense S
-        op, alpha = make(), 1e-3
+        (op, S), alpha = assemble(grid, kernel), 1e-3
         (V, d), _ = solver._quadratic(op, np.zeros(op.grid.num_nodes), alpha)
-        V, S = np.asarray(V), op.matrix
+        V = V[:]
         H = 2.0 * (S.T @ S + alpha * np.eye(S.shape[0]))
         assert np.linalg.norm((V * d) @ V.T - H) <= 1e-12 * np.linalg.norm(H)
 
-    @pytest.mark.parametrize("make", [
-        lambda: assemble_poisson(DomainGrid(1, 40)),
-        lambda: assemble_poisson(DomainGrid(2, 7)),
-        lambda: assemble_fredholm(DomainGrid(1, 30),
-                                  KernelSpec("gaussian", width=0.3)),
-        lambda: assemble_fredholm(DomainGrid(1, 30), KernelSpec("separable")),
+    @pytest.mark.parametrize("grid, kernel", [
+        (DomainGrid(1, 40), None),
+        (DomainGrid(2, 7), None),
+        (DomainGrid(1, 30), KernelSpec("gaussian", width=0.3)),
+        (DomainGrid(1, 30), KernelSpec("separable")),
     ], ids=["poisson-1d", "poisson-2d", "gaussian", "separable"])
-    def test_spectral_form_reconstructs_matrix(self, make):
-        op = make()
-        S = op.matrix
-        assert np.linalg.norm((op.V * op.s) @ op.V.T - S) \
+    def test_spectral_form_reconstructs_matrix(self, grid, kernel):
+        # the reference S, built without the eigenbasis, is V diag(s) V^T
+        # and apply_values on random vectors, to round-off
+        op, S = assemble(grid, kernel)
+        assert np.linalg.norm((op.V[:] * op.s) @ op.V[:].T - S) \
             <= 1e-12 * np.linalg.norm(S)
-        u = np.random.default_rng(2).standard_normal(op.grid.num_nodes)
-        assert np.linalg.norm(op.apply_values(u) - S @ u) \
-            <= 1e-12 * np.linalg.norm(S) * np.linalg.norm(u)
-        assert op.matrix is S  # cached
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            u = rng.standard_normal(op.grid.num_nodes)
+            assert np.linalg.norm(op.apply_values(u) - S @ u) \
+                <= 1e-12 * np.linalg.norm(S) * np.linalg.norm(u)
 
 
 class TestGreensFunction:
@@ -214,7 +205,7 @@ class TestGreensFunction:
     def test_green_is_the_spectral_operator(self, n):
         # against S f = V diag(1/lam) V^T f with the dense sine table
         V = SineBasis(n)
-        D = np.asarray(V)
+        D = V[:]
         f = np.random.default_rng(n).standard_normal(n)
         want = D @ ((D.T @ f) / V.lam)
         got = V.green(f)
@@ -243,7 +234,7 @@ class TestGreensFunction:
         su = op.apply_values(u.values)
         apply(op, u)
         assert calls == []
-        assert np.linalg.norm(su - op.matrix @ u.values) \
+        assert np.linalg.norm(su - dense_operator(op.grid) @ u.values) \
             <= 1e-13 * np.linalg.norm(su)
 
     @pytest.mark.parametrize("shift", [0.0, 0.3, -0.05])
@@ -256,10 +247,10 @@ class TestGreensFunction:
         B = EigenRows(op, idx, shift)
         rng = np.random.default_rng(3)
         x, eta = rng.standard_normal(n), rng.standard_normal(idx.size)
-        want = np.asarray(B) @ x
+        want = B[:] @ x
         assert np.max(np.abs(B.at_values(op.V @ x, x) - want)) \
             <= 1e-13 * np.linalg.norm(x)
-        want = op.V @ (np.asarray(B).T @ eta)
+        want = op.V @ (B[:].T @ eta)
         assert np.max(np.abs(B.adjoint(eta) - want)) \
             <= 1e-13 * np.linalg.norm(eta)
 
@@ -275,16 +266,16 @@ class TestFredholm:
     def test_separable_kernel_rank_one(self):
         # k(x,x') = x x': (Su)(x) = x * quad(x' u); for u = 1, quad(x') = sum w x'
         g = DomainGrid(1, 15)
-        op = assemble_fredholm(g, KernelSpec("separable"))
+        op, S = assemble(g, KernelSpec("separable"))
         u = apply(op, constant(g, 1.0))
         x = g.coords[:, 0]
         assert np.allclose(u.values, x * (g.weight * x.sum()))
-        assert np.linalg.matrix_rank(op.matrix) == 1
+        assert np.linalg.matrix_rank(S) == 1
 
     def test_gaussian_kernel_symmetric(self):
         g = DomainGrid(1, 20)
-        op = assemble_fredholm(g, KernelSpec("gaussian", width=0.25))
-        assert np.allclose(op.matrix, op.matrix.T)
+        S = dense_operator(g, KernelSpec("gaussian", width=0.25))
+        assert np.allclose(S, S.T)
 
     def test_kernel_validation(self):
         with pytest.raises(InvalidInput, match="unknown kernel kind"):
@@ -315,8 +306,3 @@ class TestAdjoint:
             lhs = apply(op, u).inner(v)
             rhs = u.inner(apply(op, v))
             assert abs(lhs - rhs) <= 1e-12 * u.norm() * v.norm()
-
-    def test_poisson_exactly_self_adjoint(self):
-        for grid in (DomainGrid(1, 25), DomainGrid(2, 9)):
-            op = assemble_poisson(grid)
-            assert np.array_equal(op.matrix, op.matrix.T)

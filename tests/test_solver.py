@@ -15,6 +15,7 @@ import scipy.linalg as sla
 
 import tiklav
 from conftest import random_problem
+from reference import assemble, oracle_solve
 from tiklav import cli, experiments
 from tiklav.admissible import (AdmissibleSet, BoxBounds, StateConstraint,
                                feasibility, project_admissible)
@@ -22,10 +23,9 @@ from tiklav.errors import InvalidInput, NonConvergence
 from tiklav.grid import DomainGrid, GridFunction, ObservationRegion, wnorm
 from tiklav.manufacture import manufacture
 from tiklav.operators import (AssembledOperator, KernelSpec, SineBasis,
-                              apply, assemble_fredholm, assemble_poisson)
-from tiklav.solver import (RegularizedProblem, oracle_solve,
-                           projection_formula_residual, solve,
-                           solve_unconstrained)
+                              apply, assemble_poisson)
+from tiklav.solver import (RegularizedProblem, projection_formula_residual,
+                           solve, solve_unconstrained)
 
 
 def loose_problem(n=8, alpha=0.1, b=np.inf, psi=100.0, grid=None):
@@ -102,8 +102,8 @@ class TestSolve:
 
 def _mixed_bound_problem(rng, sign):
     """A random problem with a Lavrentiev shift of the given sign and
-    b = +inf on some nodes, b in [0.05, 1] on the others."""
-    prob = random_problem(rng, n_choices=(4, 5, 6), n_probs=(0.4, 0.4, 0.2))
+    b = +inf on some nodes, b in [0.05, 1] on the others, and its dense S."""
+    prob, S = random_problem(rng, n_choices=(4, 5, 6), n_probs=(0.4, 0.4, 0.2))
     grid = prob.op.grid
     b = rng.uniform(0.05, 1.0, grid.num_nodes)
     b[rng.random(grid.num_nodes) < 0.4] = np.inf
@@ -111,21 +111,21 @@ def _mixed_bound_problem(rng, sign):
     state = replace(prob.aset.state, lam=float(rng.uniform(1e-3, 0.1)),
                     sign=sign)
     aset = AdmissibleSet(BoxBounds(grid, b), state, prob.op)
-    return RegularizedProblem(prob.y_d, aset, prob.alpha)
+    return RegularizedProblem(prob.y_d, aset, prob.alpha), S
 
 
 class TestOracle:
     def test_cap_enforced(self):
         prob = loose_problem(n=16)
         with pytest.raises(InvalidInput, match="exceeds the oracle cap"):
-            oracle_solve(prob)
+            oracle_solve(prob, np.eye(16))
 
     def test_matches_solver_on_random_instances(self):
         rng = np.random.default_rng(123)
         for _ in range(25):
-            prob = random_problem(rng, n_choices=(4, 5, 6), n_probs=(0.4, 0.4, 0.2))
+            prob, S = random_problem(rng, (4, 5, 6), (0.4, 0.4, 0.2))
             s = solve(prob, tol=1e-10)
-            o = oracle_solve(prob, tol=1e-10)
+            o = oracle_solve(prob, S, tol=1e-10)
             assert wnorm(prob.op.grid, s.u.values - o.u.values) <= 1e-8
             assert np.array_equal(s.active_lower, o.active_lower)
             assert np.array_equal(s.active_upper, o.active_upper)
@@ -136,10 +136,10 @@ class TestOracle:
         # engine certified a point 1.03e-8 away from the oracle here
         rng = np.random.default_rng(0)
         for _ in range(121):
-            prob = random_problem(rng)
+            prob, S = random_problem(rng)
         assert prob.op.grid.num_nodes == 5 and prob.aset.sign == "plus"
         s = solve(prob, tol=1e-10)
-        o = oracle_solve(prob, tol=1e-10)
+        o = oracle_solve(prob, S, tol=1e-10)
         assert wnorm(prob.op.grid, s.u.values - o.u.values) <= 1e-8
         assert np.array_equal(s.active_lower, o.active_lower)
         assert np.array_equal(s.active_upper, o.active_upper)
@@ -152,10 +152,10 @@ class TestOracle:
         # stationarity 10.7 (seed 8) or 0.147 (seed 10)
         rng = np.random.default_rng(seed)
         for _ in range(draw + 1):
-            prob = random_problem(rng)
+            prob, S = random_problem(rng)
         assert prob.op.grid.num_nodes == 4
         s = solve(prob, tol=1e-10)
-        o = oracle_solve(prob, tol=1e-10)
+        o = oracle_solve(prob, S, tol=1e-10)
         assert o.kkt_stationarity <= 1e-9
         assert wnorm(prob.op.grid, s.u.values - o.u.values) <= 1e-8
         assert np.array_equal(s.active_lower, o.active_lower)
@@ -171,8 +171,8 @@ class TestOracle:
         rng = np.random.default_rng(31)
         kept, kinds = 0, set()
         for k in range(60):
-            prob = _mixed_bound_problem(rng, ("plus", "minus")[k % 2])
-            o = oracle_solve(prob, tol=1e-10)
+            prob, S = _mixed_bound_problem(rng, ("plus", "minus")[k % 2])
+            o = oracle_solve(prob, S, tol=1e-10)
             aset = prob.aset
             lo, up, st = aset.slack(o.u.values, o.y.values)
             slack = np.concatenate([lo, up, st[np.isfinite(aset.state.psi)]])
@@ -192,8 +192,8 @@ class TestOracle:
 
     def test_oracle_multipliers_dual_feasible(self):
         rng = np.random.default_rng(77)
-        prob = random_problem(rng, n_choices=(5,), n_probs=(1.0,))
-        o = oracle_solve(prob, tol=1e-10)
+        prob, S = random_problem(rng, n_choices=(5,), n_probs=(1.0,))
+        o = oracle_solve(prob, S, tol=1e-10)
         assert np.all(o.mu_lower >= -1e-9)
         assert np.all(o.mu_upper >= -1e-9)
         assert np.all(o.eta >= -1e-9)
@@ -274,11 +274,12 @@ class TestOneEvaluation:
         assert rc == cli.EXIT_OK and len(calls) == 13
 
     def test_margins_are_the_feasibility_report(self):
+        # (the oracle's margins come from its own dense S u)
         rng = np.random.default_rng(20240817)  # criterion 3's first instances
         for _ in range(50):
-            prob = random_problem(rng)
-            for sol in (solve(prob, tol=1e-10), oracle_solve(prob, tol=1e-10)):
-                assert sol.margins == feasibility(sol.u, prob.aset)
+            prob, _ = random_problem(rng)
+            sol = solve(prob, tol=1e-10)
+            assert sol.margins == feasibility(sol.u, prob.aset)
 
 
 class _SwappedModes(SineBasis):
@@ -317,7 +318,7 @@ def test_certificate_checks_the_problem_not_the_basis():
     # the problem's own gradient 2(S(S u - y_d) + alpha u) is not
     grid = DomainGrid(1, 16)
     V = _SwappedModes(grid.n)
-    D = np.asarray(V)
+    D = V[:]
     assert np.allclose(D.T @ D, np.eye(16), atol=1e-13)
     op = assemble_poisson(grid)
     y_d = GridFunction(grid, np.random.default_rng(7).standard_normal(16))
@@ -349,21 +350,20 @@ def _box_only(op, seed):
                                                   op)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: assemble_poisson(DomainGrid(1, 200)),
-    lambda: assemble_poisson(DomainGrid(2, 24)),
-    lambda: assemble_fredholm(DomainGrid(1, 300),
-                              KernelSpec("gaussian", width=0.1)),
+@pytest.mark.parametrize("grid, kernel", [
+    (DomainGrid(1, 200), None),
+    (DomainGrid(2, 24), None),
+    (DomainGrid(1, 300), KernelSpec("gaussian", width=0.1)),
 ], ids=["poisson-1d", "poisson-2d", "fredholm"])
-def test_box_only_solves_match_bvls(make):
+def test_box_only_solves_match_bvls(grid, kernel):
     # an exact active-set solver in separate code: BVLS on
     # min |[S; sqrt(alpha) I] u - [y_d; 0]|^2 over 0 <= u <= b, the same
     # problem; a cold solve, then a warm path down in alpha, with hundreds
     # of active bounds, QR buffer growth and, in 2D and Fredholm, drops
     from scipy.optimize import lsq_linear
-    op = make()
+    op, S = assemble(grid, kernel)
     y_d, aset = _box_only(op, 0)
-    S, n = op.matrix, op.grid.num_nodes
+    n = grid.num_nodes
     start = None
     for alpha in (1e-4, 1e-5, 1e-6):
         sol = solve(RegularizedProblem(y_d, aset, alpha), tol=1e-10,
@@ -398,12 +398,11 @@ def test_box_only_solve_applies_s_once(monkeypatch):
 
 
 def test_poisson_solve_uses_no_gram_and_no_cholesky(monkeypatch):
-    # the closed-form eigenbasis stands in for S, S^T S and every
-    # factorization: no dense S is read on the solve path, in 1D or 2D
+    # the closed-form eigenbasis stands in for S^T S and every
+    # factorization, in 1D or 2D
     def forbidden(*args, **kwargs):
         raise AssertionError("called")
 
-    monkeypatch.setattr(AssembledOperator, "matrix", property(forbidden))
     for mod, name in [(np.linalg, "cholesky"), (sla, "cholesky"),
                       (sla, "cho_factor"), (sla, "cho_solve")]:
         monkeypatch.setattr(mod, name, forbidden)

@@ -53,7 +53,7 @@ def test_random_alpha_lambda_paths():
     # descending alpha and lambda together, then lambda = 0
     rng = np.random.default_rng(71)
     for _ in range(40):
-        prob = random_problem(rng)
+        prob, _ = random_problem(rng)
         lam0 = float(rng.uniform(1e-3, 0.1))
         steps = [(prob.alpha * 0.5**k, lam0 * 0.3**k) for k in range(4)]
         steps.append((prob.alpha / 16, 0.0))
@@ -215,7 +215,8 @@ def test_start_is_the_optimum_of_its_dual(monkeypatch, binding_preset):
     sweep_solutions(monkeypatch, binding_preset)
     rng = np.random.default_rng(29)
     for _ in range(20):
-        prob, active = random_problem(rng, (16, 24, 32), (0.3, 0.4, 0.3)), None
+        (prob, _), active = random_problem(rng, (16, 24, 32),
+                                           (0.3, 0.4, 0.3)), None
         for k in range(4):
             active = solve(RegularizedProblem(
                 prob.y_d, prob.aset, prob.alpha * 0.3**k), tol=1e-10,
