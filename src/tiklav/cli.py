@@ -29,8 +29,8 @@ from .admissible import (MINUS, PLUS, AdmissibleSet, BoxBounds,
 from .errors import Infeasible, InvalidInput, NonConvergence, NoTransition
 from .grid import DomainGrid, GridFunction, ObservationRegion
 from .manufacture import ManufacturedInstance, manufacture, optimal_alpha
-from .operators import (KernelSpec, SineBasis, assemble_fredholm,
-                        assemble_poisson)
+from .operators import (AssembledOperator, KernelSpec, SineBasis,
+                        assemble_fredholm, assemble_poisson)
 from .solver import RegularizedProblem, projection_formula_residual, solve
 
 EXIT_OK = 0
@@ -138,7 +138,8 @@ def _grid_values(grid: DomainGrid, spec) -> np.ndarray:
     return np.array([value(v) for v in spec])
 
 
-def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
+def _build_w(op: AssembledOperator, spec: dict, where: str) -> GridFunction:
+    grid = op.grid
     kind = _require(spec, "kind", where)
     if kind == "constant":
         return GridFunction(grid, np.full(grid.num_nodes, _require(
@@ -155,13 +156,13 @@ def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
             raise InvalidInput(f"{where}.modes: expected at least 1 mode, "
                                f"got {modes}")
         decay = _require(spec, "decay", where, _finite(_float), 0.5)
-        # sum_k amp k^-decay sqrt(2) sin(k pi x) is one sine transform:
-        # sqrt(2) sin(pi j k/N) = sqrt(N) V[j, k], N = n + 1. Mode k is
-        # folded exactly to m = k mod 2N: m in {0, N} vanishes on the nodes,
-        # and m > N is minus the mode 2N - m. A finite amplitude can still
-        # overflow, in a term amp k^-decay, in the modes folded onto one
-        # coefficient or in the transform: each gives inf or NaN, checked
-        # once on the source
+        # sum_k amp k^-decay sqrt(2) sin(k pi x) is one sine transform, by
+        # the operator's SineBasis if it has one: sqrt(2) sin(pi j k/N) =
+        # sqrt(N) V[j, k], N = n + 1. Mode k is folded exactly to m = k mod
+        # 2N: m in {0, N} vanishes on the nodes, and m > N is minus the mode
+        # 2N - m. A finite amplitude can still overflow, in a term
+        # amp k^-decay, in the modes folded onto one coefficient or in the
+        # transform: each gives inf or NaN, checked once on the source
         n = grid.n
         coef = np.zeros(n)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -175,7 +176,8 @@ def _build_w(grid: DomainGrid, spec: dict, where: str) -> GridFunction:
             except OverflowError:  # k**-decay beyond the float range
                 raise InvalidInput(f"{where}.decay: k^-decay overflows at "
                                    f"decay = {decay:g}") from None
-            w = np.sqrt(n + 1.0) * (SineBasis(n) @ coef)
+            V = op.V if isinstance(op.V, SineBasis) else SineBasis(n)
+            w = np.sqrt(n + 1.0) * (V @ coef)
         if not np.isfinite(w).all():
             raise InvalidInput(f"{where}.amplitude: the source overflows at "
                                f"amplitude = {amp:g}, decay = {decay:g}")
@@ -228,7 +230,7 @@ def build_instance(cfg: dict, aset: AdmissibleSet,
     d_cfg = _require(cfg, "data", "config")
     m_cfg = _require(d_cfg, "manufactured", "data")
     where = "data.manufactured"
-    w = _build_w(aset.op.grid, _require(m_cfg, "w", where), where + ".w")
+    w = _build_w(aset.op, _require(m_cfg, "w", where), where + ".w")
     return manufacture(
         w, aset.with_lambda(0.0),
         attainable=_require(m_cfg, "attainable", where, _bool, True),
@@ -407,7 +409,7 @@ def _verify_lavrentiev(cfg, e_cfg, aset, tol, seed):
     sign = _require(e_cfg, "sign", "experiment", _sign, PLUS)
     inst = build_instance(cfg, aset, seed)
     uhat = e_cfg.get("uhat", {"kind": "constant", "value": 0.0})
-    u_hat = _build_w(aset.op.grid, uhat, "experiment.uhat")
+    u_hat = _build_w(aset.op, uhat, "experiment.uhat")
     out = experiments.lavrentiev_sweep(
         inst, _require(e_cfg, "alpha", "experiment", _float),
         _floats(e_cfg, "lambda_list"), sign, u_hat, tol=tol)
@@ -475,7 +477,7 @@ COMMANDS = {"solve": cmd_solve, "verify": cmd_verify,
             "manufacture": cmd_manufacture}
 
 
-def main(argv: Optional[list] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tiklav",
         description="Tikhonov-Lavrentiev regularization of constrained "
@@ -488,7 +490,14 @@ def main(argv: Optional[list] = None) -> int:
         p.add_argument("--out", default="tiklav-out", help="output directory")
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+    return parser
+
+
+_PARSER = _parser()  # built once: each parse starts from a new namespace
+
+
+def main(argv: Optional[list] = None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = load_config(args.config)

@@ -4,7 +4,7 @@ and joint total-error studies."""
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -278,6 +278,6 @@ def records_to_csv(records: Sequence[SweepRecord]) -> str:
     The `seconds` column is always 0 so repeated runs are byte-identical.
     """
     lines = [",".join(CSV_COLUMNS)]
-    for r in records:  # SweepRecord's fields are the columns before seconds
-        lines.append(",".join(f"{float(v):.17g}" for v in (*astuple(r), 0.0)))
+    for r in records:  # SweepRecord's fields in order, then seconds = 0
+        lines.append(",".join(map("{:.17g}".format, vars(r).values())) + ",0")
     return "\n".join(lines) + "\n"

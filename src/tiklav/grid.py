@@ -80,16 +80,6 @@ def constant(grid: DomainGrid, value: float) -> GridFunction:
     return GridFunction(grid, np.full(grid.num_nodes, float(value)))
 
 
-def from_callable(grid: DomainGrid, f) -> GridFunction:
-    """Sample f(x) (1D) or f(x, y) (2D) at the grid nodes."""
-    c = grid.coords
-    if grid.d == 1:
-        vals = np.asarray([f(x) for x in c[:, 0]], dtype=float)
-    else:
-        vals = np.asarray([f(x, y) for x, y in c], dtype=float)
-    return GridFunction(grid, vals)
-
-
 def wnorm(grid: DomainGrid, values: np.ndarray) -> float:
     """Weighted L2 norm of raw node values."""
     return float(np.sqrt(grid.weight) * np.linalg.norm(values))

@@ -60,7 +60,7 @@ the problem becomes the rows violated by more than the feasibility
 tolerance at the unconstrained minimizer x_0 = -gx/d: the first step,
 with mu = 0, of the primal-dual active-set method of Hintermueller, Ito
 and Kunisch (SIAM J. Optim. 13 (2002) 865). When no row is violated
-there, the main loop reuses that slack evaluation and ends at once.
+there, the engine returns x_0 at once, with no start phase.
 Of the start rows that exist in the problem (ids in [0, 2n + m) with c
 finite), taken lower, upper, state, those before the first that depends
 on the rows before it (at most n) are factored as P = R^{-1} alone. The
@@ -252,7 +252,7 @@ def _start_rows(start, V, c, B):
     with c finite), lower bounds first, then upper bounds, then state rows,
     and their b_i = V^T a_i as the rows of a matrix."""
     n = V.shape[0]
-    ids = np.asarray([] if start is None else start, dtype=np.intp)
+    ids = np.asarray(start, dtype=np.intp)
     ids = ids[(ids >= 0) & (ids < c.size)]
     ids = ids[np.isfinite(c[ids])]
     lo, hi = ids[ids < n], ids[(ids >= n) & (ids < 2 * n)]
@@ -329,22 +329,23 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
         bx = B.at_values(u, x)
         return u, bx, np.concatenate([-u, u, bx]) - c
 
-    rsd = 1.0 / np.sqrt(d)      # L^{-1} a = rsd * (V^T a)
     x = -gx / d
-
     # start: factor the independent start rows W = L^{-1} A as P = R^{-1}
     # alone; in s = L^T u the minimizer over them is s = s0 - W^T m, m the
     # solution of their dual, in which viol = W s0 - c are the rows'
     # violations at u0 = V x and (W W^T)^{-1} = P P^T. A start that names
-    # no row becomes the rows violated at x_0; when none is, the main loop
-    # reuses that slack evaluation
-    rows, normals = _start_rows(start, V, c, B)
+    # no row becomes the rows violated at x_0; when none is, x_0 is the
+    # minimizer, returned with no start phase
+    rows = np.zeros(0, dtype=np.intp)
+    if start is not None and len(start):
+        rows, normals = _start_rows(start, V, c, B)
     ev = None
     if not rows.size:
         ev = at(x)
-        crash = np.flatnonzero(ev[2] > feas_tol)
-        if crash.size:
-            rows, normals = _start_rows(crash, V, c, B)
+        if ev[2].max() <= feas_tol:
+            return ev[0], ev[1], np.zeros(B.shape[0]), 0, 0, rows
+        rows, normals = _start_rows(np.flatnonzero(ev[2] > feas_tol), V, c, B)
+    rsd = 1.0 / np.sqrt(d)      # L^{-1} a = rsd * (V^T a)
     bx0 = normals @ x            # b^T x_0 of each start row
     W = normals                  # in place, so that the start holds one
     W *= rsd                     # k x n array: row j is L^{-1} a for rows[j]

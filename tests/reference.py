@@ -1,7 +1,8 @@
 """Dense references for the tests, built without the operator's eigenbasis:
-the dense S of an operator and the enumeration oracle. Nothing here reads
-an operator's V, s or applies, nor the QP engine (a rule of
-test_imports.py), so a wrong sine table or eigh cannot pass both."""
+grid functions sampled from callables, the dense S of an operator and the
+enumeration oracle. Nothing here reads an operator's V, s or applies, nor
+the QP engine (a rule of test_imports.py), so a wrong sine table or eigh
+cannot pass both."""
 
 import itertools
 
@@ -9,10 +10,21 @@ import numpy as np
 
 from tiklav import qp
 from tiklav.errors import InvalidInput
+from tiklav.grid import GridFunction
 from tiklav.operators import assemble_fredholm, assemble_poisson
 from tiklav.solver import _solution
 
 ORACLE_CAP = 10
+
+
+def from_callable(grid, f):
+    """Sample f(x) (1D) or f(x, y) (2D) at the grid nodes."""
+    c = grid.coords
+    if grid.d == 1:
+        vals = np.asarray([f(x) for x in c[:, 0]], dtype=float)
+    else:
+        vals = np.asarray([f(x, y) for x, y in c], dtype=float)
+    return GridFunction(grid, vals)
 
 
 def laplacian(grid):

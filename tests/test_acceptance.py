@@ -8,7 +8,7 @@ import pytest
 from conftest import random_problem
 from reference import oracle_solve
 from tiklav import cli, experiments
-from tiklav.grid import DomainGrid, GridFunction, constant, from_callable, wnorm
+from tiklav.grid import DomainGrid, GridFunction, constant, wnorm
 from tiklav.errors import NoTransition
 from tiklav.manufacture import add_noise
 from tiklav.operators import (KernelSpec, apply, assemble_fredholm,

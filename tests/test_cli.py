@@ -1,5 +1,6 @@
 """Command-line interface: configs, exit codes, reports and determinism."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from tiklav import cli, qp
 from tiklav.grid import DomainGrid
+from tiklav.operators import KernelSpec, assemble_fredholm, assemble_poisson
 from tiklav.solver import RegularizedProblem, solve
 
 INF = float("inf")
@@ -330,10 +332,16 @@ def test_preset_matches_golden(preset, tmp_path):
     # instead of a preset: binding-state-poisson-2d-n24 is the 2D preset at
     # n = 24, whose lambda path keeps 252-480 active rows
     out = tmp_path / "out"
-    golden = GOLDEN / preset
-    config = golden / "config.json"
+    config = GOLDEN / preset / "config.json"
     config = str(config) if config.exists() else preset
     assert cli.main(["verify", "--config", config, "--out", str(out)]) == cli.EXIT_OK
+    _assert_matches_golden(out, preset)
+
+
+def _assert_matches_golden(out, preset):
+    """The report and sweep.csv of a verify in `out` match
+    tests/golden/<preset>."""
+    golden = GOLDEN / preset
     report = json.loads((out / "report.json").read_text())
     want = json.loads((golden / "report.json").read_text())
     _assert_close({k: report[k] for k in want}, want, preset)
@@ -344,6 +352,51 @@ def test_preset_matches_golden(preset, tmp_path):
                       for i, line in enumerate(p.read_text().splitlines())]
                      for p in (out / "sweep.csv", golden / "sweep.csv"))
         _assert_close(got, want, f"{preset}/sweep.csv")
+
+
+@pytest.mark.parametrize("n", [96, 2048])
+def test_interior_verify_has_no_start_phase(n, tmp_path, monkeypatch):
+    # no row is violated at any x_0 of the interior preset (96 nodes, and
+    # the benchmark's 2048): every engine call returns x_0 with no start
+    # rows gathered, no factorization and no start dual, and the preset's
+    # outputs are still the golden ones
+    calls = []
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(qp, "_start_rows")
+    counted(qp, "_start_dual")
+    counted(qp._ThinQR, "factor")
+    preset = "interior-attainable-poisson-1d"
+    cfg = cli.load_config(preset)
+    cfg["operator"]["n"] = n
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert calls == []
+    if n == 96:
+        _assert_matches_golden(out, preset)
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    # the parser is built once, at import
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for name in ("a", "b"):
+        assert cli.main(["solve", "--config", write_cfg(tmp_path, base_cfg()),
+                         "--out", str(tmp_path / name)]) == cli.EXIT_OK
+    assert built == []
 
 
 def test_config_round_trip_in_report(tmp_path):
@@ -605,14 +658,32 @@ def test_sine_mixture_is_the_per_mode_sum(n):
     # one sine transform of the folded mode coefficients equals the sum of
     # amp k^-decay sqrt(2) sin(k pi x) over the modes, also above n, where
     # the modes fold back (m = k mod 2(n+1); 0 and n+1 vanish on the nodes)
-    grid = DomainGrid(1, n)
-    x = grid.coords[:, 0]
+    op = assemble_poisson(DomainGrid(1, n))
+    x = op.grid.coords[:, 0]
     for modes in (1, n // 2, n, n + 1, 2 * n + 2, 3 * n + 5):
         spec = {"kind": "sine-mixture", "amplitude": 1.3, "modes": modes,
                 "decay": 0.7}
-        got = cli._build_w(grid, spec, "w").values
+        got = cli._build_w(op, spec, "w").values
         want = np.zeros(n)
         for k in range(1, modes + 1):
             want += 1.3 * k**-0.7 * np.sqrt(2.0) * np.sin(k * np.pi * x)
         assert np.max(np.abs(got - want)) \
             <= 1e-13 * max(np.max(np.abs(want)), 1.0), modes
+
+
+def test_sine_mixture_from_the_operator_basis_is_a_fresh_one(tmp_path):
+    # the 1D Poisson operator's own SineBasis gives the source bit for bit
+    # as the fresh SineBasis(n) of a 1D Fredholm operator, whose V is an
+    # eigh basis; a Fredholm verify with that source passes
+    spec = {"kind": "sine-mixture", "amplitude": 5.0, "modes": 8,
+            "decay": 0.7}
+    kernel = KernelSpec("gaussian", width=0.2)
+    for n in (16, 97, 300):
+        grid = DomainGrid(1, n)
+        own = cli._build_w(assemble_poisson(grid), spec, "w").values
+        fresh = cli._build_w(assemble_fredholm(grid, kernel), spec, "w").values
+        assert np.array_equal(own, fresh), n
+    cfg = cli.load_config("clipped-fredholm-1d")
+    cfg["data"]["manufactured"]["w"] = spec
+    assert cli.main(["verify", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_OK

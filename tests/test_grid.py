@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import from_callable
 from tiklav.errors import InvalidInput
 from tiklav.grid import (DomainGrid, GridFunction, ObservationRegion, constant,
-                         from_callable, wnorm)
+                         wnorm)
 
 
 class TestDomainGrid:

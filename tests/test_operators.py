@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from reference import assemble, dense_operator, laplacian
+from reference import assemble, dense_operator, from_callable, laplacian
 from tiklav import solver
 from tiklav.errors import InvalidInput
-from tiklav.grid import DomainGrid, GridFunction, constant, from_callable
+from tiklav.grid import DomainGrid, GridFunction, constant
 from tiklav.operators import (DENSE_CAP, EigenRows, KernelSpec, SineBasis,
                               apply, assemble_fredholm, assemble_poisson)
 

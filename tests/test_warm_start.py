@@ -161,8 +161,8 @@ def test_start_drops_are_the_start_phase_drops(monkeypatch, binding_preset):
 
 def record_starts(monkeypatch):
     """Each engine call's start, appended to the list returned: the data
-    d, gx, the row bounds c and feas_tol, the start rows' ids and
-    b_i = V^T a_i, and, when there are start rows, the start dual's
+    d, gx, the row bounds c and feas_tol, and, when the call has a start
+    phase, the start rows' ids and b_i = V^T a_i and the start dual's
     (multipliers, mask of dropped)."""
     starts = []
     engine, rows, dual = qp._dual_active_set, qp._start_rows, qp._start_dual
@@ -191,8 +191,8 @@ def assert_start_is_dual_optimal(start):
     """At x = x_0 - d^-1 (m b) the kept start rows hold as equalities with
     multipliers >= 0, and every dropped one is satisfied within feas_tol.
     Returns the number of rows kept and dropped."""
-    if "dual" not in start:  # no start row: the empty start
-        assert not start["rows"][0].size
+    if "dual" not in start:  # x_0 violates no row: no start phase at all
+        assert "rows" not in start
         return np.zeros(2, dtype=int)
     m, dropped = start["dual"]
     m = np.where(dropped, 0.0, m)  # round-off on the rows dropped
@@ -261,7 +261,8 @@ def test_past_the_start_cap_the_empty_start_gives_the_same_set(
 def test_cold_start_is_the_rows_violated_at_the_unconstrained_minimizer(
         monkeypatch, binding_preset):
     # a solve with no start factors the rows violated by more than 0.1 tol
-    # at x_0, the point solve_unconstrained returns
+    # at x_0, the point solve_unconstrained returns: the only rows its start
+    # phase gathers
     cfg, op, aset, inst = binding_preset
     e = cfg["experiment"]
     starts, inner = [], qp._start_rows
@@ -280,5 +281,5 @@ def test_cold_start_is_the_rows_violated_at_the_unconstrained_minimizer(
     violated = np.concatenate([np.flatnonzero(lo < -1e-9),
                                n + np.flatnonzero(up < -1e-9),
                                2 * n + np.flatnonzero(st < -1e-9)])
-    assert starts[0] is None and violated.size
-    assert np.array_equal(starts[-1], violated)
+    assert len(starts) == 1 and violated.size
+    assert np.array_equal(starts[0], violated)
