@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, experiments
 from .admissible import (MINUS, PLUS, AdmissibleSet, BoxBounds,
                          StateConstraint)
-from .errors import Infeasible, InvalidInput, NonConvergence, NoTransition
+from .errors import Infeasible, InvalidInput, NonConvergence
 from .grid import DomainGrid, GridFunction, ObservationRegion
 from .manufacture import ManufacturedInstance, manufacture, optimal_alpha
 from .operators import (AssembledOperator, KernelSpec, SineBasis,
@@ -263,12 +263,7 @@ class RunReport:
     def write(self, out_dir: Path) -> Path:
         path = out_dir / "report.json"
         self.manifest.append(str(path))
-        _write_json(path, {
-            "command": self.command, "config": self.config,
-            "version": self.version, "summaries": self.summaries,
-            "checks": self.checks, "manifest": self.manifest,
-            "runtime_seconds": self.runtime_seconds,
-        })
+        _write_json(path, asdict(self))
         return path
 
 
@@ -381,12 +376,12 @@ def _verify_activity(cfg, e_cfg, aset, tol, seed):
     expect = e_cfg.get("expect", "transition")
     if expect not in ("transition", "none"):
         raise InvalidInput("experiment.expect must be 'transition' or 'none'")
-    try:
-        out = experiments.activity_transition(
-            inst, _floats(e_cfg, "alpha_list"), tol=tol)
-    except NoTransition as exc:
+    out = experiments.activity_transition(
+        inst, _floats(e_cfg, "alpha_list"), tol=tol)
+    if out["alpha0"] is None:
         return ([], {"activity_as_expected": expect == "none"},
-                {"no_transition": str(exc), "tau": inst.tau})
+                {"no_transition": "constraints still active/tight at alpha = "
+                 f"{out['records'][-1].alpha:g}", "tau": inst.tau})
     return (out["records"], {"activity_as_expected": expect == "transition"},
             {"alpha0": out["alpha0"], "tau": inst.tau})
 

@@ -22,7 +22,3 @@ class Infeasible(TiklavError):
 class NonConvergence(TiklavError):
     """A QP pass ended without a KKT certificate at the requested
     tolerance."""
-
-
-class NoTransition(TiklavError):
-    """Constraints stay active at the smallest regularization parameter."""

@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .admissible import PLUS, AdmissibleSet, FeasibilityReport, slater
-from .errors import Infeasible, InvalidInput, NoTransition
+from .errors import Infeasible, InvalidInput
 from .grid import GridFunction, wnorm
 from .manufacture import ManufacturedInstance, add_noise
 from .solver import RegularizedProblem, Solution, solve
@@ -140,17 +140,14 @@ def activity_transition(inst: ManufacturedInstance, alpha_list: Sequence[float],
                         tol: float = 1e-8) -> dict:
     """Largest alpha in the (descending) list below which all solutions have
     empty active sets and margins above inst.tau/2.  Returns alpha0 = inf
-    when every list element is clean; raises NoTransition when the smallest
-    one is not."""
+    when every list element is clean and None when the smallest one is not
+    (no transition)."""
     records = sweep_alpha(inst, alpha_list, tol=tol)["records"]
     flags = [_inactive(r) and min(r.margin_lo, r.margin_up, r.margin_state)
              > 0.5 * inst.tau for r in records]
     i = _last_dirty(flags)
-    if i is None:
-        raise NoTransition(
-            f"constraints still active/tight at alpha = {records[-1].alpha:g}")
-    return {"alpha0": np.inf if i < 0 else records[i].alpha,
-            "records": records, "clean": flags}
+    alpha0 = None if i is None else np.inf if i < 0 else records[i].alpha
+    return {"alpha0": alpha0, "records": records, "clean": flags}
 
 
 def noise_study(inst: ManufacturedInstance, delta_list: Sequence[float],

@@ -33,10 +33,10 @@ The active rows enter through W = L^{-1} A_active, kept as W P = Q with
 Q orthonormal and P = R^{-1} of the thin QR factorization W = Q R, in
 buffers that double when full: an add writes one column of each, a drop
 is one Householder reflection applied to both, and the triangular solves
-of the method are products with P. The start phase keeps P alone, from
-one Householder QR that forms R but not Q and a blocked inverse of R; Q
-of the start rows kept is formed by one QR when the main loop first
-changes the active set. After a drop, the row being tried is split
+of the method are products with P. The start phase forms P alone, by
+`_start_p`: one Householder QR that forms R but not Q and a blocked
+inverse of R; the main loop's first change factors the start rows kept,
+Q and P, by one QR. After a drop, the row being tried is split
 against the columns left by adding back the direction that left, with no
 new Gram-Schmidt pass. The engine runs on numpy alone.
 
@@ -76,11 +76,11 @@ start rows. The method can cycle when G is not an M-matrix; after
 START_ITERS iterations the engine takes the empty start, x = x_0, which
 is always valid. The usual iteration runs from x and adds back any later
 start row that is violated; its first change factors the rows kept once
-more, with Q and with a zero tolerance, as they already passed the
-dependence test. A start that is already optimal forms no Q. Any start,
-however stale, is valid: the result is certified as a cold one is, and
-the start changes only the number of active-set changes (and, within the
-certificate, which rows violated by at most 0.1 tol are left inactive).
+more, with Q and with no dependence test, as they already passed it. A
+start that is already optimal forms no Q. Any start, however stale, is
+valid: the result is certified as a cold one is, and the start changes
+only the number of active-set changes (and, within the certificate,
+which rows violated by at most 0.1 tol are left inactive).
 The start rows dropped are counted apart from the main loop's changes.
 
 The weighted L2 structure of the grid cancels out of the optimality
@@ -155,25 +155,25 @@ def _triu_inv(R, out):
     out[h:, :h] = 0.0
 
 
-def _cut(a, k):
-    """a without its entry k, shifted down in a's own buffer."""
-    a[k:-1] = a[k + 1:]
-    return a[:-1]
-
-
 class _ThinQR:
     """The active columns W as W P = Q: Q with orthonormal columns and
     P = R^{-1} for the thin QR factorization W = Q R. Q and P are stacked
-    as [Q; P] in one F-order buffer of `cap` columns that doubles (up to n)
-    when full, so that a column operation on both is one product. `factor`
-    and `add` keep P upper triangular; a drop makes it dense from the
-    first nonzero column of the row it removes. With n = 0 Q rows it holds
-    P alone, as `factor` forms it for a start; `add` and `drop` serve the
-    main loop, with Q."""
+    as [Q; P] in one F-order buffer that doubles (up to n columns) when
+    full, so that a column operation on both is one product. The
+    constructor and `add` keep P upper triangular; a drop makes it dense
+    from the first nonzero column of the row it removes."""
 
-    def __init__(self, n, cap):
+    def __init__(self, W):
+        """The k independent rows of W (k x n, k <= n) as the first
+        columns: one Householder QR, W^T = Q R, and P = R^{-1} by
+        `_triu_inv`, in a buffer of max(8, k) columns, at most n."""
+        k, n = W.shape
+        cap = min(n, max(8, k))
         self._M = np.empty((n + cap, cap), order="F")
-        self.n, self.q = n, 0
+        self.n, self.q = n, k
+        Q, R = np.linalg.qr(W.T)
+        self._M[:n, :k] = Q
+        _triu_inv(R, self._M[n:n + k, :k])
 
     @property
     def Q(self):
@@ -182,27 +182,6 @@ class _ThinQR:
     @property
     def P(self):
         return self._M[self.n:self.n + self.q, :self.q]
-
-    def factor(self, W, tol):
-        """Take the rows of W before the first whose part off the rows
-        before it has a norm <= tol[j], at most W.shape[1] of them, as the
-        columns of an empty factorization: one Householder QR, W^T = Q R,
-        where |R_mm| is the norm of row m's part off rows 0..m-1, and
-        P = R^{-1} by `_triu_inv`. With no Q rows (n = 0) the QR forms R
-        alone. Returns the number m of rows taken."""
-        if not W.shape[0]:
-            return 0
-        if self.n:
-            Q, R = np.linalg.qr(W.T)
-        else:
-            R = np.linalg.qr(W.T, mode="r")
-        bad = np.flatnonzero(np.abs(R.diagonal()) <= tol[:R.shape[0]])
-        m = int(bad[0]) if bad.size else R.shape[0]
-        if self.n:
-            self._M[:self.n, :m] = Q[:, :m]
-        _triu_inv(R[:m, :m], self._M[self.n:self.n + m, :m])
-        self.q = m
-        return m
 
     def add(self, r, z, zn):
         """Append the column Q y + z, where r = P y and zn = |z| > 0: z/zn
@@ -261,6 +240,21 @@ def _start_rows(start, V, c, B):
             np.vstack([-V[lo], V[hi - n], B[st - 2 * n]]))
 
 
+def _start_p(W):
+    """P = R^{-1}, with no Q, for the rows of W before the first whose part
+    off the rows before it has a norm <= DEPENDENT_TOL times its own, at
+    most W.shape[1] of them: one Householder QR that forms R alone,
+    W^T = Q R, where |R_jj| is the norm of row j's part off rows 0..j-1,
+    and `_triu_inv`. The rows taken are the first P.shape[0]."""
+    R = np.linalg.qr(W.T, mode="r")
+    tol = DEPENDENT_TOL * np.linalg.norm(W[:R.shape[0]], axis=1)
+    bad = np.flatnonzero(np.abs(R.diagonal()) <= tol)
+    m = int(bad[0]) if bad.size else R.shape[0]
+    P = np.empty((m, m), order="F")
+    _triu_inv(R[:m, :m], P)
+    return P
+
+
 def _start_dual(P, viol):
     """The start rows' multipliers: the dual of the QP on those rows alone,
     min 0.5 m^T G m - viol^T m over m >= 0 with G^{-1} = K = P P^T, by the
@@ -272,9 +266,9 @@ def _start_dual(P, viol):
     and the rows dropped with s <= 0; at a D that repeats, m >= 0 off D
     and every row dropped is satisfied. K is used through P only,
     K viol = P (P^T viol) and K_{:,D} = P P[D]^T, each column formed once,
-    as D mostly grows. Returns (m, the mask of D), or None after
-    START_ITERS iterations with no repeat: the method can cycle when G is
-    not an M-matrix."""
+    as D mostly grows. Returns (m, the mask of D); after START_ITERS
+    iterations with no repeat, as the method can cycle when G is not an
+    M-matrix, the empty start: m = 0 and every row in D."""
     m = kv = P @ (viol @ P)  # D empty
     drop, D, s = np.zeros(kv.size, dtype=bool), np.zeros(0, np.intp), m[:0]
     cols, KC = D, np.empty((kv.size, 0))  # KC[:, j] = K[:, cols[j]]
@@ -293,7 +287,7 @@ def _start_dual(P, viol):
         D, t = cols[on], np.zeros(cols.size)
         t[on] = s = np.linalg.solve(KC[D][:, on], kv[D])
         m = kv - KC @ t
-    return None
+    return np.zeros(kv.size), np.ones(kv.size, dtype=bool)
 
 
 def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
@@ -330,47 +324,37 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
         return u, bx, np.concatenate([-u, u, bx]) - c
 
     x = -gx / d
-    # start: factor the independent start rows W = L^{-1} A as P = R^{-1}
-    # alone; in s = L^T u the minimizer over them is s = s0 - W^T m, m the
-    # solution of their dual, in which viol = W s0 - c are the rows'
-    # violations at u0 = V x and (W W^T)^{-1} = P P^T. A start that names
-    # no row becomes the rows violated at x_0; when none is, x_0 is the
-    # minimizer, returned with no start phase
+    # start: P = R^{-1} of the independent start rows W = L^{-1} A; in
+    # s = L^T u the minimizer over them is s = s0 - W^T m, m the solution
+    # of their dual, in which viol = W s0 - c are the rows' violations at
+    # u0 = V x and (W W^T)^{-1} = P P^T. A start that names no row becomes
+    # the rows violated at x_0; when none is, x_0 is the minimizer,
+    # returned with no start phase
     rows = np.zeros(0, dtype=np.intp)
     if start is not None and len(start):
         rows, normals = _start_rows(start, V, c, B)
-    ev = None
     if not rows.size:
-        ev = at(x)
-        if ev[2].max() <= feas_tol:
-            return ev[0], ev[1], np.zeros(B.shape[0]), 0, 0, rows
-        rows, normals = _start_rows(np.flatnonzero(ev[2] > feas_tol), V, c, B)
+        u, bx, slack = at(x)
+        if slack.max() <= feas_tol:
+            return u, bx, np.zeros(B.shape[0]), 0, 0, rows
+        rows, normals = _start_rows(np.flatnonzero(slack > feas_tol), V, c, B)
     rsd = 1.0 / np.sqrt(d)      # L^{-1} a = rsd * (V^T a)
     bx0 = normals @ x            # b^T x_0 of each start row
     W = normals                  # in place, so that the start holds one
     W *= rsd                     # k x n array: row j is L^{-1} a for rows[j]
-    qr = _ThinQR(0, min(n, rows.size))
-    m = qr.factor(W, DEPENDENT_TOL * np.linalg.norm(W, axis=1))
-    dual = _start_dual(qr.P, bx0[:m] - c[rows[:m]]) if m else None
-    if dual is None:  # no start row, or past the cap: the empty start
-        dual = np.zeros(m), np.ones(m, dtype=bool)
-    keep = np.flatnonzero(~dual[1])  # the start rows kept: their rows of W
+    P = _start_p(W)
+    m = P.shape[0]
+    mult, dropped = _start_dual(P, bx0[:m] - c[rows[:m]])
+    keep = np.flatnonzero(~dropped)  # the start rows kept: their rows of W
     drops = m - keep.size
-    # the active rows' ids and multipliers in the column order of P, in
-    # buffers of n entries: an add writes one, a drop shifts the rest down
-    idbuf, mbuf = np.empty(n, dtype=np.intp), np.empty(n)
-    active, mult = idbuf[:keep.size], mbuf[:keep.size]
-    active[:], mult[:] = rows[keep], dual[0][keep]
-    W = W[keep]
-    if active.size:
-        x = x - rsd * (mult @ W)
-        ev = None
+    # the active rows' ids and multipliers, in the column order of Q and P
+    active, mult, W = rows[keep], mult[keep], W[keep]
+    x = x - rsd * (mult @ W)
 
-    changes, p, cap = 0, -1, 10 * (np.isfinite(c).sum() + 1)
+    qr, changes, p, cap = None, 0, -1, 10 * (np.isfinite(c).sum() + 1)
     while True:
         if p < 0:  # pick the most violated row
-            u, bx, slack = at(x) if ev is None else ev
-            ev = None
+            u, bx, slack = at(x)
             slack[active] = -np.inf
             p = int(slack.argmax())
             if slack[p] <= feas_tol or changes >= cap:
@@ -379,9 +363,8 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
             w = rsd * b
             wn = np.sqrt(w @ w)
             mult_p = 0.0
-            if not qr.n:  # the first change: form Q of the start rows left
-                qr = _ThinQR(n, min(n, max(8, active.size)))
-                qr.factor(W, np.zeros(active.size))
+            if qr is None:  # the first change: factor the start rows kept
+                qr = _ThinQR(W)
             # split w = Q y + z with z orthogonal to the active columns;
             # the primal step is -L^{-T} z, i.e. -rsd * z in x, and the
             # active multipliers move by -r = -P y, w's coefficients on
@@ -418,19 +401,17 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
         changes += 1
         if full <= partial:  # row p becomes active
             qr.add(r, z, zn)
-            q = active.size
-            idbuf[q], mbuf[q] = p, mult_p
-            active, mult = idbuf[:q + 1], mbuf[:q + 1]
+            active, mult = np.append(active, p), np.append(mult, mult_p)
             p = -1
         else:                # row k leaves; p is tried again
             # on the columns left: the direction e that left is added back
             # to z and taken out of r, (e . w) times its Q and P columns
             qe, pe = qr.drop(k)
-            active, mult = _cut(active, k), _cut(mult, k)
+            active, mult = np.delete(active, k), np.delete(mult, k)
             g = qe @ w
             z += g * qe
             zz = z @ z
-            r = _cut(r - g * pe, k)
+            r = np.delete(r - g * pe, k)
     state = active >= 2 * n
     eta = np.zeros(B.shape[0])
     eta[active[state] - 2 * n] = mult[state]

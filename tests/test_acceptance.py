@@ -9,7 +9,6 @@ from conftest import random_problem
 from reference import oracle_solve
 from tiklav import cli, experiments
 from tiklav.grid import DomainGrid, GridFunction, constant, wnorm
-from tiklav.errors import NoTransition
 from tiklav.manufacture import add_noise
 from tiklav.operators import (KernelSpec, apply, assemble_fredholm,
                               assemble_poisson)
@@ -105,12 +104,9 @@ def test_criterion_05_activity_threshold(report, interior_preset, clipped_preset
              if r.alpha < out["alpha0"]]
     ok &= bool(after) and all(after)
     _, _, _, inst_c = clipped_preset
-    try:
-        experiments.activity_transition(inst_c, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5],
-                                        tol=1e-8)
-        ok = False
-    except NoTransition:
-        pass
+    out_c = experiments.activity_transition(
+        inst_c, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], tol=1e-8)
+    ok &= out_c["alpha0"] is None
     report(5, "activity threshold and its absence", ok)
 
 

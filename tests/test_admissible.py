@@ -20,6 +20,21 @@ def small_set(n=8, b=1.0, psi=0.05, lam=0.0, sign="plus"):
 
 
 class TestConstruction:
+    def test_mismatched_lengths_and_grids_rejected(self):
+        # a bound or psi of the wrong length, and a set, point or
+        # projection target on another grid than the operator's
+        aset, other = small_set(8), DomainGrid(1, 9)
+        with pytest.raises(InvalidInput, match="upper bound length"):
+            BoxBounds(aset.op.grid, np.ones(9))
+        with pytest.raises(InvalidInput, match="psi length"):
+            StateConstraint(aset.state.region, np.ones(7))
+        with pytest.raises(InvalidInput, match="grids differ"):
+            AdmissibleSet(BoxBounds.constant(other, 1.0), aset.state, aset.op)
+        with pytest.raises(InvalidInput, match="grids differ"):
+            feasibility(constant(other, 0.0), aset)
+        with pytest.raises(InvalidInput, match="grids differ"):
+            project_admissible(constant(other, 0.0), aset)
+
     def test_negative_bound_rejected(self):
         g = DomainGrid(1, 5)
         with pytest.raises(ValueError):

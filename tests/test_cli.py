@@ -358,8 +358,8 @@ def _assert_matches_golden(out, preset):
 def test_interior_verify_has_no_start_phase(n, tmp_path, monkeypatch):
     # no row is violated at any x_0 of the interior preset (96 nodes, and
     # the benchmark's 2048): every engine call returns x_0 with no start
-    # rows gathered, no factorization and no start dual, and the preset's
-    # outputs are still the golden ones
+    # rows gathered, no factorization (neither the start's P nor a thin QR)
+    # and no start dual, and the preset's outputs are still the golden ones
     calls = []
 
     def counted(owner, name):
@@ -372,7 +372,8 @@ def test_interior_verify_has_no_start_phase(n, tmp_path, monkeypatch):
 
     counted(qp, "_start_rows")
     counted(qp, "_start_dual")
-    counted(qp._ThinQR, "factor")
+    counted(qp, "_start_p")
+    counted(qp._ThinQR, "__init__")
     preset = "interior-attainable-poisson-1d"
     cfg = cli.load_config(preset)
     cfg["operator"]["n"] = n

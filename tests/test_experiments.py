@@ -5,7 +5,7 @@ import pytest
 
 from tiklav import experiments
 from tiklav.admissible import AdmissibleSet, BoxBounds, StateConstraint
-from tiklav.errors import Infeasible, InvalidInput, NoTransition
+from tiklav.errors import Infeasible, InvalidInput
 from tiklav.experiments import (CSV_COLUMNS, SweepRecord, fit_rate,
                                 records_to_csv)
 from tiklav.grid import DomainGrid, ObservationRegion, constant
@@ -95,11 +95,12 @@ class TestActivityTransition:
         assert out["alpha0"] == np.inf or out["alpha0"] in ALPHAS
         assert out["clean"][-1]
 
-    def test_clipped_instance_raises(self):
-        # tiny box bound keeps the upper constraint active at every alpha
+    def test_clipped_instance_has_no_transition(self):
+        # tiny box bound keeps the upper constraint active at the smallest
+        # alpha: no threshold, alpha0 = None
         inst = make_instance(psi=100.0, b=0.01, w_val=5.0)
-        with pytest.raises(NoTransition):
-            experiments.activity_transition(inst, ALPHAS, tol=1e-9)
+        out = experiments.activity_transition(inst, ALPHAS, tol=1e-9)
+        assert out["alpha0"] is None and not out["clean"][-1]
 
 
 class TestNoiseStudy:

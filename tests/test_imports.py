@@ -4,8 +4,10 @@ every private top-level name of tiklav is referenced somewhere in tiklav (a
 dead-code rule), tiklav raises no bare ValueError or TypeError (a
 rejected input is `InvalidInput`), only one function reads a state
 constraint's region nodes (every other reader uses the rows of
-`constraint_matrix()`), and the tests' dense references in reference.py
-read nothing of the operator's eigenbasis or of the QP engine."""
+`constraint_matrix()`), the tests' dense references in reference.py
+read nothing of the operator's eigenbasis or of the QP engine, and
+`cli.main` catches every `TiklavError` subclass (none escapes as a
+traceback)."""
 
 import ast
 from pathlib import Path
@@ -190,3 +192,45 @@ def test_reference_shares_no_basis_with_the_engine():
     # wrong eigenbasis cannot pass both the library and its reference
     source = (Path(__file__).parent / "reference.py").read_text()
     assert engine_reads(source) == []
+
+
+def uncaught_errors(errors: str, cli: str) -> list:
+    """The subclasses of TiklavError that the errors source defines and no
+    except clause of the cli source's top-level `main` catches, by their
+    own name or the name of a class they derive from."""
+    bases = {n.name: [b.id for b in n.bases if isinstance(b, ast.Name)]
+             for n in ast.parse(errors).body if isinstance(n, ast.ClassDef)}
+
+    def lineage(name):
+        return {name}.union(*(lineage(b) for b in bases.get(name, [])))
+
+    main = next(n for n in ast.parse(cli).body
+                if isinstance(n, ast.FunctionDef) and n.name == "main")
+    caught = set()
+    for h in ast.walk(main):
+        if isinstance(h, ast.ExceptHandler) and h.type is not None:
+            types = h.type.elts if isinstance(h.type, ast.Tuple) else [h.type]
+            caught |= {t.id if isinstance(t, ast.Name) else t.attr
+                       for t in types}
+    return [c for c in bases if c != "TiklavError"
+            and "TiklavError" in lineage(c) and not lineage(c) & caught]
+
+
+def test_checker_flags_an_uncaught_error():
+    errors = ("class TiklavError(Exception):\n    pass\n"
+              "class A(TiklavError):\n    pass\n"
+              "class B(A, ValueError):\n    pass\n"
+              "class C(TiklavError):\n    pass\n"
+              "class D(TiklavError):\n    pass\n"
+              "class Other(Exception):\n    pass\n")
+    cli = ("def helper():\n    try:\n        pass\n"
+           "    except D:\n        pass\n"
+           "def main():\n    try:\n        pass\n"
+           "    except (A, errors.X):\n        return 2\n")
+    assert uncaught_errors(errors, cli) == ["C", "D"]
+
+
+def test_main_catches_every_library_error():
+    # each library error maps to an exit code of main
+    src = {p.stem: p.read_text() for p in SOURCES}
+    assert uncaught_errors(src["errors"], src["cli"]) == []

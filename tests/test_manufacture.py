@@ -18,6 +18,11 @@ def make_set(n=12, b=1.0, psi=0.05):
     return AdmissibleSet(BoxBounds.constant(grid, b), state, op)
 
 
+def test_source_on_another_grid_rejected():
+    with pytest.raises(InvalidInput, match="grids differ"):
+        manufacture(constant(DomainGrid(1, 13), 1.0), make_set(12))
+
+
 class TestLcg:
     def test_deterministic_and_in_range(self):
         a = _lcg_uniforms(42, 100)

@@ -285,6 +285,11 @@ class TestFredholm:
         with pytest.raises(InvalidInput, match="parameters must be finite"):
             KernelSpec("constant", value=np.inf)
 
+    def test_apply_on_another_grid_rejected(self):
+        op = assemble_fredholm(DomainGrid(1, 8), KernelSpec("constant"))
+        with pytest.raises(InvalidInput, match="grids differ"):
+            apply(op, constant(DomainGrid(1, 9), 1.0))
+
     def test_beyond_cap_rejected(self):
         with pytest.raises(InvalidInput, match="fredholm assembly for 4900 > 4096"):
             assemble_fredholm(DomainGrid(2, 70), KernelSpec("constant"))

@@ -303,11 +303,11 @@ def test_stale_starts_certify_and_match_cold():
 
 
 def _grow_and_drop(W, rng):
-    """Add columns 0..6 of W to an empty factorization of capacity 2, then
-    drop one and add one six times, checking the factorization after
+    """Factor columns 0 and 1 of W by the constructor, add columns 2..6,
+    then drop one and add one six times, checking the factorization after
     each change."""
     n = W.shape[0]
-    f, cols = qp._ThinQR(n, 2), []
+    f, cols = qp._ThinQR(W[:, :2].T), [0, 1]
 
     def add(j):
         y, z, _ = qp._split(f.Q, W[:, j])
@@ -320,7 +320,8 @@ def _grow_and_drop(W, rng):
         assert np.allclose(Q.T @ Q, np.eye(len(cols)), atol=1e-12)
         assert np.allclose(W[:, cols] @ P, Q, atol=1e-12)
 
-    for j in range(7):  # capacity 2 -> 4 -> 8
+    check()
+    for j in range(2, 7):  # capacity 8, as for any start of <= 8 rows
         add(j)
     check()
     assert np.array_equal(np.tril(f.P, -1), np.zeros((7, 7)))
@@ -362,12 +363,14 @@ def test_thin_qr_grows_and_drops_in_place():
 
 
 def test_thin_qr_holds_through_many_adds_and_drops():
-    # no drift: 2,000 random adds and drops at n = 64 keep Q orthonormal
-    # and W P = Q to 1e-10
+    # no drift: 2,000 random adds and drops at n = 64, from an empty
+    # factorization, keep Q orthonormal and W P = Q to 1e-10 while the
+    # buffer doubles from 8 columns to n
     rng = np.random.default_rng(8)
     n = 64
     pool = rng.standard_normal((n, 2000))
-    f, cols = qp._ThinQR(n, 8), []
+    f, cols = qp._ThinQR(np.empty((0, n))), []
+    assert f.q == 0 and f._M.shape == (n + 8, 8)
     for j in range(pool.shape[1]):
         if f.q < 8 or (f.q < n - 8 and rng.random() < 0.5):
             y, z, _ = qp._split(f.Q, pool[:, j])
@@ -378,7 +381,7 @@ def test_thin_qr_holds_through_many_adds_and_drops():
             f.drop(k)
             del cols[k]
     Q, P = f.Q, f.P
-    assert f.q >= 8
+    assert f.q >= 8 and f._M.shape == (2 * n, n)
     assert np.max(np.abs(Q.T @ Q - np.eye(f.q))) <= 1e-10
     assert np.max(np.abs(Q - pool[:, cols] @ P)) <= 1e-10
 
@@ -387,24 +390,24 @@ PREFIX_CASES = [(12, 9, 5), (12, 16, 5), (12, 4, 4), (4, 9, 4), (6, 0, 0)]
 
 
 def _prefix_rows(n, rows):
-    """rows random rows of length n, row 5 dependent on rows 0 and 2, and
-    the factorization's tolerance for them."""
+    """rows random rows of length n, row 5 dependent on rows 0 and 2."""
     rng = np.random.default_rng(n + rows)
     W = rng.standard_normal((rows, n))
     if rows > 5:
         W[5] = 2.0 * W[0] - W[2]
-    return W, qp.DEPENDENT_TOL * np.linalg.norm(W, axis=1)
+    return W
 
 
 @pytest.mark.parametrize("n, rows, m", PREFIX_CASES)
 def test_thin_qr_factor_keeps_the_independent_prefix(n, rows, m):
-    # one Householder QR takes the rows before the first that depends on
-    # the rows before it, at most n: row 5 depends on rows 0 and 2, and
-    # beyond n rows every row depends on the first n. W P = Q on those m
-    # rows, Q orthonormal and P upper triangular
-    W, tol = _prefix_rows(n, rows)
-    f = qp._ThinQR(n, min(n, max(8, rows)))
-    assert f.factor(W, tol) == m and f.q == m
+    # the start's P takes the rows before the first that depends on the
+    # rows before it, at most n: row 5 depends on rows 0 and 2, and beyond
+    # n rows every row depends on the first n. The thin QR constructed
+    # from those m rows has W P = Q, Q orthonormal and P upper triangular
+    W = _prefix_rows(n, rows)
+    assert qp._start_p(W).shape == (m, m)
+    f = qp._ThinQR(W[:m])
+    assert f.q == m
     Q, P = f.Q, f.P
     assert np.allclose(Q.T @ Q, np.eye(m), atol=1e-12)
     assert np.allclose(W[:m].T @ P, Q, atol=1e-12)
@@ -413,21 +416,20 @@ def test_thin_qr_factor_keeps_the_independent_prefix(n, rows, m):
 
 @pytest.mark.parametrize("n, rows, m", PREFIX_CASES)
 def test_thin_qr_without_q_keeps_the_prefix_through_drops(n, rows, m):
-    # with no Q rows, as in a start, the factorization keeps P = R^-1
-    # alone: it takes the same prefix, P is upper triangular and P P^T is
-    # (W W^T)^-1, the K of the start's dual. The rows a start keeps when
-    # its dual drops others then pass a zero-tolerance factorization with
-    # Q, which keeps every one of them
-    W, tol = _prefix_rows(n, rows)
-    f = qp._ThinQR(0, min(n, rows))
-    assert f.factor(W, tol) == m and f.q == m
-    assert np.array_equal(np.tril(f.P, -1), np.zeros((m, m)))
+    # the start's P = R^-1, formed with no Q, takes the same prefix: P is
+    # upper triangular and P P^T is (W W^T)^-1, the K of the start's dual.
+    # The rows a start keeps when its dual drops others then make a thin
+    # QR, with Q, that holds every one of them
+    W = _prefix_rows(n, rows)
+    P = qp._start_p(W)
+    assert P.shape == (m, m)
+    assert np.array_equal(np.tril(P, -1), np.zeros((m, m)))
     if m:
         K = np.linalg.inv(W[:m] @ W[:m].T)
-        assert np.linalg.norm(f.P @ f.P.T - K) <= 1e-10 * np.linalg.norm(K)
+        assert np.linalg.norm(P @ P.T - K) <= 1e-10 * np.linalg.norm(K)
     keep = [j for j in range(m) if j not in (0, m // 2)]
-    g = qp._ThinQR(n, len(keep))
-    assert g.factor(W[keep], np.zeros(len(keep))) == len(keep)
+    g = qp._ThinQR(W[keep])
+    assert g.q == len(keep)
     assert np.allclose(g.Q.T @ g.Q, np.eye(len(keep)), atol=1e-12)
     assert np.allclose(W[keep].T @ g.P, g.Q, atol=1e-12)
 
@@ -477,7 +479,7 @@ def test_split_keeps_q_orthonormal_over_correlated_adds():
     # about 2e-4 here; the test on |Q^T z| itself keeps it at round-off
     op = assemble_fredholm(DomainGrid(1, 300), KernelSpec("gaussian", width=0.1))
     W = -op.V / np.sqrt(2.0 * (op.s**2 + 1e-6))
-    f = qp._ThinQR(300, 8)
+    f = qp._ThinQR(np.empty((0, 300)))
     for w in W:
         y, z, zz = qp._split(f.Q, w)
         assert np.sqrt(zz) > qp.DEPENDENT_TOL * np.linalg.norm(w)

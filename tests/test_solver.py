@@ -76,6 +76,12 @@ class TestSolve:
             with pytest.raises(InvalidInput, match="alpha must be positive"):
                 solve_unconstrained(prob.op, prob.y_d, alpha)
 
+    def test_data_on_another_grid_rejected(self):
+        prob = loose_problem()
+        with pytest.raises(InvalidInput, match="problem grids differ"):
+            RegularizedProblem(GridFunction(DomainGrid(1, 9), np.zeros(9)),
+                               prob.aset, prob.alpha)
+
     def test_operator_is_the_sets(self):
         # V^T y_d, which `at` carries over, belongs to the set's operator
         prob = loose_problem()

@@ -75,24 +75,24 @@ def test_start_from_a_distant_lambda():
 
 
 def test_start_forms_q_only_for_main_loop_changes(monkeypatch):
-    # the start phase keeps P = R^-1 alone; Q is formed by one factorization
-    # with Q rows when the main loop first changes the active set, so a
-    # start that is already optimal forms none
-    full, factor = [], qp._ThinQR.factor
+    # the start phase forms P = R^-1 alone; the thin QR, with Q, is
+    # constructed once, when the main loop first changes the active set,
+    # so a start that is already optimal constructs none
+    built, init = [], qp._ThinQR.__init__
 
-    def counted(self, W, tol):
-        full.append(self.n)
-        return factor(self, W, tol)
+    def counted(self, W):
+        built.append(W.shape[0])
+        init(self, W)
 
-    monkeypatch.setattr(qp._ThinQR, "factor", counted)
+    monkeypatch.setattr(qp._ThinQR, "__init__", counted)
     path = preset_path("binding-state-poisson-2d")
     base = solve(path[-1])  # lambda = 0, then the distant lambda = 1e-2
-    full.clear()
+    built.clear()
     first = solve(path[0], start=base.active_set)
-    assert first.iterations > 0 and sum(map(bool, full)) == 1
-    full.clear()
+    assert first.iterations > 0 and len(built) == 1
+    built.clear()
     again = solve(path[0], start=first.active_set)
-    assert again.iterations == 0 and not any(full)
+    assert again.iterations == 0 and not built
     assert certificate(again) <= 1e-8
 
 
@@ -136,26 +136,33 @@ def test_warm_lambda_sweep_halves_active_set_changes(monkeypatch,
 
 def test_start_drops_are_the_start_phase_drops(monkeypatch, binding_preset):
     # each start keeps the rows its dual solve does not drop: the Solutions
-    # count the dropped rows |D| as start_drops, and no factorization of P
-    # alone (a _ThinQR with no Q rows) is ever dropped from
-    dropped, p_only = [], []
-    dual, drop = qp._start_dual, qp._ThinQR.drop
+    # count the dropped rows |D| as start_drops. The start phase drops
+    # through its dual alone: the sweep's main loops make no change, so no
+    # thin QR is built or dropped from
+    dropped, qr_calls = [], []
+    dual, init, drop = qp._start_dual, qp._ThinQR.__init__, qp._ThinQR.drop
 
     def counted_dual(P, viol):
-        res = dual(P, viol)
-        dropped.append(viol.size if res is None else int(res[1].sum()))
-        return res
+        m, mask = dual(P, viol)
+        assert m.shape == mask.shape == viol.shape
+        dropped.append(int(mask.sum()))
+        return m, mask
+
+    def counted_init(self, W):
+        qr_calls.append("init")
+        init(self, W)
 
     def counted_drop(self, k):
-        p_only.append(self.n == 0)
+        qr_calls.append("drop")
         return drop(self, k)
 
     monkeypatch.setattr(qp, "_start_dual", counted_dual)
+    monkeypatch.setattr(qp._ThinQR, "__init__", counted_init)
     monkeypatch.setattr(qp._ThinQR, "drop", counted_drop)
     out, sols = sweep_solutions(monkeypatch, binding_preset)
     assert len(dropped) == len(sols) and sum(dropped) > 0
     assert sum(s.start_drops for s in sols) == sum(dropped)
-    assert not any(p_only)
+    assert not qr_calls
     assert [r.iters for r in out["records"]] == [0] * len(out["records"])
 
 
