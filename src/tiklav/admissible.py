@@ -164,11 +164,13 @@ def _projection(aset: AdmissibleSet, v: np.ndarray, vtv: np.ndarray,
     vtv = V^T v: min |u - v|^2, the QP with H = 2I (in the rows' basis) and
     g = -2 v, certified on its Lagrangian gradient 2(u - v) + T^T eta."""
     T, psi = aset.constraint_matrix()
-    H = aset.op.V, np.full(v.size, 2.0)
-    wfac = np.sqrt(aset.op.grid.weight)
-    return qp.solve_box_state_qp(
-        H, -2.0 * vtv, lambda u, eta: 2.0 * (u - v) + T.adjoint(eta),
-        aset.box.upper, T, psi, tol, wfac).u
+    op = aset.op
+    res = qp.solve_box_state_qp((op.V, np.full(v.size, 2.0)), -2.0 * vtv,
+                                aset.box.upper, T, psi, tol)
+    qp.certify(2.0 * (res.u - v) + T.adjoint(res.eta),
+               aset.slack(res.u, op.apply_values(res.u)), res.eta, tol,
+               np.sqrt(op.grid.weight))
+    return res.u
 
 
 def slater(aset: AdmissibleSet, u_hat: GridFunction):

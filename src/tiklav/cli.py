@@ -497,7 +497,10 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise InvalidInput(f"--out {out_dir} is not a directory") from None
         t0 = time.perf_counter()
         report = COMMANDS[args.command](cfg, out_dir, args.tol, args.seed)
         report.runtime_seconds = time.perf_counter() - t0

@@ -20,5 +20,5 @@ class Infeasible(TiklavError):
 
 
 class NonConvergence(TiklavError):
-    """A QP pass ended without a KKT certificate at the requested
-    tolerance."""
+    """A QP point missed its KKT certificate at the requested tolerance,
+    or the QP pass ended on a violation within round-off."""

@@ -40,16 +40,17 @@ Q and P, by one QR. After a drop, the row being tried is split
 against the columns left by adding back the direction that left, with no
 new Gram-Schmidt pass. The engine runs on numpy alone.
 
-The KKT certificate is measured on the problem, not on the basis the
-engine iterated in: the caller passes the Lagrangian gradient
-grad(u, eta) = H u + g + T^T eta in node space (for the regularized
-problem 2(S*(S u - y_d) + alpha u) + T^T eta, for a projection onto the
-admissible set 2(u - v) + T^T eta), and the multipliers of the bounds,
-the stationarity, primal and complementarity residuals all derive from
-it. An H whose smallest eigenvalue is not > eps * its largest
-(semidefinite to round-off, or NaN) is rejected, and a pass that ends
-without the KKT certificate raises NonConvergence: the callers' Hessians
-carry alpha > 0 (or are 2I), so one pass suffices.
+The engine returns its point u = V x, set exactly to 0 or upper on the
+active bound rows, the state multipliers eta and the active rows; it does
+not certify them. The caller measures the KKT certificate on the problem,
+not on the basis the engine iterated in, by `certify`: from the Lagrangian
+gradient r = H u + g + T^T eta in node space (for the regularized problem
+2(S*(S u - y_d) + alpha u) + T^T eta, for a projection onto the admissible
+set 2(u - v) + T^T eta) and the slacks at the returned u, it derives the
+multipliers of the bounds and the stationarity, primal and
+complementarity residuals. An H whose smallest eigenvalue is not > eps *
+its largest (semidefinite to round-off, or NaN) is rejected; the callers'
+Hessians carry alpha > 0 (or are 2I), so one pass suffices.
 
 Every solve starts from a set of rows made dual feasible: the dual
 method needs nothing more (Goldfarb and Idnani; Ferreau, Bock and Diehl,
@@ -78,21 +79,22 @@ is always valid. The usual iteration runs from x and adds back any later
 start row that is violated; its first change factors the rows kept once
 more, with Q and with no dependence test, as they already passed it. A
 start that is already optimal forms no Q. Any start, however stale, is
-valid: the result is certified as a cold one is, and the start changes
-only the number of active-set changes (and, within the certificate,
-which rows violated by at most 0.1 tol are left inactive).
+valid: it ends at the minimizer a cold start reaches, and the start
+changes only the number of active-set changes (and, within the
+feasibility tolerance, which rows violated by at most 0.1 tol are left
+inactive).
 The start rows dropped are counted apart from the main loop's changes.
 
 The weighted L2 structure of the grid cancels out of the optimality
-system for uniform quadrature weights; norms reported to callers are
-rescaled by sqrt(h^d) via the `wfac` argument.
+system for uniform quadrature weights; `certify` rescales the
+stationarity norm by sqrt(h^d), its `wfac` argument.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -107,16 +109,11 @@ START_ITERS = 50        # iterations of the start's dual solve before the
 
 @dataclass
 class QPResult:
-    u: np.ndarray
-    mu_lower: np.ndarray
-    mu_upper: np.ndarray
+    u: np.ndarray            # exactly 0 or upper on the active bound rows
     eta: np.ndarray
     iterations: int          # active-set changes of the main loop
     start_drops: int         # start rows the start's dual solve drops
                              # (all of them past its cap)
-    stationarity: float
-    primal: float
-    complementarity: float
     active: np.ndarray       # sorted ids of the engine's final active rows
 
 
@@ -292,9 +289,9 @@ def _start_dual(P, viol):
 
 def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     """Goldfarb-Idnani iteration on H = V diag(d) V^T with every d > 0;
-    returns (u, bx, eta, main-loop active-set changes, start drops, sorted
-    active row ids), where u = V x and bx = B x are the final slack
-    evaluation's, at the final iterate x.
+    returns the QPResult of the final iterate x: u = V x of its slack
+    evaluation, set exactly to c_i on each active bound row i, where V x
+    holds it only to round-off.
 
     Rows are numbered as in the module docstring, so an absent upper bound
     has slack -inf; `normal` gives b_i = V^T a_i. A row with violation
@@ -318,10 +315,9 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
             return B[i - 2 * n]
         return -V[i] if i < n else V[i - n]
 
-    def at(x):  # the slack evaluation at x: u = V x, bx = B x, violations
+    def at(x):  # the slack evaluation at x: u = V x and the violations
         u = V @ x
-        bx = B.at_values(u, x)
-        return u, bx, np.concatenate([-u, u, bx]) - c
+        return u, np.concatenate([-u, u, B.at_values(u, x)]) - c
 
     x = -gx / d
     # start: P = R^{-1} of the independent start rows W = L^{-1} A; in
@@ -334,9 +330,9 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     if start is not None and len(start):
         rows, normals = _start_rows(start, V, c, B)
     if not rows.size:
-        u, bx, slack = at(x)
+        u, slack = at(x)
         if slack.max() <= feas_tol:
-            return u, bx, np.zeros(B.shape[0]), 0, 0, rows
+            return QPResult(u, np.zeros(B.shape[0]), 0, 0, rows)
         rows, normals = _start_rows(np.flatnonzero(slack > feas_tol), V, c, B)
     rsd = 1.0 / np.sqrt(d)      # L^{-1} a = rsd * (V^T a)
     bx0 = normals @ x            # b^T x_0 of each start row
@@ -354,7 +350,7 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     qr, changes, p, cap = None, 0, -1, 10 * (np.isfinite(c).sum() + 1)
     while True:
         if p < 0:  # pick the most violated row
-            u, bx, slack = at(x)
+            u, slack = at(x)
             slack[active] = -np.inf
             p = int(slack.argmax())
             if slack[p] <= feas_tol or changes >= cap:
@@ -415,56 +411,55 @@ def _dual_active_set(V, d, gx, upper, B, psi, feas_tol, start=None):
     state = active >= 2 * n
     eta = np.zeros(B.shape[0])
     eta[active[state] - 2 * n] = mult[state]
-    return u, bx, eta, changes, drops, np.sort(active)
+    bound = active[~state]  # ids i and n + i of node i
+    u[bound % n] = c[bound]
+    return QPResult(u, eta, changes, drops, np.sort(active))
 
 
-def _certified(grad, upper, psi, tol, wfac, u, bx, eta, changes, drops,
-               active):
-    """QPResult for the engine's u = V x, its state rows bx = B x and eta
-    when their KKT residuals on the original problem are all <= tol, else
-    None; the bound multipliers derive from r = grad(u, eta). u is set
-    exactly to 0 or upper on the active bound rows, where V x holds them
-    only to round-off; the state gap is bx, which differs from the rows at
-    that u by the same round-off only."""
-    bound = active[active < 2 * u.size]  # ids i and n + i of node i
-    u[bound % u.size] = np.concatenate([np.zeros(u.size), upper])[bound]
-    finite, r = np.isfinite(upper), grad(u, eta)
+def certify(r, slack, eta, tol, wfac):
+    """The KKT certificate of a point u with state multipliers eta, from
+    the Lagrangian gradient r = H u + g + T^T eta at u in node space and
+    the slacks (u, upper - u, psi - T u) at u of `AdmissibleSet.slack`:
+    (mu_lower, mu_upper, stationarity, primal, complementarity). The bound
+    multipliers are the parts of r of each sign, mu_upper 0 where upper is
+    inf; the stationarity is wfac times the norm of r - mu_lower +
+    mu_upper, the primal residual the largest state violation. Raises
+    NonConvergence unless all three residuals are <= tol."""
+    lo, up, st = slack
+    finite = np.isfinite(up)
     mu_lo = np.maximum(r, 0.0)
     mu_up = np.where(finite, np.maximum(-r, 0.0), 0.0)
     # r - mu_lo + mu_up is nonzero only where b = inf and r < 0
     stat = wfac * float(np.linalg.norm(r - mu_lo + mu_up))
-    gap = bx - psi
-    primal = float(np.max(gap, initial=0.0))
+    primal = float(np.max(-st, initial=0.0))
     comp = float(np.max(np.abs(np.concatenate([
-        mu_lo * u, mu_up * np.where(finite, upper - u, 0.0), eta * gap])),
+        mu_lo * lo, mu_up * np.where(finite, up, 0.0), eta * st])),
         initial=0.0))
-    if max(stat, primal, comp) <= tol:
-        return QPResult(u, mu_lo, mu_up, eta, changes, drops, stat, primal,
-                        comp, active)
-    return None
+    if not max(stat, primal, comp) <= tol:  # NaN fails too
+        raise NonConvergence(
+            f"no KKT certificate: residuals {stat:.3e}, {primal:.3e} and "
+            f"{comp:.3e} against tol {tol:.3e}")
+    return mu_lo, mu_up, stat, primal, comp
 
 
-def solve_box_state_qp(H, gx: np.ndarray, grad: Callable, upper: np.ndarray,
-                       B, psi: np.ndarray,
-                       tol: float, wfac: float,
+def solve_box_state_qp(H, gx: np.ndarray, upper: np.ndarray, B,
+                       psi: np.ndarray, tol: float,
                        start: Optional[np.ndarray] = None) -> QPResult:
-    """Solve the QP with certified KKT residuals <= tol.
+    """Solve the QP to the feasibility tolerance 0.1 tol, for a
+    certificate <= tol by `certify`.
 
     H is the pair (V, d) with H = V diag(d) V^T and V square orthonormal,
     a dense array or an `operators.SineBasis`, and B the state rows, an
     `operators.EigenRows` (see the module docstring). The gradient at 0
     and the state rows are given in that basis: g = V gx and T = B V^T.
-    grad(u, eta) is the Lagrangian gradient H u + g + T^T eta in node
-    space (eta: one entry per row of B), on which the certificate is
-    measured. `start` is the active row ids of a nearby solve (e.g. a
-    previous `QPResult.active`); ids of rows absent here, and rows from the
-    first that depends on those before it, are skipped, and a start that
-    names no row here becomes the rows violated at the unconstrained
-    minimizer. Raises
-    InvalidInput unless 0 < tol < inf, gx is finite and
+    `start` is the active row ids of a nearby solve (e.g. a previous
+    `QPResult.active`); ids of rows absent here, and rows from the first
+    that depends on those before it, are skipped, and a start that names
+    no row here becomes the rows violated at the unconstrained minimizer.
+    Raises InvalidInput unless 0 < tol < inf, gx is finite and
     min(d) > eps * max(d), Infeasible when no box point satisfies
-    T u <= psi and NonConvergence when the pass misses the certificate or
-    ends on a violation within round-off.
+    T u <= psi and NonConvergence when the pass ends on a violation within
+    round-off.
     """
     if not 0 < tol < np.inf:  # an infinite tol would certify any point
         raise InvalidInput(f"tol must be positive and finite, got {tol}")
@@ -475,11 +470,4 @@ def solve_box_state_qp(H, gx: np.ndarray, grad: Callable, upper: np.ndarray,
         raise InvalidInput(
             "Hessian not definite to round-off: d_min/d_max = "
             f"{np.min(d):.3e}/{np.max(d):.3e}")
-    u, bx, eta, changes, drops, active = _dual_active_set(
-        V, d, gx, upper, B, psi, 0.1 * tol, start)
-    res = _certified(grad, upper, psi, tol, wfac, u, bx, eta, changes, drops,
-                     active)
-    if res is None:
-        raise NonConvergence(
-            f"no KKT certificate after {changes} active-set changes")
-    return res
+    return _dual_active_set(V, d, gx, upper, B, psi, 0.1 * tol, start)

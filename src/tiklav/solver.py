@@ -90,38 +90,24 @@ class Solution:
 
 
 def _solution(problem: RegularizedProblem, res: qp.QPResult,
-              su: np.ndarray) -> Solution:
-    """The Solution at a solved point res.u, given su = S u: y, the
-    objective, the margins and the rows with slack < ACTIVE_TOL all derive
-    from that one S u."""
-    slack = problem.aset.slack(res.u, su)
+              su: np.ndarray, slack, cert) -> Solution:
+    """The Solution at a solved point res.u, given su = S u, the slacks
+    of `AdmissibleSet.slack` at u and their certificate (mu_lower,
+    mu_upper, stationarity, primal, complementarity): y, the objective,
+    the margins and the rows with slack < ACTIVE_TOL all derive from that
+    one S u."""
+    mu_lower, mu_upper, stat, primal, comp = cert
     lo, up, st = (np.flatnonzero(x < ACTIVE_TOL) for x in slack)
     grid = problem.op.grid
     return Solution(
         u=GridFunction(grid, res.u), y=GridFunction(grid, su),
         objective=problem._objective(res.u, su),
         margins=FeasibilityReport.from_slack(slack),
-        mu_lower=res.mu_lower, mu_upper=res.mu_upper, eta=res.eta,
+        mu_lower=mu_lower, mu_upper=mu_upper, eta=res.eta,
         active_lower=lo, active_upper=up, active_state=st,
         iterations=res.iterations, start_drops=res.start_drops,
-        kkt_stationarity=res.stationarity,
-        kkt_primal=res.primal, kkt_complementarity=res.complementarity,
+        kkt_stationarity=stat, kkt_primal=primal, kkt_complementarity=comp,
         active_set=res.active)
-
-
-class _Lagrangian:
-    """grad(u, eta) = 2(S*(S u - y_d) + alpha u) + T^T eta, the Lagrangian
-    gradient of a problem in node space, on which the QP certificate is
-    measured; keeps the S u it formed last, for the Solution."""
-
-    def __init__(self, problem: RegularizedProblem):
-        self.problem, self.su = problem, None
-
-    def __call__(self, u: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        p = self.problem
-        self.su = p.op.apply_values(u)
-        r = p.op.apply_values(self.su - p.y_d.values) + p.alpha * u
-        return 2.0 * r + p.aset.constraint_matrix()[0].adjoint(eta)
 
 
 def _quadratic(op: AssembledOperator, vty: np.ndarray, alpha: float):
@@ -144,14 +130,18 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
     warm-started from `start`, the `active_set` of a nearby solve (same
     admissible region; any lambda, alpha or data); with no start, from the
     rows violated at the unconstrained minimizer."""
-    aset = problem.aset
-    H, gx = _quadratic(problem.op, problem.vty, problem.alpha)
-    grad = _Lagrangian(problem)
+    aset, op = problem.aset, problem.op
+    H, gx = _quadratic(op, problem.vty, problem.alpha)
     T, psi = aset.constraint_matrix()
-    wfac = np.sqrt(problem.op.grid.weight)
-    res = qp.solve_box_state_qp(H, gx, grad, aset.box.upper, T, psi, tol,
-                                wfac, start)
-    return _solution(problem, res, grad.su)
+    res = qp.solve_box_state_qp(H, gx, aset.box.upper, T, psi, tol, start)
+    # the certificate on the Lagrangian gradient in node space,
+    # 2(S*(S u - y_d) + alpha u) + T^T eta, at the u returned
+    su = op.apply_values(res.u)
+    r = op.apply_values(su - problem.y_d.values) + problem.alpha * res.u
+    r = 2.0 * r + T.adjoint(res.eta)
+    slack = aset.slack(res.u, su)
+    cert = qp.certify(r, slack, res.eta, tol, np.sqrt(op.grid.weight))
+    return _solution(problem, res, su, slack, cert)
 
 
 def projection_formula_residual(sol: Solution, problem: RegularizedProblem,

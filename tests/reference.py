@@ -59,8 +59,9 @@ def oracle_solve(problem, S, tol=1e-8):
     Each node is lower-active, upper-active (finite b only) or free; each
     finite-psi region row is active or inactive. The first pattern whose
     equality-constrained KKT system gives a primal/dual feasible point with
-    recomputed stationarity <= max(tol, 1e-9) wins. Its u and S u go
-    through the Solution builder of `solve`.
+    recomputed stationarity <= max(tol, 1e-9) wins. Its u, S u, the
+    slacks at u and its own certificate go through the Solution builder of
+    `solve`.
     """
     n = problem.op.grid.num_nodes
     if n > ORACLE_CAP:
@@ -111,7 +112,8 @@ def oracle_solve(problem, S, tol=1e-8):
         stat = wfac * np.linalg.norm(r - mu_lower + mu_upper)
         if stat > feas_tol:  # a near-singular pattern's inexact solve
             continue
+        su = S @ u
         return _solution(problem, qp.QPResult(
-            u, mu_lower, mu_upper, eta, 0, 0, stat, 0.0, 0.0,
-            np.array(rows, dtype=np.intp)), S @ u)
+            u, eta, 0, 0, np.array(rows, dtype=np.intp)), su,
+            aset.slack(u, su), (mu_lower, mu_upper, stat, 0.0, 0.0))
     raise AssertionError("no activity pattern is primal/dual feasible")

@@ -70,6 +70,13 @@ def test_criterion_02_poisson_analytic_oracle(report):
     report(2, "analytic solutions and convergence order", ok)
 
 
+def primal_from_margin(sol):
+    """The primal residual the solution's own state margin gives: the
+    certificate is measured at the returned point, on the slack the
+    Solution reports, so kkt_primal equals it exactly."""
+    return max(0.0, -sol.margins.margin_state)
+
+
 def test_criterion_03_solver_oracle_equivalence(report):
     rng = np.random.default_rng(20240817)
     ok = True
@@ -81,6 +88,7 @@ def test_criterion_03_solver_oracle_equivalence(report):
         ok &= np.array_equal(s.active_lower, o.active_lower)
         ok &= np.array_equal(s.active_upper, o.active_upper)
         ok &= np.array_equal(s.active_state, o.active_state)
+        ok &= s.kkt_primal == primal_from_margin(s)
     report(3, "solver matches enumeration oracle", ok)
 
 
@@ -126,17 +134,26 @@ def test_criterion_06_noise_rule(report, interior_preset):
     report(6, "noisy-data bounds under the delta^(2/3) rule", ok)
 
 
-def test_criterion_07_lavrentiev_bound(report, binding_preset):
+def test_criterion_07_lavrentiev_bound(report, binding_preset, monkeypatch):
     cfg, op, _, inst = binding_preset
     e_cfg = cfg["experiment"]
     u_hat = constant(op.grid, 0.0)
+    sols, inner = [], experiments.solve
+
+    def recorded(*args, **kwargs):
+        sols.append(inner(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(experiments, "solve", recorded)
+    lams = [float(x) for x in e_cfg["lambda_list"]]
     out = experiments.lavrentiev_sweep(
-        inst, float(e_cfg["alpha"]), [float(x) for x in e_cfg["lambda_list"]],
-        "plus", u_hat, tol=1e-8)
+        inst, float(e_cfg["alpha"]), lams, "plus", u_hat, tol=1e-8)
     scaled = out["c_scaled"]
     ok = np.isfinite(out["c_fit"]) and out["c_fit"] > 0
     ok &= max(scaled) < 10 * min(scaled)
     ok &= all(out["plus_feasible"])
+    ok &= len(sols) == len(lams) + 1  # the lam path and its lam = 0 base
+    ok &= all(s.kkt_primal == primal_from_margin(s) for s in sols)
     report(7, "lambda/alpha error bound with stable constant", ok)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tiklav import cli, qp
+from tiklav.errors import NonConvergence
 from tiklav.grid import DomainGrid
 from tiklav.operators import KernelSpec, assemble_fredholm, assemble_poisson
 from tiklav.solver import RegularizedProblem, solve
@@ -105,7 +106,10 @@ class TestSolve:
         assert rc == cli.EXIT_INFEASIBLE
 
     def test_certificate_miss_exits_4(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(qp, "_certified", lambda *args: None)
+        def miss(*args):
+            raise NonConvergence("no KKT certificate")
+
+        monkeypatch.setattr(qp, "certify", miss)
         rc = cli.main(["solve", "--config", write_cfg(tmp_path, base_cfg()),
                        "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_NONCONVERGENCE
@@ -195,6 +199,18 @@ class TestVerify:
         rc = cli.main(["verify", "--config", write_cfg(tmp_path, cfg),
                        "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
+
+    def test_out_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        # the output directory cannot be made where a file is: a config
+        # error naming the path, not a traceback
+        out = tmp_path / "report"
+        out.write_text("")
+        rc = cli.main(["verify", "--config", "interior-attainable-poisson-1d",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: --out {out} is not a directory\n"
+        assert out.read_text() == ""
 
     def test_sweep_alpha_passes_on_interior_preset(self, tmp_path):
         out = tmp_path / "out"

@@ -5,7 +5,8 @@ dead-code rule), tiklav raises no bare ValueError or TypeError (a
 rejected input is `InvalidInput`), only one function reads a state
 constraint's region nodes (every other reader uses the rows of
 `constraint_matrix()`), the tests' dense references in reference.py
-read nothing of the operator's eigenbasis or of the QP engine, and
+read nothing of the operator's eigenbasis or of the QP engine, every
+function of tiklav that runs the QP engine also certifies its point, and
 `cli.main` catches every `TiklavError` subclass (none escapes as a
 traceback)."""
 
@@ -192,6 +193,40 @@ def test_reference_shares_no_basis_with_the_engine():
     # wrong eigenbasis cannot pass both the library and its reference
     source = (Path(__file__).parent / "reference.py").read_text()
     assert engine_reads(source) == []
+
+
+def uncertified_engine_calls(source: str) -> list:
+    """Names of the functions that call the QP engine `solve_box_state_qp`
+    but not `certify`, each by name or as an attribute: the engine returns
+    its point uncertified."""
+    def calls(fn, name):
+        return any(isinstance(n, ast.Call) and name in (
+            getattr(n.func, "id", None), getattr(n.func, "attr", None))
+            for n in ast.walk(fn))
+
+    return [fn.name for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, ast.FunctionDef)
+            and calls(fn, "solve_box_state_qp") and not calls(fn, "certify")]
+
+
+def test_checker_flags_an_uncertified_engine_call():
+    flagged = ("def f(H, g):\n"
+               "    res = qp.solve_box_state_qp(H, g)\n"
+               "    return res.u, certify\n")
+    clean = ("from tiklav.qp import certify, solve_box_state_qp\n"
+             "def g(H, g, r):\n"
+             "    res = solve_box_state_qp(H, g)\n"
+             "    return res.u, certify(r(res.u), res.eta)\n")
+    assert uncertified_engine_calls(flagged) == ["f"]
+    assert uncertified_engine_calls(clean) == []
+
+
+def test_every_engine_call_is_certified():
+    # the engine does not certify: each caller measures the KKT
+    # certificate at the point it returns
+    src = [p.read_text() for p in SOURCES]
+    assert sum("qp.solve_box_state_qp(" in s for s in src) >= 2  # callers
+    assert [name for s in src for name in uncertified_engine_calls(s)] == []
 
 
 def uncaught_errors(errors: str, cli: str) -> list:

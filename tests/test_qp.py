@@ -1,5 +1,7 @@
 """The QP engine against closed-form and enumeration ground truth."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,6 @@ from tiklav.errors import Infeasible, InvalidInput
 from tiklav.grid import DomainGrid
 from tiklav.operators import KernelSpec, assemble_fredholm
 from tiklav.qp import QPResult, solve_box_state_qp
-
-
-def node_gradient(H, g, T):
-    """The Lagrangian gradient H u + g + T^T eta of a dense QP, in node
-    space."""
-    return lambda u, eta: H @ u + g + (0.0 if T is None else T.T @ eta)
 
 
 class DenseRows:
@@ -32,13 +28,28 @@ class DenseRows:
         return self.T @ u
 
 
-def solve_dense(H, g, upper, T, psi, tol, wfac, start=None):
+@dataclass
+class Certified(QPResult):
+    """The engine's result and its certificate by qp.certify."""
+    mu_lower: np.ndarray
+    mu_upper: np.ndarray
+    stationarity: float
+    primal: float
+    complementarity: float
+
+
+def solve_dense(H, g, upper, T, psi, tol, wfac, start=None, eig=None):
     """solve_box_state_qp on a dense H, g and T, turned into ((V, d), V^T g,
-    T V) with one eigh, and certified on the node-space gradient."""
-    d, V = np.linalg.eigh(H)
-    return solve_box_state_qp((V, d), V.T @ g, node_gradient(H, g, T), upper,
-                              DenseRows(T, V), np.zeros(0) if T is None
-                              else psi, tol, wfac, start)
+    T V) with one eigh of H (or with eig = (d, V)), and qp.certify on the
+    node-space gradient H u + g + T^T eta and the slacks at u."""
+    d, V = np.linalg.eigh(H) if eig is None else eig
+    rows = DenseRows(T, V)
+    psi = np.zeros(0) if T is None else psi
+    res = solve_box_state_qp((V, d), V.T @ g, upper, rows, psi, tol, start)
+    u, eta = res.u, res.eta
+    slack = (u, upper - u, psi - rows.T @ u)
+    return Certified(*vars(res).values(), *qp.certify(
+        H @ u + g + rows.T.T @ eta, slack, eta, tol, wfac))
 
 
 def test_unconstrained_interior_minimizer():
@@ -135,10 +146,8 @@ def test_semidefinite_hessian_rejected(d_min):
     V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     d = np.array([2.0, 1.0, 0.5, d_min])
     with pytest.raises(InvalidInput, match="not definite to round-off"):
-        solve_box_state_qp((V, d), rng.standard_normal(4),
-                           node_gradient(np.eye(4), np.zeros(4), None),
-                           np.ones(4), DenseRows(None, V), np.zeros(0),
-                           1e-10, 1.0)
+        solve_box_state_qp((V, d), rng.standard_normal(4), np.ones(4),
+                           DenseRows(None, V), np.zeros(0), 1e-10)
 
 
 def _least_squares_batch(seed, count=100):
@@ -170,10 +179,8 @@ def test_eigenpair_and_dense_hessian_agree():
         V = Wt.T
         H = 2 * (A.T @ A + alpha * np.eye(n))
         by_eigh = solve_dense(H, g, upper, T, psi, 1e-10, 1.0)
-        by_svd = solve_box_state_qp((V, 2 * (s2 + alpha)), V.T @ g,
-                                    node_gradient(H, g, T), upper,
-                                    DenseRows(T, V), np.zeros(0)
-                                    if T is None else psi, 1e-10, 1.0)
+        by_svd = solve_dense(H, g, upper, T, psi, 1e-10, 1.0,
+                             eig=(2 * (s2 + alpha), V))
         assert np.max(np.abs(by_svd.u - by_eigh.u)) <= 1e-8
         assert max(by_svd.stationarity, by_svd.primal,
                    by_svd.complementarity) <= 1e-10

@@ -244,22 +244,29 @@ def test_past_the_start_cap_the_empty_start_gives_the_same_set(
     e = cfg["experiment"]
     prob = RegularizedProblem(inst.y_d, aset.with_lambda(1e-2, e["sign"]),
                               e["alpha"])
-    results, engine = [], qp.solve_box_state_qp
+    results, certs = [], []
+    engine, certify = qp.solve_box_state_qp, qp.certify
 
     def recorded(*args):
         results.append(engine(*args))
         return results[-1]
 
+    def certified(*args):
+        certs.append(certify(*args))
+        return certs[-1]
+
     monkeypatch.setattr(qp, "solve_box_state_qp", recorded)
+    monkeypatch.setattr(qp, "certify", certified)
     runs = []
     for cap in (qp.START_ITERS, 0):
         monkeypatch.setattr(qp, "START_ITERS", cap)
         load_preset_instance("binding-state-poisson-2d")
         solve(prob, tol=1e-8)
         runs.append(results[-2:])
-    for kept, fallback, tol in zip(*runs, (1e-10, 1e-8)):
-        assert max(fallback.stationarity, fallback.primal,
-                   fallback.complementarity) <= tol
+    # the fallback's projection and solve, each with its certificate
+    # (mu_lower, mu_upper, stationarity, primal, complementarity)
+    for kept, fallback, cert, tol in zip(*runs, certs[-2:], (1e-10, 1e-8)):
+        assert max(cert[2:]) <= tol
         assert np.array_equal(fallback.active, kept.active)
         assert kept.iterations == 0 < fallback.iterations
         assert fallback.start_drops > kept.start_drops
