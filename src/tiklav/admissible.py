@@ -141,6 +141,20 @@ class AdmissibleSet:
         return (u_values, self.box.upper - u_values,
                 psi - (su[T.idx] + self.shift * u_values[T.idx]))
 
+    def minimize(self, H, gx: np.ndarray, grad, tol: float,
+                 start: Optional[np.ndarray] = None):
+        """Minimize 0.5 u^T H u + g^T u over the set by the QP engine from
+        `start`, H = (V, d) and g = V gx in the operator's eigenbasis, and
+        certify its u on the gradient grad(u, su) + T^T eta, su = S u: (the
+        QPResult, su, the slacks at u, the certificate of `qp.certify`)."""
+        T, psi = self.constraint_matrix()
+        res = qp.solve_box_state_qp(H, gx, self.box.upper, T, psi, tol, start)
+        su = self.op.apply_values(res.u)
+        r = grad(res.u, su) + T.adjoint(res.eta)
+        slack = self.slack(res.u, su)
+        return res, su, slack, qp.certify(r, slack, res.eta, tol,
+                                          np.sqrt(self.op.grid.weight))
+
 
 def feasibility(u: GridFunction, aset: AdmissibleSet) -> FeasibilityReport:
     if u.grid != aset.op.grid:
@@ -151,26 +165,14 @@ def feasibility(u: GridFunction, aset: AdmissibleSet) -> FeasibilityReport:
 
 def project_admissible(v: GridFunction, aset: AdmissibleSet,
                        tol: float = 1e-9) -> GridFunction:
-    """L2-nearest point of the admissible set (identity-Hessian QP)."""
+    """L2-nearest point of the admissible set: min |u - v|^2, H = 2I and
+    g = -2 v, certified on its Lagrangian gradient 2(u - v) + T^T eta."""
     if v.grid != aset.op.grid:
         raise InvalidInput("grids differ")
-    return GridFunction(v.grid, _projection(aset, v.values,
-                                            aset.op.V.T @ v.values, tol))
-
-
-def _projection(aset: AdmissibleSet, v: np.ndarray, vtv: np.ndarray,
-                tol: float) -> np.ndarray:
-    """The projection of v, given in node space and by its coefficients
-    vtv = V^T v: min |u - v|^2, the QP with H = 2I (in the rows' basis) and
-    g = -2 v, certified on its Lagrangian gradient 2(u - v) + T^T eta."""
-    T, psi = aset.constraint_matrix()
-    op = aset.op
-    res = qp.solve_box_state_qp((op.V, np.full(v.size, 2.0)), -2.0 * vtv,
-                                aset.box.upper, T, psi, tol)
-    qp.certify(2.0 * (res.u - v) + T.adjoint(res.eta),
-               aset.slack(res.u, op.apply_values(res.u)), res.eta, tol,
-               np.sqrt(op.grid.weight))
-    return res.u
+    V = aset.op.V
+    return GridFunction(v.grid, aset.minimize(
+        (V, np.full(v.values.size, 2.0)), -2.0 * (V.T @ v.values),
+        lambda u, su: 2.0 * (u - v.values), tol)[0].u)
 
 
 def slater(aset: AdmissibleSet, u_hat: GridFunction):

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissible import AdmissibleSet, FeasibilityReport, _projection
+from .admissible import AdmissibleSet, FeasibilityReport
 from .errors import InvalidInput
 from .grid import GridFunction, wnorm
-from .operators import apply
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -79,14 +78,15 @@ def manufacture(w: GridFunction, aset: AdmissibleSet, attainable: bool = True,
         raise InvalidInput("manufacture requires the unregularized set (lam = 0)")
     if w.grid != aset.op.grid:
         raise InvalidInput("operator and function grids differ")
-    # S* w enters in node space and by its coefficients s * V^T w: one
-    # transform in 1D, as V^T of the node values would be
+    # min |u - S* w|^2, its gradient at 0 by the coefficients s * V^T w (one
+    # transform in 1D); the certificate's S u_bar is y_d
     op = aset.op
-    u_bar = GridFunction(w.grid, _projection(
-        aset, op.apply_values(w.values), op.s * (op.V.T @ w.values),
-        1e-10))
-    y_d = apply(op, u_bar)
-    margins = FeasibilityReport.from_slack(aset.slack(u_bar.values, y_d.values))
+    sw = op.apply_values(w.values)
+    res, su, slack, _ = aset.minimize(
+        (op.V, np.full(sw.size, 2.0)), -2.0 * (op.s * (op.V.T @ w.values)),
+        lambda u, su: 2.0 * (u - sw), 1e-10)
+    u_bar, y_d = GridFunction(w.grid, res.u), GridFunction(w.grid, su)
+    margins = FeasibilityReport.from_slack(slack)
     res_norm = 0.0
     if not attainable:
         if residual <= 0:

@@ -42,15 +42,15 @@ new Gram-Schmidt pass. The engine runs on numpy alone.
 
 The engine returns its point u = V x, set exactly to 0 or upper on the
 active bound rows, the state multipliers eta and the active rows; it does
-not certify them. The caller measures the KKT certificate on the problem,
-not on the basis the engine iterated in, by `certify`: from the Lagrangian
-gradient r = H u + g + T^T eta in node space (for the regularized problem
-2(S*(S u - y_d) + alpha u) + T^T eta, for a projection onto the admissible
-set 2(u - v) + T^T eta) and the slacks at the returned u, it derives the
-multipliers of the bounds and the stationarity, primal and
-complementarity residuals. An H whose smallest eigenvalue is not > eps *
-its largest (semidefinite to round-off, or NaN) is rejected; the callers'
-Hessians carry alpha > 0 (or are 2I), so one pass suffices.
+not certify them. Its one caller, `AdmissibleSet.minimize`, measures the
+KKT certificate on the problem, not on the basis the engine iterated in,
+by `certify`: from the Lagrangian gradient r = H u + g + T^T eta in node
+space (for the regularized problem 2(S*(S u - y_d) + alpha u) + T^T eta,
+for a projection onto the admissible set 2(u - v) + T^T eta) and the
+slacks at the returned u, it derives the multipliers of the bounds and the
+stationarity, primal and complementarity residuals. An H whose smallest
+eigenvalue is not > eps * its largest (semidefinite to round-off, or NaN)
+is rejected; a Hessian passed has alpha > 0 or is 2I: one pass suffices.
 
 Every solve starts from a set of rows made dual feasible: the dual
 method needs nothing more (Goldfarb and Idnani; Ferreau, Bock and Diehl,

@@ -120,6 +120,8 @@ def solve_unconstrained(op: AssembledOperator, y_d: GridFunction,
                         alpha: float) -> GridFunction:
     """Solve (S*S + alpha I) u = S* y_d in the eigenbasis of S."""
     _check_alpha(alpha)
+    if y_d.grid != op.grid:
+        raise InvalidInput("problem grids differ")
     (V, d), gx = _quadratic(op, op.V.T @ y_d.values, alpha)
     return GridFunction(op.grid, V @ (-gx / d))
 
@@ -130,18 +132,12 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
     warm-started from `start`, the `active_set` of a nearby solve (same
     admissible region; any lambda, alpha or data); with no start, from the
     rows violated at the unconstrained minimizer."""
-    aset, op = problem.aset, problem.op
+    op = problem.op
     H, gx = _quadratic(op, problem.vty, problem.alpha)
-    T, psi = aset.constraint_matrix()
-    res = qp.solve_box_state_qp(H, gx, aset.box.upper, T, psi, tol, start)
-    # the certificate on the Lagrangian gradient in node space,
-    # 2(S*(S u - y_d) + alpha u) + T^T eta, at the u returned
-    su = op.apply_values(res.u)
-    r = op.apply_values(su - problem.y_d.values) + problem.alpha * res.u
-    r = 2.0 * r + T.adjoint(res.eta)
-    slack = aset.slack(res.u, su)
-    cert = qp.certify(r, slack, res.eta, tol, np.sqrt(op.grid.weight))
-    return _solution(problem, res, su, slack, cert)
+    # certified on the Lagrangian gradient 2(S*(S u - y_d) + alpha u) + T^T eta
+    return _solution(problem, *problem.aset.minimize(
+        H, gx, lambda u, su: 2.0 * (op.apply_values(su - problem.y_d.values)
+                                    + problem.alpha * u), tol, start))
 
 
 def projection_formula_residual(sol: Solution, problem: RegularizedProblem,

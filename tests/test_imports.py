@@ -5,8 +5,8 @@ dead-code rule), tiklav raises no bare ValueError or TypeError (a
 rejected input is `InvalidInput`), only one function reads a state
 constraint's region nodes (every other reader uses the rows of
 `constraint_matrix()`), the tests' dense references in reference.py
-read nothing of the operator's eigenbasis or of the QP engine, every
-function of tiklav that runs the QP engine also certifies its point, and
+read nothing of the operator's eigenbasis or of the QP engine, one
+function of tiklav runs the QP engine and it certifies its point, and
 `cli.main` catches every `TiklavError` subclass (none escapes as a
 traceback)."""
 
@@ -195,18 +195,28 @@ def test_reference_shares_no_basis_with_the_engine():
     assert engine_reads(source) == []
 
 
+def _calls(fn, name):
+    """Whether fn calls `name`, by name or as an attribute."""
+    return any(isinstance(n, ast.Call) and name in (
+        getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        for n in ast.walk(fn))
+
+
+def engine_callers(source: str) -> list:
+    """Names of the functions that call the QP engine `solve_box_state_qp`,
+    by name or as an attribute."""
+    return [fn.name for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, ast.FunctionDef)
+            and _calls(fn, "solve_box_state_qp")]
+
+
 def uncertified_engine_calls(source: str) -> list:
     """Names of the functions that call the QP engine `solve_box_state_qp`
     but not `certify`, each by name or as an attribute: the engine returns
     its point uncertified."""
-    def calls(fn, name):
-        return any(isinstance(n, ast.Call) and name in (
-            getattr(n.func, "id", None), getattr(n.func, "attr", None))
-            for n in ast.walk(fn))
-
     return [fn.name for fn in ast.walk(ast.parse(source))
             if isinstance(fn, ast.FunctionDef)
-            and calls(fn, "solve_box_state_qp") and not calls(fn, "certify")]
+            and _calls(fn, "solve_box_state_qp") and not _calls(fn, "certify")]
 
 
 def test_checker_flags_an_uncertified_engine_call():
@@ -219,14 +229,18 @@ def test_checker_flags_an_uncertified_engine_call():
              "    return res.u, certify(r(res.u), res.eta)\n")
     assert uncertified_engine_calls(flagged) == ["f"]
     assert uncertified_engine_calls(clean) == []
+    assert engine_callers(flagged + clean) == ["f", "g"]
 
 
 def test_every_engine_call_is_certified():
-    # the engine does not certify: each caller measures the KKT
-    # certificate at the point it returns
-    src = [p.read_text() for p in SOURCES]
-    assert sum("qp.solve_box_state_qp(" in s for s in src) >= 2  # callers
-    assert [name for s in src for name in uncertified_engine_calls(s)] == []
+    # the engine does not certify: its one caller, AdmissibleSet.minimize,
+    # measures the KKT certificate at the point it returns, for the solve
+    # and the projections alike
+    src = {p.stem: p.read_text() for p in SOURCES}
+    assert [(stem, name) for stem, s in src.items()
+            for name in engine_callers(s)] == [("admissible", "minimize")]
+    assert [name for s in src.values()
+            for name in uncertified_engine_calls(s)] == []
 
 
 def uncaught_errors(errors: str, cli: str) -> list:

@@ -81,6 +81,14 @@ class TestSolve:
         with pytest.raises(InvalidInput, match="problem grids differ"):
             RegularizedProblem(GridFunction(DomainGrid(1, 9), np.zeros(9)),
                                prob.aset, prob.alpha)
+        # solve_unconstrained too: a 9-node y_d on an 8-node operator (once
+        # a numpy broadcast error), and 16 nodes in 1D on a 4 x 4 operator
+        # in 2D (once a 2D solution)
+        for y_grid, op_grid in ((DomainGrid(1, 9), DomainGrid(1, 8)),
+                                (DomainGrid(1, 16), DomainGrid(2, 4))):
+            y_d = GridFunction(y_grid, np.ones(y_grid.num_nodes))
+            with pytest.raises(InvalidInput, match="problem grids differ"):
+                solve_unconstrained(assemble_poisson(op_grid), y_d, 0.1)
 
     def test_operator_is_the_sets(self):
         # V^T y_d, which `at` carries over, belongs to the set's operator
@@ -248,10 +256,18 @@ class TestOneEvaluation:
         # gradient 2(S(S u - y_d) + alpha u) and the Solution's S u are
         # Green's function applies in node space. manufacture makes 2 (V^T w
         # for the coefficients s * V^T w of S* w, and the projection's V x)
+        # and 2 applies of S (S* w, and the certificate's S u, its y_d)
         op, inst, calls = counted_interior_preset(monkeypatch)
+        applies, apply_values = [], AssembledOperator.apply_values
+
+        def counting(self, values):
+            applies.append(1)
+            return apply_values(self, values)
+
+        monkeypatch.setattr(AssembledOperator, "apply_values", counting)
         calls.clear()
         manufacture(inst.w, inst.aset)
-        assert len(calls) == 2
+        assert len(calls) == 2 and len(applies) == 2
         calls.clear()
         solve(RegularizedProblem(inst.y_d, inst.aset, 1e-2))
         assert len(calls) == 1 + 1
