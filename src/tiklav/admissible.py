@@ -141,14 +141,16 @@ class AdmissibleSet:
         return (u_values, self.box.upper - u_values,
                 psi - (su[T.idx] + self.shift * u_values[T.idx]))
 
-    def minimize(self, H, gx: np.ndarray, grad, tol: float,
+    def minimize(self, d: np.ndarray, gx: np.ndarray, grad, tol: float,
                  start: Optional[np.ndarray] = None):
         """Minimize 0.5 u^T H u + g^T u over the set by the QP engine from
-        `start`, H = (V, d) and g = V gx in the operator's eigenbasis, and
-        certify its u on the gradient grad(u, su) + T^T eta, su = S u: (the
-        QPResult, su, the slacks at u, the certificate of `qp.certify`)."""
+        `start`, H = V diag(d) V^T and g = V gx in the operator's
+        eigenbasis V, and certify its u on the gradient grad(u, su) + T^T
+        eta, su = S u: (the QPResult, su, the slacks at u, the certificate
+        of `qp.certify`)."""
         T, psi = self.constraint_matrix()
-        res = qp.solve_box_state_qp(H, gx, self.box.upper, T, psi, tol, start)
+        res = qp.solve_box_state_qp((self.op.V, d), gx, self.box.upper, T,
+                                    psi, tol, start)
         su = self.op.apply_values(res.u)
         r = grad(res.u, su) + T.adjoint(res.eta)
         slack = self.slack(res.u, su)
@@ -169,9 +171,8 @@ def project_admissible(v: GridFunction, aset: AdmissibleSet,
     g = -2 v, certified on its Lagrangian gradient 2(u - v) + T^T eta."""
     if v.grid != aset.op.grid:
         raise InvalidInput("grids differ")
-    V = aset.op.V
     return GridFunction(v.grid, aset.minimize(
-        (V, np.full(v.values.size, 2.0)), -2.0 * (V.T @ v.values),
+        np.full(v.values.size, 2.0), -2.0 * (aset.op.V.T @ v.values),
         lambda u, su: 2.0 * (u - v.values), tol)[0].u)
 
 

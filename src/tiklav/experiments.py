@@ -110,8 +110,7 @@ def sweep_alpha(inst: ManufacturedInstance, alpha_list: Sequence[float],
                 tol: float = 1e-8) -> dict:
     """Tikhonov sweep at lam = 0 with per-record bound checks and a rate fit."""
     alphas = _alpha_path(alpha_list)
-    aset = inst.aset.with_lambda(0.0)
-    prob = RegularizedProblem(inst.y_d, aset, alphas[0])
+    prob = RegularizedProblem(inst.y_d, inst.aset, alphas[0])
     records, active = [], None
     for a in alphas:
         prob = prob.at(a)
@@ -163,12 +162,11 @@ def noise_study(inst: ManufacturedInstance, delta_list: Sequence[float],
         raise InvalidInput("delta_list must be nonempty")
     positive = [d for d in deltas if d > 0]
     alpha_floor = c * min(positive) ** s if positive else 1e-6
-    aset = inst.aset.with_lambda(0.0)
     records, active = [], None
     for i, d in enumerate(deltas):
         alpha = c * d**s if d > 0 else alpha_floor
         noisy = add_noise(inst.y_d, d, seed + i)
-        prob = RegularizedProblem(noisy, aset, alpha)
+        prob = RegularizedProblem(noisy, inst.aset, alpha)
         rec, sol = _solve(inst, prob, tol, delta=d, start=active)
         records.append(rec)
         active = sol.active_set
@@ -190,13 +188,12 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
     lams = sorted(lam_list, reverse=True)
     if not lams:
         raise InvalidInput("lambda_list must be nonempty")
-    base_set = inst.aset.with_lambda(0.0)
-    sl = slater(base_set, u_hat)
+    sl = slater(inst.aset, u_hat)
     if sign == PLUS and lams[0] > sl["lam_max"]:
         raise Infeasible(
             f"lam = {lams[0]:g} exceeds tau/||u_hat||_inf = {sl['lam_max']:g}")
-    prob = RegularizedProblem(inst.y_d, base_set, alpha)
-    rows = base_set.constraint_matrix()[0].idx
+    prob = RegularizedProblem(inst.y_d, inst.aset, alpha)
+    rows = inst.aset.constraint_matrix()[0].idx
     records, sols, plus_feasible, minus_violation = [], [], [], []
     active = None
     for lam in lams:
@@ -206,14 +203,14 @@ def lavrentiev_sweep(inst: ManufacturedInstance, alpha: float,
         records.append(rec)
         sols.append(sol)
         rep0 = FeasibilityReport.from_slack(
-            base_set.slack(sol.u.values, sol.y.values))
+            inst.aset.slack(sol.u.values, sol.y.values))
         if sign == PLUS:
             plus_feasible.append(bool(rep0.feasible))
         else:
             cap = lam * float(np.max(np.abs(sol.u.values[rows]), initial=0.0))
             minus_violation.append(bool(-rep0.margin_state <= cap + 10 * tol))
     base = _solve(inst, prob, tol, start=active)[1]
-    g = base_set.op.grid
+    g = inst.aset.op.grid
     errors = [wnorm(g, sol.u.values - base.u.values) for sol in sols]
     scaled = [e * alpha / lam for e, lam in zip(errors, lams) if lam > 0]
     c_fit = max(scaled) if scaled else 0.0
@@ -234,9 +231,8 @@ def total_error_study(inst: ManufacturedInstance, alpha_list: Sequence[float],
     g = inst.aset.op.grid
     records, triangle = [], []
     active, active0 = None, None  # two paths: shifted sets and lam = 0
-    aset0 = inst.aset.with_lambda(0.0)
     for i, a in enumerate(_alpha_path(alpha_list)):  # one V^T y_d for both
-        prob0 = RegularizedProblem(inst.y_d, aset0, a) if i == 0 \
+        prob0 = RegularizedProblem(inst.y_d, inst.aset, a) if i == 0 \
             else prob0.at(a)
         rec, sol = _solve(
             inst, prob0.at(aset=inst.aset.with_lambda(min(lam_cap, a), sign)),

@@ -31,7 +31,7 @@ class ManufacturedInstance:
     w: GridFunction
     u_bar: GridFunction
     y_d: GridFunction
-    aset: AdmissibleSet
+    aset: AdmissibleSet           # lam = 0: manufacture rejects any other
     attainable: bool
     margins: FeasibilityReport
     w_norm: float
@@ -83,7 +83,7 @@ def manufacture(w: GridFunction, aset: AdmissibleSet, attainable: bool = True,
     op = aset.op
     sw = op.apply_values(w.values)
     res, su, slack, _ = aset.minimize(
-        (op.V, np.full(sw.size, 2.0)), -2.0 * (op.s * (op.V.T @ w.values)),
+        np.full(sw.size, 2.0), -2.0 * (op.s * (op.V.T @ w.values)),
         lambda u, su: 2.0 * (u - sw), 1e-10)
     u_bar, y_d = GridFunction(w.grid, res.u), GridFunction(w.grid, su)
     margins = FeasibilityReport.from_slack(slack)

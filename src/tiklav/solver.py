@@ -17,11 +17,6 @@ from .operators import AssembledOperator
 from . import qp
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha < np.inf:  # NaN fails too
-        raise InvalidInput(f"alpha must be positive and finite, got {alpha}")
-
-
 @dataclass(frozen=True)
 class RegularizedProblem:
     y_d: GridFunction
@@ -31,7 +26,9 @@ class RegularizedProblem:
     def __post_init__(self):
         if self.y_d.grid != self.op.grid:
             raise InvalidInput("problem grids differ")
-        _check_alpha(self.alpha)
+        if not 0 < self.alpha < np.inf:  # NaN fails too
+            raise InvalidInput(
+                f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def op(self) -> AssembledOperator:
@@ -111,19 +108,18 @@ def _solution(problem: RegularizedProblem, res: qp.QPResult,
 
 
 def _quadratic(op: AssembledOperator, vty: np.ndarray, alpha: float):
-    """Hessian 2(S*S + alpha I) = V diag(2(s^2 + alpha)) V^T as (V, d), and
-    the gradient at 0 in that basis, -2 s * V^T y_d, from vty = V^T y_d."""
-    return (op.V, 2.0 * (op.s**2 + alpha)), -2.0 * op.s * vty
+    """The eigenvalues d = 2(s^2 + alpha) of the Hessian 2(S*S + alpha I) =
+    V diag(d) V^T, and the gradient at 0 in that basis, -2 s * V^T y_d,
+    from vty = V^T y_d: (d, gx)."""
+    return 2.0 * (op.s**2 + alpha), -2.0 * op.s * vty
 
 
-def solve_unconstrained(op: AssembledOperator, y_d: GridFunction,
-                        alpha: float) -> GridFunction:
-    """Solve (S*S + alpha I) u = S* y_d in the eigenbasis of S."""
-    _check_alpha(alpha)
-    if y_d.grid != op.grid:
-        raise InvalidInput("problem grids differ")
-    (V, d), gx = _quadratic(op, op.V.T @ y_d.values, alpha)
-    return GridFunction(op.grid, V @ (-gx / d))
+def solve_unconstrained(problem: RegularizedProblem) -> GridFunction:
+    """Solve (S*S + alpha I) u = S* y_d in the eigenbasis of S, from the
+    problem's V^T y_d: one product V x."""
+    op = problem.op
+    d, gx = _quadratic(op, problem.vty, problem.alpha)
+    return GridFunction(op.grid, op.V @ (-gx / d))
 
 
 def solve(problem: RegularizedProblem, tol: float = 1e-8,
@@ -133,16 +129,18 @@ def solve(problem: RegularizedProblem, tol: float = 1e-8,
     admissible region; any lambda, alpha or data); with no start, from the
     rows violated at the unconstrained minimizer."""
     op = problem.op
-    H, gx = _quadratic(op, problem.vty, problem.alpha)
     # certified on the Lagrangian gradient 2(S*(S u - y_d) + alpha u) + T^T eta
     return _solution(problem, *problem.aset.minimize(
-        H, gx, lambda u, su: 2.0 * (op.apply_values(su - problem.y_d.values)
-                                    + problem.alpha * u), tol, start))
+        *_quadratic(op, problem.vty, problem.alpha),
+        lambda u, su: 2.0 * (op.apply_values(su - problem.y_d.values)
+                             + problem.alpha * u), tol, start))
 
 
 def projection_formula_residual(sol: Solution, problem: RegularizedProblem,
                                 tol: float = 1e-8) -> float:
     """|| u - P_set( -S*(Su - y_d)/alpha ) || in the weighted norm."""
+    if sol.u.grid != problem.op.grid:
+        raise InvalidInput("problem grids differ")
     v = -problem.op.apply_values(sol.y.values - problem.y_d.values) \
         / problem.alpha
     p = project_admissible(GridFunction(problem.op.grid, v), problem.aset,

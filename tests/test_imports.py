@@ -6,9 +6,10 @@ rejected input is `InvalidInput`), only one function reads a state
 constraint's region nodes (every other reader uses the rows of
 `constraint_matrix()`), the tests' dense references in reference.py
 read nothing of the operator's eigenbasis or of the QP engine, one
-function of tiklav runs the QP engine and it certifies its point, and
-`cli.main` catches every `TiklavError` subclass (none escapes as a
-traceback)."""
+function of tiklav runs the QP engine and it certifies its point, no
+call of `minimize` hands it a basis (the set pairs the Hessian's
+eigenvalues with its own operator's), and `cli.main` catches every
+`TiklavError` subclass (none escapes as a traceback)."""
 
 import ast
 from pathlib import Path
@@ -241,6 +242,42 @@ def test_every_engine_call_is_certified():
             for name in engine_callers(s)] == [("admissible", "minimize")]
     assert [name for s in src.values()
             for name in uncertified_engine_calls(s)] == []
+
+
+def basis_passed_to_minimize(source: str) -> list:
+    """Line numbers of the calls of `minimize`, by name or as an attribute,
+    whose first argument is a tuple literal or reads an attribute `V`: a
+    basis beside the Hessian's eigenvalues d, which `AdmissibleSet.minimize`
+    takes from its own operator."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and node.args and "minimize" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            first = node.args[0]
+            if isinstance(first, ast.Tuple) or any(
+                    isinstance(n, ast.Attribute) and n.attr == "V"
+                    for n in ast.walk(first)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_checker_flags_a_basis_passed_to_minimize():
+    flagged = ("def f(aset, n, gx, grad):\n"
+               "    a = aset.minimize((aset.op.V, 2.0 * ones(n)), gx, grad)\n"
+               "    return a, minimize(2.0 * aset.op.V[:, 0], gx, grad)\n")
+    clean = ("def g(aset, op, n, v, grad):\n"
+             "    return aset.minimize(full(n, 2.0), -2.0 * (op.V.T @ v),"
+             " grad, 1e-9)\n")
+    assert basis_passed_to_minimize(flagged) == [2, 3]
+    assert basis_passed_to_minimize(clean) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_minimize_takes_no_basis(path):
+    # the Hessian is V diag(d) V^T with V the set's own operator basis, so
+    # a caller passes d alone and cannot pair it with another basis
+    assert basis_passed_to_minimize(path.read_text()) == []
 
 
 def uncaught_errors(errors: str, cli: str) -> list:

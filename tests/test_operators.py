@@ -170,11 +170,12 @@ class TestSineBasis:
         (DomainGrid(1, 30), KernelSpec("gaussian", width=0.3)),
     ], ids=["poisson-1d", "poisson-2d", "fredholm"])
     def test_gram_eig_reconstructs_gram(self, grid, kernel):
-        # the eigenpairs (V, d) of the Hessian that `solver._quadratic`
-        # hands the QP engine reconstruct 2(S^T S + alpha I) from dense S
+        # the eigenvalues d that `solver._quadratic` hands the QP engine,
+        # with the operator's basis V, reconstruct 2(S^T S + alpha I) from
+        # dense S
         (op, S), alpha = assemble(grid, kernel), 1e-3
-        (V, d), _ = solver._quadratic(op, np.zeros(op.grid.num_nodes), alpha)
-        V = V[:]
+        d, _ = solver._quadratic(op, np.zeros(op.grid.num_nodes), alpha)
+        V = op.V[:]
         H = 2.0 * (S.T @ S + alpha * np.eye(S.shape[0]))
         assert np.linalg.norm((V * d) @ V.T - H) <= 1e-12 * np.linalg.norm(H)
 

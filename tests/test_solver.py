@@ -42,13 +42,16 @@ def loose_problem(n=8, alpha=0.1, b=np.inf, psi=100.0, grid=None):
 
 class TestSolve:
     def test_matches_unconstrained_when_interior(self):
-        prob = loose_problem()
-        sol = solve(prob, tol=1e-10)
-        free = solve_unconstrained(prob.op, prob.y_d, prob.alpha)
-        assert np.allclose(sol.u.values, free.values, atol=1e-8)
-        assert len(sol.active_lower) == 0
-        assert len(sol.active_upper) == 0
-        assert len(sol.active_state) == 0
+        # with no active row the engine's exit is the closed form V(-gx/d)
+        # itself, bit for bit, in 1D and 2D
+        for grid in (DomainGrid(1, 8), DomainGrid(2, 5)):
+            prob = loose_problem(grid=grid)
+            sol = solve(prob, tol=1e-10)
+            assert np.array_equal(sol.u.values,
+                                  solve_unconstrained(prob).values)
+            assert len(sol.active_lower) == 0
+            assert len(sol.active_upper) == 0
+            assert len(sol.active_state) == 0
 
     def test_kkt_certificates(self):
         prob = loose_problem(psi=0.001, b=1.0)
@@ -74,21 +77,26 @@ class TestSolve:
             solve(RegularizedProblem(prob.y_d, prob.aset, 0.0))
         for alpha in (-1.0, np.nan, np.inf):
             with pytest.raises(InvalidInput, match="alpha must be positive"):
-                solve_unconstrained(prob.op, prob.y_d, alpha)
+                RegularizedProblem(prob.y_d, prob.aset, alpha)
 
     def test_data_on_another_grid_rejected(self):
         prob = loose_problem()
         with pytest.raises(InvalidInput, match="problem grids differ"):
             RegularizedProblem(GridFunction(DomainGrid(1, 9), np.zeros(9)),
                                prob.aset, prob.alpha)
-        # solve_unconstrained too: a 9-node y_d on an 8-node operator (once
-        # a numpy broadcast error), and 16 nodes in 1D on a 4 x 4 operator
-        # in 2D (once a 2D solution)
+        # a 9-node y_d on an 8-node operator, and 16 nodes in 1D on a 4 x 4
+        # operator in 2D; projection_formula_residual likewise rejects a
+        # solution on such a grid
         for y_grid, op_grid in ((DomainGrid(1, 9), DomainGrid(1, 8)),
                                 (DomainGrid(1, 16), DomainGrid(2, 4))):
             y_d = GridFunction(y_grid, np.ones(y_grid.num_nodes))
             with pytest.raises(InvalidInput, match="problem grids differ"):
-                solve_unconstrained(assemble_poisson(op_grid), y_d, 0.1)
+                RegularizedProblem(y_d, loose_problem(grid=op_grid).aset, 0.1)
+        for sol_grid, op_grid in ((DomainGrid(1, 8), DomainGrid(1, 9)),
+                                  (DomainGrid(1, 16), DomainGrid(2, 4))):
+            sol = solve(loose_problem(grid=sol_grid))
+            with pytest.raises(InvalidInput, match="problem grids differ"):
+                projection_formula_residual(sol, loose_problem(grid=op_grid))
 
     def test_operator_is_the_sets(self):
         # V^T y_d, which `at` carries over, belongs to the set's operator
@@ -252,11 +260,12 @@ class TestOneEvaluation:
     def test_one_apply_per_solve_record_and_instance(self, monkeypatch):
         # sine transforms: a problem forms V^T y_d once, and the problems a
         # path derives from it share it; an interior solve then makes 1, the
-        # engine's u = V x. The state rows at u (B x), the certificate's
-        # gradient 2(S(S u - y_d) + alpha u) and the Solution's S u are
-        # Green's function applies in node space. manufacture makes 2 (V^T w
-        # for the coefficients s * V^T w of S* w, and the projection's V x)
-        # and 2 applies of S (S* w, and the certificate's S u, its y_d)
+        # engine's u = V x, and a closed-form solve 1, its V x. The state
+        # rows at u (B x), the certificate's gradient
+        # 2(S(S u - y_d) + alpha u) and the Solution's S u are Green's
+        # function applies in node space. manufacture makes 2 (V^T w for the
+        # coefficients s * V^T w of S* w, and the projection's V x) and 2
+        # applies of S (S* w, and the certificate's S u, its y_d)
         op, inst, calls = counted_interior_preset(monkeypatch)
         applies, apply_values = [], AssembledOperator.apply_values
 
@@ -274,6 +283,11 @@ class TestOneEvaluation:
         calls.clear()
         out = experiments.sweep_alpha(inst, [1e-1, 1e-2, 1e-3, 1e-4])
         assert len(out["records"]) == 4 and len(calls) == 1 + 4 * 1
+        calls.clear()
+        prob = RegularizedProblem(inst.y_d, inst.aset, 1e-1)
+        for a in (1e-1, 1e-2, 1e-3, 1e-4):
+            solve_unconstrained(prob.at(a))
+        assert len(calls) == 1 + 4
 
     def test_verify_at_n_2048_makes_13_transforms(self, monkeypatch,
                                                   tmp_path):
@@ -433,7 +447,7 @@ def test_poisson_solve_uses_no_gram_and_no_cholesky(monkeypatch):
         sol = solve(prob, tol=1e-10)
         assert len(sol.active_state) > 0
         assert projection_formula_residual(sol, prob, tol=1e-8) <= 1e-7
-        solve_unconstrained(prob.op, prob.y_d, prob.alpha)
+        solve_unconstrained(prob)
 
 
 def test_solve_does_not_import_scipy_optimize(tmp_path):

@@ -287,9 +287,10 @@ def test_cold_start_is_the_rows_violated_at_the_unconstrained_minimizer(
 
     monkeypatch.setattr(qp, "_start_rows", captured)
     lam_set = aset.with_lambda(1e-2, e["sign"])
-    sol = solve(RegularizedProblem(inst.y_d, lam_set, e["alpha"]), tol=1e-8)
+    prob = RegularizedProblem(inst.y_d, lam_set, e["alpha"])
+    sol = solve(prob, tol=1e-8)
     assert certificate(sol) <= 1e-8
-    u0 = solve_unconstrained(op, inst.y_d, e["alpha"]).values
+    u0 = solve_unconstrained(prob).values
     n = u0.size
     lo, up, st = lam_set.slack(u0, op.apply_values(u0))
     violated = np.concatenate([np.flatnonzero(lo < -1e-9),
